@@ -6,8 +6,6 @@ region of the mixing parameters, and ships the witnesses needed to see
 the resulting hierarchy implications on concrete state families.
 """
 
-from .linalg import HAVE_COMPILED_KERNEL, kernel_name
-
 __version__ = "0.1.0"
 
-__all__ = ["HAVE_COMPILED_KERNEL", "kernel_name", "__version__"]
+__all__ = ["__version__"]

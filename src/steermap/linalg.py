@@ -2,55 +2,20 @@
 
 Matrices are plain numpy ``complex128`` 2-D arrays, row-major, with
 subsystem A always the left (slow-varying) tensor factor.  Construction
-never normalizes or symmetrizes anything; callers validate explicitly.
+never normalizes anything; callers validate explicitly.
 
-The Hermitian eigensolver is a self-contained cyclic Jacobi iteration so
-the whole numeric core stays auditable.  It exists twice: a compiled
-Cython kernel and a pure-Python fallback with identical semantics.  The
-compiled one is picked at import time when present (override with the
-environment variable ``STEERMAP_PURE_PYTHON=1``).
+The Hermitian eigensolver is LAPACK's ``eigh`` (via numpy) behind one
+validation step: the input must be square, finite and Hermitian within
+``HERMITICITY_TOL``, the same tolerance states are held to.  The
+Hermitian part ``(m + m^dagger)/2`` is what gets decomposed, so callers
+never need to symmetrize.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-if os.environ.get("STEERMAP_PURE_PYTHON"):
-    from . import _jacobi_py as _jacobi_impl
-
-    HAVE_COMPILED_KERNEL = False
-else:
-    try:
-        from . import _jacobi_cy as _jacobi_impl
-
-        HAVE_COMPILED_KERNEL = True
-    except ImportError:
-        from . import _jacobi_py as _jacobi_impl
-
-        HAVE_COMPILED_KERNEL = False
-
-HERMITICITY_TOL = 1e-12
-OFFDIAG_TOL = 1e-14
-MAX_SWEEPS = 100
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi iteration did not reach the off-diagonal target."""
-
-    def __init__(self, off: float, sweeps: int):
-        self.off = off
-        self.sweeps = sweeps
-        super().__init__(
-            f"Jacobi did not converge after {sweeps} sweeps "
-            f"(off-diagonal max-abs {off:.3e})"
-        )
-
-
-def kernel_name() -> str:
-    """Name of the active eigensolver kernel ('compiled' or 'python')."""
-    return "compiled" if HAVE_COMPILED_KERNEL else "python"
+HERMITICITY_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -113,27 +78,24 @@ def partial_transpose(m, d_a: int, d_b: int, on: str = "B") -> np.ndarray:
     raise ValueError(f"on must be 'A' or 'B', got {on!r}")
 
 
-def hermitian_eigen(m, max_sweeps: int = MAX_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigen(m):
+    """Eigendecomposition of a Hermitian matrix via LAPACK ``eigh``.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and
     eigenvectors in the columns of ``v`` (same order).  Raises
-    ``ValueError`` for non-Hermitian input (defect > 1e-12) and
-    :class:`JacobiConvergenceError` if the off-diagonal max-abs is still
-    >= 1e-14 after ``max_sweeps`` sweeps.
+    ``ValueError`` for non-square, non-finite or non-Hermitian input
+    (defect > 1e-10); the Hermitian part of ``m`` is decomposed.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     defect = hermiticity_defect(a)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    work = np.array(a, dtype=np.complex128, order="C", copy=True)
-    diag, v, off, sweeps = _jacobi_impl.jacobi_eigh(work, max_sweeps, OFFDIAG_TOL)
-    if off >= OFFDIAG_TOL:
-        raise JacobiConvergenceError(off, sweeps)
-    order = np.argsort(diag, kind="stable")
-    return diag[order], v[:, order]
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return w, v
 
 
 def trace_norm(m) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 
-HERM_TOL = 1e-10
+HERM_TOL = linalg.HERMITICITY_TOL
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 BLOCH_TOL = 1e-12
@@ -74,13 +74,19 @@ class DensityMatrix:
 def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     """Validate and wrap a matrix as a DensityMatrix.
 
-    Checks, in order: shape, hermiticity (1e-10), unit trace (1e-10) and
-    positive semidefiniteness (min eigenvalue >= -1e-10).  Raises
-    :class:`StateValidationError` naming the first failed invariant.
+    Checks, in order: finite entries, shape, hermiticity (1e-10), unit
+    trace (1e-10) and positive semidefiniteness (min eigenvalue >=
+    -1e-10).  Raises :class:`StateValidationError` naming the first
+    failed invariant.  The stored matrix is the Hermitian part
+    ``(mat + mat^dagger)/2``, so every state downstream is Hermitian to
+    rounding.
     """
     if d_a < 2 or d_b < 2:
         raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
     m = linalg.as_matrix(mat)
+    bad = int(np.count_nonzero(~np.isfinite(m)))
+    if bad:
+        raise StateValidationError("finite entries", float(bad))
     n = d_a * d_b
     if m.shape != (n, n):
         raise StateValidationError(
@@ -92,13 +98,10 @@ def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     tr_dev = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
     if tr_dev > TRACE_TOL:
         raise StateValidationError("trace = 1 within 1e-10", tr_dev)
-    # Symmetrize before the spectral check: the eigensolver insists on a
-    # tighter hermiticity (1e-12) than the state tolerance admits.
-    sym = (m + m.conj().T) / 2.0
-    w, _ = linalg.hermitian_eigen(sym)
+    w, _ = linalg.hermitian_eigen(m)
     if w[0] < -PSD_TOL:
         raise StateValidationError("min eigenvalue >= -1e-10", float(-w[0]))
-    out = np.array(m, dtype=np.complex128, copy=True)
+    out = (m + m.conj().T) / 2.0
     out.setflags(write=False)
     return DensityMatrix(d_a, d_b, out)
 

@@ -21,6 +21,7 @@ from .states import PAULIS, DensityMatrix
 CHSH_THRESHOLD = 2.0
 F3_THRESHOLD = math.sqrt(3.0)
 NEGATIVITY_THRESHOLD = 0.0
+NEGATIVITY_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,21 +41,18 @@ class WitnessReport:
         return json.dumps(payload)
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    # Input states may carry hermiticity defects up to the 1e-10 state
-    # tolerance; the eigensolver wants 1e-12.
-    return (m + m.conj().T) / 2.0
-
-
 def negativity(rho: DensityMatrix) -> float:
-    """Entanglement witness (||rho^T_B||_1 - 1)/2, clamped at 0.
+    """Entanglement witness (||rho^T_B||_1 - 1)/2, reported as 0 up to 1e-12.
 
     Positive negativity certifies entanglement; for 2x2 and 2x3 systems
     the converse holds as well.  Partial transpose is taken on B (the
-    spectrum is the same either way; fixed for determinism).
+    spectrum is the same either way; fixed for determinism).  Values at
+    or below ``NEGATIVITY_ZERO_TOL`` are eigensolver rounding on a
+    separable state and come back as exactly 0.0.
     """
     pt = linalg.partial_transpose(rho.mat, rho.d_a, rho.d_b, on="B")
-    return max(0.0, (linalg.trace_norm(_symmetrized(pt)) - 1.0) / 2.0)
+    neg = (linalg.trace_norm(pt) - 1.0) / 2.0
+    return neg if neg > NEGATIVITY_ZERO_TOL else 0.0
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -94,7 +92,7 @@ def f3_steering(rho: DensityMatrix) -> float:
         c_k = linalg.partial_trace(
             linalg.kron(eye_a, PAULIS[k]) @ rho.mat, rho.d_a, rho.d_b, keep="A"
         )
-        total += linalg.trace_norm(_symmetrized(c_k))
+        total += linalg.trace_norm(c_k)
     return total
 
 

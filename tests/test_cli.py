@@ -19,6 +19,17 @@ def werner_file(tmp_path):
     return _write
 
 
+@pytest.fixture
+def nan_file(tmp_path):
+    mat = werner(0.5).mat.real.tolist()
+    mat[1][2] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(
+        json.dumps({"dims": [2, 2], "re": mat, "im": np.zeros((4, 4)).tolist()})
+    )
+    return str(path)
+
+
 class TestAnalyze:
     def test_maximally_entangled(self, werner_file, capsys):
         assert cli.main(["analyze", "--state", werner_file(1.0)]) == 0
@@ -59,6 +70,14 @@ class TestAnalyze:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["analyze", "--state", str(tmp_path / "gone.json")]) == 2
+
+    def test_nan_state_exits_2(self, nan_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--state", nan_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "finite entries" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestMap:
@@ -103,6 +122,18 @@ class TestMap:
         )
         assert rc == 0
         states.load_state(out)  # valid state regardless of feasibility
+
+    def test_nan_state_exits_2(self, nan_file, tmp_path, capsys):
+        out = tmp_path / "mapped.json"
+        rc = cli.main(
+            ["map", "--state", nan_file, "--mode", "M",
+             "--mu", "0.5", "--c", "0", "--out", str(out)]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "finite entries" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "nan.json"]
 
     def test_bad_mode_exits_2(self, werner_file, tmp_path):
         rc = cli.main(
@@ -218,6 +249,19 @@ class TestDemoWerner:
         high = rows["0.9"]
         assert high[4] == "true"
         assert float(high[3]) == pytest.approx(2.545584412271, abs=1e-9)
+
+    def test_separable_points_report_zero_negativity(self, capsys):
+        # Grid 114 puts p = 6/113 where the mapped state's negativity
+        # used to print as 1.11e-16 and break the implication column.
+        assert cli.main(["demo-werner", "--grid", "114"]) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(rows) == 114
+        assert float(rows[6][0]) == pytest.approx(6 / 113, abs=1e-12)
+        assert rows[6][1] == "0"
+        for row in rows:
+            assert row[5:] == ["true", "true"]
+            if float(row[0]) < INV_SQRT3:
+                assert row[1] == "0"
 
     def test_grid_validation(self):
         assert cli.main(["demo-werner", "--grid", "1"]) == 2

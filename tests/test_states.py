@@ -44,6 +44,31 @@ class TestMakeDensity:
             make_density(bad, 2, 2)
         assert info.value.deviation == pytest.approx(0.1, abs=1e-12)
 
+    def test_small_antihermitian_defect_validates(self):
+        # A defect inside the 1e-10 state tolerance is accepted, and the
+        # spectrum is that of the Hermitian part.
+        rng = np.random.default_rng(4)
+        herm, _ = random_separable(2, 2, 4, seed=4)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        skew = g - g.conj().T
+        skew *= 5e-11 / np.max(np.abs(skew))
+        mat = herm.mat + skew / 2.0
+        assert linalg.hermiticity_defect(mat) == pytest.approx(5e-11, rel=1e-6)
+        w, _ = linalg.hermitian_eigen(mat)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(herm.mat))) < 1e-14
+        rho = make_density(mat, 2, 2)
+        assert linalg.hermiticity_defect(rho.mat) == 0.0
+        assert np.max(np.abs(rho.mat - herm.mat)) < 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_first(self, bad):
+        # Wrong shape and trace as well: finiteness is checked before both.
+        mat = np.eye(6, dtype=complex)
+        mat[0, 0] = bad
+        with pytest.raises(StateValidationError, match="finite entries") as info:
+            make_density(mat, 2, 2)
+        assert info.value.deviation == 1.0
+
     def test_bell_projector_is_pure(self):
         rho = bell_phi_plus()
         w, _ = linalg.hermitian_eigen(rho.mat)

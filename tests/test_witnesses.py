@@ -41,6 +41,17 @@ class TestNegativity:
             rho, _ = random_separable(2, 2, 4, seed=seed)
             assert witnesses.negativity(rho) <= 1e-12
 
+    def test_separable_werner_points_are_exactly_zero(self):
+        # Every p = i/(grid-1) that demo-werner visits below 1/sqrt3 for
+        # grids 101..299.  There f3(tau) = 3p <= sqrt3, so the
+        # entangled => steerable column holds only if the mapped state's
+        # negativity is exactly 0 rather than eigensolver rounding.
+        ps = {i / (g - 1) for g in range(101, 300) for i in range(g)}
+        for p in sorted(x for x in ps if x < INV_SQRT3):
+            tau = werner(p)
+            sigma = mapping.map_n(tau, mapping.alice_biased_partner(tau, 0.0), INV_SQRT3)
+            assert witnesses.negativity(sigma) == 0.0, p
+
 
 class TestChsh:
     def test_maximally_mixed(self):
@@ -86,6 +97,17 @@ class TestF3Steering:
         value = witnesses.f3_steering(bell_phi_plus())
         assert value == pytest.approx(3.0, abs=1e-10)
         assert value > witnesses.F3_THRESHOLD
+
+    def test_tolerates_state_hermiticity_defect(self):
+        # A 0.9e-10 defect passes state validation; tr_B[(1 x sigma_z) m]
+        # would double it past the eigensolver's 1e-10 tolerance.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 2] += 0.45e-10j
+        m[2, 0] += 0.45e-10j
+        m[1, 3] -= 0.45e-10j
+        m[3, 1] -= 0.45e-10j
+        assert linalg.hermiticity_defect(m) == pytest.approx(0.9e-10)
+        assert witnesses.f3_steering(make_density(m, 2, 2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_qubit_bob(self):
         rho, _ = random_separable(2, 3, 2, seed=8)
