@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import constructions, mapping, states, witnesses
 from .mapping import INV_SQRT3
-from .measurements import qudit_measurement, random_basis
+from .measurements import qudit_measurement, qudit_measurements, random_bases
 from .models import model_from_separable
 
 LHS_SETTINGS_PER_TRIAL = 20
@@ -60,7 +61,7 @@ def cmd_analyze(args) -> int:
     rho = states.load_state(args.state)
     report = witnesses.witness_report(rho)
     rounded = {k: _sig12(v) for k, v in json.loads(report.to_json()).items()}
-    _emit(json.dumps(rounded), args.out)
+    _emit(json.dumps(rounded, allow_nan=False), args.out)
     return EXIT_OK
 
 
@@ -119,10 +120,7 @@ def _verify_lhs(dims, trials, seed, fixed) -> float:
         model_tau = model_from_separable(ensemble)
         mu, c = fixed if fixed else _sample_params(rng)
         model_prime = constructions.bob_biased_prime_model(model_tau, c)
-        settings = [
-            qudit_measurement(random_basis(d_a, rng))
-            for _ in range(LHS_SETTINGS_PER_TRIAL)
-        ]
+        settings = qudit_measurements(random_bases(LHS_SETTINGS_PER_TRIAL, d_a, rng))
         cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
         rho = mapping.map_m(tau, mapping.bob_biased_partner(tau, c), mu)
         worst = max(worst, constructions.verify_lhs_identity(rho, cert, settings))
@@ -155,6 +153,10 @@ def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
     if dims[0] not in (2, 3, 4) or dims[1] not in (2, 3, 4):
         raise ValueError(f"--dims subsystems must be in 2..4, got {args.dims}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     fixed = None
     if (args.mu is None) != (args.c is None):
         raise ValueError("--mu and --c must be given together")
@@ -192,7 +194,7 @@ def cmd_verify(args) -> int:
         "max_residual": _sig12(float(residual)),
         "pass": passed,
     }
-    _emit(json.dumps(report), args.out)
+    _emit(json.dumps(report, allow_nan=False), args.out)
     return EXIT_OK if passed else EXIT_VERIFY
 
 

@@ -7,6 +7,13 @@ probabilities that reassemble the mixed state's statistics.  The
 verifiers recompute both sides of the defining identities from scratch
 and return the worst residual.
 
+Everything is evaluated array-first: Alice's settings (or the sampled
+measurement pairs) form one (n, k, d, d) projector stack, and each side
+of an identity is one contraction over that stack, the hidden index
+and the (d_a, d_b, d_a, d_b) state tensor, with the same range and
+projector checks as the single-pair functions in :mod:`steermap.models`
+and :mod:`steermap.states`.
+
 A caveat worth keeping in mind: the general recipe makes the hidden
 state depend on Alice's setting and outcome through the ratio it is
 built from.  For the biased-partner family (the partner reusing Alice's
@@ -23,19 +30,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import PAULI_LABELS, random_basis, random_direction
-from .measurements import qubit_measurement, qudit_measurement
+from .measurements import (
+    PAULI_LABELS,
+    pauli_settings,
+    projector_stack,
+    qubit_projectors,
+    qudit_projectors,
+    random_measurement_pairs,
+)
 from .models import (
     FiniteModel,
     QuantumResponse,
     TableResponse,
-    born_joint,
+    born_joints,
+    born_probs,
     finite_model,
     quantum_response,
     response_prob,
     table_response,
 )
-from .states import BlochVector, DensityMatrix, conditional_state, hidden_qubit
+from .states import DensityMatrix, conditional_states, hidden_qubits
 
 WEIGHT_TOL = 1e-12
 PHYS_TOL = 1e-12
@@ -109,8 +123,7 @@ class LhsCertificate:
         return len(self.weights)
 
     def hidden_state(self, s: int, a: int, xi: int) -> np.ndarray:
-        r = self.bloch[s, a, xi]
-        return hidden_qubit(BlochVector(r[0], r[1], r[2]))
+        return hidden_qubits(self.bloch[s, a, xi])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -119,7 +132,8 @@ class LhsCertificate:
                 "weights": self.weights.tolist(),
                 "responses": self.responses.tolist(),
                 "bloch": self.bloch.tolist(),
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -135,46 +149,65 @@ def lhs_certificate(
     probability is the mu-mixture of the two models' responses and the
     hidden Bloch component for B is 2 eta(B)/p - 1.  Zero-probability
     entries contribute nothing and get the maximally mixed state.  An
-    unphysical Bloch vector raises :class:`UnphysicalHiddenStateError`.
+    unphysical Bloch vector raises :class:`UnphysicalHiddenStateError`
+    naming the first one in (setting, hidden value, outcome) order.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     _check_shared_weights(model_tau, model_tau_prime)
     settings = list(alice_settings)
-    if not settings:
-        raise ValueError("need at least one Alice setting")
-    n_out = settings[0].n_outcomes
-    n_xi = model_tau.n_hidden
-    bob_probs = [
-        [response_prob(model_tau.bob[xi], lab, 0) for lab in PAULI_LABELS]
-        for xi in range(n_xi)
-    ]
-    bob_probs_prime = [
-        [response_prob(model_tau_prime.bob[xi], lab, 0) for lab in PAULI_LABELS]
-        for xi in range(n_xi)
-    ]
-    responses = np.zeros((len(settings), n_out, n_xi))
-    bloch = np.zeros((len(settings), n_out, n_xi, 3))
-    for s, setting in enumerate(settings):
-        if setting.n_outcomes != n_out:
-            raise ValueError("alice settings disagree on outcome count")
-        for xi in range(n_xi):
-            pb = bob_probs[xi]
-            pb_p = bob_probs_prime[xi]
-            for a in range(n_out):
-                pa = response_prob(model_tau.alice[xi], setting, a)
-                pa_p = response_prob(model_tau_prime.alice[xi], setting, a)
-                wp = mu * pa + (1.0 - mu) * pa_p
-                responses[s, a, xi] = wp
-                if wp <= 0.0:
-                    continue  # zero weight in the ensemble sum; r stays 0
-                for k in range(3):
-                    eta = mu * pa * pb[k] + (1.0 - mu) * pa_p * pb_p[k]
-                    bloch[s, a, xi, k] = 2.0 * eta / wp - 1.0
-                norm_sq = float(np.dot(bloch[s, a, xi], bloch[s, a, xi]))
-                if norm_sq > 1.0 + PHYS_TOL:
-                    raise UnphysicalHiddenStateError(xi, s, a, norm_sq)
+    stack = projector_stack(settings)
+    pa = _response_probs(model_tau.alice, settings, stack)
+    pa_p = _response_probs(model_tau_prime.alice, settings, stack)
+    pb = _pauli_probs(model_tau.bob)
+    pb_p = _pauli_probs(model_tau_prime.bob)
+    responses = mu * pa + (1.0 - mu) * pa_p
+    # eta[s, a, xi, k] pairs Alice's (s, a) with Bob's outcome 0 at k.
+    eta = (
+        mu * pa[..., None] * pb[None, None]
+        + (1.0 - mu) * pa_p[..., None] * pb_p[None, None]
+    )
+    weighted = responses > 0.0  # zero-weight entries keep r = 0
+    ratio = np.divide(
+        eta, responses[..., None], out=np.zeros_like(eta), where=weighted[..., None]
+    )
+    bloch = np.where(weighted[..., None], 2.0 * ratio - 1.0, 0.0)
+    norm_sq = np.einsum("saxk,saxk->sax", bloch, bloch)
+    # Report the first offender in (setting, hidden value, outcome) order.
+    bad = np.argwhere((norm_sq > 1.0 + PHYS_TOL).transpose(0, 2, 1))
+    if len(bad):
+        s, xi, a = (int(i) for i in bad[0])
+        raise UnphysicalHiddenStateError(xi, s, a, float(norm_sq[s, a, xi]))
     return LhsCertificate(model_tau.weights.copy(), responses, bloch)
+
+
+def _response_probs(responses, settings, stack: np.ndarray) -> np.ndarray:
+    """P(a | s, xi) for every setting, outcome and response: (S, A, Xi).
+
+    Quantum responses share one Born-rule contraction over ``stack``, the
+    settings' (S, A, d, d) projectors; table responses are looked up
+    entry by entry under the matching element of ``settings``.
+    """
+    n_set, n_out, _, dim = stack.shape
+    out = np.empty((n_set, n_out, len(responses)))
+    quantum = [xi for xi, r in enumerate(responses) if isinstance(r, QuantumResponse)]
+    if quantum:
+        rhos = np.stack([responses[xi].rho for xi in quantum])
+        if rhos.shape[-1] != dim:
+            raise ValueError(f"setting dim {dim} != response dim {rhos.shape[-1]}")
+        out[:, :, quantum] = born_probs(stack, rhos, "quantum response")
+    for xi, resp in enumerate(responses):
+        if not isinstance(resp, QuantumResponse):
+            for s, setting in enumerate(settings):
+                for a in range(n_out):
+                    out[s, a, xi] = response_prob(resp, setting, a)
+    return out
+
+
+def _pauli_probs(responses) -> np.ndarray:
+    """Outcome-0 probabilities at the x, y, z qubit settings: (Xi, 3)."""
+    pauli = projector_stack(pauli_settings())
+    return _response_probs(responses, PAULI_LABELS, pauli)[:, 0, :].T
 
 
 def verify_lhs_identity(
@@ -184,27 +217,19 @@ def verify_lhs_identity(
 
     For every listed Alice setting and outcome, compares the conditional
     state of ``rho_ab`` against the certificate's weighted hidden-state
-    sum; returns the max-abs entry difference over all of them.
+    sum; returns the max-abs entry difference over all of them.  All
+    steered states come from one contraction over the settings' stack.
     """
     if rho_ab.d_b != 2:
         raise ValueError(f"certificate targets a qubit on Bob's side, got {rho_ab.d_b}")
     settings = list(alice_settings)
-    n_set, n_out, n_xi = cert.responses.shape
+    n_set = cert.responses.shape[0]
     if len(settings) != n_set:
         raise ValueError(f"certificate built for {n_set} settings, got {len(settings)}")
-    worst = 0.0
-    for s, setting in enumerate(settings):
-        for a in range(n_out):
-            lhs = conditional_state(rho_ab, setting.projectors[a])
-            rhs = np.zeros((2, 2), dtype=np.complex128)
-            for xi in range(n_xi):
-                rhs += (
-                    cert.responses[s, a, xi]
-                    * cert.weights[xi]
-                    * cert.hidden_state(s, a, xi)
-                )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    lhs = conditional_states(rho_ab, projector_stack(settings))
+    coef = cert.responses * cert.weights
+    rhs = np.einsum("sax,saxij->saij", coef, hidden_qubits(cert.bloch))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass(frozen=True)
@@ -220,8 +245,7 @@ class SpmCertificate:
         return len(self.weights)
 
     def alice_state(self, xi: int) -> np.ndarray:
-        r = self.alice_bloch[xi]
-        return hidden_qubit(BlochVector(r[0], r[1], r[2]))
+        return hidden_qubits(self.alice_bloch[xi])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -233,7 +257,8 @@ class SpmCertificate:
                     {"re": b.real.tolist(), "im": b.imag.tolist()}
                     for b in self.bob_states
                 ],
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -264,23 +289,20 @@ def spm_certificate(
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     _check_shared_weights(model_rho, model_rho_prime)
     _same_bob_responses(model_rho, model_rho_prime)
-    n_xi = model_rho.n_hidden
-    alice_bloch = np.zeros((n_xi, 3))
-    bob_states = []
-    for xi in range(n_xi):
-        bob = model_rho.bob[xi]
+    for xi, bob in enumerate(model_rho.bob):
         if not isinstance(bob, QuantumResponse):
             raise ValueError(
                 f"separable construction needs quantum Bob responses (xi={xi})"
             )
-        bob_states.append(bob.rho)
-        for k, lab in enumerate(PAULI_LABELS):
-            p0 = response_prob(model_rho.alice[xi], lab, 0)
-            p0_p = response_prob(model_rho_prime.alice[xi], lab, 0)
-            alice_bloch[xi, k] = 2.0 * (mu * p0 + (1.0 - mu) * p0_p) - 1.0
-        norm_sq = float(np.dot(alice_bloch[xi], alice_bloch[xi]))
-        if norm_sq > 1.0 + PHYS_TOL:
-            raise UnphysicalHiddenStateError(xi, "xyz", -1, norm_sq)
+    p0 = _pauli_probs(model_rho.alice)
+    p0_p = _pauli_probs(model_rho_prime.alice)
+    alice_bloch = 2.0 * (mu * p0 + (1.0 - mu) * p0_p) - 1.0
+    norm_sq = np.einsum("xk,xk->x", alice_bloch, alice_bloch)
+    unphysical = np.flatnonzero(norm_sq > 1.0 + PHYS_TOL)
+    if len(unphysical):
+        xi = int(unphysical[0])
+        raise UnphysicalHiddenStateError(xi, "xyz", -1, float(norm_sq[xi]))
+    bob_states = [bob.rho for bob in model_rho.bob]
     return SpmCertificate(model_rho.weights.copy(), alice_bloch, tuple(bob_states))
 
 
@@ -289,31 +311,25 @@ def verify_spm_identity(
 ) -> float:
     """Worst-case residual of the separable-model joint probabilities.
 
-    Samples ``n_samples`` measurement pairs (random qubit direction for
-    Alice, random orthonormal basis for Bob), evaluates all outcomes on
-    both the state and the certificate ensemble, and returns the largest
-    absolute difference.
+    Samples ``n_samples`` measurement pairs (per sample a random qubit
+    direction for Alice, then a random orthonormal basis for Bob, so a
+    seed always samples the same measurements), evaluates all
+    n x 2 x d_b joints on both the state and the certificate ensemble in
+    one batch, and returns the largest absolute difference.
     """
     if sigma_ab.d_a != 2:
         raise ValueError(f"certificate targets a qubit on Alice's side, got {sigma_ab.d_a}")
+    if n_samples < 1:
+        raise ValueError(f"need at least one measurement sample, got {n_samples}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        m_a = qubit_measurement(random_direction(rng))
-        m_b = qudit_measurement(random_basis(sigma_ab.d_b, rng))
-        for a in range(2):
-            pa = [
-                float(np.trace(m_a.projectors[a] @ cert.alice_state(xi)).real)
-                for xi in range(cert.n_hidden)
-            ]
-            for b in range(sigma_ab.d_b):
-                lhs = born_joint(sigma_ab, m_a, m_b, a, b)
-                rhs = 0.0
-                for xi in range(cert.n_hidden):
-                    pb = float(np.trace(m_b.projectors[b] @ cert.bob_states[xi]).real)
-                    rhs += float(cert.weights[xi]) * pa[xi] * pb
-                worst = max(worst, abs(lhs - rhs))
-    return worst
+    directions, bases = random_measurement_pairs(n_samples, sigma_ab.d_b, rng)
+    a_stack = qubit_projectors(directions)
+    b_stack = qudit_projectors(bases)
+    lhs = born_joints(sigma_ab, a_stack, b_stack)
+    pa = born_probs(a_stack, hidden_qubits(cert.alice_bloch), "certificate")
+    pb = born_probs(b_stack, np.stack(cert.bob_states), "certificate")
+    rhs = np.einsum("x,nax,nbx->nab", cert.weights, pa, pb)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 UNBIASED_QUBIT_TABLE = {"x": (0.5, 0.5), "y": (0.5, 0.5)}

@@ -32,10 +32,6 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, A the left (slow) factor."""
     return np.kron(as_matrix(a), as_matrix(b))

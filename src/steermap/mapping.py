@@ -153,9 +153,13 @@ def feasible(mu: float, c: float) -> bool:
 
 
 def c_max_numeric(mu: float, tol: float = 1e-10) -> float:
-    """Supremum bias c with feasible(mu, c), by bisection on [0, 1]."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    """Supremum bias c with feasible(mu, c), by bisection on [0, 1].
+
+    Stops once the bracket is narrower than ``tol`` or can no longer be
+    split in floating point, so any finite positive ``tol`` terminates.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if not feasible(mu, 0.0):
         return 0.0
     if feasible(mu, 1.0):
@@ -163,6 +167,8 @@ def c_max_numeric(mu: float, tol: float = 1e-10) -> float:
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
         if feasible(mu, mid):
             lo = mid
         else:

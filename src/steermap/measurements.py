@@ -1,63 +1,126 @@
-"""Projective measurements for qubits and qudits.
+"""Projective measurements for qubits and qudits, single or stacked.
 
 Outcomes are indices 0..d-1.  For qubit measurements along a direction
 n the outcome-0 projector is (1 + n.sigma)/2, i.e. outcome 0 carries the
 +1 sign.  Only projective measurements are supported.
+
+Measurements are built in batches: :func:`qubit_projectors` takes an
+``(n, 3)`` array of directions and :func:`qudit_projectors` an
+``(n, d, d)`` array of bases, and both validate the whole
+``(n, k, d, d)`` projector stack at once with :func:`validate_projectors`.
+The single builders and :func:`qudit_measurements` wrap those stacks, so
+every measurement passes the same checks.  :func:`projector_stack` turns
+a sequence of measurements back into one array for the batched
+Born-rule contractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .states import IDENTITY_2, PAULIS
+from .states import hidden_qubits
 
 PROJ_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ProjMeasurement:
-    """A complete set of orthogonal projectors, one per outcome."""
+    """A complete set of orthogonal projectors, one per outcome.
+
+    ``projectors`` is a read-only ``(k, d, d)`` array; row i is the
+    outcome-i projector.
+    """
 
     dim: int
-    projectors: tuple[np.ndarray, ...] = field(repr=False)
+    projectors: np.ndarray = field(repr=False)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.projectors)
 
 
-def _validate(dim: int, projectors) -> ProjMeasurement:
-    mats = tuple(linalg.as_matrix(p) for p in projectors)
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for i, p in enumerate(mats):
-        if p.shape != (dim, dim):
-            raise ValueError(f"projector {i} has shape {p.shape}, expected ({dim}, {dim})")
-        herm = linalg.hermiticity_defect(p)
-        if herm > PROJ_TOL:
-            raise ValueError(f"projector {i} is not Hermitian (defect {herm:.3e})")
-        idem = float(np.max(np.abs(p @ p - p)))
-        if idem > PROJ_TOL:
-            raise ValueError(f"projector {i} is not idempotent (defect {idem:.3e})")
-        total += p
-    comp = float(np.max(np.abs(total - np.eye(dim))))
-    if comp > PROJ_TOL:
-        raise ValueError(f"projectors do not sum to identity (defect {comp:.3e})")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            cross = float(np.max(np.abs(mats[i] @ mats[j])))
-            if cross > PROJ_TOL:
-                raise ValueError(
-                    f"projectors {i} and {j} are not orthogonal (overlap {cross:.3e})"
-                )
-    frozen = []
-    for p in mats:
-        q = np.array(p, copy=True)
-        q.setflags(write=False)
-        frozen.append(q)
-    return ProjMeasurement(dim, tuple(frozen))
+def _check(defects: np.ndarray, message: str) -> None:
+    """Raise for the first entry (C order) of ``defects`` above PROJ_TOL.
+
+    ``message`` is formatted with that entry's index and its value as
+    ``defect``.
+    """
+    if defects.max() > PROJ_TOL:
+        idx = tuple(int(i) for i in np.argwhere(defects > PROJ_TOL)[0])
+        raise ValueError(message.format(*idx, defect=float(defects[idx])))
+
+
+def validate_projectors(projectors) -> np.ndarray:
+    """Validate a stack of n complete projective measurements.
+
+    ``projectors`` has shape ``(n, k, d, d)``: measurement m has outcome
+    projectors ``projectors[m, 0..k-1]``.  Checks, to ``PROJ_TOL``: finite
+    entries, each projector Hermitian and idempotent, each measurement
+    summing to the identity and its projectors pairwise orthogonal.
+    Raises ``ValueError`` naming the first offending measurement and
+    projector; returns a read-only complex copy.
+    """
+    p = np.array(projectors, dtype=np.complex128)
+    if p.ndim != 4 or p.shape[2] != p.shape[3] or 0 in p.shape:
+        raise ValueError(f"projector stack must have shape (n, k, d, d), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("projectors have non-finite entries")
+    n, k, d = p.shape[:3]
+    _check(
+        np.abs(p - p.conj().swapaxes(-1, -2)).max(axis=(-2, -1)),
+        "measurement {0}: projector {1} is not Hermitian (defect {defect:.3e})",
+    )
+    # One matmul per measurement gives every product: block (i, j) of
+    # products[m] is P_i P_j, which must equal delta_ij P_i.  After
+    # subtracting P_i from the diagonal blocks, those test idempotence and
+    # the strict upper triangle orthogonality; per-block maxima are only
+    # needed to name an offender.
+    products = (p.reshape(n, k * d, d) @ p.swapaxes(1, 2).reshape(n, d, k * d)).reshape(
+        n, k, d, k, d
+    )
+    for i in range(k):
+        products[:, i, :, i, :] -= p[:, i]
+    blocks = np.abs(products)
+    per_block = blocks.max(axis=(2, 4)) if blocks.max() > PROJ_TOL else np.zeros((n, k, k))
+    _check(
+        np.diagonal(per_block, axis1=1, axis2=2),
+        "measurement {0}: projector {1} is not idempotent (defect {defect:.3e})",
+    )
+    _check(
+        np.abs(p.sum(axis=1) - np.eye(d)).max(axis=(-2, -1)),
+        "measurement {0}: projectors do not sum to identity (defect {defect:.3e})",
+    )
+    _check(
+        np.triu(per_block, 1),
+        "measurement {0}: projectors {1} and {2} are not orthogonal "
+        "(overlap {defect:.3e})",
+    )
+    p.setflags(write=False)
+    return p
+
+
+def _measurements(stack: np.ndarray) -> tuple[ProjMeasurement, ...]:
+    dim = stack.shape[-1]
+    return tuple(ProjMeasurement(dim, p) for p in stack)
+
+
+def qubit_projectors(directions) -> np.ndarray:
+    """Validated (n, 2, 2, 2) projector stack for qubit directions.
+
+    Row m of the (n, 3) array ``directions`` must be a unit vector n_m;
+    measurement m has outcome projectors (1 +- n_m.sigma)/2.
+    """
+    v = np.asarray(directions, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"directions must have shape (n, 3), got {v.shape}")
+    norm = np.linalg.norm(v, axis=1)
+    off = np.flatnonzero(~(np.abs(norm - 1.0) <= PROJ_TOL))
+    if len(off):
+        raise ValueError(f"direction must be a unit vector (norm {float(norm[off[0]])!r})")
+    return validate_projectors(np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=1))
 
 
 def qubit_measurement(n) -> ProjMeasurement:
@@ -65,11 +128,7 @@ def qubit_measurement(n) -> ProjMeasurement:
     v = np.asarray(n, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > PROJ_TOL:
-        raise ValueError(f"direction must be a unit vector (norm {norm!r})")
-    n_sigma = v[0] * PAULIS[0] + v[1] * PAULIS[1] + v[2] * PAULIS[2]
-    return _validate(2, ((IDENTITY_2 + n_sigma) / 2.0, (IDENTITY_2 - n_sigma) / 2.0))
+    return ProjMeasurement(2, qubit_projectors(v[None])[0])
 
 
 _PAULI_SETTINGS: tuple[ProjMeasurement, ...] | None = None
@@ -82,11 +141,7 @@ def pauli_settings() -> tuple[ProjMeasurement, ProjMeasurement, ProjMeasurement]
     """
     global _PAULI_SETTINGS
     if _PAULI_SETTINGS is None:
-        _PAULI_SETTINGS = (
-            qubit_measurement((1.0, 0.0, 0.0)),
-            qubit_measurement((0.0, 1.0, 0.0)),
-            qubit_measurement((0.0, 0.0, 1.0)),
-        )
+        _PAULI_SETTINGS = _measurements(qubit_projectors(np.eye(3)))
     return _PAULI_SETTINGS
 
 
@@ -102,6 +157,29 @@ def pauli_setting(label: str) -> ProjMeasurement:
     return pauli_settings()[idx]
 
 
+def qudit_projectors(bases) -> np.ndarray:
+    """Validated (n, d, d, d) rank-1 projector stack for orthonormal bases.
+
+    ``bases[m]`` holds basis m as rows; row i becomes the outcome-i
+    projector of measurement m.  Every basis must be orthonormal (Gram
+    defect within ``PROJ_TOL``).
+    """
+    b = np.asarray(bases, dtype=np.complex128)
+    if b.ndim != 3 or b.shape[1] != b.shape[2]:
+        raise ValueError(f"bases must have shape (n, d, d), got {b.shape}")
+    gram = b.conj() @ b.swapaxes(-1, -2)
+    _check(
+        np.abs(gram - np.eye(b.shape[1])).max(axis=(-2, -1)),
+        "basis {0} is not orthonormal (Gram defect {defect:.3e})",
+    )
+    return validate_projectors(np.einsum("nix,niy->nixy", b, b.conj()))
+
+
+def qudit_measurements(bases) -> tuple[ProjMeasurement, ...]:
+    """One rank-1 measurement per basis of an (n, d, d) array, validated together."""
+    return _measurements(qudit_projectors(bases))
+
+
 def qudit_measurement(basis) -> ProjMeasurement:
     """Rank-1 projective measurement from an orthonormal basis.
 
@@ -113,28 +191,74 @@ def qudit_measurement(basis) -> ProjMeasurement:
     for i, v in enumerate(vecs):
         if v.shape != (d,):
             raise ValueError(f"basis vector {i} has length {v.shape[0]}, expected {d}")
-    gram = np.array([[vecs[i].conj() @ vecs[j] for j in range(d)] for i in range(d)])
-    defect = float(np.max(np.abs(gram - np.eye(d))))
-    if defect > PROJ_TOL:
-        raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
-    return _validate(d, tuple(np.outer(v, v.conj()) for v in vecs))
+    return ProjMeasurement(d, qudit_projectors(np.array(vecs)[None])[0])
+
+
+def projector_stack(settings) -> np.ndarray:
+    """The (n, k, d, d) projector array of a sequence of measurements.
+
+    All measurements must share one dimension and outcome count.
+    """
+    settings = tuple(settings)
+    if not settings:
+        raise ValueError("need at least one measurement")
+    shape = settings[0].projectors.shape
+    if any(m.projectors.shape != shape for m in settings):
+        raise ValueError("measurements disagree on dimension or outcome count")
+    return np.stack([m.projectors for m in settings])
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
     """Uniform random unit 3-vector."""
     while True:
         v = rng.standard_normal(3)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v @ v)
         if norm > 1e-8:
             return v / norm
 
 
+def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
+    """Orthonormal rows from a stack of complex Gaussian matrices via QR.
+
+    The phases of R's diagonal are moved into Q, which makes the bases
+    Haar distributed.
+    """
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    return q.swapaxes(-1, -2).copy()
+
+
+def random_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-ish random orthonormal bases (rows) as an (n, dim, dim) array.
+
+    Draws the same numbers as n calls of :func:`random_basis`: per basis
+    the real parts, then the imaginary parts of a Gaussian matrix.
+    """
+    z = rng.standard_normal((n, 2, dim, dim))
+    return _orthonormal_rows(z[:, 0] + 1j * z[:, 1])
+
+
 def random_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthonormal basis (rows) via QR of a Gaussian matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return q.T.copy()
+    return random_bases(1, dim, rng)[0]
+
+
+def random_measurement_pairs(
+    n: int, dim: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n (qubit direction, qudit basis) pairs as (n, 3) and (n, dim, dim) arrays.
+
+    Draws the same numbers as n alternating calls of
+    :func:`random_direction` and :func:`random_basis`; only the draws
+    loop, the QR runs once over the stack.
+    """
+    directions = np.empty((n, 3))
+    z = np.empty((n, 2, dim, dim))
+    for i in range(n):
+        directions[i] = random_direction(rng)
+        rng.standard_normal(out=z[i])
+    return directions, _orthonormal_rows(z[:, 0] + 1j * z[:, 1])
 
 
 def random_qudit_measurement(dim: int, rng: np.random.Generator) -> ProjMeasurement:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .measurements import PAULI_LABELS, ProjMeasurement, pauli_setting
-from .states import DensityMatrix, make_density
+from .states import DensityMatrix
 
 PROB_TOL = 1e-12
 
@@ -91,10 +91,31 @@ def table_response(table: dict[str, tuple[float, ...]]) -> TableResponse:
     return TableResponse(clean)
 
 
-def _clamp_prob(value: float, context: str) -> float:
-    if value < -PROB_TOL or value > 1.0 + PROB_TOL:
+def _check_probs(values: np.ndarray, context: str) -> np.ndarray:
+    """Range-check an array of probabilities to PROB_TOL and clip to [0, 1].
+
+    The error names the first offending entry in C order.
+    """
+    ok = (values >= -PROB_TOL) & (values <= 1.0 + PROB_TOL)
+    if not ok.all():
+        value = float(values[tuple(np.argwhere(~ok)[0])])
         raise ValueError(f"{context}: probability {value} exceeds tolerance")
-    return min(max(value, 0.0), 1.0)
+    return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
+def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
+    """Born-rule table tr[P_sa rho_x] as an (S, A, X) array.
+
+    ``projectors`` is an (S, A, d, d) stack (S measurements with A
+    outcomes each) and ``states`` an (X, d, d) stack of density
+    matrices.  Every entry is range-checked and clipped to [0, 1].
+    """
+    p = np.asarray(projectors)
+    rhos = np.asarray(states)
+    n_set, n_out, _, d = p.shape
+    # tr[P rho] = sum_ij P[i, j] rho[j, i]: one matmul over flattened entries.
+    flat = p.reshape(n_set * n_out, d * d) @ rhos.swapaxes(-1, -2).reshape(-1, d * d).T
+    return _check_probs(flat.real.reshape(n_set, n_out, -1), context)
 
 
 def response_prob(resp: Response, setting, outcome: int) -> float:
@@ -122,8 +143,8 @@ def response_prob(resp: Response, setting, outcome: int) -> float:
         raise IndexError(
             f"outcome {outcome} out of range for {setting.n_outcomes} outcomes"
         )
-    value = float(np.trace(setting.projectors[outcome] @ resp.rho).real)
-    return _clamp_prob(value, "quantum response")
+    pi = setting.projectors[None, outcome : outcome + 1]
+    return float(born_probs(pi, resp.rho[None], "quantum response")[0, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -172,6 +193,27 @@ def finite_model(weights, alice, bob) -> FiniteModel:
     return FiniteModel(w, alice, bob)
 
 
+def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
+    """Joint outcome probabilities of n measurement pairs at once.
+
+    ``a_projectors`` is an (n, A, d_a, d_a) stack and ``b_projectors``
+    an (n, B, d_b, d_b) stack; entry [m, a, b] of the (n, A, B) result is
+    tr[(A_ma x B_mb) rho], contracted on the (d_a, d_b, d_a, d_b) state
+    tensor without forming Kronecker products.  Every entry is
+    range-checked and clipped to [0, 1].
+    """
+    d_a, d_b = rho.d_a, rho.d_b
+    n, n_a = a_projectors.shape[:2]
+    # t[k, l, i, j] = rho[(k, l), (i, j)], regrouped as a (d_a^2, d_b^2)
+    # matrix with rows (i, k) and columns (j, l).  Alice's side first,
+    # x[m, a, (j, l)] = sum_ik A_ma[i, k] t[k, l, i, j], then Bob's,
+    # sum_jl x[m, a, (j, l)] B_mb[j, l].
+    t = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 3, 1).reshape(d_a**2, d_b**2)
+    x = (a_projectors.reshape(n * n_a, d_a**2) @ t).reshape(n, n_a, d_b**2)
+    values = (x @ b_projectors.reshape(n, -1, d_b**2).swapaxes(1, 2)).real
+    return _check_probs(values, "born_joint")
+
+
 def born_joint(
     rho: DensityMatrix, m_a: ProjMeasurement, m_b: ProjMeasurement, a: int, b: int
 ) -> float:
@@ -185,9 +227,9 @@ def born_joint(
         raise IndexError(f"outcome a={a} out of range")
     if not 0 <= b < m_b.n_outcomes:
         raise IndexError(f"outcome b={b} out of range")
-    op = linalg.kron(m_a.projectors[a], m_b.projectors[b])
-    value = float(np.trace(op @ rho.mat).real)
-    return _clamp_prob(value, "born_joint")
+    pa = m_a.projectors[None, a : a + 1]
+    pb = m_b.projectors[None, b : b + 1]
+    return float(born_joints(rho, pa, pb)[0, 0, 0])
 
 
 def model_joint(model: FiniteModel, setting_a, setting_b, a: int, b: int) -> float:
@@ -213,14 +255,6 @@ def model_from_separable(ensemble) -> FiniteModel:
     alice = [quantum_response(alpha) for _, alpha, _ in members]
     bob = [quantum_response(beta) for _, _, beta in members]
     return finite_model(weights, alice, bob)
-
-
-def assemble_separable(ensemble, d_a: int, d_b: int) -> DensityMatrix:
-    """Mix an ensemble back into its density matrix."""
-    mat = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
-    for w, alpha, beta in ensemble:
-        mat += w * linalg.kron(alpha, beta)
-    return make_density(mat, d_a, d_b)
 
 
 def bob_marginal(model: FiniteModel, dim: int) -> np.ndarray:

@@ -23,6 +23,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_STACK = np.stack(PAULIS)
 
 
 class StateValidationError(ValueError):
@@ -155,9 +156,38 @@ def qubit_from_bloch(t: float, r: BlochVector) -> np.ndarray:
     return t * IDENTITY_2 + r.rx * SIGMA_X + r.ry * SIGMA_Y + r.rz * SIGMA_Z
 
 
-def hidden_qubit(r: BlochVector) -> np.ndarray:
-    """Qubit density matrix (1 + r.sigma)/2 for a physical Bloch vector."""
-    return (IDENTITY_2 + r.rx * SIGMA_X + r.ry * SIGMA_Y + r.rz * SIGMA_Z) / 2.0
+def hidden_qubits(bloch) -> np.ndarray:
+    """Qubit density matrices (1 + r.sigma)/2 for an (..., 3) array of r."""
+    r = np.asarray(bloch, dtype=float)
+    r_sigma = (r @ _PAULI_STACK.reshape(3, 4)).reshape(*r.shape[:-1], 2, 2)
+    return (IDENTITY_2 + r_sigma) / 2.0
+
+
+def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
+    """Bob's unnormalized steered states tr_A[(pi x 1) rho] for a stack.
+
+    ``projectors`` has shape (..., d_a, d_a); each must be a Hermitian
+    idempotent projector (1e-10).  The result has shape (..., d_b, d_b),
+    from one contraction on the (d_a, d_b, d_a, d_b) state tensor; the
+    trace of each entry is its outcome probability.
+    """
+    pi = np.asarray(projectors, dtype=np.complex128)
+    if pi.ndim < 2 or pi.shape[-2:] != (rho.d_a, rho.d_a):
+        raise ValueError(
+            f"projector shape {pi.shape} does not match d_a={rho.d_a}"
+        )
+    defect = float(np.max(np.abs(pi - pi.conj().swapaxes(-1, -2)), initial=0.0))
+    if not defect <= HERM_TOL:
+        raise ValueError(f"projector is not Hermitian (defect {defect:.3e})")
+    idem = float(np.max(np.abs(pi @ pi - pi), initial=0.0))
+    if not idem <= HERM_TOL:
+        raise ValueError(f"projector is not idempotent (defect {idem:.3e})")
+    d_a, d_b = rho.d_a, rho.d_b
+    # out[..., b, d] = sum_ij pi[..., i, j] t[j, b, i, d] for the state
+    # tensor t, regrouped as a matrix with rows (i, j), columns (b, d).
+    t = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3).reshape(d_a**2, d_b**2)
+    out = pi.reshape(-1, d_a**2) @ t
+    return out.reshape(*pi.shape[:-2], d_b, d_b)
 
 
 def conditional_state(rho: DensityMatrix, pi_a) -> np.ndarray:
@@ -166,19 +196,7 @@ def conditional_state(rho: DensityMatrix, pi_a) -> np.ndarray:
     ``pi_a`` must be a Hermitian idempotent d_a x d_a projector (1e-10);
     the trace of the result is the outcome probability.
     """
-    pi = linalg.as_matrix(pi_a)
-    if pi.shape != (rho.d_a, rho.d_a):
-        raise ValueError(
-            f"projector shape {pi.shape} does not match d_a={rho.d_a}"
-        )
-    defect = linalg.hermiticity_defect(pi)
-    if defect > HERM_TOL:
-        raise ValueError(f"projector is not Hermitian (defect {defect:.3e})")
-    idem = float(np.max(np.abs(pi @ pi - pi)))
-    if idem > HERM_TOL:
-        raise ValueError(f"projector is not idempotent (defect {idem:.3e})")
-    big = linalg.kron(pi, np.eye(rho.d_b, dtype=np.complex128))
-    return linalg.partial_trace(big @ rho.mat, rho.d_a, rho.d_b, keep="B")
+    return conditional_states(rho, linalg.as_matrix(pi_a))
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -218,7 +236,7 @@ def state_to_json(rho: DensityMatrix) -> str:
         "re": rho.mat.real.tolist(),
         "im": rho.mat.imag.tolist(),
     }
-    return json.dumps(payload)
+    return json.dumps(payload, allow_nan=False)
 
 
 def state_from_json(text: str) -> DensityMatrix:

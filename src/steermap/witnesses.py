@@ -38,7 +38,7 @@ class WitnessReport:
             payload["chsh"] = self.chsh
         if self.f3 is not None:
             payload["f3"] = self.f3
-        return json.dumps(payload)
+        return json.dumps(payload, allow_nan=False)
 
 
 def negativity(rho: DensityMatrix) -> float:

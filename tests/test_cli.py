@@ -160,6 +160,11 @@ class TestRegion:
         assert cli.main(["region", "--grid", "5", "--tol", "1e-8"]) == 0
         assert capsys.readouterr().out.startswith("mu,")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tol_exit_2(self, tol, capsys):
+        assert cli.main(["region", "--grid", "5", "--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unwritable_path_exits_2(self, tmp_path):
         target = tmp_path / "no_such_dir" / "region.csv"
         assert cli.main(["region", "--grid", "5", "--out", str(target)]) == 2
@@ -209,6 +214,30 @@ class TestVerify:
 
     def test_mu_without_c_exit_2(self):
         assert cli.main(["verify", "lhs", "--trials", "1", "--mu", "0.5"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spm", "--trials", "0"], ["lhs", "--dims", "3x2", "--trials", "-5"]],
+    )
+    def test_no_trials_exit_2(self, argv, capsys):
+        # Zero trials are zero evidence: no "pass" report.
+        assert cli.main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
+
+    @pytest.mark.parametrize("target", ["spm", "lhs"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-10"])
+    def test_bad_tol_exit_2(self, target, tol, capsys):
+        assert cli.main(["verify", target, "--trials", "1", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_zero_tol_is_accepted(self, capsys):
+        rc = cli.main(["verify", "spm", "--trials", "1", "--tol", "0"])
+        assert rc in (0, 4)
+        assert json.loads(capsys.readouterr().out)["tol"] == 0.0
 
 
 class TestDemoWerner:

@@ -2,19 +2,33 @@ import json
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import strategies as st
 
 from steermap import constructions as cons
 from steermap import mapping
 from steermap.mapping import INV_SQRT3
-from steermap.measurements import qudit_measurement, random_basis
+from steermap.measurements import (
+    qubit_measurement,
+    qudit_measurement,
+    random_basis,
+    random_direction,
+)
 from steermap.models import (
+    born_joint,
     finite_model,
     model_from_separable,
     quantum_response,
     response_prob,
     table_response,
 )
-from steermap.states import bloch_from_qubit, make_density, random_pure, random_separable
+from steermap.states import (
+    bloch_from_qubit,
+    conditional_state,
+    make_density,
+    random_pure,
+    random_separable,
+)
 
 
 def separable_pair(d_a, d_b, k, seed, c, prime_side="bob"):
@@ -151,6 +165,25 @@ class TestLhsCertificate:
         with pytest.raises(ValueError, match="weights"):
             cons.lhs_certificate(model, reweighted, 0.5, computational_settings(2))
 
+    def test_unphysical_reports_first_entry_in_loop_order(self):
+        # Two unphysical entries, (s=0, a=1, xi=0) and (s=0, a=0, xi=1);
+        # the others carry zero weight.  The setting -> hidden value ->
+        # outcome order reaches xi=0 first, flat (s, a, xi) order would not.
+        det = table_response({"x": (1.0, 0.0), "y": (1.0, 0.0), "z": (1.0, 0.0)})
+        alice = (
+            quantum_response(np.diag([0.0, 1.0]).astype(complex)),
+            quantum_response(np.diag([1.0, 0.0]).astype(complex)),
+        )
+        base = finite_model([0.5, 0.5], alice, (det, det))
+        mu = 0.5
+        prime = cons.bob_biased_prime_model(base, mapping.analytic_c_max(mu) + 0.05)
+        settings = computational_settings(2) * 2
+        with pytest.raises(cons.UnphysicalHiddenStateError) as info:
+            cons.lhs_certificate(base, prime, mu, settings)
+        err = info.value
+        assert (err.xi, err.setting, err.outcome) == (0, 0, 1)
+        assert err.norm_sq > 1.0
+
     def test_json_serialization(self):
         _, model, prime = separable_pair(2, 2, 2, seed=12, c=0.1)
         cert = cons.lhs_certificate(model, prime, 0.5, computational_settings(2))
@@ -243,6 +276,19 @@ class TestSpmCertificate:
         assert len(data["bob_states"]) == 2
         assert np.asarray(data["bob_states"][0]["re"]).shape == (3, 3)
 
+    def test_json_refuses_non_finite(self):
+        _, model, prime = separable_pair(2, 2, 2, seed=21, c=0.2, prime_side="alice")
+        cert = cons.spm_certificate(model, prime, 0.5)
+        bloch = cert.alice_bloch.copy()
+        bloch[1, 2] = np.nan
+        bad = cons.SpmCertificate(cert.weights, bloch, cert.bob_states)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            bad.to_json()
+        responses = np.full((1, 2, 2), np.inf)
+        lhs = cons.LhsCertificate(cert.weights, responses, np.zeros((1, 2, 2, 3)))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            lhs.to_json()
+
 
 class TestVerifySpmIdentity:
     def test_product_state(self):
@@ -263,6 +309,126 @@ class TestVerifySpmIdentity:
         rho, model, _ = separable_pair(2, 2, 3, seed=24, c=0.0)
         cert = cons.spm_certificate(model, model, 1.0)
         assert cons.verify_spm_identity(rho, cert, 20, seed=240) <= 1e-12
+
+    def test_needs_a_sample(self):
+        rho, model, _ = separable_pair(2, 2, 1, seed=24, c=0.0)
+        cert = cons.spm_certificate(model, model, 1.0)
+        with pytest.raises(ValueError, match="at least one"):
+            cons.verify_spm_identity(rho, cert, 0, seed=1)
+
+
+def spm_residual_reference(sigma, cert, n_samples, seed):
+    """verify_spm_identity as a per-pair loop over born_joint.
+
+    Draws the same measurements in the same order: per sample a qubit
+    direction for Alice, then an orthonormal basis for Bob.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        m_a = qubit_measurement(random_direction(rng))
+        m_b = qudit_measurement(random_basis(sigma.d_b, rng))
+        for a in range(2):
+            pa = [np.trace(m_a.projectors[a] @ cert.alice_state(xi)).real
+                  for xi in range(cert.n_hidden)]
+            for b in range(sigma.d_b):
+                rhs = sum(
+                    cert.weights[xi] * pa[xi]
+                    * np.trace(m_b.projectors[b] @ cert.bob_states[xi]).real
+                    for xi in range(cert.n_hidden)
+                )
+                worst = max(worst, abs(born_joint(sigma, m_a, m_b, a, b) - rhs))
+    return worst
+
+
+def lhs_residual_reference(rho, cert, settings):
+    """verify_lhs_identity as a loop over conditional_state."""
+    worst = 0.0
+    for s, setting in enumerate(settings):
+        for a in range(setting.n_outcomes):
+            rhs = sum(
+                cert.responses[s, a, xi] * cert.weights[xi] * cert.hidden_state(s, a, xi)
+                for xi in range(cert.n_hidden)
+            )
+            lhs = conditional_state(rho, setting.projectors[a])
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+class TestBatchedVerifiersMatchLoops:
+    """The batched identities against the per-pair loops they replaced.
+
+    Each case runs twice: on the state the certificate was built for
+    (residual at rounding level) and on a state mixed at another
+    visibility (residual of order 1e-2), so the comparison also covers
+    the contraction itself, not only two near-zero numbers.
+    """
+
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_spm(self, d_b):
+        mu, c = 0.45, 0.2
+        for seed in range(3):
+            rho, model, prime = separable_pair(
+                2, d_b, 4, seed=70 + seed, c=c, prime_side="alice"
+            )
+            cert = cons.spm_certificate(model, prime, mu)
+            partner = mapping.alice_biased_partner(rho, c)
+            for vis in (mu, 0.2):
+                sigma = mapping.map_n(rho, partner, vis)
+                got = cons.verify_spm_identity(sigma, cert, 25, seed=700 + seed)
+                ref = spm_residual_reference(sigma, cert, 25, seed=700 + seed)
+                assert abs(got - ref) <= 1e-14
+                assert (ref > 1e-3) == (vis != mu)
+
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    def test_lhs(self, d_a):
+        mu, c = 0.45, 0.2
+        for seed in range(3):
+            tau, model, prime = separable_pair(d_a, 2, 4, seed=80 + seed, c=c)
+            settings = computational_settings(d_a, extra=9, seed=800 + seed)
+            cert = cons.lhs_certificate(model, prime, mu, settings)
+            partner = mapping.bob_biased_partner(tau, c)
+            for vis in (mu, 0.2):
+                rho = mapping.map_m(tau, partner, vis)
+                got = cons.verify_lhs_identity(rho, cert, settings)
+                ref = lhs_residual_reference(rho, cert, settings)
+                assert abs(got - ref) <= 1e-14
+                assert (ref > 1e-3) == (vis != mu)
+
+
+class TestResidualProperty:
+    """Certificate residuals stay at rounding level on random instances."""
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        dim=st.integers(2, 4),
+        seed=st.integers(0, 2**31 - 1),
+        mu_frac=st.floats(0.0, 1.0),
+        c_frac=st.floats(0.0, 1.0),
+    )
+    def test_lhs(self, dim, seed, mu_frac, c_frac):
+        mu = mu_frac * INV_SQRT3
+        c = c_frac * mapping.analytic_c_max(mu)
+        tau, model, prime = separable_pair(dim, 2, 4, seed=seed, c=c)
+        settings = computational_settings(dim, extra=5, seed=seed)
+        cert = cons.lhs_certificate(model, prime, mu, settings)
+        rho = mapping.map_m(tau, mapping.bob_biased_partner(tau, c), mu)
+        assert cons.verify_lhs_identity(rho, cert, settings) <= 1e-10
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        dim=st.integers(2, 4),
+        seed=st.integers(0, 2**31 - 1),
+        mu_frac=st.floats(0.0, 1.0),
+        c_frac=st.floats(0.0, 1.0),
+    )
+    def test_spm(self, dim, seed, mu_frac, c_frac):
+        mu = mu_frac * INV_SQRT3
+        c = c_frac * mapping.analytic_c_max(mu)
+        rho, model, prime = separable_pair(2, dim, 4, seed=seed, c=c, prime_side="alice")
+        cert = cons.spm_certificate(model, prime, mu)
+        sigma = mapping.map_n(rho, mapping.alice_biased_partner(rho, c), mu)
+        assert cons.verify_spm_identity(sigma, cert, 20, seed=seed) <= 1e-10
 
 
 class TestGeneralModelPairs:

@@ -192,6 +192,46 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             mapping.c_max_numeric(0.3, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            mapping.c_max_numeric(0.3, tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            mapping.region_scan(5, tol)
+
+    def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
+        # The bracket cannot shrink below float spacing; bisection must stop
+        # there (at most ~1075 halvings of [0, 1]) instead of spinning.
+        calls = []
+        feasible = mapping.feasible
+        monkeypatch.setattr(
+            mapping, "feasible", lambda mu, c: calls.append(c) or feasible(mu, c)
+        )
+        for mu in (0.1, 0.3, 0.5):
+            c = mapping.c_max_numeric(mu, tol=1e-300)
+            assert abs(c - mapping.analytic_c_max(mu)) <= 2e-10
+        assert len(calls) <= 3 * 1100
+
+    def test_default_tolerance_output_unchanged(self):
+        # Reference: the plain bisection loop, which never reaches float
+        # spacing at tol = 1e-10, so the early stop must not alter a point.
+        def reference(mu, tol=1e-10):
+            if not mapping.feasible(mu, 0.0):
+                return 0.0
+            if mapping.feasible(mu, 1.0):
+                return 1.0
+            lo, hi = 0.0, 1.0
+            while hi - lo > tol:
+                mid = (lo + hi) / 2.0
+                if mapping.feasible(mu, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2.0
+
+        for pt in mapping.region_scan(200, 1e-10):
+            assert pt.c_numeric == reference(pt.mu)
+
 
 class TestMapParams:
     def test_accepts_and_rejects(self):

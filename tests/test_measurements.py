@@ -111,3 +111,106 @@ class TestRandomSampling:
                 born_joint(rho, m_a, m_b, a, b) for a in range(3) for b in range(2)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _valid_stack(n, dim, seed):
+    return meas.qudit_projectors(meas.random_bases(n, dim, np.random.default_rng(seed)))
+
+
+class TestValidateProjectors:
+    def test_accepts_valid_stack_read_only(self):
+        stack = meas.validate_projectors(_valid_stack(5, 3, seed=1))
+        assert stack.shape == (5, 3, 3, 3)
+        assert not stack.flags.writeable
+
+    @pytest.mark.parametrize(
+        "defect", ["is not Hermitian", "is not idempotent", "do not sum to identity"]
+    )
+    def test_rejects_bad_projector_in_last_slot(self, defect):
+        # Every measurement but the last is valid, and inside the last one
+        # only the last projector is broken: the error must name it.
+        stack = np.array(_valid_stack(4, 3, seed=2))
+        last = stack[3, 2]
+        if defect == "is not Hermitian":
+            last[0, 1] += 1e-6
+        elif defect == "is not idempotent":
+            last *= 0.5
+        else:
+            last[...] = 0.0
+        with pytest.raises(ValueError, match=f"measurement 3: .*{defect}"):
+            meas.validate_projectors(stack)
+        if defect != "do not sum to identity":
+            with pytest.raises(ValueError, match="projector 2 "):
+                meas.validate_projectors(stack)
+
+    def test_rejects_non_finite(self):
+        stack = np.array(_valid_stack(2, 2, seed=4))
+        stack[1, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            meas.validate_projectors(stack)
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            meas.validate_projectors(np.eye(2)[None])
+
+
+class TestBatchedBuilders:
+    def test_qubit_batch_matches_single(self):
+        rng = np.random.default_rng(5)
+        dirs = np.array([meas.random_direction(rng) for _ in range(7)])
+        stack = meas.qubit_projectors(dirs)
+        assert stack.shape == (7, 2, 2, 2) and not stack.flags.writeable
+        for p, v in zip(stack, dirs):
+            assert np.array_equal(p, meas.qubit_measurement(v).projectors)
+
+    def test_qudit_batch_matches_single(self):
+        bases = meas.random_bases(6, 4, np.random.default_rng(6))
+        stack = meas.qudit_projectors(bases)
+        assert np.array_equal(stack, meas.projector_stack(meas.qudit_measurements(bases)))
+        for m, b in zip(meas.qudit_measurements(bases), bases):
+            assert np.array_equal(m.projectors, meas.qudit_measurement(b).projectors)
+            check_measurement_invariants(m)
+
+    def test_rejects_non_unit_direction_in_last_row(self):
+        dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0.9]])
+        with pytest.raises(ValueError, match="unit vector .*0.9"):
+            meas.qubit_projectors(dirs)
+
+    def test_rejects_non_orthonormal_basis_in_last_slot(self):
+        bases = np.array(meas.random_bases(3, 2, np.random.default_rng(7)))
+        bases[2, 1] = bases[2, 0]
+        with pytest.raises(ValueError, match="basis 2 is not orthonormal"):
+            meas.qudit_projectors(bases)
+
+    def test_projector_stack_rejects_mixed_shapes(self):
+        with pytest.raises(ValueError, match="disagree"):
+            meas.projector_stack([meas.qudit_measurement(np.eye(2)),
+                                  meas.qudit_measurement(np.eye(3))])
+
+    def test_batched_sampling_draws_the_same_numbers(self):
+        # Reference: one draw and one QR per call, as a per-sample loop
+        # would do.  The batched samplers must give the same measurements
+        # and leave the generator at the same point.
+        def direction(rng):
+            while True:
+                v = rng.standard_normal(3)
+                norm = np.linalg.norm(v)
+                if norm > 1e-8:
+                    return v / norm
+
+        def basis(dim, rng):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            q, r = np.linalg.qr(g)
+            return (q * (np.diagonal(r) / np.abs(np.diagonal(r)))).T
+
+        for dim in (2, 3, 4):
+            ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+            ref = [(direction(ref_rng), basis(dim, ref_rng)) for _ in range(10)]
+            dirs, bases = meas.random_measurement_pairs(10, dim, rng)
+            assert np.max(np.abs(dirs - [d for d, _ in ref])) <= 1e-15
+            assert np.max(np.abs(bases - [b for _, b in ref])) <= 1e-14
+            assert ref_rng.random() == rng.random()
+            ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+            ref_bases = [basis(dim, ref_rng) for _ in range(10)]
+            assert np.max(np.abs(meas.random_bases(10, dim, rng) - ref_bases)) <= 1e-14
+            assert ref_rng.random() == rng.random()

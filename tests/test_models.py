@@ -39,6 +39,27 @@ class TestBornJoint:
         with pytest.raises(IndexError):
             models.born_joint(singlet(), z, z, 2, 0)
 
+    def test_batch_matches_kron_reference(self):
+        # Reference: the per-pair Kronecker-product trace the batched
+        # contraction replaces.
+        rng = np.random.default_rng(5)
+        for d_a, d_b in ((2, 2), (3, 2), (2, 4)):
+            rho, _ = random_separable(d_a, d_b, 3, seed=50 + d_a + d_b)
+            pa = np.stack([random_qudit_measurement(d_a, rng).projectors for _ in range(4)])
+            pb = np.stack([random_qudit_measurement(d_b, rng).projectors for _ in range(4)])
+            joints = models.born_joints(rho, pa, pb)
+            for n in range(4):
+                for a in range(d_a):
+                    for b in range(d_b):
+                        ref = np.trace(np.kron(pa[n, a], pb[n, b]) @ rho.mat).real
+                        assert abs(joints[n, a, b] - ref) <= 1e-15
+
+    def test_born_probs_names_first_out_of_range_entry(self):
+        bogus = np.stack([np.diag([0.5, 0.5]), np.diag([1.5, -0.5])]).astype(complex)
+        z = pauli_setting("z").projectors[None]
+        with pytest.raises(ValueError, match=r"ctx: probability 1\.5 exceeds"):
+            models.born_probs(z, bogus, "ctx")
+
     def test_dim_mismatch(self):
         rho, _ = random_separable(3, 2, 2, seed=4)
         z = pauli_setting("z")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steermap import linalg, states
+from steermap.measurements import random_bases
 from steermap.states import (
     BlochVector,
     SIGMA_X,
@@ -10,7 +11,9 @@ from steermap.states import (
     StateValidationError,
     bell_phi_plus,
     bloch_from_qubit,
+    DensityMatrix,
     conditional_state,
+    conditional_states,
     make_density,
     qubit_from_bloch,
     random_separable,
@@ -164,6 +167,29 @@ class TestConditionalState:
         with pytest.raises(ValueError, match="idempotent"):
             conditional_state(werner(0.5), (0.5 * np.eye(2)).astype(complex))
 
+    def test_batch_matches_kron_reference(self):
+        # Reference: tr_A[(pi x 1) rho] through an explicit Kronecker product.
+        rng = np.random.default_rng(24)
+        rho, _ = random_separable(3, 2, 4, seed=25)
+        pis = np.stack([
+            np.einsum("ix,iy->ixy", b, b.conj()) for b in random_bases(5, 3, rng)
+        ])
+        out = conditional_states(rho, pis)
+        assert out.shape == (5, 3, 2, 2)
+        for s in range(5):
+            for a in range(3):
+                big = np.kron(pis[s, a], np.eye(2)) @ rho.mat
+                ref = linalg.partial_trace(big, 3, 2, keep="B")
+                assert np.max(np.abs(out[s, a] - ref)) <= 1e-15
+
+    def test_batch_rejects_bad_projector_in_last_slot(self):
+        pis = np.stack([np.diag([1, 0]), np.diag([0, 1]), 0.5 * np.eye(2)]).astype(complex)
+        with pytest.raises(ValueError, match="idempotent"):
+            conditional_states(werner(0.5), pis)
+        pis[2] = [[1, 1], [0, 0]]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            conditional_states(werner(0.5), pis)
+
 
 class TestRandomSeparable:
     def test_single_member_is_product(self):
@@ -223,3 +249,11 @@ class TestJson:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="dims"):
             state_from_json('{"dims": [2], "re": [[1]], "im": [[0]]}')
+
+    def test_non_finite_state_is_not_serialized(self):
+        # DensityMatrix bypasses make_density here on purpose: whatever
+        # slips past validation must not come out as non-standard JSON.
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 0] = np.nan
+        with pytest.raises(ValueError, match="JSON compliant"):
+            state_to_json(DensityMatrix(2, 2, mat))

@@ -156,3 +156,12 @@ class TestReport:
         rho, _ = random_separable(2, 3, 2, seed=10)
         data = json.loads(witnesses.witness_report(rho).to_json())
         assert set(data) == {"negativity"}
+
+
+class TestReportJson:
+    def test_non_finite_value_is_not_serialized(self):
+        assert json.loads(witnesses.WitnessReport(0.5, None, None).to_json()) == {
+            "negativity": 0.5
+        }
+        with pytest.raises(ValueError, match="JSON compliant"):
+            witnesses.WitnessReport(float("nan"), None, 2.0).to_json()
