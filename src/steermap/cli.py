@@ -9,6 +9,7 @@ are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -223,7 +224,14 @@ def cmd_demo_werner(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh
+    namespace, so reuse carries no state from one request to the next.
+    Callers get the same object each time and must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="steermap",
         description="Mixing maps and model constructions linking nonlocality, "

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mapping import check_unit_interval
 from .measurements import (
     PAULI_LABELS,
     pauli_settings,
@@ -152,8 +153,7 @@ def lhs_certificate(
     unphysical Bloch vector raises :class:`UnphysicalHiddenStateError`
     naming the first one in (setting, hidden value, outcome) order.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_unit_interval("mu", mu)
     _check_shared_weights(model_tau, model_tau_prime)
     settings = list(alice_settings)
     stack = projector_stack(settings)
@@ -285,8 +285,7 @@ def spm_certificate(
     Alice's hidden qubit per hidden value has Bloch components
     2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 for k in x, y, z.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_unit_interval("mu", mu)
     _check_shared_weights(model_rho, model_rho_prime)
     _same_bob_responses(model_rho, model_rho_prime)
     for xi, bob in enumerate(model_rho.bob):
@@ -336,8 +335,7 @@ UNBIASED_QUBIT_TABLE = {"x": (0.5, 0.5), "y": (0.5, 0.5)}
 
 
 def _biased_table(c: float) -> TableResponse:
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"c must be in [0, 1], got {c}")
+    check_unit_interval("c", c)
     return table_response(
         {**UNBIASED_QUBIT_TABLE, "z": ((1.0 + c) / 2.0, (1.0 - c) / 2.0)}
     )

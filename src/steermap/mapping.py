@@ -5,9 +5,10 @@ a qubit-qudit state with a separable partner.  For the biased-partner
 family (Alice response unchanged, partner's qubit responses unbiased in
 x and y and z-biased by c) the constructed hidden-state Bloch vector is
 affine in Bob's three response probabilities, so physicality over the
-whole probability box is decided exactly at its 8 vertices.  Feasibility
-is decided only for this family; general instances are checked by the
-construction residuals in :mod:`steermap.constructions` instead.
+whole probability box is decided exactly at its 8 vertices, whose worst
+squared norm has a closed form.  Feasibility is decided only for this
+family; general instances are checked by the construction residuals in
+:mod:`steermap.constructions` instead.
 """
 
 from __future__ import annotations
@@ -23,12 +24,19 @@ from .states import SIGMA_Z, BlochVector, DensityMatrix, make_density
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
 
-_BOX_VERTICES = tuple(
-    (float(px), float(py), float(pz))
-    for px in (0, 1)
-    for py in (0, 1)
-    for pz in (0, 1)
-)
+
+def check_unit_interval(name: str, value) -> None:
+    """Raise ValueError unless ``value`` (a float or an array) lies in [0, 1].
+
+    The one range check for mu, c and response probabilities.  It is
+    written so that NaN fails it; for an array the message names the
+    first offending entry.
+    """
+    v = np.asarray(value, dtype=np.float64)
+    outside = ~((v >= 0.0) & (v <= 1.0))
+    if outside.any():
+        got = value if v.ndim == 0 else v[outside][0]
+        raise ValueError(f"{name} must be in [0, 1], got {got}")
 
 
 @dataclass(frozen=True)
@@ -39,10 +47,8 @@ class MapParams:
     c: float
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c must be in [0, 1], got {self.c}")
+        check_unit_interval("mu", self.mu)
+        check_unit_interval("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,7 @@ def _mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatr
             f"dimension mismatch: {state.d_a}x{state.d_b} vs "
             f"{partner.d_a}x{partner.d_b}"
         )
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_unit_interval("mu", mu)
     mat = mu * state.mat + (1.0 - mu) * partner.mat
     return make_density(mat, state.d_a, state.d_b)
 
@@ -84,8 +89,7 @@ def bob_biased_partner(tau: DensityMatrix, c: float) -> DensityMatrix:
     """Product partner tr_B[tau] (x) (1 + c sigma_z)/2 for a d x 2 state."""
     if tau.d_b != 2:
         raise ValueError(f"partner requires a qubit on Bob's side, got d_b={tau.d_b}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"c must be in [0, 1], got {c}")
+    check_unit_interval("c", c)
     qubit = (np.eye(2, dtype=np.complex128) + c * SIGMA_Z) / 2.0
     return make_density(linalg.kron(tau.reduced_a(), qubit), tau.d_a, 2)
 
@@ -94,8 +98,7 @@ def alice_biased_partner(rho: DensityMatrix, c: float) -> DensityMatrix:
     """Product partner (1 + c sigma_z)/2 (x) tr_A[rho] for a 2 x d state."""
     if rho.d_a != 2:
         raise ValueError(f"partner requires a qubit on Alice's side, got d_a={rho.d_a}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"c must be in [0, 1], got {c}")
+    check_unit_interval("c", c)
     qubit = (np.eye(2, dtype=np.complex128) + c * SIGMA_Z) / 2.0
     return make_density(linalg.kron(qubit, rho.reduced_b()), 2, rho.d_b)
 
@@ -120,8 +123,7 @@ def hidden_bloch_vector(
     settings; the partner contributes (1/2, 1/2, (1+c)/2).
     """
     for name, value in (("px", px), ("py", py), ("pz", pz), ("mu", mu), ("c", c)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
+        check_unit_interval(name, value)
     return BlochVector(
         2.0 * mu * px - mu,
         2.0 * mu * py - mu,
@@ -129,66 +131,76 @@ def hidden_bloch_vector(
     )
 
 
+def _worst_norm_sq(mu, c):
+    """Largest squared hidden-state Bloch norm over the response box.
+
+    At every box vertex the x and y components are exactly -mu or +mu
+    and z is ``zc`` or ``2 mu + zc``; the sums keep the order of
+    ``rx*rx + ry*ry + rz*rz``, so the value equals the 8-vertex maximum
+    bit for bit.  Works on floats and elementwise on arrays.
+    """
+    zc = c - mu * c - mu
+    z1 = 2.0 * mu + zc
+    xy = mu * mu + mu * mu
+    return np.maximum(xy + zc * zc, xy + z1 * z1)
+
+
 def feasible(mu: float, c: float) -> bool:
     """Whether every hidden state of the biased-partner family is physical.
 
     Each Bloch component is affine in one box variable, so the squared
-    norm is convex over [0,1]^3 and maximal at a vertex; enumerating the
-    8 vertices decides the universally quantified condition exactly.
+    norm is convex over [0,1]^3 and maximal at a vertex; the maximum
+    over the 8 vertices decides the universally quantified condition
+    exactly.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"c must be in [0, 1], got {c}")
-    zc = c - mu * c - mu
-    worst = 0.0
-    for px, py, pz in _BOX_VERTICES:
-        rx = 2.0 * mu * px - mu
-        ry = 2.0 * mu * py - mu
-        rz = 2.0 * mu * pz + zc
-        norm_sq = rx * rx + ry * ry + rz * rz
-        if norm_sq > worst:
-            worst = norm_sq
-    return worst <= 1.0 + FEAS_TOL
+    check_unit_interval("mu", mu)
+    check_unit_interval("c", c)
+    return bool(_worst_norm_sq(mu, c) <= 1.0 + FEAS_TOL)
 
 
-def c_max_numeric(mu: float, tol: float = 1e-10) -> float:
+def c_max_numeric(mu, tol: float = 1e-10):
     """Supremum bias c with feasible(mu, c), by bisection on [0, 1].
 
-    Stops once the bracket is narrower than ``tol`` or can no longer be
-    split in floating point, so any finite positive ``tol`` terminates.
+    ``mu`` is a float or an array; every entry is bisected at once, each
+    stopping once its bracket is narrower than ``tol`` or can no longer
+    be split in floating point, so any finite positive ``tol``
+    terminates.  A float in gives a float out.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if not feasible(mu, 0.0):
-        return 0.0
-    if feasible(mu, 1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    check_unit_interval("mu", mu)
+    mu = np.asarray(mu, dtype=np.float64)
+    limit = 1.0 + FEAS_TOL
+    feasible_at_0 = _worst_norm_sq(mu, 0.0) <= limit
+    feasible_at_1 = _worst_norm_sq(mu, 1.0) <= limit
+    lo, hi = np.zeros_like(mu), np.ones_like(mu)
+    active = feasible_at_0 & ~feasible_at_1
+    while True:
         mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
+        active &= (hi - lo > tol) & (mid != lo) & (mid != hi)
+        if not active.any():
             break
-        if feasible(mu, mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+        ok = _worst_norm_sq(mu, mid) <= limit
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
+    c = np.where(feasible_at_0, np.where(feasible_at_1, 1.0, (lo + hi) / 2.0), 0.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def region_scan(n_grid: int = 200, bisect_tol: float = 1e-10) -> list[RegionPoint]:
     """Numeric vs analytic boundary over a uniform mu grid on [0, 1/sqrt(3)].
 
-    Output is assembled by grid index and independent of evaluation
-    order; each point is a pure computation.
+    The whole grid is bisected as one array; output is assembled by
+    grid index.
     """
     if n_grid < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_grid}")
-    points = []
-    for i in range(n_grid):
-        mu = INV_SQRT3 * i / (n_grid - 1)
-        points.append(RegionPoint(mu, c_max_numeric(mu, bisect_tol), analytic_c_max(mu)))
-    return points
+    mus = INV_SQRT3 * np.arange(n_grid, dtype=np.float64) / (n_grid - 1)
+    c_numeric = c_max_numeric(mus, bisect_tol)
+    return [
+        RegionPoint(mu, c, analytic_c_max(mu))
+        for mu, c in zip(mus.tolist(), c_numeric.tolist())
+    ]
 
 
 REGION_CSV_HEADER = "mu,c_max_numeric,c_max_analytic,abs_err"

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .measurements import PAULI_LABELS, ProjMeasurement, pauli_setting
-from .states import DensityMatrix
+from .states import PSD_TOL, TRACE_TOL, DensityMatrix
 
 PROB_TOL = 1e-12
 
@@ -61,14 +61,19 @@ Response = QuantumResponse | TableResponse
 
 
 def quantum_response(rho) -> QuantumResponse:
-    """Validate a density matrix and wrap it as a response."""
+    """Validate a density matrix and wrap it as a response.
+
+    The eigensolver rejects non-square, non-finite and non-Hermitian
+    input; then the trace must be 1 and the least eigenvalue >= -1e-10.
+    Both checks are written so that NaN fails them.
+    """
     m = linalg.as_matrix(rho)
-    defect = linalg.hermiticity_defect(m)
-    if defect > 1e-10:
-        raise ValueError(f"response state is not Hermitian (defect {defect:.3e})")
+    w, _ = linalg.hermitian_eigen(m)
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > 1e-10:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"response state trace {tr} != 1")
+    if not w[0] >= -PSD_TOL:
+        raise ValueError(f"response state is not PSD (min eigenvalue {w[0]:.3e})")
     frozen = np.array(m, copy=True)
     frozen.setflags(write=False)
     return QuantumResponse(frozen)

@@ -23,7 +23,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-_PAULI_STACK = np.stack(PAULIS)
+PAULI_STACK = np.stack(PAULIS)
 
 
 class StateValidationError(ValueError):
@@ -159,7 +159,7 @@ def qubit_from_bloch(t: float, r: BlochVector) -> np.ndarray:
 def hidden_qubits(bloch) -> np.ndarray:
     """Qubit density matrices (1 + r.sigma)/2 for an (..., 3) array of r."""
     r = np.asarray(bloch, dtype=float)
-    r_sigma = (r @ _PAULI_STACK.reshape(3, 4)).reshape(*r.shape[:-1], 2, 2)
+    r_sigma = (r @ PAULI_STACK.reshape(3, 4)).reshape(*r.shape[:-1], 2, 2)
     return (IDENTITY_2 + r_sigma) / 2.0
 
 

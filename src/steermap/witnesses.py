@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import PAULIS, DensityMatrix
+from .states import PAULI_STACK, DensityMatrix
 
 CHSH_THRESHOLD = 2.0
 F3_THRESHOLD = math.sqrt(3.0)
@@ -59,11 +59,9 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """T[j, k] = tr[(sigma_j x sigma_k) rho] for a two-qubit state."""
     if (rho.d_a, rho.d_b) != (2, 2):
         raise ValueError(f"needs a 2x2 state, got {rho.d_a}x{rho.d_b}")
-    t = np.zeros((3, 3))
-    for j in range(3):
-        for k in range(3):
-            t[j, k] = float(np.trace(linalg.kron(PAULIS[j], PAULIS[k]) @ rho.mat).real)
-    return t
+    # tr[(A x B) rho] = sum A[a, c] B[b, d] rho[(c, d), (a, b)].
+    t = rho.mat.reshape(2, 2, 2, 2)
+    return np.einsum("jac,kbd,cdab->jk", PAULI_STACK, PAULI_STACK, t).real
 
 
 def chsh_horodecki(rho: DensityMatrix) -> float:
@@ -86,14 +84,10 @@ def f3_steering(rho: DensityMatrix) -> float:
     """
     if rho.d_b != 2:
         raise ValueError(f"needs a qubit on Bob's side, got d_b={rho.d_b}")
-    total = 0.0
-    eye_a = np.eye(rho.d_a, dtype=np.complex128)
-    for k in range(3):
-        c_k = linalg.partial_trace(
-            linalg.kron(eye_a, PAULIS[k]) @ rho.mat, rho.d_a, rho.d_b, keep="A"
-        )
-        total += linalg.trace_norm(c_k)
-    return total
+    # tr_B[(1 x sigma_k) rho][a, c] = sum sigma_k[b, d] rho[(a, d), (c, b)].
+    t = rho.mat.reshape(rho.d_a, 2, rho.d_a, 2)
+    blocks = np.einsum("kbd,adcb->kac", PAULI_STACK, t)
+    return sum(linalg.trace_norm(c_k) for c_k in blocks)
 
 
 def werner_steerable_oracle(v: float) -> bool:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +241,46 @@ class TestVerify:
         rc = cli.main(["verify", "spm", "--trials", "1", "--tol", "0"])
         assert rc in (0, 4)
         assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+
+class TestParserReuse:
+    """One parser serves every main() call without carrying state over."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_not_built_at_import(self):
+        code = "import steermap.cli as c; print(c.build_parser.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0"
+
+    def test_force_does_not_leak(self, werner_file, tmp_path, capsys):
+        argv = ["map", "--state", werner_file(0.9), "--mode", "M", "--mu", "0.5", "--c", "0.5"]
+        assert cli.main(argv + ["--out", str(tmp_path / "forced.json"), "--force"]) == 0
+        out = tmp_path / "never.json"
+        assert cli.main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_fixed_params_do_not_leak(self, monkeypatch, capsys):
+        sampled = []
+        sample = cli._sample_params
+        monkeypatch.setattr(cli, "_sample_params", lambda rng: sampled.append(1) or sample(rng))
+        argv = ["verify", "lhs", "--trials", "2", "--dims", "2x2", "--seed", "3"]
+        assert cli.main(argv + ["--mu", "0.5", "--c", "0.4"]) == 0
+        assert sampled == []
+        assert cli.main(argv) == 0
+        assert len(sampled) == 2
+
+    def test_out_does_not_leak(self, tmp_path, capsys):
+        out = tmp_path / "region.csv"
+        assert cli.main(["region", "--grid", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(["region", "--grid", "5"]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 class TestDemoWerner:

@@ -516,3 +516,19 @@ class TestFeasibilityPhysicalityLink:
             prime = cons.bob_biased_prime_model(base, c)
             with pytest.raises(cons.UnphysicalHiddenStateError):
                 cons.lhs_certificate(base, prime, float(mu), settings)
+
+
+class TestUnitIntervalCheck:
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_mu_and_c_rejected(self, bad):
+        _, model, prime = separable_pair(2, 2, 2, seed=5, c=0.3)
+        _, model_n, prime_n = separable_pair(2, 2, 2, seed=6, c=0.3, prime_side="alice")
+        cases = [
+            ("mu", lambda: cons.lhs_certificate(model, prime, bad, computational_settings(2))),
+            ("mu", lambda: cons.spm_certificate(model_n, prime_n, bad)),
+            ("c", lambda: cons.bob_biased_prime_model(model, bad)),
+            ("c", lambda: cons.alice_biased_prime_model(model, bad)),
+        ]
+        for name, call in cases:
+            with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
+                call()

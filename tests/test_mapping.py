@@ -1,11 +1,60 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from steermap import linalg, mapping, witnesses
-from steermap.mapping import INV_SQRT3
+from steermap.mapping import FEAS_TOL, INV_SQRT3
 from steermap.states import make_density, random_separable, werner
+
+
+def reference_worst_norm_sq(mu, c):
+    """The 8-vertex loop that feasible() ran before the closed form."""
+    zc = c - mu * c - mu
+    worst = 0.0
+    for px in (0.0, 1.0):
+        for py in (0.0, 1.0):
+            for pz in (0.0, 1.0):
+                rx = 2.0 * mu * px - mu
+                ry = 2.0 * mu * py - mu
+                rz = 2.0 * mu * pz + zc
+                norm_sq = rx * rx + ry * ry + rz * rz
+                if norm_sq > worst:
+                    worst = norm_sq
+    return worst
+
+
+def reference_c_max(mu, tol):
+    """Scalar bisection over the vertex loop, one mu at a time."""
+
+    def ok(c):
+        return reference_worst_norm_sq(mu, c) <= 1.0 + FEAS_TOL
+
+    if not ok(0.0):
+        return 0.0
+    if ok(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def random_density(d_a, d_b, seed):
+    """Full-rank random state (Ginibre), entangled in general."""
+    rng = np.random.default_rng(seed)
+    n = d_a * d_b
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = g @ g.conj().T
+    return make_density(m / np.trace(m).real, d_a, d_b)
 
 
 class TestMaps:
@@ -155,6 +204,99 @@ class TestFeasible:
                 assert mapping.feasible(float(mu), float(c)) == expected, (mu, c)
 
 
+class TestClosedFormVertexMax:
+    def test_equals_vertex_loop_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        mus = np.concatenate([[0.0, 1.0, INV_SQRT3, 0.5], rng.uniform(0, 1, 20000)])
+        cs = np.concatenate([[0.0, 1.0, 0.0, 1.0], rng.uniform(0, 1, 20000)])
+        batch = mapping._worst_norm_sq(mus, cs)
+        for i, (mu, c) in enumerate(zip(mus.tolist(), cs.tolist())):
+            ref = reference_worst_norm_sq(mu, c)
+            assert mapping._worst_norm_sq(mu, c) == ref
+            assert batch[i] == ref
+            assert mapping.feasible(mu, c) == (ref <= 1.0 + FEAS_TOL)
+
+
+class TestArrayBisection:
+    MUS = [0.0, INV_SQRT3, 0.5, 0.6, 1.0, 0.1, 0.3, 0.577, 1e-300]
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-10, 1e-6, 1e-3, 0.7, 2.0, 1e-300])
+    def test_array_equals_scalar(self, tol):
+        rng = np.random.default_rng(3)
+        mus = np.concatenate([self.MUS, rng.uniform(0, 1, 40)])
+        batch = mapping.c_max_numeric(mus, tol)
+        assert batch.shape == mus.shape
+        for mu, got in zip(mus.tolist(), batch.tolist()):
+            scalar = mapping.c_max_numeric(mu, tol)
+            assert isinstance(scalar, float)
+            assert got == scalar == reference_c_max(mu, tol), mu
+
+    def test_endpoint_cases(self):
+        batch = mapping.c_max_numeric(np.array([0.0, 0.6, 1.0]))
+        assert batch.tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("mu", [-0.1, 1.5, float("nan"), -np.inf])
+    def test_rejects_mu_outside_unit_interval(self, mu):
+        with pytest.raises(ValueError, match=r"mu must be in \[0, 1\]"):
+            mapping.c_max_numeric(mu)
+        with pytest.raises(ValueError, match=r"mu must be in \[0, 1\], got " + str(mu)):
+            mapping.c_max_numeric(np.array([0.2, mu, 0.3]))
+
+    def test_array_bisection_terminates(self, monkeypatch):
+        # One array bisection for the grid: at most ~1075 halvings of
+        # [0, 1] plus the two endpoint evaluations, however many points.
+        calls = []
+        worst = mapping._worst_norm_sq
+        monkeypatch.setattr(
+            mapping, "_worst_norm_sq", lambda mu, c: calls.append(c) or worst(mu, c)
+        )
+        points = mapping.region_scan(50, 1e-300)
+        assert max(pt.abs_err for pt in points) <= 2e-10
+        assert len(calls) <= 1100
+
+    @pytest.mark.parametrize("n_grid", [2, 3, 7, 50, 201])
+    @pytest.mark.parametrize("tol", [1e-15, 1e-10, 1e-3, 2.0, 1e-300])
+    def test_region_matches_per_point_reference(self, n_grid, tol):
+        for pt in mapping.region_scan(n_grid, tol):
+            assert pt.c_numeric == reference_c_max(pt.mu, tol)
+
+
+class TestRegionProperties:
+    """Derandomized properties of the feasible region and the maps."""
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mu=st.floats(0.0, INV_SQRT3), c=st.floats(0.0, 1.0))
+    def test_feasible_iff_below_analytic_bound(self, mu, c):
+        bound = mapping.analytic_c_max(mu)
+        hypothesis.assume(abs(c - bound) > 1e-9)
+        assert mapping.feasible(mu, c) == (c <= bound)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mu=st.floats(INV_SQRT3 + 1e-9, 1.0), c=st.floats(0.0, 1.0))
+    def test_never_feasible_beyond_inv_sqrt3(self, mu, c):
+        assert not mapping.feasible(mu, c)
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        dim=st.integers(2, 4),
+        seed=st.integers(0, 2**31 - 1),
+        mu=st.floats(0.0, INV_SQRT3),
+        c_frac=st.floats(0.0, 1.0),
+        mode=st.sampled_from("MN"),
+    )
+    def test_map_outputs_are_states(self, dim, seed, mu, c_frac, mode):
+        c = c_frac * mapping.analytic_c_max(mu)
+        assert mapping.feasible(mu, c)
+        if mode == "M":
+            state = random_density(dim, 2, seed)
+            mapped = mapping.map_m(state, mapping.bob_biased_partner(state, c), mu)
+        else:
+            state = random_density(2, dim, seed)
+            mapped = mapping.map_n(state, mapping.alice_biased_partner(state, c), mu)
+        again = make_density(mapped.mat, mapped.d_a, mapped.d_b)
+        assert np.array_equal(again.mat, mapped.mat)
+
+
 class TestRegionScan:
     def test_grid_and_endpoints(self):
         points = mapping.region_scan(50, 1e-10)
@@ -240,3 +382,30 @@ class TestMapParams:
             mapping.MapParams(1.2, 0.0)
         with pytest.raises(ValueError):
             mapping.MapParams(0.5, -0.1)
+
+
+class TestUnitIntervalCheck:
+    """Every mu/c entry point rejects values outside [0, 1], NaN included."""
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_entry_points(self, bad):
+        tau, _ = random_separable(2, 2, 2, seed=4)
+        cases = [
+            ("mu", lambda: mapping.MapParams(bad, 0.5)),
+            ("c", lambda: mapping.MapParams(0.5, bad)),
+            ("mu", lambda: mapping.map_m(tau, tau, bad)),
+            ("mu", lambda: mapping.map_n(tau, tau, bad)),
+            ("c", lambda: mapping.bob_biased_partner(tau, bad)),
+            ("c", lambda: mapping.alice_biased_partner(tau, bad)),
+            ("mu", lambda: mapping.hidden_bloch_vector(0.5, 0.5, 0.5, bad, 0.0)),
+            ("pz", lambda: mapping.hidden_bloch_vector(0.5, 0.5, bad, 0.3, 0.0)),
+            ("mu", lambda: mapping.feasible(bad, 0.0)),
+            ("c", lambda: mapping.feasible(0.3, bad)),
+        ]
+        for name, call in cases:
+            with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
+                call()
+
+    def test_accepts_endpoints(self):
+        for value in (0.0, 1.0, 0, 1, np.float64(0.5), np.array([0.0, 1.0])):
+            mapping.check_unit_interval("mu", value)

@@ -161,9 +161,26 @@ class TestResponses:
         assert models.finite_model([1.0], (t,), (q,)).kind == "LHS"
         assert models.finite_model([1.0], (q,), (t,)).kind == "LHV"
 
+    @pytest.mark.parametrize(
+        "mat, match",
+        [
+            (np.full((2, 2), np.nan), "non-finite"),
+            (np.array([[np.inf, 0.0], [0.0, 0.0]]), "non-finite"),
+            (np.diag([1.5, -0.5]), "not PSD"),
+            (np.array([[0.5, 0.9], [0.9, 0.5]]), "not PSD"),
+        ],
+    )
+    def test_quantum_response_rejects_nan_and_non_psd(self, mat, match):
+        with pytest.raises(ValueError, match=match):
+            models.quantum_response(mat.astype(complex))
+
+    def test_quantum_response_accepts_rounding_level_negativity(self):
+        resp = models.quantum_response(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
+        assert resp.dim == 2
+
     def test_out_of_tolerance_probability_raises(self):
-        # A unit-trace Hermitian matrix that is not PSD slips past the
-        # response constructor but must not be clamped silently.
+        # A unit-trace Hermitian matrix that is not PSD, built without
+        # the response constructor, must not be clamped silently.
         bogus = models.QuantumResponse(np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValueError, match="exceeds tolerance"):
             models.response_prob(bogus, "z", 0)

@@ -7,12 +7,51 @@ import pytest
 from steermap import linalg, mapping, witnesses
 from steermap.mapping import INV_SQRT3
 from steermap.states import (
+    PAULIS,
     bell_phi_plus,
     make_density,
     random_pure,
     random_separable,
     werner,
 )
+
+
+def random_density(d_a, d_b, seed):
+    """Full-rank random state (Ginibre), entangled in general."""
+    rng = np.random.default_rng(seed)
+    n = d_a * d_b
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = g @ g.conj().T
+    return make_density(m / np.trace(m).real, d_a, d_b)
+
+
+def loop_correlation_matrix(rho):
+    """Reference: one Kronecker product and trace per entry."""
+    t = np.zeros((3, 3))
+    for j in range(3):
+        for k in range(3):
+            t[j, k] = float(np.trace(linalg.kron(PAULIS[j], PAULIS[k]) @ rho.mat).real)
+    return t
+
+
+def loop_f3(rho):
+    """Reference: one Kronecker product and partial trace per setting."""
+    eye_a = np.eye(rho.d_a, dtype=np.complex128)
+    total = 0.0
+    for k in range(3):
+        c_k = linalg.partial_trace(
+            linalg.kron(eye_a, PAULIS[k]) @ rho.mat, rho.d_a, rho.d_b, keep="A"
+        )
+        total += linalg.trace_norm(c_k)
+    return total
+
+
+def contraction_cases():
+    for d_a in (2, 3, 4):
+        for seed in range(5):
+            yield random_density(d_a, 2, seed)
+    for p in (0.0, 0.3, 1 / math.sqrt(3), 0.9, 1.0):
+        yield werner(p)
 
 
 def product_state(d_a, seed, bob=None):
@@ -124,6 +163,18 @@ class TestF3Steering:
                 assert witnesses.f3_steering(mixed) == pytest.approx(
                     mu * witnesses.f3_steering(tau), abs=1e-10
                 )
+
+
+class TestContractionsMatchLoops:
+    def test_correlation_matrix(self):
+        for rho in contraction_cases():
+            if rho.d_a == 2:
+                got = witnesses.correlation_matrix(rho)
+                assert np.max(np.abs(got - loop_correlation_matrix(rho))) <= 1e-12
+
+    def test_f3(self):
+        for rho in contraction_cases():
+            assert abs(witnesses.f3_steering(rho) - loop_f3(rho)) <= 1e-12
 
 
 class TestWernerOracle:
