@@ -26,6 +26,9 @@ LHS_SETTINGS_PER_TRIAL = 20
 SPM_SAMPLES_PER_TRIAL = 50
 ENSEMBLE_SIZE = 4
 
+# Map M mixes with a partner biased on Bob's qubit, map N on Alice's.
+PARTNER_SIDE = {"M": "B", "N": "A"}
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
@@ -69,14 +72,11 @@ def cmd_analyze(args) -> int:
 def cmd_map(args) -> int:
     rho = states.load_state(args.state)
     mode = args.mode.upper()
-    if mode == "M":
-        partner = mapping.bob_biased_partner(rho, args.c)
-        mapped = mapping.map_m(rho, partner, args.mu)
-    elif mode == "N":
-        partner = mapping.alice_biased_partner(rho, args.c)
-        mapped = mapping.map_n(rho, partner, args.mu)
-    else:
+    if mode not in PARTNER_SIDE:
         raise ValueError(f"--mode must be M or N, got {args.mode!r}")
+    # The partner and feasible() check dims, c and mu before any output;
+    # the mixture is only built when it is written.
+    partner = mapping.biased_partner(rho, args.c, PARTNER_SIDE[mode])
     ok = mapping.feasible(args.mu, args.c)
     print(f"feasible(mu={args.mu:.12g}, c={args.c:.12g}) = {str(ok).lower()}")
     if not ok and not args.force:
@@ -94,6 +94,7 @@ def cmd_map(args) -> int:
                 file=sys.stderr,
             )
         return EXIT_INFEASIBLE
+    mapped = mapping.mix(rho, partner, args.mu)
     _atomic_write(args.out, states.state_to_json(mapped))
     return EXIT_OK
 
@@ -123,7 +124,7 @@ def _verify_lhs(dims, trials, seed, fixed) -> float:
         model_prime = constructions.bob_biased_prime_model(model_tau, c)
         settings = qudit_measurements(random_bases(LHS_SETTINGS_PER_TRIAL, d_a, rng))
         cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
-        rho = mapping.map_m(tau, mapping.bob_biased_partner(tau, c), mu)
+        rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
         worst = max(worst, constructions.verify_lhs_identity(rho, cert, settings))
     return worst
 
@@ -140,7 +141,7 @@ def _verify_spm(dims, trials, seed, fixed) -> float:
         mu, c = fixed if fixed else _sample_params(rng)
         model_prime = constructions.alice_biased_prime_model(model_rho, c)
         cert = constructions.spm_certificate(model_rho, model_prime, mu)
-        sigma = mapping.map_n(rho, mapping.alice_biased_partner(rho, c), mu)
+        sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
         worst = max(
             worst,
             constructions.verify_spm_identity(
@@ -209,7 +210,7 @@ def cmd_demo_werner(args) -> int:
     for i in range(args.grid):
         p = i / (args.grid - 1)
         tau = states.werner(p)
-        sigma = mapping.map_n(tau, mapping.alice_biased_partner(tau, 0.0), INV_SQRT3)
+        sigma = mapping.mix(tau, mapping.biased_partner(tau, 0.0, "A"), INV_SQRT3)
         neg = witnesses.negativity(sigma)
         f3 = witnesses.f3_steering(tau)
         chsh = witnesses.chsh_horodecki(tau)

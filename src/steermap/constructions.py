@@ -33,7 +33,7 @@ import numpy as np
 from .mapping import check_unit_interval
 from .measurements import (
     PAULI_LABELS,
-    pauli_settings,
+    pauli_projectors,
     projector_stack,
     qubit_projectors,
     qudit_projectors,
@@ -206,8 +206,7 @@ def _response_probs(responses, settings, stack: np.ndarray) -> np.ndarray:
 
 def _pauli_probs(responses) -> np.ndarray:
     """Outcome-0 probabilities at the x, y, z qubit settings: (Xi, 3)."""
-    pauli = projector_stack(pauli_settings())
-    return _response_probs(responses, PAULI_LABELS, pauli)[:, 0, :].T
+    return _response_probs(responses, PAULI_LABELS, pauli_projectors())[:, 0, :].T
 
 
 def verify_lhs_identity(

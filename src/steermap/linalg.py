@@ -74,23 +74,38 @@ def partial_transpose(m, d_a: int, d_b: int, on: str = "B") -> np.ndarray:
     raise ValueError(f"on must be 'A' or 'B', got {on!r}")
 
 
+def _first(bad: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry (C order) of a boolean array."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _at(idx: tuple[int, ...]) -> str:
+    """`` i`` or `` i,j`` naming a stack member in a message; empty for none."""
+    return f" {','.join(map(str, idx))}" if idx else ""
+
+
 def hermitian_eigen(m):
     """Eigendecomposition of a Hermitian matrix via LAPACK ``eigh``.
 
-    Returns ``(w, v)`` with real eigenvalues ``w`` ascending and
-    eigenvectors in the columns of ``v`` (same order).  Raises
-    ``ValueError`` for non-square, non-finite or non-Hermitian input
-    (defect > 1e-10); the Hermitian part of ``m`` is decomposed.
+    ``m`` is one matrix or an ``(..., d, d)`` stack, decomposed in one
+    call.  Returns ``(w, v)`` with real eigenvalues ``w`` ascending and
+    eigenvectors in the columns of ``v`` (same order), stacked like
+    ``m``.  Raises ``ValueError`` for non-square, non-finite or
+    non-Hermitian input (defect > 1e-10), checked per matrix; for a
+    stack the message names the first offending matrix.  The Hermitian
+    part of ``m`` is decomposed.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    defect = hermiticity_defect(a)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"matrix{_at(_first(~finite))} has non-finite entries")
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (defect > HERMITICITY_TOL).any():
+        idx = _first(defect > HERMITICITY_TOL)
+        raise ValueError(f"matrix{_at(idx)} is not Hermitian (defect {float(defect[idx]):.3e})")
+    w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
     return w, v
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import SIGMA_Z, BlochVector, DensityMatrix, make_density
+from .states import SIGMA_Z, BlochVector, DensityMatrix, _closed_density
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
@@ -30,8 +30,12 @@ def check_unit_interval(name: str, value) -> None:
 
     The one range check for mu, c and response probabilities.  It is
     written so that NaN fails it; for an array the message names the
-    first offending entry.
+    first offending entry.  Python numbers are compared directly.
     """
+    if isinstance(value, (int, float)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+        return
     v = np.asarray(value, dtype=np.float64)
     outside = ~((v >= 0.0) & (v <= 1.0))
     if outside.any():
@@ -64,7 +68,14 @@ class RegionPoint:
         return abs(self.c_numeric - self.c_analytic)
 
 
-def _mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatrix:
+def mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatrix:
+    """Convex mixture mu*state + (1-mu)*partner of two states of equal dims.
+
+    Map M (nonlocality -> steering) mixes a qudit-qubit tau with its
+    partner, map N (steering -> entanglement) a qubit-qudit rho; both are
+    this function.  A convex combination of validated states is not
+    validated again (see :func:`steermap.states._closed_density`).
+    """
     if (state.d_a, state.d_b) != (partner.d_a, partner.d_b):
         raise ValueError(
             f"dimension mismatch: {state.d_a}x{state.d_b} vs "
@@ -72,35 +83,45 @@ def _mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatr
         )
     check_unit_interval("mu", mu)
     mat = mu * state.mat + (1.0 - mu) * partner.mat
-    return make_density(mat, state.d_a, state.d_b)
+    return _closed_density(mat, state.d_a, state.d_b)
 
 
-def map_m(tau: DensityMatrix, tau_prime: DensityMatrix, mu: float) -> DensityMatrix:
-    """Convex mixture mu*tau + (1-mu)*tau_prime (nonlocality -> steering)."""
-    return _mix(tau, tau_prime, mu)
+map_m = mix
+map_n = mix
 
 
-def map_n(rho: DensityMatrix, rho_prime: DensityMatrix, mu: float) -> DensityMatrix:
-    """Convex mixture mu*rho + (1-mu)*rho_prime (steering -> entanglement)."""
-    return _mix(rho, rho_prime, mu)
+def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
+    """Product partner whose qubit on ``side`` is (1 + c sigma_z)/2.
+
+    ``side='B'`` gives tr_B[state] (x) (1 + c sigma_z)/2 for a d x 2
+    state (map M), ``side='A'`` gives (1 + c sigma_z)/2 (x) tr_A[state]
+    for a 2 x d state (map N).  The product of a validated state's
+    reduced state with a qubit state is not validated again (see
+    :func:`steermap.states._closed_density`).
+    """
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if side == "B" and state.d_b != 2:
+        raise ValueError(f"partner requires a qubit on Bob's side, got d_b={state.d_b}")
+    if side == "A" and state.d_a != 2:
+        raise ValueError(f"partner requires a qubit on Alice's side, got d_a={state.d_a}")
+    check_unit_interval("c", c)
+    qubit = (np.eye(2, dtype=np.complex128) + c * SIGMA_Z) / 2.0
+    if side == "B":
+        mat = linalg.kron(state.reduced_a(), qubit)
+    else:
+        mat = linalg.kron(qubit, state.reduced_b())
+    return _closed_density(mat, state.d_a, state.d_b)
 
 
 def bob_biased_partner(tau: DensityMatrix, c: float) -> DensityMatrix:
     """Product partner tr_B[tau] (x) (1 + c sigma_z)/2 for a d x 2 state."""
-    if tau.d_b != 2:
-        raise ValueError(f"partner requires a qubit on Bob's side, got d_b={tau.d_b}")
-    check_unit_interval("c", c)
-    qubit = (np.eye(2, dtype=np.complex128) + c * SIGMA_Z) / 2.0
-    return make_density(linalg.kron(tau.reduced_a(), qubit), tau.d_a, 2)
+    return biased_partner(tau, c, "B")
 
 
 def alice_biased_partner(rho: DensityMatrix, c: float) -> DensityMatrix:
     """Product partner (1 + c sigma_z)/2 (x) tr_A[rho] for a 2 x d state."""
-    if rho.d_a != 2:
-        raise ValueError(f"partner requires a qubit on Alice's side, got d_a={rho.d_a}")
-    check_unit_interval("c", c)
-    qubit = (np.eye(2, dtype=np.complex128) + c * SIGMA_Z) / 2.0
-    return make_density(linalg.kron(qubit, rho.reduced_b()), 2, rho.d_b)
+    return biased_partner(rho, c, "A")
 
 
 def analytic_c_max(mu: float) -> float:

@@ -16,6 +16,7 @@ Born-rule contractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -131,18 +132,23 @@ def qubit_measurement(n) -> ProjMeasurement:
     return ProjMeasurement(2, qubit_projectors(v[None])[0])
 
 
-_PAULI_SETTINGS: tuple[ProjMeasurement, ...] | None = None
+@functools.cache
+def pauli_projectors() -> np.ndarray:
+    """The read-only (3, 2, 2, 2) projector stack of the x, y, z settings.
+
+    Built and validated on the first call, then shared.
+    """
+    return qubit_projectors(np.eye(3))
 
 
+@functools.cache
 def pauli_settings() -> tuple[ProjMeasurement, ProjMeasurement, ProjMeasurement]:
     """The fixed x, y, z qubit settings, in that order.
 
-    Built once and shared; measurements are immutable value objects.
+    Views of :func:`pauli_projectors`, built once and shared;
+    measurements are immutable value objects.
     """
-    global _PAULI_SETTINGS
-    if _PAULI_SETTINGS is None:
-        _PAULI_SETTINGS = _measurements(qubit_projectors(np.eye(3)))
-    return _PAULI_SETTINGS
+    return _measurements(pauli_projectors())
 
 
 PAULI_LABELS = ("x", "y", "z")

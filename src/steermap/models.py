@@ -60,23 +60,38 @@ class TableResponse:
 Response = QuantumResponse | TableResponse
 
 
+def quantum_responses(stack) -> tuple[QuantumResponse, ...]:
+    """Validate an (n, d, d) stack of density matrices, one response each.
+
+    One pass over the whole stack: the eigensolver rejects non-finite
+    and non-Hermitian members, then every trace must be 1 and every
+    least eigenvalue >= -1e-10, both checks written so that NaN fails
+    them.  Errors name the first offending member.  The responses hold
+    read-only views of one copy of the stack.
+    """
+    m = np.array(stack, dtype=np.complex128)
+    if m.ndim != 3:
+        raise ValueError(f"expected an (n, d, d) stack of states, got shape {m.shape}")
+    w, _ = linalg.hermitian_eigen(m)
+    tr = np.trace(m, axis1=1, axis2=2)
+    bad = np.flatnonzero(~(np.abs(tr - 1.0) <= TRACE_TOL))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"response state {i} trace {tr[i]} != 1")
+    bad = np.flatnonzero(~(w[:, 0] >= -PSD_TOL))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"response state {i} is not PSD (min eigenvalue {w[i, 0]:.3e})")
+    m.setflags(write=False)
+    return tuple(QuantumResponse(rho) for rho in m)
+
+
 def quantum_response(rho) -> QuantumResponse:
     """Validate a density matrix and wrap it as a response.
 
-    The eigensolver rejects non-square, non-finite and non-Hermitian
-    input; then the trace must be 1 and the least eigenvalue >= -1e-10.
-    Both checks are written so that NaN fails them.
+    The ``n = 1`` case of :func:`quantum_responses`, with its checks.
     """
-    m = linalg.as_matrix(rho)
-    w, _ = linalg.hermitian_eigen(m)
-    tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise ValueError(f"response state trace {tr} != 1")
-    if not w[0] >= -PSD_TOL:
-        raise ValueError(f"response state is not PSD (min eigenvalue {w[0]:.3e})")
-    frozen = np.array(m, copy=True)
-    frozen.setflags(write=False)
-    return QuantumResponse(frozen)
+    return quantum_responses(linalg.as_matrix(rho)[None])[0]
 
 
 def table_response(table: dict[str, tuple[float, ...]]) -> TableResponse:
@@ -257,8 +272,8 @@ def model_from_separable(ensemble) -> FiniteModel:
     if not members:
         raise ValueError("ensemble is empty")
     weights = [w for w, _, _ in members]
-    alice = [quantum_response(alpha) for _, alpha, _ in members]
-    bob = [quantum_response(beta) for _, _, beta in members]
+    alice = quantum_responses([alpha for _, alpha, _ in members])
+    bob = quantum_responses([beta for _, _, beta in members])
     return finite_model(weights, alice, bob)
 
 

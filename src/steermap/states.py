@@ -102,7 +102,27 @@ def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     w, _ = linalg.hermitian_eigen(m)
     if w[0] < -PSD_TOL:
         raise StateValidationError("min eigenvalue >= -1e-10", float(-w[0]))
-    out = (m + m.conj().T) / 2.0
+    return _closed_density(m, d_a, d_b)
+
+
+def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
+    """Wrap a matrix built from validated states, without validating it again.
+
+    Stores the read-only Hermitian part; :func:`make_density` stores the
+    states it has validated the same way.  Otherwise only closed
+    operations may call this: convex combinations, with
+    weights in [0, 1], of validated states, and a validated state's
+    reduced state times a qubit ``diag((1 + c)/2, (1 - c)/2)``,
+    c in [0, 1].  Such results are Hermitian and have unit trace to
+    rounding.  They are positive semidefinite whenever their inputs are:
+    a convex combination's least eigenvalue is at least the weighted
+    least eigenvalues of its terms, and a product's eigenvalues are the
+    reduced state's times (1 +- c)/2 >= 0.  An input that is negative
+    within the 1e-10 tolerance can leave a partner up to (1 + c) times as
+    far below zero, since tracing out a qubit at most doubles the least
+    eigenvalue's magnitude.
+    """
+    out = (mat + mat.conj().T) / 2.0
     out.setflags(write=False)
     return DensityMatrix(d_a, d_b, out)
 
@@ -130,7 +150,7 @@ def werner(p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {p}")
     mat = p * singlet().mat + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
-    return make_density(mat, 2, 2)
+    return _closed_density(mat, 2, 2)
 
 
 def bloch_from_qubit(m) -> tuple[float, BlochVector]:
@@ -214,18 +234,26 @@ def random_separable(
     Weights are a random simplex point, factors random pure states;
     deterministic for a fixed seed.  The ensemble is returned alongside
     the assembled state because decomposition recovery is not supported.
+    The draws are those of k alternating :func:`random_pure` calls for
+    alpha_i and beta_i, made as one array; the mixture is one
+    contraction over the members' product vectors.
     """
     if k < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
-    ensemble = []
-    mat = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
-    for w in weights:
-        alpha = random_pure(d_a, rng)
-        beta = random_pure(d_b, rng)
-        ensemble.append((float(w), alpha, beta))
-        mat += w * linalg.kron(alpha, beta)
+    # Row i: real, then imaginary parts of alpha_i's vector, then of beta_i's.
+    re_a, im_a, re_b, im_b = np.split(
+        rng.standard_normal((k, 2 * d_a + 2 * d_b)), np.cumsum([d_a, d_a, d_b]), axis=1
+    )
+    va, vb = re_a + 1j * im_a, re_b + 1j * im_b
+    va /= np.linalg.norm(va, axis=1, keepdims=True)
+    vb /= np.linalg.norm(vb, axis=1, keepdims=True)
+    alphas = va[:, :, None] * va.conj()[:, None, :]
+    betas = vb[:, :, None] * vb.conj()[:, None, :]
+    product = (va[:, :, None] * vb[:, None, :]).reshape(k, d_a * d_b)
+    mat = (weights[:, None] * product).T @ product.conj()
+    ensemble = [(float(w), a, b) for w, a, b in zip(weights, alphas, betas)]
     return make_density(mat, d_a, d_b), ensemble
 
 

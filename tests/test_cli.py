@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from steermap import cli, linalg, states
+from steermap import cli, linalg, mapping, states
 from steermap.mapping import INV_SQRT3
 from steermap.states import make_density, random_pure, save_state, werner
 
@@ -144,6 +144,75 @@ class TestMap:
              "--mu", "0.5", "--out", str(tmp_path / "x.json")]
         )
         assert rc == 2
+
+
+    def test_infeasible_map_builds_no_mixture(self, werner_file, tmp_path, monkeypatch, capsys):
+        calls = []
+        real_mix = mapping.mix
+
+        def counted_mix(*args):
+            calls.append(args)
+            return real_mix(*args)
+
+        monkeypatch.setattr(mapping, "mix", counted_mix)
+        state = werner_file(0.9)
+        argv = ["map", "--state", state, "--mode", "N", "--mu", "0.5", "--c", "0.5",
+                "--out", str(tmp_path / "m.json")]
+        assert cli.main(argv) == 3
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == "feasible(mu=0.5, c=0.5) = false\n"
+        assert captured.err == (
+            "infeasible: c = 0.5 exceeds c_max = 0.414213562373 at mu = 0.5 "
+            "(use --force to map anyway)\n"
+        )
+        assert cli.main(argv + ["--force"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--mu", "1.5"], "mu must be in [0, 1], got 1.5"),
+         (["--mu", "0.5", "--c", "nan"], "c must be in [0, 1], got nan")],
+    )
+    def test_bad_parameters_exit_2_before_output(self, werner_file, tmp_path, capsys, extra, message):
+        argv = ["map", "--state", werner_file(0.9), "--mode", "M",
+                "--out", str(tmp_path / "m.json")] + extra
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+class TestEigenCounts:
+    """States are validated where they enter, not again after closed operations."""
+
+    @pytest.fixture
+    def eigen_calls(self, monkeypatch):
+        calls = []
+        real_eigen = linalg.hermitian_eigen
+
+        def counted_eigen(m):
+            calls.append(np.shape(m))
+            return real_eigen(m)
+
+        monkeypatch.setattr(linalg, "hermitian_eigen", counted_eigen)
+        return calls
+
+    @pytest.mark.parametrize("target, dims", [("lhs", "3x2"), ("spm", "2x3")])
+    def test_verify_makes_at_most_three_per_trial(self, eigen_calls, target, dims, capsys):
+        assert cli.main(["verify", target, "--dims", dims, "--trials", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert len(eigen_calls) <= 3 * 5
+
+    def test_feasible_map_decomposes_only_the_loaded_state(self, eigen_calls, werner_file, tmp_path):
+        state = werner_file(0.9)
+        eigen_calls.clear()
+        out = tmp_path / "m.json"
+        argv = ["map", "--state", state, "--mode", "M", "--mu", "0.5", "--c", "0.3",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert eigen_calls == [(4, 4)]
+        states.load_state(out)
 
 
 class TestRegion:

@@ -163,6 +163,28 @@ class TestHermitianEigen:
             linalg.hermitian_eigen(m)
 
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(31)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(5)])
+        w, v = linalg.hermitian_eigen(stack)
+        assert w.shape == (5, 3) and v.shape == (5, 3, 3)
+        for i in range(5):
+            w_i, _ = linalg.hermitian_eigen(stack[i])
+            assert np.max(np.abs(w[i] - w_i)) < 1e-13
+            recon = (v[i] * w[i]) @ v[i].conj().T
+            assert np.max(np.abs(recon - stack[i])) < 1e-12
+
+    def test_stack_errors_name_first_member(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 4)
+        stack[3, 0, 1] = 1.0
+        stack[2, 0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"^matrix 2 is not Hermitian"):
+            linalg.hermitian_eigen(stack)
+        stack[3, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^matrix 3 has non-finite entries"):
+            linalg.hermitian_eigen(stack)
+
+
 class TestTraceNorm:
     def test_pauli(self):
         assert abs(linalg.trace_norm(SIGMA_Z) - 2.0) < 1e-14

@@ -92,7 +92,8 @@ class TestMaps:
         for seed in range(5):
             tau, _ = random_separable(3, 2, 4, seed=seed)
             prime = mapping.bob_biased_partner(tau, rng.uniform(0, 1))
-            mapping.map_m(tau, prime, rng.uniform(0, 1))  # make_density inside
+            mixed = mapping.map_m(tau, prime, rng.uniform(0, 1))
+            make_density(mixed.mat, 3, 2)
 
 
 class TestPartners:
@@ -129,6 +130,47 @@ class TestPartners:
         rho, _ = random_separable(2, 3, 2, seed=14)
         with pytest.raises(ValueError, match="Bob"):
             mapping.bob_biased_partner(rho, 0.5)
+
+    def test_named_sides_are_biased_partner(self):
+        tau, _ = random_separable(3, 2, 3, seed=15)
+        rho, _ = random_separable(2, 3, 3, seed=16)
+        bob = mapping.bob_biased_partner(tau, 0.4)
+        alice = mapping.alice_biased_partner(rho, 0.4)
+        assert np.array_equal(bob.mat, mapping.biased_partner(tau, 0.4, "B").mat)
+        assert np.array_equal(alice.mat, mapping.biased_partner(rho, 0.4, "A").mat)
+        assert mapping.map_m is mapping.mix and mapping.map_n is mapping.mix
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            mapping.biased_partner(tau, 0.4, "C")
+
+
+class TestClosedOperations:
+    """Results built without re-validation still pass make_density."""
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 4),
+        side=st.sampled_from("AB"),
+        mu=st.floats(0.0, 1.0),
+        c=st.floats(0.0, 1.0),
+    )
+    def test_partner_and_mix(self, seed, d, side, mu, c):
+        # (mu, c) ranges over the whole unit square, infeasible pairs
+        # (the ones `map --force` accepts) included.
+        d_a, d_b = (d, 2) if side == "B" else (2, d)
+        state = random_density(d_a, d_b, seed)
+        partner = mapping.biased_partner(state, c, side)
+        for out in (partner, mapping.mix(state, partner, mu)):
+            assert (out.d_a, out.d_b) == (d_a, d_b)
+            assert not out.mat.flags.writeable
+            assert np.array_equal(make_density(out.mat, d_a, d_b).mat, out.mat)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(p=st.floats(0.0, 1.0))
+    def test_werner(self, p):
+        rho = werner(p)
+        assert not rho.mat.flags.writeable
+        assert np.array_equal(make_density(rho.mat, 2, 2).mat, rho.mat)
 
 
 class TestAnalyticBound:

@@ -53,6 +53,12 @@ class TestPauliSettings:
         for m in (x, y, z):
             assert np.allclose(sum(m.projectors), np.eye(2), atol=1e-15)
 
+    def test_projector_stack_is_shared_and_read_only(self):
+        stack = meas.pauli_projectors()
+        assert stack is meas.pauli_projectors()
+        assert stack.shape == (3, 2, 2, 2) and not stack.flags.writeable
+        assert np.array_equal(stack, meas.projector_stack(meas.pauli_settings()))
+
     def test_labels(self):
         for label in "xyz":
             check_measurement_invariants(meas.pauli_setting(label))

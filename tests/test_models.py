@@ -178,6 +178,36 @@ class TestResponses:
         resp = models.quantum_response(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
         assert resp.dim == 2
 
+    @pytest.mark.parametrize(
+        "mat, match",
+        [
+            (np.diag([np.nan, 0.0]), r"matrix 3 has non-finite entries"),
+            (np.diag([np.inf, 0.0]), r"matrix 3 has non-finite entries"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), r"matrix 3 is not Hermitian"),
+            (np.diag([0.6, 0.6]), r"response state 3 trace \(1\.2\+0j\) != 1"),
+            (np.diag([1.5, -0.5]), r"response state 3 is not PSD"),
+        ],
+    )
+    def test_quantum_responses_name_the_bad_member(self, mat, match):
+        stack = [np.eye(2, dtype=complex) / 2] * 3 + [mat.astype(complex)]
+        with pytest.raises(ValueError, match=match):
+            models.quantum_responses(stack)
+
+    def test_quantum_responses_are_read_only_copies(self):
+        stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2]).astype(complex)
+        responses = models.quantum_responses(stack)
+        stack[0, 0, 0] = 0.0
+        assert [r.rho[0, 0] for r in responses] == [1.0, 0.5]
+        assert not responses[0].rho.flags.writeable
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_model_from_separable_rejects_one_bad_member(self, side):
+        _, ensemble = random_separable(3, 2, 4, seed=15)
+        members = [list(m) for m in ensemble]
+        members[2][side] = members[2][side] * 1.5  # trace 1.5
+        with pytest.raises(ValueError, match="response state 2 trace"):
+            models.model_from_separable([tuple(m) for m in members])
+
     def test_out_of_tolerance_probability_raises(self):
         # A unit-trace Hermitian matrix that is not PSD, built without
         # the response constructor, must not be clamped silently.

@@ -220,6 +220,30 @@ class TestRandomSeparable:
         assert sum(w for w, _, _ in ensemble) == pytest.approx(1.0, abs=1e-14)
 
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2), (2, 3), (2, 4)])
+    def test_matches_per_member_reference_loop(self, dims):
+        # Reference: one random_pure draw per factor and one kron per
+        # member, which the one-draw construction replaces.
+        d_a, d_b = dims
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            weights = rng.dirichlet(np.ones(4))
+            mat = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+            reference = []
+            for w in weights:
+                alpha = states.random_pure(d_a, rng)
+                beta = states.random_pure(d_b, rng)
+                reference.append((float(w), alpha, beta))
+                mat += w * np.kron(alpha, beta)
+            rho, ensemble = random_separable(d_a, d_b, 4, seed)
+            assert np.max(np.abs(rho.mat - mat)) <= 1e-15
+            assert len(ensemble) == 4
+            for (w, alpha, beta), (w_ref, alpha_ref, beta_ref) in zip(ensemble, reference):
+                assert w == w_ref
+                assert np.max(np.abs(alpha - alpha_ref)) <= 1e-15
+                assert np.max(np.abs(beta - beta_ref)) <= 1e-15
+
+
 class TestJson:
     def test_round_trip(self):
         rho, _ = random_separable(2, 3, 3, seed=7)
