@@ -19,12 +19,20 @@ import numpy as np
 
 from . import constructions, mapping, states, witnesses
 from .mapping import INV_SQRT3
-from .measurements import qudit_measurement, qudit_measurements, random_bases
-from .models import model_from_separable
+from .measurements import qudit_measurement, qudit_projectors, random_bases
+from .models import born_probs, check_weights, validate_responses
 
 LHS_SETTINGS_PER_TRIAL = 20
 SPM_SAMPLES_PER_TRIAL = 50
 ENSEMBLE_SIZE = 4
+# Trial t of a request seeded s samples its state from seed s + 1000 + t
+# (lhs) or s + 2000 + t (spm), and spm's measurements from s + 3000 + t.
+LHS_STATE_SEED = 1000
+SPM_STATE_SEED = 2000
+SPM_SAMPLE_SEED = 3000
+# verify runs its trials in blocks of this many, each block one stacked
+# pass per stage, so a request's memory does not grow with --trials.
+VERIFY_BLOCK = 8
 
 # Map M mixes with a partner biased on Bob's qubit, map N on Alice's.
 PARTNER_SIDE = {"M": "B", "N": "A"}
@@ -111,44 +119,74 @@ def _sample_params(rng: np.random.Generator) -> tuple[float, float]:
     return mu, c
 
 
-def _verify_lhs(dims, trials, seed, fixed) -> float:
+def _run_blocks(trials: int, seed: int, run_block):
+    """Residuals, mu and c of every trial, from ``run_block(rng, block)``.
+
+    The blocks hold VERIFY_BLOCK trials each and share the request RNG in
+    trial order.  A block's arrays are freed before the next is built.
+    """
+    rng = np.random.default_rng(seed)
+    parts = [
+        run_block(rng, range(start, min(start + VERIFY_BLOCK, trials)))
+        for start in range(0, trials, VERIFY_BLOCK)
+    ]
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
+def _verify_lhs(dims, trials, seed, fixed):
+    """Per-trial residuals, mu and c of the hidden-state construction."""
     d_a, d_b = dims
     if d_b != 2:
         raise ValueError(f"hidden-state verification needs AxB with B=2, got {d_a}x{d_b}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(trials):
-        tau, ensemble = states.random_separable(d_a, 2, ENSEMBLE_SIZE, seed + 1000 + trial)
-        model_tau = model_from_separable(ensemble)
-        mu, c = fixed if fixed else _sample_params(rng)
-        model_prime = constructions.bob_biased_prime_model(model_tau, c)
-        settings = qudit_measurements(random_bases(LHS_SETTINGS_PER_TRIAL, d_a, rng))
-        cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
+
+    def run_block(rng, block):
+        # Per trial, in the order a trial loop draws them: (mu, c), then bases.
+        params, bases = [], []
+        for _ in block:
+            params.append(fixed if fixed else _sample_params(rng))
+            bases.append(random_bases(LHS_SETTINGS_PER_TRIAL, d_a, rng))
+        mu, c = np.array(params).T
+        tau, weights, alphas, betas = states.random_separables(
+            d_a, 2, ENSEMBLE_SIZE, [seed + LHS_STATE_SEED + t for t in block]
+        )
+        weights = check_weights(weights)
+        alice, bob = validate_responses(alphas), validate_responses(betas)
+        settings = qudit_projectors(np.stack(bases))
+        pa = born_probs(settings, alice, "quantum response")
+        responses, bloch = constructions.lhs_certificates(
+            mu, pa, pa, constructions.pauli_probs(bob), constructions.biased_probs(c)
+        )
         rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
-        worst = max(worst, constructions.verify_lhs_identity(rho, cert, settings))
-    return worst
+        residuals = constructions.verify_lhs_identities(rho, weights, responses, bloch, settings)
+        return residuals, mu, c
+
+    return _run_blocks(trials, seed, run_block)
 
 
-def _verify_spm(dims, trials, seed, fixed) -> float:
+def _verify_spm(dims, trials, seed, fixed):
+    """Per-trial residuals, mu and c of the separable construction."""
     d_a, d_b = dims
     if d_a != 2:
         raise ValueError(f"separable verification needs AxB with A=2, got {d_a}x{d_b}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(trials):
-        rho, ensemble = states.random_separable(2, d_b, ENSEMBLE_SIZE, seed + 2000 + trial)
-        model_rho = model_from_separable(ensemble)
-        mu, c = fixed if fixed else _sample_params(rng)
-        model_prime = constructions.alice_biased_prime_model(model_rho, c)
-        cert = constructions.spm_certificate(model_rho, model_prime, mu)
-        sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
-        worst = max(
-            worst,
-            constructions.verify_spm_identity(
-                sigma, cert, SPM_SAMPLES_PER_TRIAL, seed + 3000 + trial
-            ),
+
+    def run_block(rng, block):
+        mu, c = np.array([fixed if fixed else _sample_params(rng) for _ in block]).T
+        rho, weights, alphas, betas = states.random_separables(
+            2, d_b, ENSEMBLE_SIZE, [seed + SPM_STATE_SEED + t for t in block]
         )
-    return worst
+        weights = check_weights(weights)
+        alice, bob = validate_responses(alphas), validate_responses(betas)
+        alice_bloch = constructions.spm_certificates(
+            mu, constructions.pauli_probs(alice), constructions.biased_probs(c)
+        )
+        sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
+        sample_seeds = [seed + SPM_SAMPLE_SEED + t for t in block]
+        residuals = constructions.verify_spm_identities(
+            sigma, weights, alice_bloch, bob, SPM_SAMPLES_PER_TRIAL, sample_seeds
+        )
+        return residuals, mu, c
+
+    return _run_blocks(trials, seed, run_block)
 
 
 def cmd_verify(args) -> int:
@@ -180,20 +218,30 @@ def cmd_verify(args) -> int:
             return EXIT_VERIFY
     try:
         if args.target == "lhs":
-            residual = _verify_lhs(dims, args.trials, args.seed, fixed)
+            residuals, mu, c = _verify_lhs(dims, args.trials, args.seed, fixed)
+            state_seed = args.seed + LHS_STATE_SEED
         else:
-            residual = _verify_spm(dims, args.trials, args.seed, fixed)
+            residuals, mu, c = _verify_spm(dims, args.trials, args.seed, fixed)
+            state_seed = args.seed + SPM_STATE_SEED
     except constructions.UnphysicalHiddenStateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    worst = int(np.argmax(residuals))
+    residual = float(residuals[worst])
     passed = bool(residual <= args.tol)
+    if not passed:
+        print(
+            f"worst trial {worst} (state seed {state_seed + worst}): "
+            f"mu={float(mu[worst])!r}, c={float(c[worst])!r}, residual={residual!r}",
+            file=sys.stderr,
+        )
     report = {
         "target": args.target,
         "dims": list(dims),
         "trials": args.trials,
         "seed": args.seed,
         "tol": _sig12(args.tol),
-        "max_residual": _sig12(float(residual)),
+        "max_residual": _sig12(residual),
         "pass": passed,
     }
     _emit(json.dumps(report, allow_nan=False), args.out)

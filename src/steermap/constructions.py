@@ -12,7 +12,11 @@ measurement pairs) form one (n, k, d, d) projector stack, and each side
 of an identity is one contraction over that stack, the hidden index
 and the (d_a, d_b, d_a, d_b) state tensor, with the same range and
 projector checks as the single-pair functions in :mod:`steermap.models`
-and :mod:`steermap.states`.
+and :mod:`steermap.states`.  Each builder and verifier is the unstacked
+case of a stacked kernel (``lhs_certificates``, ``verify_lhs_identities``,
+``spm_certificates``, ``verify_spm_identities``) that takes probability
+tables, certificate arrays and projector stacks with a leading trial
+axis; ``verify`` runs a block of trials through each kernel in one call.
 
 A caveat worth keeping in mind: the general recipe makes the hidden
 state depend on Alice's setting and outcome through the ratio it is
@@ -151,34 +155,54 @@ def lhs_certificate(
     hidden Bloch component for B is 2 eta(B)/p - 1.  Zero-probability
     entries contribute nothing and get the maximally mixed state.  An
     unphysical Bloch vector raises :class:`UnphysicalHiddenStateError`
-    naming the first one in (setting, hidden value, outcome) order.
+    naming the first one in (setting, hidden value, outcome) order.  The
+    unstacked case of :func:`lhs_certificates`.
     """
     check_unit_interval("mu", mu)
     _check_shared_weights(model_tau, model_tau_prime)
     settings = list(alice_settings)
     stack = projector_stack(settings)
-    pa = _response_probs(model_tau.alice, settings, stack)
-    pa_p = _response_probs(model_tau_prime.alice, settings, stack)
-    pb = _pauli_probs(model_tau.bob)
-    pb_p = _pauli_probs(model_tau_prime.bob)
-    responses = mu * pa + (1.0 - mu) * pa_p
-    # eta[s, a, xi, k] pairs Alice's (s, a) with Bob's outcome 0 at k.
+    responses, bloch = lhs_certificates(
+        mu,
+        _response_probs(model_tau.alice, settings, stack),
+        _response_probs(model_tau_prime.alice, settings, stack),
+        _pauli_probs(model_tau.bob),
+        _pauli_probs(model_tau_prime.bob),
+    )
+    return LhsCertificate(model_tau.weights.copy(), responses, bloch)
+
+
+def lhs_certificates(mu, pa, pa_prime, pb, pb_prime) -> tuple[np.ndarray, np.ndarray]:
+    """Responses and hidden Bloch vectors of M-mixtures, for a stack of trials.
+
+    ``pa[..., s, a, xi]`` is the base model's P(a | s, xi) for Alice and
+    ``pb[..., xi, k]`` its Bob outcome-0 probability at the k-th Pauli
+    setting; the primed arrays are the partner model's.  A partner row
+    shared by every hidden value, like a biased table's, may have length
+    1 on the xi axis.  ``mu`` is a float or one value per leading index.
+    Returns ``responses`` (..., S, A, Xi) and ``bloch`` (..., S, A, Xi, 3).
+    The error names the first unphysical entry in (trial, setting, hidden
+    value, outcome) order, where a loop over the trials would stop.
+    """
+    check_unit_interval("mu", mu)
+    m = np.asarray(mu, dtype=float)[..., None, None, None]
+    responses = m * pa + (1.0 - m) * pa_prime
+    # eta[..., s, a, xi, k] pairs Alice's (s, a) with Bob's outcome 0 at k.
     eta = (
-        mu * pa[..., None] * pb[None, None]
-        + (1.0 - mu) * pa_p[..., None] * pb_p[None, None]
+        m[..., None] * pa[..., None] * pb[..., None, None, :, :]
+        + (1.0 - m[..., None]) * pa_prime[..., None] * pb_prime[..., None, None, :, :]
     )
     weighted = responses > 0.0  # zero-weight entries keep r = 0
     ratio = np.divide(
         eta, responses[..., None], out=np.zeros_like(eta), where=weighted[..., None]
     )
     bloch = np.where(weighted[..., None], 2.0 * ratio - 1.0, 0.0)
-    norm_sq = np.einsum("saxk,saxk->sax", bloch, bloch)
-    # Report the first offender in (setting, hidden value, outcome) order.
-    bad = np.argwhere((norm_sq > 1.0 + PHYS_TOL).transpose(0, 2, 1))
+    norm_sq = np.einsum("...saxk,...saxk->...sax", bloch, bloch)
+    bad = np.argwhere(np.swapaxes(norm_sq > 1.0 + PHYS_TOL, -1, -2))
     if len(bad):
-        s, xi, a = (int(i) for i in bad[0])
-        raise UnphysicalHiddenStateError(xi, s, a, float(norm_sq[s, a, xi]))
-    return LhsCertificate(model_tau.weights.copy(), responses, bloch)
+        *trial, s, xi, a = (int(i) for i in bad[0])
+        raise UnphysicalHiddenStateError(xi, s, a, float(norm_sq[(*trial, s, a, xi)]))
+    return responses, bloch
 
 
 def _response_probs(responses, settings, stack: np.ndarray) -> np.ndarray:
@@ -209,6 +233,17 @@ def _pauli_probs(responses) -> np.ndarray:
     return _response_probs(responses, PAULI_LABELS, pauli_projectors())[:, 0, :].T
 
 
+def pauli_probs(states) -> np.ndarray:
+    """Outcome-0 probabilities of qubit states at x, y, z: (..., Xi, 3).
+
+    ``states`` is an (..., Xi, 2, 2) stack of validated response states;
+    one Born-rule contraction, as :func:`_pauli_probs` makes for quantum
+    responses.
+    """
+    probs = born_probs(pauli_projectors(), states, "quantum response")
+    return probs[..., 0, :].swapaxes(-1, -2)
+
+
 def verify_lhs_identity(
     rho_ab: DensityMatrix, cert: LhsCertificate, alice_settings
 ) -> float:
@@ -216,19 +251,34 @@ def verify_lhs_identity(
 
     For every listed Alice setting and outcome, compares the conditional
     state of ``rho_ab`` against the certificate's weighted hidden-state
-    sum; returns the max-abs entry difference over all of them.  All
-    steered states come from one contraction over the settings' stack.
+    sum; returns the max-abs entry difference over all of them.  The
+    unstacked case of :func:`verify_lhs_identities`.
+    """
+    settings = projector_stack(alice_settings)
+    return float(
+        verify_lhs_identities(rho_ab, cert.weights, cert.responses, cert.bloch, settings)
+    )
+
+
+def verify_lhs_identities(rho_ab: DensityMatrix, weights, responses, bloch, projectors):
+    """Steered-state decomposition residuals, one per state of a stack.
+
+    ``rho_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
+    ``responses`` (..., S, A, Xi) and ``bloch`` (..., S, A, Xi, 3) are
+    the certificate arrays and ``projectors`` (..., S, A, d_a, d_a) are
+    Alice's settings, each with the state's leading axes.  All steered
+    states come from one contraction over the settings' stack.  Returns
+    the max-abs entry difference per state.
     """
     if rho_ab.d_b != 2:
         raise ValueError(f"certificate targets a qubit on Bob's side, got {rho_ab.d_b}")
-    settings = list(alice_settings)
-    n_set = cert.responses.shape[0]
-    if len(settings) != n_set:
-        raise ValueError(f"certificate built for {n_set} settings, got {len(settings)}")
-    lhs = conditional_states(rho_ab, projector_stack(settings))
-    coef = cert.responses * cert.weights
-    rhs = np.einsum("sax,saxij->saij", coef, hidden_qubits(cert.bloch))
-    return float(np.max(np.abs(lhs - rhs)))
+    n_set, got = responses.shape[-3], projectors.shape[-4]
+    if got != n_set:
+        raise ValueError(f"certificate built for {n_set} settings, got {got}")
+    lhs = conditional_states(rho_ab, projectors)
+    coef = responses * weights[..., None, None, :]
+    rhs = np.einsum("...sax,...saxij->...saij", coef, hidden_qubits(bloch))
+    return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
 
 
 @dataclass(frozen=True)
@@ -282,7 +332,8 @@ def spm_certificate(
 
     Both inputs must carry identical quantum Bob responses and weights;
     Alice's hidden qubit per hidden value has Bloch components
-    2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 for k in x, y, z.
+    2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 for k in x, y, z.  The
+    unstacked case of :func:`spm_certificates`.
     """
     check_unit_interval("mu", mu)
     _check_shared_weights(model_rho, model_rho_prime)
@@ -292,16 +343,32 @@ def spm_certificate(
             raise ValueError(
                 f"separable construction needs quantum Bob responses (xi={xi})"
             )
-    p0 = _pauli_probs(model_rho.alice)
-    p0_p = _pauli_probs(model_rho_prime.alice)
-    alice_bloch = 2.0 * (mu * p0 + (1.0 - mu) * p0_p) - 1.0
-    norm_sq = np.einsum("xk,xk->x", alice_bloch, alice_bloch)
-    unphysical = np.flatnonzero(norm_sq > 1.0 + PHYS_TOL)
-    if len(unphysical):
-        xi = int(unphysical[0])
-        raise UnphysicalHiddenStateError(xi, "xyz", -1, float(norm_sq[xi]))
+    alice_bloch = spm_certificates(
+        mu, _pauli_probs(model_rho.alice), _pauli_probs(model_rho_prime.alice)
+    )
     bob_states = [bob.rho for bob in model_rho.bob]
     return SpmCertificate(model_rho.weights.copy(), alice_bloch, tuple(bob_states))
+
+
+def spm_certificates(mu, p0, p0_prime) -> np.ndarray:
+    """Alice's hidden Bloch vectors of N-mixtures, for a stack of trials.
+
+    ``p0[..., xi, k]`` is the base model's Alice outcome-0 probability at
+    the k-th Pauli setting and ``p0_prime`` the partner's (length 1 on
+    the xi axis for a row shared by every hidden value); ``mu`` is a
+    float or one value per leading index.  Returns (..., Xi, 3).  The
+    error names the first unphysical vector in (trial, hidden value)
+    order.
+    """
+    check_unit_interval("mu", mu)
+    m = np.asarray(mu, dtype=float)[..., None, None]
+    alice_bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
+    norm_sq = np.einsum("...xk,...xk->...x", alice_bloch, alice_bloch)
+    bad = np.argwhere(norm_sq > 1.0 + PHYS_TOL)
+    if len(bad):
+        idx = tuple(int(i) for i in bad[0])
+        raise UnphysicalHiddenStateError(idx[-1], "xyz", -1, float(norm_sq[idx]))
+    return alice_bloch
 
 
 def verify_spm_identity(
@@ -313,21 +380,48 @@ def verify_spm_identity(
     direction for Alice, then a random orthonormal basis for Bob, so a
     seed always samples the same measurements), evaluates all
     n x 2 x d_b joints on both the state and the certificate ensemble in
-    one batch, and returns the largest absolute difference.
+    one batch, and returns the largest absolute difference.  The
+    unstacked case of :func:`verify_spm_identities`.
+    """
+    bob_states = np.stack(cert.bob_states)
+    return float(
+        verify_spm_identities(
+            sigma_ab, cert.weights, cert.alice_bloch, bob_states, n_samples, seed
+        )
+    )
+
+
+def verify_spm_identities(
+    sigma_ab: DensityMatrix, weights, alice_bloch, bob_states, n_samples: int, seeds
+):
+    """Separable-model joint residuals, one per state of a stack.
+
+    ``sigma_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
+    ``alice_bloch`` (..., Xi, 3) and ``bob_states`` (..., Xi, d_b, d_b)
+    are the certificate arrays, with the state's leading axes, and
+    ``seeds`` holds one measurement seed per state (an int for one
+    state).  Each seed draws its own ``n_samples`` pairs; the projectors,
+    joints and certificate tables of all states are then built as
+    stacks.
     """
     if sigma_ab.d_a != 2:
         raise ValueError(f"certificate targets a qubit on Alice's side, got {sigma_ab.d_a}")
     if n_samples < 1:
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    directions, bases = random_measurement_pairs(n_samples, sigma_ab.d_b, rng)
+    lead, d_b = sigma_ab.mat.shape[:-2], sigma_ab.d_b
+    pairs = [
+        random_measurement_pairs(n_samples, d_b, np.random.default_rng(int(seed)))
+        for seed in np.ravel(seeds)
+    ]
+    directions = np.reshape([d for d, _ in pairs], (*lead, n_samples, 3))
+    bases = np.reshape([b for _, b in pairs], (*lead, n_samples, d_b, d_b))
     a_stack = qubit_projectors(directions)
     b_stack = qudit_projectors(bases)
     lhs = born_joints(sigma_ab, a_stack, b_stack)
-    pa = born_probs(a_stack, hidden_qubits(cert.alice_bloch), "certificate")
-    pb = born_probs(b_stack, np.stack(cert.bob_states), "certificate")
-    rhs = np.einsum("x,nax,nbx->nab", cert.weights, pa, pb)
-    return float(np.max(np.abs(lhs - rhs)))
+    pa = born_probs(a_stack, hidden_qubits(alice_bloch), "certificate")
+    pb = born_probs(b_stack, bob_states, "certificate")
+    rhs = np.einsum("...x,...nax,...nbx->...nab", weights, pa, pb)
+    return np.abs(lhs - rhs).max(axis=(-3, -2, -1))
 
 
 UNBIASED_QUBIT_TABLE = {"x": (0.5, 0.5), "y": (0.5, 0.5)}
@@ -338,6 +432,21 @@ def _biased_table(c: float) -> TableResponse:
     return table_response(
         {**UNBIASED_QUBIT_TABLE, "z": ((1.0 + c) / 2.0, (1.0 - c) / 2.0)}
     )
+
+
+def biased_probs(c) -> np.ndarray:
+    """Outcome-0 probabilities (1/2, 1/2, (1 + c)/2) of the biased table at x, y, z.
+
+    ``c`` is a float or a (T,) array; the result has shape (1, 3) or
+    (T, 1, 3): one row that every hidden value shares, as the partner
+    models of :func:`bob_biased_prime_model` and
+    :func:`alice_biased_prime_model` do, without building their tables.
+    """
+    check_unit_interval("c", c)
+    c = np.asarray(c, dtype=float)
+    probs = np.full((*c.shape, 1, 3), 0.5)
+    probs[..., 2] = ((1.0 + c) / 2.0)[..., None]
+    return probs
 
 
 def bob_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:

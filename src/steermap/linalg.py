@@ -33,13 +33,22 @@ def hermiticity_defect(m) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, A the left (slow) factor."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product, A the left (slow) factor.
+
+    Either factor may be a ``(T, p, q)`` stack; stacks pair up matrix by
+    matrix and the result is the stack of the T products.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if not (2 <= a.ndim <= 3 and 2 <= b.ndim <= 3):
+        raise ValueError(f"expected matrices or (T, p, q) stacks, got ndim={a.ndim}, {b.ndim}")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> None:
     n = d_a * d_b
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise ValueError(
             f"matrix shape {m.shape} does not match dims {d_a}x{d_b} "
             f"(expected {n}x{n})"
@@ -50,15 +59,18 @@ def partial_trace(m, d_a: int, d_b: int, keep: str = "B") -> np.ndarray:
     """Trace out one subsystem of a (d_a*d_b) x (d_a*d_b) matrix.
 
     keep='B' returns the d_b x d_b operator tr_A[m]; keep='A' the
-    d_a x d_a operator tr_B[m].  The full trace is preserved.
+    d_a x d_a operator tr_B[m].  The full trace is preserved.  A
+    ``(T, n, n)`` stack gives the T reduced operators.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={a.ndim}")
     _check_bipartite(a, d_a, d_b)
-    t = a.reshape(d_a, d_b, d_a, d_b)
+    t = a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b)
     if keep == "B":
-        return np.einsum("ibid->bd", t)
+        return np.einsum("...ibid->...bd", t)
     if keep == "A":
-        return np.einsum("ibkb->ik", t)
+        return np.einsum("...ibkb->...ik", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -98,14 +110,17 @@ def hermitian_eigen(m):
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
+    # Whole-stack checks first; per-matrix values only name an offender.
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
         raise ValueError(f"matrix{_at(_first(~finite))} has non-finite entries")
-    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if (defect > HERMITICITY_TOL).any():
+    adjoint = a.conj().swapaxes(-1, -2)
+    defect = np.abs(a - adjoint)
+    if defect.max(initial=0.0) > HERMITICITY_TOL:
+        defect = defect.max(axis=(-2, -1))
         idx = _first(defect > HERMITICITY_TOL)
         raise ValueError(f"matrix{_at(idx)} is not Hermitian (defect {float(defect[idx]):.3e})")
-    w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = np.linalg.eigh((a + adjoint) / 2.0)
     return w, v
 
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import SIGMA_Z, BlochVector, DensityMatrix, _closed_density
+from .states import (
+    PSD_TOL,
+    SIGMA_Z,
+    BlochVector,
+    DensityMatrix,
+    StateValidationError,
+    _closed_density,
+)
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
@@ -74,7 +81,8 @@ def mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatri
     Map M (nonlocality -> steering) mixes a qudit-qubit tau with its
     partner, map N (steering -> entanglement) a qubit-qudit rho; both are
     this function.  A convex combination of validated states is not
-    validated again (see :func:`steermap.states._closed_density`).
+    validated again (see :func:`steermap.states._closed_density`).  For
+    stacks of T states ``mu`` is a float or a (T,) array, one per pair.
     """
     if (state.d_a, state.d_b) != (partner.d_a, partner.d_b):
         raise ValueError(
@@ -82,7 +90,8 @@ def mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatri
             f"{partner.d_a}x{partner.d_b}"
         )
     check_unit_interval("mu", mu)
-    mat = mu * state.mat + (1.0 - mu) * partner.mat
+    m = np.asarray(mu, dtype=np.float64)[..., None, None]
+    mat = m * state.mat + (1.0 - m) * partner.mat
     return _closed_density(mat, state.d_a, state.d_b)
 
 
@@ -96,8 +105,13 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     ``side='B'`` gives tr_B[state] (x) (1 + c sigma_z)/2 for a d x 2
     state (map M), ``side='A'`` gives (1 + c sigma_z)/2 (x) tr_A[state]
     for a 2 x d state (map N).  The product of a validated state's
-    reduced state with a qubit state is not validated again (see
-    :func:`steermap.states._closed_density`).
+    reduced state with a qubit state is closed but for one edge case (see
+    :func:`steermap.states._closed_density`): a reduced state negative
+    within tolerance.  So the partner's least eigenvalue, the reduced
+    state's times (1 + c)/2, must be >= -1e-10, from one small
+    eigendecomposition; otherwise :class:`StateValidationError`.  For a
+    stack of T states ``c`` is a float or a (T,) array and the T reduced
+    states are decomposed in one call.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -106,11 +120,22 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     if side == "A" and state.d_a != 2:
         raise ValueError(f"partner requires a qubit on Alice's side, got d_a={state.d_a}")
     check_unit_interval("c", c)
-    qubit = (np.eye(2, dtype=np.complex128) + c * SIGMA_Z) / 2.0
+    c = np.asarray(c, dtype=np.float64)
+    qubit = (np.eye(2, dtype=np.complex128) + c[..., None, None] * SIGMA_Z) / 2.0
+    reduced = state.reduced_a() if side == "B" else state.reduced_b()
+    w, _ = linalg.hermitian_eigen(reduced)
+    least = w[..., 0] * (1.0 + c) / 2.0
+    if not (least >= -PSD_TOL).all():
+        i = int(np.argmin(least >= -PSD_TOL))
+        raise StateValidationError(
+            "partner min eigenvalue >= -1e-10",
+            float(-least.flat[i]),
+            i if least.ndim else None,
+        )
     if side == "B":
-        mat = linalg.kron(state.reduced_a(), qubit)
+        mat = linalg.kron(reduced, qubit)
     else:
-        mat = linalg.kron(qubit, state.reduced_b())
+        mat = linalg.kron(qubit, reduced)
     return _closed_density(mat, state.d_a, state.d_b)
 
 

@@ -43,13 +43,17 @@ class ProjMeasurement:
         return len(self.projectors)
 
 
-def _check(defects: np.ndarray, message: str) -> None:
-    """Raise for the first entry (C order) of ``defects`` above PROJ_TOL.
+def _check(defects: np.ndarray, message: str, axes: tuple[int, ...] = ()) -> None:
+    """Raise for the first entry (C order) above PROJ_TOL of ``defects``
+    maximized over ``axes``.
 
     ``message`` is formatted with that entry's index and its value as
-    ``defect``.
+    ``defect``.  The maxima over ``axes`` are only formed to name an
+    offender.
     """
     if defects.max() > PROJ_TOL:
+        if axes:
+            defects = defects.max(axis=axes)
         idx = tuple(int(i) for i in np.argwhere(defects > PROJ_TOL)[0])
         raise ValueError(message.format(*idx, defect=float(defects[idx])))
 
@@ -67,40 +71,58 @@ def validate_projectors(projectors) -> np.ndarray:
     p = np.array(projectors, dtype=np.complex128)
     if p.ndim != 4 or p.shape[2] != p.shape[3] or 0 in p.shape:
         raise ValueError(f"projector stack must have shape (n, k, d, d), got {p.shape}")
+    return _checked(p)
+
+
+def _checked(stack: np.ndarray) -> np.ndarray:
+    """The checks of :func:`validate_projectors`, without its copy.
+
+    ``stack`` is a complex (n, k, d, d) or (T, n, k, d, d) array that the
+    caller owns; errors count its measurements in C order.  Returns it
+    read-only.
+    """
+    p = stack.reshape(-1, *stack.shape[-3:])
     if not np.isfinite(p).all():
         raise ValueError("projectors have non-finite entries")
     n, k, d = p.shape[:3]
+    # |P - P^dagger| from real arrays: no complex temporaries of the stack.
+    re, im = p.real, p.imag
     _check(
-        np.abs(p - p.conj().swapaxes(-1, -2)).max(axis=(-2, -1)),
+        np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)),
         "measurement {0}: projector {1} is not Hermitian (defect {defect:.3e})",
+        axes=(-2, -1),
     )
-    # One matmul per measurement gives every product: block (i, j) of
-    # products[m] is P_i P_j, which must equal delta_ij P_i.  After
-    # subtracting P_i from the diagonal blocks, those test idempotence and
-    # the strict upper triangle orthogonality; per-block maxima are only
-    # needed to name an offender.
-    products = (p.reshape(n, k * d, d) @ p.swapaxes(1, 2).reshape(n, d, k * d)).reshape(
-        n, k, d, k, d
-    )
+    # Step i forms P_i [P_0 ... P_{k-1}], an (n, d, k d) array whose block
+    # j is P_i P_j, which must equal delta_ij P_i.  After subtracting P_i
+    # from block i, the diagonal of the per-block maxima tests idempotence
+    # and its strict upper triangle orthogonality; they are only formed
+    # for a step with a defect.  One outcome at a time keeps the
+    # temporaries k times smaller than all k^2 blocks at once.
+    row = p.swapaxes(1, 2).reshape(n, d, k * d)
+    products = np.empty((n, d, k, d), dtype=np.complex128)
+    defects = np.empty((n, d, k, d))
+    per_block = np.zeros((n, k, k))
     for i in range(k):
-        products[:, i, :, i, :] -= p[:, i]
-    blocks = np.abs(products)
-    per_block = blocks.max(axis=(2, 4)) if blocks.max() > PROJ_TOL else np.zeros((n, k, k))
+        np.matmul(p[:, i], row, out=products.reshape(n, d, k * d))
+        products[:, :, i] -= p[:, i]
+        if np.abs(products, out=defects).max() > PROJ_TOL:
+            per_block[:, i] = defects.max(axis=(1, 3))
     _check(
         np.diagonal(per_block, axis1=1, axis2=2),
         "measurement {0}: projector {1} is not idempotent (defect {defect:.3e})",
     )
     _check(
-        np.abs(p.sum(axis=1) - np.eye(d)).max(axis=(-2, -1)),
+        np.abs(p.sum(axis=1) - np.eye(d)),
         "measurement {0}: projectors do not sum to identity (defect {defect:.3e})",
+        axes=(-2, -1),
     )
     _check(
         np.triu(per_block, 1),
         "measurement {0}: projectors {1} and {2} are not orthogonal "
         "(overlap {defect:.3e})",
     )
-    p.setflags(write=False)
-    return p
+    stack.setflags(write=False)
+    return stack
 
 
 def _measurements(stack: np.ndarray) -> tuple[ProjMeasurement, ...]:
@@ -112,16 +134,19 @@ def qubit_projectors(directions) -> np.ndarray:
     """Validated (n, 2, 2, 2) projector stack for qubit directions.
 
     Row m of the (n, 3) array ``directions`` must be a unit vector n_m;
-    measurement m has outcome projectors (1 +- n_m.sigma)/2.
+    measurement m has outcome projectors (1 +- n_m.sigma)/2.  A (T, n, 3)
+    stack gives (T, n, 2, 2, 2), validated as one stack.
     """
     v = np.asarray(directions, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
+    if v.ndim not in (2, 3) or v.shape[-1] != 3:
         raise ValueError(f"directions must have shape (n, 3), got {v.shape}")
-    norm = np.linalg.norm(v, axis=1)
+    norm = np.linalg.norm(v, axis=-1)
     off = np.flatnonzero(~(np.abs(norm - 1.0) <= PROJ_TOL))
     if len(off):
-        raise ValueError(f"direction must be a unit vector (norm {float(norm[off[0]])!r})")
-    return validate_projectors(np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=1))
+        raise ValueError(
+            f"direction must be a unit vector (norm {float(norm.flat[off[0]])!r})"
+        )
+    return _checked(np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=-3))
 
 
 def qubit_measurement(n) -> ProjMeasurement:
@@ -168,17 +193,21 @@ def qudit_projectors(bases) -> np.ndarray:
 
     ``bases[m]`` holds basis m as rows; row i becomes the outcome-i
     projector of measurement m.  Every basis must be orthonormal (Gram
-    defect within ``PROJ_TOL``).
+    defect within ``PROJ_TOL``).  A (T, n, d, d) stack gives
+    (T, n, d, d, d), validated as one stack (errors count its bases in
+    C order).
     """
     b = np.asarray(bases, dtype=np.complex128)
-    if b.ndim != 3 or b.shape[1] != b.shape[2]:
+    if b.ndim not in (3, 4) or b.shape[-1] != b.shape[-2]:
         raise ValueError(f"bases must have shape (n, d, d), got {b.shape}")
-    gram = b.conj() @ b.swapaxes(-1, -2)
+    flat = b.reshape(-1, *b.shape[-2:])
+    gram = flat.conj() @ flat.swapaxes(-1, -2)
     _check(
-        np.abs(gram - np.eye(b.shape[1])).max(axis=(-2, -1)),
+        np.abs(gram - np.eye(b.shape[-1])),
         "basis {0} is not orthonormal (Gram defect {defect:.3e})",
+        axes=(-2, -1),
     )
-    return validate_projectors(np.einsum("nix,niy->nixy", b, b.conj()))
+    return _checked(np.einsum("...ix,...iy->...ixy", b, b.conj()))
 
 
 def qudit_measurements(bases) -> tuple[ProjMeasurement, ...]:
@@ -215,7 +244,10 @@ def projector_stack(settings) -> np.ndarray:
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random unit 3-vector."""
+    """Uniform random unit 3-vector.
+
+    Draws three normals and draws again while their norm is <= 1e-8.
+    """
     while True:
         v = rng.standard_normal(3)
         norm = math.sqrt(v @ v)
@@ -255,16 +287,48 @@ def random_measurement_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n (qubit direction, qudit basis) pairs as (n, 3) and (n, dim, dim) arrays.
 
-    Draws the same numbers as n alternating calls of
-    :func:`random_direction` and :func:`random_basis`; only the draws
-    loop, the QR runs once over the stack.
+    Gives exactly what n alternating calls of :func:`random_direction`
+    and :func:`random_basis` give, and leaves ``rng`` where they leave it.
+    One (n, 3 + 2 dim^2) block of normals holds, row by row, the three
+    direction entries and the basis's real and imaginary parts, the
+    order in which those calls draw them.  The norms come from a batched
+    matmul, the dot kernel of ``math.sqrt(v @ v)``, so the directions
+    are bit-identical.  If a direction would be drawn again (norm
+    <= 1e-8, probability about 1e-25), the block is replayed through the
+    per-sample loop, which draws what the redraws need after it.  The QR
+    runs once over the stack.
     """
+    block = rng.standard_normal((n, 3 + 2 * dim * dim))
+    v = block[:, :3]
+    norm = np.sqrt(v[:, None, :] @ v[:, :, None]).reshape(n, 1)
+    if (norm > 1e-8).all():
+        directions, z = v / norm, block[:, 3:]
+    else:
+        directions, z = _pairs_by_sample(n, dim, _Replay(block, rng))
+    z = z.reshape(n, 2, dim, dim)
+    return directions, _orthonormal_rows(z[:, 0] + 1j * z[:, 1])
+
+
+class _Replay:
+    """A normal source that serves the numbers of ``drawn``, then draws from ``rng``."""
+
+    def __init__(self, drawn: np.ndarray, rng: np.random.Generator):
+        self._drawn = drawn.ravel()
+        self._rng = rng
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        head, self._drawn = self._drawn[:size], self._drawn[size:]
+        return np.concatenate((head, self._rng.standard_normal(size - len(head))))
+
+
+def _pairs_by_sample(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The per-sample loop: n directions and n flat basis draws."""
     directions = np.empty((n, 3))
-    z = np.empty((n, 2, dim, dim))
+    z = np.empty((n, 2 * dim * dim))
     for i in range(n):
         directions[i] = random_direction(rng)
-        rng.standard_normal(out=z[i])
-    return directions, _orthonormal_rows(z[:, 0] + 1j * z[:, 1])
+        z[i] = rng.standard_normal(2 * dim * dim)
+    return directions, z
 
 
 def random_qudit_measurement(dim: int, rng: np.random.Generator) -> ProjMeasurement:

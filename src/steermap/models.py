@@ -60,30 +60,49 @@ class TableResponse:
 Response = QuantumResponse | TableResponse
 
 
+def validate_responses(stack) -> np.ndarray:
+    """Validate a stack of response density matrices; return a read-only copy.
+
+    ``stack`` has shape (n, d, d), or (T, n, d, d) for the members of T
+    ensembles.  One pass over the whole stack: the eigensolver rejects
+    non-finite and non-Hermitian members, then every trace must be 1 and
+    every least eigenvalue >= -1e-10, both checks written so that NaN
+    fails them.  Errors name the first offending member (``t,i`` for a
+    stack of ensembles).
+    """
+    m = np.array(stack, dtype=np.complex128)
+    if m.ndim not in (3, 4):
+        raise ValueError(f"expected an (n, d, d) stack of states, got shape {m.shape}")
+    w, _ = linalg.hermitian_eigen(m)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)
+    if bad.any():
+        i = linalg._first(bad)
+        raise ValueError(f"response state {_index(i)} trace {tr[i]} != 1")
+    bad = ~(w[..., 0] >= -PSD_TOL)
+    if bad.any():
+        i = linalg._first(bad)
+        raise ValueError(
+            f"response state {_index(i)} is not PSD (min eigenvalue {w[i][0]:.3e})"
+        )
+    m.setflags(write=False)
+    return m
+
+
+def _index(idx: tuple[int, ...]) -> str:
+    return ",".join(map(str, idx))
+
+
 def quantum_responses(stack) -> tuple[QuantumResponse, ...]:
     """Validate an (n, d, d) stack of density matrices, one response each.
 
-    One pass over the whole stack: the eigensolver rejects non-finite
-    and non-Hermitian members, then every trace must be 1 and every
-    least eigenvalue >= -1e-10, both checks written so that NaN fails
-    them.  Errors name the first offending member.  The responses hold
+    The checks of :func:`validate_responses`; the responses hold
     read-only views of one copy of the stack.
     """
-    m = np.array(stack, dtype=np.complex128)
+    m = np.asarray(stack)
     if m.ndim != 3:
         raise ValueError(f"expected an (n, d, d) stack of states, got shape {m.shape}")
-    w, _ = linalg.hermitian_eigen(m)
-    tr = np.trace(m, axis1=1, axis2=2)
-    bad = np.flatnonzero(~(np.abs(tr - 1.0) <= TRACE_TOL))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(f"response state {i} trace {tr[i]} != 1")
-    bad = np.flatnonzero(~(w[:, 0] >= -PSD_TOL))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(f"response state {i} is not PSD (min eigenvalue {w[i, 0]:.3e})")
-    m.setflags(write=False)
-    return tuple(QuantumResponse(rho) for rho in m)
+    return tuple(QuantumResponse(rho) for rho in validate_responses(m))
 
 
 def quantum_response(rho) -> QuantumResponse:
@@ -128,14 +147,18 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
 
     ``projectors`` is an (S, A, d, d) stack (S measurements with A
     outcomes each) and ``states`` an (X, d, d) stack of density
-    matrices.  Every entry is range-checked and clipped to [0, 1].
+    matrices.  Either may carry a leading (T,) axis, giving T tables
+    (T, S, A, X) in one batched matmul.  Every entry is range-checked and
+    clipped to [0, 1].
     """
     p = np.asarray(projectors)
     rhos = np.asarray(states)
-    n_set, n_out, _, d = p.shape
+    *lead_p, n_set, n_out, _, d = p.shape
     # tr[P rho] = sum_ij P[i, j] rho[j, i]: one matmul over flattened entries.
-    flat = p.reshape(n_set * n_out, d * d) @ rhos.swapaxes(-1, -2).reshape(-1, d * d).T
-    return _check_probs(flat.real.reshape(n_set, n_out, -1), context)
+    flat = p.reshape(*lead_p, n_set * n_out, d * d) @ rhos.swapaxes(-1, -2).reshape(
+        *rhos.shape[:-3], -1, d * d
+    ).swapaxes(-1, -2)
+    return _check_probs(flat.real.reshape(*flat.shape[:-2], n_set, n_out, -1), context)
 
 
 def response_prob(resp: Response, setting, outcome: int) -> float:
@@ -191,16 +214,34 @@ class FiniteModel:
         return "LHV"
 
 
+def check_weights(weights) -> np.ndarray:
+    """Validate hidden-variable weights; return a read-only float copy.
+
+    ``weights`` is one non-empty 1-D sequence or a (T, Xi) stack of T
+    ensembles' weights: every weight >= -1e-12 and every row summing to
+    1 within 1e-12.  The error names the first bad row's least weight or
+    sum.
+    """
+    w = np.array(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] == 0:
+        raise ValueError("weights must be a non-empty 1-D sequence")
+    low = w.min(axis=-1)
+    if np.any(low < -PROB_TOL):
+        raise ValueError(f"negative weight {low.flat[np.argmax(low < -PROB_TOL)]}")
+    total = w.sum(axis=-1)
+    off = ~(np.abs(total - 1.0) <= PROB_TOL)
+    if off.any():
+        raise ValueError(f"weights sum to {float(total.flat[np.argmax(off)])} != 1")
+    w.setflags(write=False)
+    return w
+
+
 def finite_model(weights, alice, bob) -> FiniteModel:
     """Validate weights and assemble a FiniteModel."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
+    if w.ndim != 1:
         raise ValueError("weights must be a non-empty 1-D sequence")
-    if np.any(w < -PROB_TOL):
-        raise ValueError(f"negative weight {w.min()}")
-    total = float(w.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValueError(f"weights sum to {total} != 1")
+    w = check_weights(w)
     alice = tuple(alice)
     bob = tuple(bob)
     if len(alice) != w.size or len(bob) != w.size:
@@ -208,8 +249,6 @@ def finite_model(weights, alice, bob) -> FiniteModel:
             f"need one response per hidden value: {w.size} weights, "
             f"{len(alice)} alice, {len(bob)} bob"
         )
-    w = w.copy()
-    w.setflags(write=False)
     return FiniteModel(w, alice, bob)
 
 
@@ -219,18 +258,21 @@ def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
     ``a_projectors`` is an (n, A, d_a, d_a) stack and ``b_projectors``
     an (n, B, d_b, d_b) stack; entry [m, a, b] of the (n, A, B) result is
     tr[(A_ma x B_mb) rho], contracted on the (d_a, d_b, d_a, d_b) state
-    tensor without forming Kronecker products.  Every entry is
-    range-checked and clipped to [0, 1].
+    tensor without forming Kronecker products.  For a stack of T states
+    both projector stacks carry a leading (T,) axis and the result is
+    (T, n, A, B).  Every entry is range-checked and clipped to [0, 1].
     """
     d_a, d_b = rho.d_a, rho.d_b
-    n, n_a = a_projectors.shape[:2]
+    lead = rho.mat.shape[:-2]
+    n, n_a = a_projectors.shape[len(lead) : len(lead) + 2]
     # t[k, l, i, j] = rho[(k, l), (i, j)], regrouped as a (d_a^2, d_b^2)
     # matrix with rows (i, k) and columns (j, l).  Alice's side first,
     # x[m, a, (j, l)] = sum_ik A_ma[i, k] t[k, l, i, j], then Bob's,
     # sum_jl x[m, a, (j, l)] B_mb[j, l].
-    t = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 3, 1).reshape(d_a**2, d_b**2)
-    x = (a_projectors.reshape(n * n_a, d_a**2) @ t).reshape(n, n_a, d_b**2)
-    values = (x @ b_projectors.reshape(n, -1, d_b**2).swapaxes(1, 2)).real
+    t = rho.mat.reshape(*lead, d_a, d_b, d_a, d_b)
+    t = t.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d_a**2, d_b**2)
+    x = (a_projectors.reshape(*lead, n * n_a, d_a**2) @ t).reshape(*lead, n, n_a, d_b**2)
+    values = (x @ b_projectors.reshape(*lead, n, -1, d_b**2).swapaxes(-1, -2)).real
     return _check_probs(values, "born_joint")
 
 

@@ -27,12 +27,17 @@ PAULI_STACK = np.stack(PAULIS)
 
 
 class StateValidationError(ValueError):
-    """A density-matrix invariant failed; names it and the deviation."""
+    """A density-matrix invariant failed; names it, the deviation and,
+    for a stack, the first state that failed it."""
 
-    def __init__(self, invariant: str, deviation: float):
+    def __init__(self, invariant: str, deviation: float, state: int | None = None):
         self.invariant = invariant
         self.deviation = deviation
-        super().__init__(f"invariant violated: {invariant} (deviation {deviation:.3e})")
+        self.state = state
+        where = "" if state is None else f" in state {state}"
+        super().__init__(
+            f"invariant violated: {invariant}{where} (deviation {deviation:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,13 @@ class BlochVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated bipartite state; subsystem A is the left tensor factor."""
+    """Validated bipartite state; subsystem A is the left tensor factor.
+
+    ``mat`` is one ``(n, n)`` matrix, or a ``(T, n, n)`` stack of T
+    states of the same dims that the stacked kernels (``make_density``,
+    ``mapping.mix``, ``mapping.biased_partner``, ``conditional_states``,
+    ``models.born_joints``) process in one pass.
+    """
 
     d_a: int
     d_b: int
@@ -73,40 +84,54 @@ class DensityMatrix:
 
 
 def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
-    """Validate and wrap a matrix as a DensityMatrix.
+    """Validate and wrap a matrix, or a (T, n, n) stack of them, as a DensityMatrix.
 
     Checks, in order: finite entries, shape, hermiticity (1e-10), unit
     trace (1e-10) and positive semidefiniteness (min eigenvalue >=
     -1e-10).  Raises :class:`StateValidationError` naming the first
-    failed invariant.  The stored matrix is the Hermitian part
-    ``(mat + mat^dagger)/2``, so every state downstream is Hermitian to
-    rounding.
+    failed invariant; each check covers the whole stack at once, and a
+    stack's error also names the first state that fails it.  The stored
+    matrix is the Hermitian part ``(mat + mat^dagger)/2``, so every state
+    downstream is Hermitian to rounding.  A stack makes one stacked
+    eigendecomposition.
     """
     if d_a < 2 or d_b < 2:
         raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
-    m = linalg.as_matrix(mat)
-    bad = int(np.count_nonzero(~np.isfinite(m)))
-    if bad:
-        raise StateValidationError("finite entries", float(bad))
+    m = np.asarray(mat, dtype=np.complex128)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
+    stacked = m.ndim == 3
+
+    def fail(invariant: str, deviation: np.ndarray, ok: np.ndarray):
+        i = int(np.argmin(ok)) if stacked else None
+        return StateValidationError(invariant, float(deviation.flat[i or 0]), i)
+
+    # Each check first looks at the whole stack; per-state values are
+    # only formed to name the first failing state.
+    if not np.isfinite(m).all():
+        bad = np.count_nonzero(~np.isfinite(m), axis=(-2, -1))
+        raise fail("finite entries", bad, bad == 0)
     n = d_a * d_b
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise StateValidationError(
-            f"shape {m.shape} != ({n}, {n})", float(abs(m.shape[0] - n))
+            f"shape {m.shape} != ({n}, {n})", float(abs(m.shape[-2] - n))
         )
-    defect = linalg.hermiticity_defect(m)
-    if defect > HERM_TOL:
-        raise StateValidationError("hermitian within 1e-10", defect)
-    tr_dev = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
-    if tr_dev > TRACE_TOL:
-        raise StateValidationError("trace = 1 within 1e-10", tr_dev)
+    defect = np.abs(m - m.conj().swapaxes(-1, -2))
+    if defect.max() > HERM_TOL:
+        defect = defect.max(axis=(-2, -1))
+        raise fail("hermitian within 1e-10", defect, defect <= HERM_TOL)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    if not (tr_dev <= TRACE_TOL).all():
+        raise fail("trace = 1 within 1e-10", tr_dev, tr_dev <= TRACE_TOL)
     w, _ = linalg.hermitian_eigen(m)
-    if w[0] < -PSD_TOL:
-        raise StateValidationError("min eigenvalue >= -1e-10", float(-w[0]))
+    if not (w[..., 0] >= -PSD_TOL).all():
+        raise fail("min eigenvalue >= -1e-10", -w[..., 0], w[..., 0] >= -PSD_TOL)
     return _closed_density(m, d_a, d_b)
 
 
 def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
-    """Wrap a matrix built from validated states, without validating it again.
+    """Wrap a matrix (or a stack) built from validated states, without validating it again.
 
     Stores the read-only Hermitian part; :func:`make_density` stores the
     states it has validated the same way.  Otherwise only closed
@@ -120,9 +145,10 @@ def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
     reduced state's times (1 +- c)/2 >= 0.  An input that is negative
     within the 1e-10 tolerance can leave a partner up to (1 + c) times as
     far below zero, since tracing out a qubit at most doubles the least
-    eigenvalue's magnitude.
+    eigenvalue's magnitude; ``mapping.biased_partner`` therefore checks
+    its reduced state's least eigenvalue, scaled by (1 + c)/2.
     """
-    out = (mat + mat.conj().T) / 2.0
+    out = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
     out.setflags(write=False)
     return DensityMatrix(d_a, d_b, out)
 
@@ -177,10 +203,20 @@ def qubit_from_bloch(t: float, r: BlochVector) -> np.ndarray:
 
 
 def hidden_qubits(bloch) -> np.ndarray:
-    """Qubit density matrices (1 + r.sigma)/2 for an (..., 3) array of r."""
+    """Qubit density matrices (1 + r.sigma)/2 for an (..., 3) array of r.
+
+    Written entry by entry, [[1 + z, x - iy], [x + iy, 1 - z]] / 2: each
+    entry of r.sigma has one term, so no contraction is needed.
+    """
     r = np.asarray(bloch, dtype=float)
-    r_sigma = (r @ PAULI_STACK.reshape(3, 4)).reshape(*r.shape[:-1], 2, 2)
-    return (IDENTITY_2 + r_sigma) / 2.0
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    out = np.zeros((*r.shape[:-1], 2, 2), dtype=np.complex128)
+    out.real[..., 0, 0] = (1.0 + z) / 2.0
+    out.real[..., 1, 1] = (1.0 - z) / 2.0
+    out.real[..., 0, 1] = out.real[..., 1, 0] = x / 2.0
+    out.imag[..., 0, 1] = -y / 2.0
+    out.imag[..., 1, 0] = y / 2.0
+    return out
 
 
 def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
@@ -189,7 +225,9 @@ def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
     ``projectors`` has shape (..., d_a, d_a); each must be a Hermitian
     idempotent projector (1e-10).  The result has shape (..., d_b, d_b),
     from one contraction on the (d_a, d_b, d_a, d_b) state tensor; the
-    trace of each entry is its outcome probability.
+    trace of each entry is its outcome probability.  For a stack of T
+    states the projectors have shape (T, ..., d_a, d_a) and state t
+    meets the projectors of row t.
     """
     pi = np.asarray(projectors, dtype=np.complex128)
     if pi.ndim < 2 or pi.shape[-2:] != (rho.d_a, rho.d_a):
@@ -203,10 +241,12 @@ def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
     if not idem <= HERM_TOL:
         raise ValueError(f"projector is not idempotent (defect {idem:.3e})")
     d_a, d_b = rho.d_a, rho.d_b
+    lead = rho.mat.shape[:-2]
     # out[..., b, d] = sum_ij pi[..., i, j] t[j, b, i, d] for the state
     # tensor t, regrouped as a matrix with rows (i, j), columns (b, d).
-    t = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3).reshape(d_a**2, d_b**2)
-    out = pi.reshape(-1, d_a**2) @ t
+    t = rho.mat.reshape(*lead, d_a, d_b, d_a, d_b)
+    t = t.transpose(*range(len(lead)), -2, -4, -3, -1).reshape(*lead, d_a**2, d_b**2)
+    out = pi.reshape(*lead, -1, d_a**2) @ t
     return out.reshape(*pi.shape[:-2], d_b, d_b)
 
 
@@ -226,6 +266,38 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return pure_state(v)
 
 
+def random_separables(d_a: int, d_b: int, k: int, seeds):
+    """Random k-member separable mixtures sum_i w_i alpha_i x beta_i, one per seed.
+
+    The stacked kernel of :func:`random_separable`: each seed draws
+    exactly what a :func:`random_separable` call with it draws, and the
+    normalization, products and mixtures of all T seeds run as stacks.
+    Returns ``(rho, weights, alphas, betas)``: the T states as one
+    validated :class:`DensityMatrix` stack (one :func:`make_density`
+    call), the (T, k) weights and the (T, k, d_a, d_a) and
+    (T, k, d_b, d_b) member stacks.
+    """
+    if k < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {k}")
+    alpha = np.ones(k)
+    weights, draws = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        weights.append(rng.dirichlet(alpha))
+        draws.append(rng.standard_normal((k, 2 * d_a + 2 * d_b)))
+    weights = np.array(weights)
+    # Row i: real, then imaginary parts of alpha_i's vector, then of beta_i's.
+    re_a, im_a, re_b, im_b = np.split(np.array(draws), np.cumsum([d_a, d_a, d_b]), axis=-1)
+    va, vb = re_a + 1j * im_a, re_b + 1j * im_b
+    va /= np.linalg.norm(va, axis=-1, keepdims=True)
+    vb /= np.linalg.norm(vb, axis=-1, keepdims=True)
+    alphas = va[..., :, None] * va.conj()[..., None, :]
+    betas = vb[..., :, None] * vb.conj()[..., None, :]
+    product = (va[..., :, None] * vb[..., None, :]).reshape(len(weights), k, d_a * d_b)
+    mat = (weights[..., None] * product).swapaxes(-1, -2) @ product.conj()
+    return make_density(mat, d_a, d_b), weights, alphas, betas
+
+
 def random_separable(
     d_a: int, d_b: int, k: int, seed: int
 ) -> tuple[DensityMatrix, list[tuple[float, np.ndarray, np.ndarray]]]:
@@ -236,25 +308,12 @@ def random_separable(
     the assembled state because decomposition recovery is not supported.
     The draws are those of k alternating :func:`random_pure` calls for
     alpha_i and beta_i, made as one array; the mixture is one
-    contraction over the members' product vectors.
+    contraction over the members' product vectors.  The one-seed case of
+    :func:`random_separables`.
     """
-    if k < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {k}")
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(k))
-    # Row i: real, then imaginary parts of alpha_i's vector, then of beta_i's.
-    re_a, im_a, re_b, im_b = np.split(
-        rng.standard_normal((k, 2 * d_a + 2 * d_b)), np.cumsum([d_a, d_a, d_b]), axis=1
-    )
-    va, vb = re_a + 1j * im_a, re_b + 1j * im_b
-    va /= np.linalg.norm(va, axis=1, keepdims=True)
-    vb /= np.linalg.norm(vb, axis=1, keepdims=True)
-    alphas = va[:, :, None] * va.conj()[:, None, :]
-    betas = vb[:, :, None] * vb.conj()[:, None, :]
-    product = (va[:, :, None] * vb[:, None, :]).reshape(k, d_a * d_b)
-    mat = (weights[:, None] * product).T @ product.conj()
-    ensemble = [(float(w), a, b) for w, a, b in zip(weights, alphas, betas)]
-    return make_density(mat, d_a, d_b), ensemble
+    rho, weights, alphas, betas = random_separables(d_a, d_b, k, [seed])
+    ensemble = [(float(w), a, b) for w, a, b in zip(weights[0], alphas[0], betas[0])]
+    return DensityMatrix(d_a, d_b, rho.mat[0]), ensemble
 
 
 def state_to_json(rho: DensityMatrix) -> str:

@@ -138,6 +138,32 @@ class TestMap:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [tmp_path / "nan.json"]
 
+    def test_partner_below_tolerance_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # The state loads (least eigenvalue -0.9e-10), but its Bob-traced
+        # reduced state has -1.8e-10, which the c = 1 partner keeps: the
+        # mapped state would fail `analyze`, so `map` refuses it.
+        mat = np.diag([-0.9e-10, -0.9e-10, 0.5 + 0.9e-10, 0.5 + 0.9e-10])
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(
+            {"dims": [2, 2], "re": mat.tolist(), "im": np.zeros((4, 4)).tolist()}
+        ))
+        assert cli.main(["analyze", "--state", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "mapped.json"
+        argv = ["map", "--state", str(path), "--mode", "M", "--mu", "0", "--c", "1",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invariant violated: partner min eigenvalue")
+        assert not out.exists()
+        # At c = 0.5 the partner's least eigenvalue is -1.35e-10 as well.
+        assert cli.main(argv[:-4] + ["--c", "0.5", "--out", str(out)]) == 2
+        # Map N traces out Alice's qubit, whose reduced state is diag(1/2, 1/2).
+        argv[4] = "N"
+        assert cli.main(argv) == 0
+        assert cli.main(["analyze", "--state", str(out)]) == 0
+
     def test_bad_mode_exits_2(self, werner_file, tmp_path):
         rc = cli.main(
             ["map", "--state", werner_file(0.5), "--mode", "Q",
@@ -199,10 +225,16 @@ class TestEigenCounts:
         return calls
 
     @pytest.mark.parametrize("target, dims", [("lhs", "3x2"), ("spm", "2x3")])
-    def test_verify_makes_at_most_three_per_trial(self, eigen_calls, target, dims, capsys):
-        assert cli.main(["verify", target, "--dims", dims, "--trials", "5"]) == 0
-        assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert len(eigen_calls) <= 3 * 5
+    def test_verify_makes_at_most_four_per_block(self, eigen_calls, target, dims, capsys):
+        # One block: the states, each party's responses and the reduced
+        # states of the partners, whatever the number of trials in it.
+        counts = []
+        for trials in ("1", "5"):
+            eigen_calls.clear()
+            assert cli.main(["verify", target, "--dims", dims, "--trials", trials]) == 0
+            assert json.loads(capsys.readouterr().out)["pass"] is True
+            counts.append(len(eigen_calls))
+        assert counts[0] == counts[1] <= 4
 
     def test_feasible_map_decomposes_only_the_loaded_state(self, eigen_calls, werner_file, tmp_path):
         state = werner_file(0.9)
@@ -211,7 +243,7 @@ class TestEigenCounts:
         argv = ["map", "--state", state, "--mode", "M", "--mu", "0.5", "--c", "0.3",
                 "--out", str(out)]
         assert cli.main(argv) == 0
-        assert eigen_calls == [(4, 4)]
+        assert eigen_calls == [(4, 4), (2, 2)]
         states.load_state(out)
 
 

@@ -6,9 +6,10 @@ import hypothesis
 from hypothesis import strategies as st
 
 from steermap import constructions as cons
-from steermap import mapping
+from steermap import mapping, states
 from steermap.mapping import INV_SQRT3
 from steermap.measurements import (
+    projector_stack,
     qubit_measurement,
     qudit_measurement,
     random_basis,
@@ -191,6 +192,69 @@ class TestLhsCertificate:
         assert data["kind"] == "hidden-state"
         assert len(data["weights"]) == 2
         assert np.asarray(data["bloch"]).shape == (1, 2, 2, 3)
+
+
+class TestStackedCertificates:
+    """The stacked kernels against per-trial calls of the public builders."""
+
+    def test_lhs_unphysical_error_is_the_trial_loops(self):
+        # Trial 0 is feasible, trials 1 and 2 are not, with offenders at
+        # different (setting, hidden value, outcome) positions: the stack
+        # must raise what the first failing trial raises alone.
+        det = table_response({"x": (1.0, 0.0), "y": (1.0, 0.0), "z": (1.0, 0.0)})
+        alices = [
+            (quantum_response(np.eye(2) / 2), quantum_response(np.eye(2) / 2)),
+            (quantum_response(np.diag([0.0, 1.0])), quantum_response(np.diag([1.0, 0.0]))),
+            (quantum_response(np.eye(2) / 2), quantum_response(np.eye(2) / 2)),
+        ]
+        mu = 0.5
+        cs = [0.3, mapping.analytic_c_max(mu) + 0.05, 0.9]
+        settings = computational_settings(2) * 2
+        stack = projector_stack(settings)
+        arrays, first_error = [], None
+        for alice, c in zip(alices, cs):
+            base = finite_model([0.5, 0.5], alice, (det, det))
+            prime = cons.bob_biased_prime_model(base, c)
+            try:
+                cons.lhs_certificate(base, prime, mu, settings)
+            except cons.UnphysicalHiddenStateError as exc:
+                first_error = first_error or exc
+            pa = cons._response_probs(base.alice, settings, stack)
+            arrays.append((pa, cons._pauli_probs(base.bob)))
+        pa = np.stack([a for a, _ in arrays])
+        pb = np.stack([b for _, b in arrays])
+        with pytest.raises(cons.UnphysicalHiddenStateError) as info:
+            cons.lhs_certificates(np.full(3, mu), pa, pa, pb, cons.biased_probs(np.array(cs)))
+        assert str(info.value) == str(first_error)
+        responses, bloch = cons.lhs_certificates(
+            np.full(1, mu), pa[:1], pa[:1], pb[:1], cons.biased_probs(np.array(cs[:1]))
+        )
+        base = finite_model([0.5, 0.5], alices[0], (det, det))
+        cert = cons.lhs_certificate(base, cons.bob_biased_prime_model(base, cs[0]), mu, settings)
+        assert np.array_equal(responses[0], cert.responses)
+        assert np.array_equal(bloch[0], cert.bloch)
+
+    def test_spm_stack_equals_each_trial(self):
+        mus, cs = np.array([0.1, 0.3, 0.5]), np.array([0.8, 0.5, 0.1])
+        rho, weights, alphas, betas = states.random_separables(2, 3, 4, [31, 32, 33])
+        alice_bloch = cons.spm_certificates(mus, cons.pauli_probs(alphas), cons.biased_probs(cs))
+        partners = mapping.biased_partner(rho, cs, "A")
+        sigma = mapping.mix(rho, partners, mus)
+        residuals = cons.verify_spm_identities(sigma, weights, alice_bloch, betas, 20, [7, 8, 9])
+        for t, seed in enumerate([31, 32, 33]):
+            state, model, prime = separable_pair(2, 3, 4, seed, cs[t], prime_side="alice")
+            cert = cons.spm_certificate(model, prime, mus[t])
+            assert np.array_equal(cert.alice_bloch, alice_bloch[t])
+            single = mapping.mix(state, mapping.biased_partner(state, cs[t], "A"), mus[t])
+            assert residuals[t] == cons.verify_spm_identity(single, cert, 20, 7 + t)
+
+    def test_spm_unphysical_names_first_trial(self):
+        # Trial 1 is unphysical at xi = 1, trial 2 at xi = 0.
+        p0 = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.5), np.zeros((2, 3))])
+        p0[1, 1] = 1.0
+        with pytest.raises(cons.UnphysicalHiddenStateError) as info:
+            cons.spm_certificates(np.ones(3), p0, cons.biased_probs(np.zeros(3)))
+        assert (info.value.xi, info.value.norm_sq) == (1, 3.0)
 
 
 class TestVerifyLhsIdentity:

@@ -201,3 +201,26 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+class TestStacks:
+    def test_kron_pairs_stacks_matrix_by_matrix(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        b = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        out = linalg.kron(a, b)
+        assert out.shape == (4, 6, 6)
+        for t in range(4):
+            assert np.array_equal(out[t], np.kron(a[t], b[t]))
+        assert np.array_equal(linalg.kron(a[0], b[0]), np.kron(a[0], b[0]))
+        assert np.array_equal(linalg.kron(a, b[0])[2], np.kron(a[2], b[0]))
+
+    def test_partial_trace_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        for keep in ("A", "B"):
+            out = linalg.partial_trace(m, 3, 2, keep)
+            for t in range(3):
+                assert np.array_equal(out[t], linalg.partial_trace(m[t], 3, 2, keep))
+        with pytest.raises(ValueError, match="ndim=4"):
+            linalg.partial_trace(m[None], 3, 2)

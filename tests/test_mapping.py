@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from steermap import linalg, mapping, witnesses
 from steermap.mapping import FEAS_TOL, INV_SQRT3
-from steermap.states import make_density, random_separable, werner
+from steermap.states import StateValidationError, make_density, random_separable, werner
 
 
 def reference_worst_norm_sq(mu, c):
@@ -141,6 +141,59 @@ class TestPartners:
         assert mapping.map_m is mapping.mix and mapping.map_n is mapping.mix
         with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
             mapping.biased_partner(tau, 0.4, "C")
+
+
+class TestStackedPartnerAndMix:
+    """A (T, n, n) state stack with per-state mu and c, in one pass each."""
+
+    @pytest.mark.parametrize("d, side", [(3, "B"), (4, "B"), (3, "A"), (4, "A")])
+    def test_stack_equals_each_state(self, d, side):
+        d_a, d_b = (d, 2) if side == "B" else (2, d)
+        mats = np.stack([random_density(d_a, d_b, seed).mat for seed in range(5)])
+        stack = make_density(mats, d_a, d_b)
+        mu = np.linspace(0.0, 1.0, 5)
+        c = np.linspace(1.0, 0.0, 5)
+        partners = mapping.biased_partner(stack, c, side)
+        mixed = mapping.mix(stack, partners, mu)
+        assert mixed.mat.shape == (5, d_a * d_b, d_a * d_b)
+        assert not partners.mat.flags.writeable and not mixed.mat.flags.writeable
+        for t in range(5):
+            state = make_density(mats[t], d_a, d_b)
+            partner = mapping.biased_partner(state, float(c[t]), side)
+            assert np.array_equal(partners.mat[t], partner.mat)
+            assert np.array_equal(mixed.mat[t], mapping.mix(state, partner, float(mu[t])).mat)
+
+    def test_stack_rejects_one_bad_parameter(self):
+        stack = make_density(np.stack([np.eye(4) / 4] * 3), 2, 2)
+        with pytest.raises(ValueError, match=r"^c must be in \[0, 1\], got 1.5$"):
+            mapping.biased_partner(stack, np.array([0.1, 1.5, 0.2]), "B")
+        with pytest.raises(ValueError, match=r"^mu must be in \[0, 1\], got nan$"):
+            mapping.mix(stack, stack, np.array([0.1, 0.2, np.nan]))
+
+
+# Loaded within the 1e-10 tolerance, but tracing out Bob's qubit doubles
+# the negative levels: tr_B = diag(-1.8e-10, 1 + 1.8e-10).
+EDGE_STATE = np.diag([-0.9e-10, -0.9e-10, 0.5 + 0.9e-10, 0.5 + 0.9e-10]).astype(complex)
+
+
+class TestPartnerEigenvalueCheck:
+    def test_scaled_reduced_eigenvalue_is_checked(self):
+        rho = make_density(EDGE_STATE, 2, 2)
+        with pytest.raises(StateValidationError, match="partner min eigenvalue") as info:
+            mapping.biased_partner(rho, 1.0, "B")
+        assert info.value.deviation == pytest.approx(1.8e-10, rel=1e-6)
+        assert info.value.state is None
+        # (1 + c)/2 scales the reduced state's -1.8e-10 to -0.9e-10 at c = 0.
+        partner = mapping.biased_partner(rho, 0.0, "B")
+        assert np.linalg.eigvalsh(partner.mat)[0] >= -1e-10
+        # tr_A of the same state is diag(0.5, 0.5): map N is unaffected.
+        mapping.biased_partner(rho, 1.0, "A")
+
+    def test_stack_names_the_first_bad_state(self):
+        stack = make_density(np.stack([np.eye(4) / 4, EDGE_STATE, EDGE_STATE]), 2, 2)
+        with pytest.raises(StateValidationError, match="in state 1 ") as info:
+            mapping.biased_partner(stack, np.array([1.0, 1.0, 1.0]), "B")
+        assert info.value.state == 1
 
 
 class TestClosedOperations:

@@ -220,3 +220,22 @@ class TestBatchedBuilders:
             ref_bases = [basis(dim, ref_rng) for _ in range(10)]
             assert np.max(np.abs(meas.random_bases(10, dim, rng) - ref_bases)) <= 1e-14
             assert ref_rng.random() == rng.random()
+
+
+class TestStackedBuilders:
+    def test_trial_axis_matches_each_row(self):
+        rng = np.random.default_rng(12)
+        dirs = np.stack([meas.random_measurement_pairs(5, 3, rng)[0] for _ in range(3)])
+        bases = meas.random_bases(15, 3, rng).reshape(3, 5, 3, 3)
+        qubits, qudits = meas.qubit_projectors(dirs), meas.qudit_projectors(bases)
+        assert qubits.shape == (3, 5, 2, 2, 2) and qudits.shape == (3, 5, 3, 3, 3)
+        assert not qubits.flags.writeable and not qudits.flags.writeable
+        for t in range(3):
+            assert np.array_equal(qubits[t], meas.qubit_projectors(dirs[t]))
+            assert np.array_equal(qudits[t], meas.qudit_projectors(bases[t]))
+
+    def test_errors_count_bases_across_the_stack(self):
+        bases = np.array(meas.random_bases(6, 2, np.random.default_rng(13))).reshape(2, 3, 2, 2)
+        bases[1, 0, 1] = bases[1, 0, 0]
+        with pytest.raises(ValueError, match="basis 3 is not orthonormal"):
+            meas.qudit_projectors(bases)

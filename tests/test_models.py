@@ -6,6 +6,8 @@ from steermap.measurements import (
     pauli_setting,
     qubit_measurement,
     qudit_measurement,
+    qudit_projectors,
+    random_bases,
     random_direction,
     random_qudit_measurement,
 )
@@ -214,3 +216,41 @@ class TestResponses:
         bogus = models.QuantumResponse(np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValueError, match="exceeds tolerance"):
             models.response_prob(bogus, "z", 0)
+
+
+class TestStackedValidation:
+    def test_validate_responses_names_trial_and_member(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 6).reshape(2, 3, 2, 2)
+        stack[1, 2] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match=r"response state 1,2 is not PSD"):
+            models.validate_responses(stack)
+        stack[1, 2] = np.diag([0.6, 0.6])
+        with pytest.raises(ValueError, match=r"response state 1,2 trace"):
+            models.validate_responses(stack)
+
+    def test_validate_responses_returns_read_only_copy(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 4).reshape(2, 2, 2, 2)
+        out = models.validate_responses(stack)
+        assert np.array_equal(out, stack) and out is not stack
+        assert not out.flags.writeable
+
+    def test_check_weights_rows(self):
+        w = models.check_weights([[0.25, 0.75], [0.5, 0.5]])
+        assert w.shape == (2, 2) and not w.flags.writeable
+        with pytest.raises(ValueError, match="sum to 0.9 != 1"):
+            models.check_weights([[0.5, 0.5], [0.4, 0.5]])
+        with pytest.raises(ValueError, match="negative weight -0.5"):
+            models.check_weights([[0.5, 0.5], [1.5, -0.5]])
+        with pytest.raises(ValueError, match="sum to nan"):
+            models.check_weights([[0.5, 0.5], [np.nan, 0.5]])
+
+    def test_born_probs_with_a_stack_axis(self):
+        rng = np.random.default_rng(2)
+        projectors = np.stack([qudit_projectors(random_bases(5, 3, rng)) for _ in range(2)])
+        rhos = np.stack([
+            np.stack([e for _, e, _ in random_separable(3, 2, 4, seed=s)[1]]) for s in (1, 2)
+        ])
+        out = models.born_probs(projectors, rhos)
+        assert out.shape == (2, 5, 3, 4)
+        for t in range(2):
+            assert np.array_equal(out[t], models.born_probs(projectors[t], rhos[t]))

@@ -83,6 +83,78 @@ class TestMakeDensity:
             rho.mat[0, 0] = 1.0
 
 
+class TestMakeDensityStack:
+    """A (T, n, n) stack: the same checks in the same order, naming the first bad state."""
+
+    @staticmethod
+    def stack(bad=None, at=2):
+        mats = np.stack([random_separable(2, 2, 3, seed=s)[0].mat for s in range(4)])
+        if bad is not None:
+            mats[at] = bad
+        return mats
+
+    def test_valid_stack(self):
+        mats = self.stack()
+        rho = make_density(mats, 2, 2)
+        assert rho.mat.shape == (4, 4, 4) and not rho.mat.flags.writeable
+        for t in range(4):
+            assert np.array_equal(rho.mat[t], make_density(mats[t], 2, 2).mat)
+
+    @pytest.mark.parametrize(
+        "entry, invariant",
+        [
+            ((0, 0, np.nan), "finite entries"),
+            ((0, 1, 0.1), "hermitian within 1e-10"),
+            ((0, 0, 0.5), "trace = 1 within 1e-10"),
+        ],
+    )
+    def test_names_first_bad_state(self, entry, invariant):
+        i, j, value = entry
+        bad = np.eye(4, dtype=complex) / 4
+        bad[i, j] += value
+        mats = self.stack(bad, at=2)
+        mats[3] = bad
+        with pytest.raises(StateValidationError) as info:
+            make_density(mats, 2, 2)
+        assert info.value.invariant == invariant
+        assert info.value.state == 2
+        assert f"{invariant} in state 2 (deviation" in str(info.value)
+
+    def test_names_first_non_psd_state(self):
+        mats = self.stack(np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex), at=1)
+        with pytest.raises(StateValidationError, match="eigenvalue >= -1e-10 in state 1") as info:
+            make_density(mats, 2, 2)
+        assert info.value.deviation == pytest.approx(0.1, abs=1e-12)
+
+    def test_single_matrix_messages_name_no_state(self):
+        with pytest.raises(StateValidationError) as info:
+            make_density(np.diag([0.6, 0.5, -0.1, 0.0]), 2, 2)
+        assert info.value.state is None
+        assert str(info.value) == (
+            "invariant violated: min eigenvalue >= -1e-10 (deviation 1.000e-01)"
+        )
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError, match="ndim=4"):
+            make_density(np.zeros((1, 1, 4, 4)), 2, 2)
+
+
+class TestRandomSeparables:
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 2), (2, 3), (2, 4)])
+    def test_each_seed_matches_random_separable(self, dims):
+        d_a, d_b = dims
+        seeds = [5, 17, 3]
+        rho, weights, alphas, betas = states.random_separables(d_a, d_b, 4, seeds)
+        assert rho.mat.shape == (3, d_a * d_b, d_a * d_b)
+        for t, seed in enumerate(seeds):
+            single, ensemble = random_separable(d_a, d_b, 4, seed)
+            assert np.array_equal(rho.mat[t], single.mat)
+            for xi, (w, alpha, beta) in enumerate(ensemble):
+                assert w == weights[t, xi]
+                assert np.array_equal(alpha, alphas[t, xi])
+                assert np.array_equal(beta, betas[t, xi])
+
+
 class TestWerner:
     def test_zero_visibility(self):
         assert np.allclose(werner(0.0).mat, np.eye(4) / 4, atol=1e-15)

@@ -1,0 +1,194 @@
+"""Block-stacked ``verify`` against the per-trial loop it replaced.
+
+``reference_lhs`` and ``reference_spm`` are the bodies ``verify`` ran
+before its trials were stacked: one trial at a time through the public
+single-trial functions, each trial drawing from its own streams.  The
+stacked CLI must print byte-identical reports, name the reference's
+worst trial when it fails, and keep its eigendecomposition count and
+memory per block rather than per trial.
+"""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from steermap import cli, constructions, mapping, measurements, models, states
+from steermap.measurements import qudit_measurements, random_bases, random_direction
+
+
+def reference_lhs(dims, trials, seed, fixed):
+    """Per-trial residuals and (mu, c) of the hidden-state verification loop."""
+    d_a, _ = dims
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(trials):
+        tau, ensemble = states.random_separable(d_a, 2, cli.ENSEMBLE_SIZE, seed + 1000 + trial)
+        model_tau = models.model_from_separable(ensemble)
+        mu, c = fixed if fixed else cli._sample_params(rng)
+        model_prime = constructions.bob_biased_prime_model(model_tau, c)
+        settings = qudit_measurements(random_bases(cli.LHS_SETTINGS_PER_TRIAL, d_a, rng))
+        cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
+        rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
+        out.append((constructions.verify_lhs_identity(rho, cert, settings), mu, c))
+    return out
+
+
+def reference_spm(dims, trials, seed, fixed):
+    """Per-trial residuals and (mu, c) of the separable verification loop."""
+    _, d_b = dims
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(trials):
+        rho, ensemble = states.random_separable(2, d_b, cli.ENSEMBLE_SIZE, seed + 2000 + trial)
+        model_rho = models.model_from_separable(ensemble)
+        mu, c = fixed if fixed else cli._sample_params(rng)
+        model_prime = constructions.alice_biased_prime_model(model_rho, c)
+        cert = constructions.spm_certificate(model_rho, model_prime, mu)
+        sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
+        residual = constructions.verify_spm_identity(
+            sigma, cert, cli.SPM_SAMPLES_PER_TRIAL, seed + 3000 + trial
+        )
+        out.append((residual, mu, c))
+    return out
+
+
+REFERENCE = {"lhs": reference_lhs, "spm": reference_spm}
+TARGET_DIMS = [("lhs", (2, 2)), ("lhs", (3, 2)), ("lhs", (4, 2)),
+               ("spm", (2, 2)), ("spm", (2, 3)), ("spm", (2, 4))]
+DIMS_IDS = [f"{target}-{d_a}x{d_b}" for target, (d_a, d_b) in TARGET_DIMS]
+
+
+def run_verify(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_stdout(target, dims, trials, seed, tol, fixed):
+    worst = max(r for r, _, _ in REFERENCE[target](dims, trials, seed, fixed))
+    report = {
+        "target": target,
+        "dims": list(dims),
+        "trials": trials,
+        "seed": seed,
+        "tol": float(f"{tol:.12g}"),
+        "max_residual": float(f"{worst:.12g}"),
+        "pass": bool(worst <= tol),
+    }
+    return json.dumps(report, allow_nan=False) + "\n"
+
+
+def verify_argv(target, dims, trials, seed, fixed=None):
+    argv = [target, "--dims", f"{dims[0]}x{dims[1]}", "--trials", str(trials),
+            "--seed", str(seed)]
+    if fixed:
+        argv += ["--mu", repr(fixed[0]), "--c", repr(fixed[1])]
+    return argv
+
+
+class TestStdoutMatchesTrialLoop:
+    @pytest.mark.parametrize("target, dims", TARGET_DIMS, ids=DIMS_IDS)
+    def test_seed_grid(self, target, dims):
+        # --trials 1, 5 and one more than a block, so the last run spans two.
+        runs = [(trials, None) for trials in (1, 5, cli.VERIFY_BLOCK + 1)]
+        runs.append((3, (0.3, 0.5)))
+        for seed in range(21):
+            for trials, fixed in runs:
+                code, out, err = run_verify(verify_argv(target, dims, trials, seed, fixed))
+                assert (code, err) == (0, "")
+                assert out == reference_stdout(target, dims, trials, seed, 1e-10, fixed)
+
+    @pytest.mark.parametrize("target, dims", TARGET_DIMS, ids=DIMS_IDS)
+    def test_infeasible_parameters_exit_4(self, target, dims):
+        code, out, err = run_verify(verify_argv(target, dims, 2, 3, (0.5, 0.465)))
+        assert (code, out) == (4, "")
+        assert err.startswith("infeasible parameters: hidden state unphysical at xi=0")
+
+
+class TestFailingTrialReport:
+    @pytest.mark.parametrize("target, dims", TARGET_DIMS, ids=DIMS_IDS)
+    def test_zero_tol_names_the_worst_trial(self, target, dims):
+        trials, seed = cli.VERIFY_BLOCK + 3, 11
+        ref = REFERENCE[target](dims, trials, seed, None)
+        residuals = [r for r, _, _ in ref]
+        worst = int(np.argmax(residuals))
+        assert residuals[worst] > 0.0
+        code, out, err = run_verify(verify_argv(target, dims, trials, seed) + ["--tol", "0"])
+        assert code == 4
+        assert out == reference_stdout(target, dims, trials, seed, 0.0, None)
+        offset = 1000 if target == "lhs" else 2000
+        _, mu, c = ref[worst]
+        assert err == (
+            f"worst trial {worst} (state seed {seed + offset + worst}): "
+            f"mu={mu!r}, c={c!r}, residual={residuals[worst]!r}\n"
+        )
+
+
+class ZeroFirstDirection:
+    """A normal source whose first three draws are 0.0.
+
+    ``random_direction`` rejects that zero vector and draws again, the
+    branch a real generator reaches with probability about 1e-25.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._drawn = 0
+
+    def standard_normal(self, size=None):
+        out = np.atleast_1d(self._rng.standard_normal(size))
+        flat = out.reshape(-1)
+        flat[: max(0, 3 - self._drawn)] = 0.0
+        self._drawn += flat.size
+        return out
+
+
+class TestDirectionRejection:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_block_draw_equals_per_sample_loop(self, dim):
+        n = 6
+        ref_rng, rng = ZeroFirstDirection(5), ZeroFirstDirection(5)
+        ref_dirs = np.empty((n, 3))
+        z = np.empty((n, 2, dim, dim))
+        for i in range(n):
+            ref_dirs[i] = random_direction(ref_rng)
+            z[i] = ref_rng.standard_normal((2, dim, dim))
+        ref_bases = measurements._orthonormal_rows(z[:, 0] + 1j * z[:, 1])
+        dirs, bases = measurements.random_measurement_pairs(n, dim, rng)
+        assert np.array_equal(dirs, ref_dirs)
+        assert np.array_equal(bases, ref_bases)
+        assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
+
+class TestBlockGuards:
+    def test_no_table_lookups(self, monkeypatch):
+        calls = []
+        real = models.response_prob
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(models, "response_prob", counted)
+        monkeypatch.setattr(constructions, "response_prob", counted)
+        for target, dims in TARGET_DIMS:
+            assert run_verify(verify_argv(target, dims, 3, 1))[0] == 0
+        assert calls == []
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert run_verify(["lhs", "--dims", "4x2", "--trials", str(trials)])[0] == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_verify(["lhs", "--dims", "4x2", "--trials", "1"])  # one-time caches
+        one_block = peak(cli.VERIFY_BLOCK)
+        assert peak(200) <= 1.5 * one_block
