@@ -19,7 +19,7 @@ import numpy as np
 
 from . import constructions, mapping, states, witnesses
 from .mapping import INV_SQRT3
-from .measurements import qudit_measurement, qudit_projectors, random_bases
+from .measurements import _orthonormal_rows, basis_draws, qudit_measurement, qudit_projectors
 from .models import born_probs, check_weights, validate_responses
 
 LHS_SETTINGS_PER_TRIAL = 20
@@ -140,18 +140,19 @@ def _verify_lhs(dims, trials, seed, fixed):
         raise ValueError(f"hidden-state verification needs AxB with B=2, got {d_a}x{d_b}")
 
     def run_block(rng, block):
-        # Per trial, in the order a trial loop draws them: (mu, c), then bases.
-        params, bases = [], []
+        # Per trial, in the order a trial loop draws them: (mu, c), then the
+        # bases' Gaussian matrices, orthonormalised by one QR per block.
+        params, draws = [], []
         for _ in block:
             params.append(fixed if fixed else _sample_params(rng))
-            bases.append(random_bases(LHS_SETTINGS_PER_TRIAL, d_a, rng))
+            draws.append(basis_draws(LHS_SETTINGS_PER_TRIAL, d_a, rng))
         mu, c = np.array(params).T
         tau, weights, alphas, betas = states.random_separables(
             d_a, 2, ENSEMBLE_SIZE, [seed + LHS_STATE_SEED + t for t in block]
         )
         weights = check_weights(weights)
         alice, bob = validate_responses(alphas), validate_responses(betas)
-        settings = qudit_projectors(np.stack(bases))
+        settings = qudit_projectors(_orthonormal_rows(np.stack(draws)))
         pa = born_probs(settings, alice, "quantum response")
         responses, bloch = constructions.lhs_certificates(
             mu, pa, pa, constructions.pauli_probs(bob), constructions.biased_probs(c)

@@ -37,11 +37,12 @@ import numpy as np
 from .mapping import check_unit_interval
 from .measurements import (
     PAULI_LABELS,
+    _orthonormal_rows,
+    pair_draws,
     pauli_projectors,
     projector_stack,
     qubit_projectors,
     qudit_projectors,
-    random_measurement_pairs,
 )
 from .models import (
     FiniteModel,
@@ -400,21 +401,21 @@ def verify_spm_identities(
     ``alice_bloch`` (..., Xi, 3) and ``bob_states`` (..., Xi, d_b, d_b)
     are the certificate arrays, with the state's leading axes, and
     ``seeds`` holds one measurement seed per state (an int for one
-    state).  Each seed draws its own ``n_samples`` pairs; the projectors,
-    joints and certificate tables of all states are then built as
-    stacks.
+    state).  Each seed draws its own ``n_samples`` pairs; one QR then
+    orthonormalises the bases of all states, and the projectors, joints
+    and certificate tables are built as stacks.
     """
     if sigma_ab.d_a != 2:
         raise ValueError(f"certificate targets a qubit on Alice's side, got {sigma_ab.d_a}")
     if n_samples < 1:
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
     lead, d_b = sigma_ab.mat.shape[:-2], sigma_ab.d_b
-    pairs = [
-        random_measurement_pairs(n_samples, d_b, np.random.default_rng(int(seed)))
+    draws = [
+        pair_draws(n_samples, d_b, np.random.default_rng(int(seed)))
         for seed in np.ravel(seeds)
     ]
-    directions = np.reshape([d for d, _ in pairs], (*lead, n_samples, 3))
-    bases = np.reshape([b for _, b in pairs], (*lead, n_samples, d_b, d_b))
+    directions = np.reshape([d for d, _ in draws], (*lead, n_samples, 3))
+    bases = _orthonormal_rows(np.reshape([g for _, g in draws], (*lead, n_samples, d_b, d_b)))
     a_stack = qubit_projectors(directions)
     b_stack = qudit_projectors(bases)
     lhs = born_joints(sigma_ab, a_stack, b_stack)

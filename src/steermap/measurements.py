@@ -6,12 +6,15 @@ n the outcome-0 projector is (1 + n.sigma)/2, i.e. outcome 0 carries the
 
 Measurements are built in batches: :func:`qubit_projectors` takes an
 ``(n, 3)`` array of directions and :func:`qudit_projectors` an
-``(n, d, d)`` array of bases, and both validate the whole
-``(n, k, d, d)`` projector stack at once with :func:`validate_projectors`.
-The single builders and :func:`qudit_measurements` wrap those stacks, so
-every measurement passes the same checks.  :func:`projector_stack` turns
-a sequence of measurements back into one array for the batched
-Born-rule contractions.
+``(n, d, d)`` array of bases.  Each builder derives the projector
+invariants from the check it runs on its input, rather than testing its
+own output with the generic product loop, which serves only the stacks
+a caller hands to :func:`validate_projectors`.  The single builders and
+:func:`qudit_measurements` wrap those stacks.  :func:`projector_stack`
+turns a sequence of measurements back into one array for the batched
+Born-rule contractions.  Random bases are drawn (:func:`basis_draws`,
+:func:`pair_draws`) apart from their QR, so draws from several streams
+can share one.
 """
 
 from __future__ import annotations
@@ -44,17 +47,17 @@ class ProjMeasurement:
 
 
 def _check(defects: np.ndarray, message: str, axes: tuple[int, ...] = ()) -> None:
-    """Raise for the first entry (C order) above PROJ_TOL of ``defects``
-    maximized over ``axes``.
+    """Raise for the first entry (C order) of ``defects`` maximized over
+    ``axes`` that is NaN or above PROJ_TOL.
 
     ``message`` is formatted with that entry's index and its value as
     ``defect``.  The maxima over ``axes`` are only formed to name an
     offender.
     """
-    if defects.max() > PROJ_TOL:
+    if not defects.max() <= PROJ_TOL:
         if axes:
             defects = defects.max(axis=axes)
-        idx = tuple(int(i) for i in np.argwhere(defects > PROJ_TOL)[0])
+        idx = tuple(int(i) for i in np.argwhere(~(defects <= PROJ_TOL))[0])
         raise ValueError(message.format(*idx, defect=float(defects[idx])))
 
 
@@ -71,19 +74,25 @@ def validate_projectors(projectors) -> np.ndarray:
     p = np.array(projectors, dtype=np.complex128)
     if p.ndim != 4 or p.shape[2] != p.shape[3] or 0 in p.shape:
         raise ValueError(f"projector stack must have shape (n, k, d, d), got {p.shape}")
+    _check_finite(p)
     return _checked(p)
 
 
-def _checked(stack: np.ndarray) -> np.ndarray:
-    """The checks of :func:`validate_projectors`, without its copy.
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("projectors have non-finite entries")
 
-    ``stack`` is a complex (n, k, d, d) or (T, n, k, d, d) array that the
-    caller owns; errors count its measurements in C order.  Returns it
-    read-only.
+
+def _checked(stack: np.ndarray, per_block: np.ndarray | None = None) -> np.ndarray:
+    """The checks of :func:`validate_projectors` after the finite one.
+
+    ``stack`` is a finite complex (n, k, d, d) or (T, n, k, d, d) array
+    that the caller owns; errors count its measurements in C order.
+    ``per_block`` holds the (n, k, k) max-abs entries of the blocks
+    P_i P_j - delta_ij P_i when the caller can derive them.  Returns
+    ``stack`` read-only.
     """
     p = stack.reshape(-1, *stack.shape[-3:])
-    if not np.isfinite(p).all():
-        raise ValueError("projectors have non-finite entries")
     n, k, d = p.shape[:3]
     # |P - P^dagger| from real arrays: no complex temporaries of the stack.
     re, im = p.real, p.imag
@@ -98,15 +107,16 @@ def _checked(stack: np.ndarray) -> np.ndarray:
     # and its strict upper triangle orthogonality; they are only formed
     # for a step with a defect.  One outcome at a time keeps the
     # temporaries k times smaller than all k^2 blocks at once.
-    row = p.swapaxes(1, 2).reshape(n, d, k * d)
-    products = np.empty((n, d, k, d), dtype=np.complex128)
-    defects = np.empty((n, d, k, d))
-    per_block = np.zeros((n, k, k))
-    for i in range(k):
-        np.matmul(p[:, i], row, out=products.reshape(n, d, k * d))
-        products[:, :, i] -= p[:, i]
-        if np.abs(products, out=defects).max() > PROJ_TOL:
-            per_block[:, i] = defects.max(axis=(1, 3))
+    if per_block is None:
+        row = p.swapaxes(1, 2).reshape(n, d, k * d)
+        products = np.empty((n, d, k, d), dtype=np.complex128)
+        defects = np.empty((n, d, k, d))
+        per_block = np.zeros((n, k, k))
+        for i in range(k):
+            np.matmul(p[:, i], row, out=products.reshape(n, d, k * d))
+            products[:, :, i] -= p[:, i]
+            if np.abs(products, out=defects).max() > PROJ_TOL:
+                per_block[:, i] = defects.max(axis=(1, 3))
     _check(
         np.diagonal(per_block, axis1=1, axis2=2),
         "measurement {0}: projector {1} is not idempotent (defect {defect:.3e})",
@@ -131,11 +141,14 @@ def _measurements(stack: np.ndarray) -> tuple[ProjMeasurement, ...]:
 
 
 def qubit_projectors(directions) -> np.ndarray:
-    """Validated (n, 2, 2, 2) projector stack for qubit directions.
+    """Read-only (n, 2, 2, 2) projector stack for qubit directions.
 
-    Row m of the (n, 3) array ``directions`` must be a unit vector n_m;
-    measurement m has outcome projectors (1 +- n_m.sigma)/2.  A (T, n, 3)
-    stack gives (T, n, 2, 2, 2), validated as one stack.
+    Row m of the (n, 3) array ``directions`` must be a unit vector n_m
+    (``|norm - 1| <= PROJ_TOL``; NaN and inf fail); measurement m has
+    outcome projectors (1 +- n_m.sigma)/2.  These are Hermitian and sum to
+    the identity by construction, and their idempotency and orthogonality
+    defects are ``|norm^2 - 1| / 4 <= PROJ_TOL``.  A (T, n, 3) stack
+    gives (T, n, 2, 2, 2).
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-1] != 3:
@@ -146,7 +159,9 @@ def qubit_projectors(directions) -> np.ndarray:
         raise ValueError(
             f"direction must be a unit vector (norm {float(norm.flat[off[0]])!r})"
         )
-    return _checked(np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=-3))
+    stack = np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=-3)
+    stack.setflags(write=False)
+    return stack
 
 
 def qubit_measurement(n) -> ProjMeasurement:
@@ -192,22 +207,27 @@ def qudit_projectors(bases) -> np.ndarray:
     """Validated (n, d, d, d) rank-1 projector stack for orthonormal bases.
 
     ``bases[m]`` holds basis m as rows; row i becomes the outcome-i
-    projector of measurement m.  Every basis must be orthonormal (Gram
-    defect within ``PROJ_TOL``).  A (T, n, d, d) stack gives
-    (T, n, d, d, d), validated as one stack (errors count its bases in
-    C order).
+    projector of measurement m.  Every basis must be finite and
+    orthonormal (Gram defect within ``PROJ_TOL``).  A (T, n, d, d) stack
+    gives (T, n, d, d, d), validated as one stack (errors count its bases
+    in C order).  The checks and messages are those of
+    :func:`validate_projectors`, but the product defects come from the
+    Gram matrix: block (i, j) of P_i P_j - delta_ij P_i is
+    (G_ij - delta_ij) b_i b_j^dagger, whose max-abs entry is
+    |G_ij - delta_ij| max|b_i| max|b_j|.
     """
     b = np.asarray(bases, dtype=np.complex128)
     if b.ndim not in (3, 4) or b.shape[-1] != b.shape[-2]:
         raise ValueError(f"bases must have shape (n, d, d), got {b.shape}")
+    _check_finite(b)
     flat = b.reshape(-1, *b.shape[-2:])
-    gram = flat.conj() @ flat.swapaxes(-1, -2)
-    _check(
-        np.abs(gram - np.eye(b.shape[-1])),
-        "basis {0} is not orthonormal (Gram defect {defect:.3e})",
-        axes=(-2, -1),
+    gram = np.abs(flat.conj() @ flat.swapaxes(-1, -2) - np.eye(b.shape[-1]))
+    _check(gram, "basis {0} is not orthonormal (Gram defect {defect:.3e})", axes=(-2, -1))
+    peak = np.abs(flat).max(axis=-1)
+    return _checked(
+        np.einsum("...ix,...iy->...ixy", b, b.conj()),
+        gram * peak[:, :, None] * peak[:, None, :],
     )
-    return _checked(np.einsum("...ix,...iy->...ixy", b, b.conj()))
 
 
 def qudit_measurements(bases) -> tuple[ProjMeasurement, ...]:
@@ -267,14 +287,19 @@ def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
     return q.swapaxes(-1, -2).copy()
 
 
-def random_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-ish random orthonormal bases (rows) as an (n, dim, dim) array.
+def basis_draws(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, dim, dim) complex Gaussian matrices behind :func:`random_bases`.
 
-    Draws the same numbers as n calls of :func:`random_basis`: per basis
-    the real parts, then the imaginary parts of a Gaussian matrix.
+    Per basis it draws the real parts, then the imaginary parts, as n
+    calls of :func:`random_basis` do.
     """
     z = rng.standard_normal((n, 2, dim, dim))
-    return _orthonormal_rows(z[:, 0] + 1j * z[:, 1])
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def random_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-ish random orthonormal bases (rows) as an (n, dim, dim) array."""
+    return _orthonormal_rows(basis_draws(n, dim, rng))
 
 
 def random_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,21 +307,18 @@ def random_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
     return random_bases(1, dim, rng)[0]
 
 
-def random_measurement_pairs(
-    n: int, dim: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """n (qubit direction, qudit basis) pairs as (n, 3) and (n, dim, dim) arrays.
+def pair_draws(n: int, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n qubit directions and the (n, dim, dim) Gaussian matrices of n qudit bases.
 
-    Gives exactly what n alternating calls of :func:`random_direction`
-    and :func:`random_basis` give, and leaves ``rng`` where they leave it.
+    Draws exactly what n alternating calls of :func:`random_direction`
+    and :func:`random_basis` draw, and leaves ``rng`` where they leave it.
     One (n, 3 + 2 dim^2) block of normals holds, row by row, the three
     direction entries and the basis's real and imaginary parts, the
     order in which those calls draw them.  The norms come from a batched
     matmul, the dot kernel of ``math.sqrt(v @ v)``, so the directions
     are bit-identical.  If a direction would be drawn again (norm
     <= 1e-8, probability about 1e-25), the block is replayed through the
-    per-sample loop, which draws what the redraws need after it.  The QR
-    runs once over the stack.
+    per-sample loop, which draws what the redraws need after it.
     """
     block = rng.standard_normal((n, 3 + 2 * dim * dim))
     v = block[:, :3]
@@ -306,7 +328,18 @@ def random_measurement_pairs(
     else:
         directions, z = _pairs_by_sample(n, dim, _Replay(block, rng))
     z = z.reshape(n, 2, dim, dim)
-    return directions, _orthonormal_rows(z[:, 0] + 1j * z[:, 1])
+    return directions, z[:, 0] + 1j * z[:, 1]
+
+
+def random_measurement_pairs(
+    n: int, dim: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n (qubit direction, qudit basis) pairs as (n, 3) and (n, dim, dim) arrays.
+
+    The draws of :func:`pair_draws`, with one QR over the stack.
+    """
+    directions, g = pair_draws(n, dim, rng)
+    return directions, _orthonormal_rows(g)
 
 
 class _Replay:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from steermap import cli, linalg, mapping, states
+from steermap import cli, constructions, linalg, mapping, measurements, states
 from steermap.mapping import INV_SQRT3
 from steermap.states import make_density, random_pure, save_state, werner
 
@@ -245,6 +245,29 @@ class TestEigenCounts:
         assert cli.main(argv) == 0
         assert eigen_calls == [(4, 4), (2, 2)]
         states.load_state(out)
+
+
+class TestQrCounts:
+    """verify orthonormalises the random bases of a block with one QR."""
+
+    @pytest.mark.parametrize("target, dims", [("lhs", "3x2"), ("spm", "2x3")])
+    def test_one_qr_per_block(self, monkeypatch, capsys, target, dims):
+        calls = []
+        real_qr = measurements._orthonormal_rows
+
+        def counted_qr(g):
+            calls.append(np.shape(g))
+            return real_qr(g)
+
+        for module in (measurements, constructions, cli):
+            monkeypatch.setattr(module, "_orthonormal_rows", counted_qr)
+        counts = []
+        for trials in ("1", "8", "9"):
+            calls.clear()
+            assert cli.main(["verify", target, "--dims", dims, "--trials", trials]) == 0
+            assert json.loads(capsys.readouterr().out)["pass"] is True
+            counts.append(len(calls))
+        assert counts == [1, 1, 2]
 
 
 class TestRegion:

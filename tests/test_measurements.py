@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,112 @@ class TestStackedBuilders:
         bases[1, 0, 1] = bases[1, 0, 0]
         with pytest.raises(ValueError, match="basis 3 is not orthonormal"):
             meas.qudit_projectors(bases)
+
+
+class TestCheck:
+    def test_nan_defect_is_named(self):
+        defects = np.array([[0.0, 1e-12], [np.nan, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^entry 1, 0 \(defect nan\)$"):
+            meas._check(defects, "entry {0}, {1} (defect {defect})")
+
+    def test_nan_is_named_after_maximizing(self):
+        defects = np.zeros((3, 2, 2))
+        defects[1, 1, 0] = np.nan
+        defects[2, 0, 0] = 1.0
+        with pytest.raises(ValueError, match=r"^slot 1 \(defect nan\)$"):
+            meas._check(defects, "slot {0} (defect {defect})", axes=(-2, -1))
+
+    def test_tolerance_itself_passes(self):
+        meas._check(np.full((2, 3), meas.PROJ_TOL), "unreachable {0}")
+
+
+class TestBuilderInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_qudit_basis_entry_non_finite(self, bad):
+        bases = np.array(meas.random_bases(3, 3, np.random.default_rng(20)))
+        bases[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="^projectors have non-finite entries$"):
+            meas.qudit_projectors(bases)
+
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")])
+    def test_qubit_direction_non_finite(self, bad, shown):
+        dirs = np.eye(3)
+        dirs[2, 1] = bad
+        message = re.escape(f"direction must be a unit vector (norm {shown})")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            meas.qubit_projectors(dirs)
+
+
+def reference_qudit_projectors(bases):
+    """Build first, then validate: the Gram check, then validate_projectors on the stack."""
+    b = np.asarray(bases, dtype=np.complex128)
+    gram = b.conj() @ b.swapaxes(-1, -2)
+    meas._check(
+        np.abs(gram - np.eye(b.shape[-1])),
+        "basis {0} is not orthonormal (Gram defect {defect:.3e})",
+        axes=(-2, -1),
+    )
+    return meas.validate_projectors(np.einsum("...ix,...iy->...ixy", b, b.conj()))
+
+
+def outcome(build, arg):
+    try:
+        return "ok", build(arg)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+class TestBuilderParity:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_qudit_raises_exactly_when_reference_does(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        kinds = set()
+        for eps in np.geomspace(1e-12, 1e-8, 17):
+            scale = eps * rng.uniform(0.0, 1.0, (6, 1, 1))
+            bases = meas.random_bases(6, dim, rng) + scale * meas.basis_draws(6, dim, rng)
+            ref_kind, ref = outcome(reference_qudit_projectors, bases)
+            kind, got = outcome(meas.qudit_projectors, bases)
+            assert kind == ref_kind
+            assert got == ref if kind == "raised" else np.array_equal(got, ref)
+            kinds.add(kind)
+        assert kinds == {"ok", "raised"}
+
+    def test_razor_edge_reaches_the_product_checks(self):
+        # Basis 2 passes the Gram check (|G_01| <= PROJ_TOL), but with
+        # |b_i| entries just above 1 the overlap of P_0 and P_1 is
+        # PROJ_TOL (1 + 1e-10): only the product check catches it.
+        s = np.sqrt(1.0 + 1e-10 - 4.4e-16)
+        x = 1e-10 / s
+        bases = np.array(meas.random_bases(3, 2, np.random.default_rng(60)))
+        bases[2] = [[s, 0.0], [x, s]]
+        expected = "measurement 2: projectors 0 and 1 are not orthogonal (overlap 1.000e-10)"
+        assert outcome(reference_qudit_projectors, bases) == ("raised", expected)
+        assert outcome(meas.qudit_projectors, bases) == ("raised", expected)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_gram_bound_is_the_product_defect(self, dim):
+        # Block (i, j) of P_i P_j - delta_ij P_i is (G_ij - delta_ij) b_i b_j^dagger.
+        rng = np.random.default_rng(40 + dim)
+        b = meas.random_bases(5, dim, rng) + 1e-3 * meas.basis_draws(5, dim, rng)
+        gram = np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(dim))
+        peak = np.abs(b).max(axis=-1)
+        p = np.einsum("...ix,...iy->...ixy", b, b.conj())
+        blocks = p[:, :, None] @ p[:, None, :] - np.eye(dim)[:, :, None, None] * p[:, :, None]
+        generic = np.abs(blocks).max(axis=(-2, -1))
+        derived = gram * peak[:, :, None] * peak[:, None, :]
+        assert np.allclose(derived, generic, rtol=1e-9, atol=0.0)
+
+    def test_every_accepted_qubit_stack_passes_validation(self):
+        rng = np.random.default_rng(50)
+        u = rng.standard_normal((40, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        edge = 0.0
+        for delta in np.linspace(-1.2e-10, 1.2e-10, 25):
+            for row in u[:, None] * (1.0 + delta):
+                off = abs(np.linalg.norm(row, axis=-1)[0] - 1.0)
+                kind, stack = outcome(meas.qubit_projectors, row)
+                assert kind == ("ok" if off <= meas.PROJ_TOL else "raised")
+                if kind == "ok":
+                    assert np.array_equal(meas.validate_projectors(stack), stack)
+                    edge = max(edge, off)
+        assert edge >= 0.99e-10
