@@ -7,12 +7,11 @@ probabilities that reassemble the mixed state's statistics.  The
 verifiers recompute both sides of the defining identities from scratch
 and return the worst residual.
 
-Everything is evaluated array-first: Alice's settings (or the sampled
+Everything is evaluated array-first: models hold one array per party
+(see :mod:`steermap.models`), Alice's settings (or the sampled
 measurement pairs) form one (n, k, d, d) projector stack, and each side
 of an identity is one contraction over that stack, the hidden index
-and the (d_a, d_b, d_a, d_b) state tensor, with the same range and
-projector checks as the single-pair functions in :mod:`steermap.models`
-and :mod:`steermap.states`.  Each builder and verifier is the unstacked
+and the (d_a, d_b, d_a, d_b) state tensor.  Each builder and verifier is the unstacked
 case of a stacked kernel (``lhs_certificates``, ``verify_lhs_identities``,
 ``spm_certificates``, ``verify_spm_identities``) that takes probability
 tables, certificate arrays and projector stacks with a leading trial
@@ -34,28 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mapping import check_unit_interval
 from .measurements import (
-    PAULI_LABELS,
     _orthonormal_rows,
     pair_draws,
     pauli_projectors,
-    projector_stack,
     qubit_projectors,
     qudit_projectors,
+    validate_projectors,
 )
-from .models import (
-    FiniteModel,
-    QuantumResponse,
-    TableResponse,
-    born_joints,
-    born_probs,
-    finite_model,
-    quantum_response,
-    response_prob,
-    table_response,
-)
-from .states import DensityMatrix, conditional_states, hidden_qubits
+from .models import FiniteModel, born_joints, born_probs, finite_model
+from .states import DensityMatrix, check_unit_interval, conditional_states, hidden_qubits
 
 WEIGHT_TOL = 1e-12
 PHYS_TOL = 1e-12
@@ -91,26 +78,6 @@ def _check_shared_weights(model: FiniteModel, model_prime: FiniteModel) -> None:
         raise ValueError(f"models must share hidden-variable weights (max dev {dev:.3e})")
 
 
-def mixed_joint_prob(
-    b_label: str,
-    xi: int,
-    a: int,
-    alice_setting,
-    mu: float,
-    model: FiniteModel,
-    model_prime: FiniteModel,
-) -> float:
-    """mu P(a|A,xi) P(0|B,xi) + (1-mu) P'(a|A,xi) P'(0|B,xi) for B in x,y,z."""
-    if b_label not in PAULI_LABELS:
-        raise ValueError(f"b_label must be one of {PAULI_LABELS}, got {b_label!r}")
-    _check_shared_weights(model, model_prime)
-    pa = response_prob(model.alice[xi], alice_setting, a)
-    pb = response_prob(model.bob[xi], b_label, 0)
-    pa_p = response_prob(model_prime.alice[xi], alice_setting, a)
-    pb_p = response_prob(model_prime.bob[xi], b_label, 0)
-    return mu * pa * pb + (1.0 - mu) * pa_p * pb_p
-
-
 @dataclass(frozen=True)
 class LhsCertificate:
     """Hidden-state ensemble for a mixed qudit-qubit state.
@@ -127,9 +94,6 @@ class LhsCertificate:
     @property
     def n_hidden(self) -> int:
         return len(self.weights)
-
-    def hidden_state(self, s: int, a: int, xi: int) -> np.ndarray:
-        return hidden_qubits(self.bloch[s, a, xi])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -151,24 +115,24 @@ def lhs_certificate(
 ) -> LhsCertificate:
     """Build the hidden-state ensemble for the M-mixture of two models.
 
-    For every Alice setting, outcome and hidden value the conditional
-    probability is the mu-mixture of the two models' responses and the
-    hidden Bloch component for B is 2 eta(B)/p - 1.  Zero-probability
-    entries contribute nothing and get the maximally mixed state.  An
-    unphysical Bloch vector raises :class:`UnphysicalHiddenStateError`
-    naming the first one in (setting, hidden value, outcome) order.  The
-    unstacked case of :func:`lhs_certificates`.
+    Both models need quantum Alice responses; Bob's may be quantum qubits
+    or Pauli tables.  ``alice_settings`` is an (S, k, d_a, d_a) projector
+    stack (or a sequence of (k, d_a, d_a) measurements), checked by
+    :func:`steermap.measurements.validate_projectors`.  For every Alice
+    setting, outcome and hidden value the conditional probability is the
+    mu-mixture of the two models' responses and the hidden Bloch
+    component for B is 2 eta(B)/p - 1.  Zero-probability entries
+    contribute nothing and get the maximally mixed state.  An unphysical
+    Bloch vector raises :class:`UnphysicalHiddenStateError` naming the
+    first one in (setting, hidden value, outcome) order.  The unstacked
+    case of :func:`lhs_certificates`.
     """
     check_unit_interval("mu", mu)
     _check_shared_weights(model_tau, model_tau_prime)
-    settings = list(alice_settings)
-    stack = projector_stack(settings)
+    settings = validate_projectors(alice_settings)
+    pa = [_alice_probs(m.alice, settings) for m in (model_tau, model_tau_prime)]
     responses, bloch = lhs_certificates(
-        mu,
-        _response_probs(model_tau.alice, settings, stack),
-        _response_probs(model_tau_prime.alice, settings, stack),
-        _pauli_probs(model_tau.bob),
-        _pauli_probs(model_tau_prime.bob),
+        mu, *pa, _pauli_table(model_tau.bob), _pauli_table(model_tau_prime.bob)
     )
     return LhsCertificate(model_tau.weights.copy(), responses, bloch)
 
@@ -206,43 +170,33 @@ def lhs_certificates(mu, pa, pa_prime, pb, pb_prime) -> tuple[np.ndarray, np.nda
     return responses, bloch
 
 
-def _response_probs(responses, settings, stack: np.ndarray) -> np.ndarray:
-    """P(a | s, xi) for every setting, outcome and response: (S, A, Xi).
-
-    Quantum responses share one Born-rule contraction over ``stack``, the
-    settings' (S, A, d, d) projectors; table responses are looked up
-    entry by entry under the matching element of ``settings``.
-    """
-    n_set, n_out, _, dim = stack.shape
-    out = np.empty((n_set, n_out, len(responses)))
-    quantum = [xi for xi, r in enumerate(responses) if isinstance(r, QuantumResponse)]
-    if quantum:
-        rhos = np.stack([responses[xi].rho for xi in quantum])
-        if rhos.shape[-1] != dim:
-            raise ValueError(f"setting dim {dim} != response dim {rhos.shape[-1]}")
-        out[:, :, quantum] = born_probs(stack, rhos, "quantum response")
-    for xi, resp in enumerate(responses):
-        if not isinstance(resp, QuantumResponse):
-            for s, setting in enumerate(settings):
-                for a in range(n_out):
-                    out[s, a, xi] = response_prob(resp, setting, a)
-    return out
-
-
-def _pauli_probs(responses) -> np.ndarray:
-    """Outcome-0 probabilities at the x, y, z qubit settings: (Xi, 3)."""
-    return _response_probs(responses, PAULI_LABELS, pauli_projectors())[:, 0, :].T
+def _alice_probs(alice: np.ndarray, settings: np.ndarray) -> np.ndarray:
+    """P(a | s, xi) of quantum Alice responses at validated settings: (S, A, Xi)."""
+    if alice.ndim != 3:
+        raise ValueError("hidden-state construction needs quantum Alice responses")
+    dim = settings.shape[-1]
+    if alice.shape[-1] != dim:
+        raise ValueError(f"setting dim {dim} != response dim {alice.shape[-1]}")
+    return born_probs(settings, alice, "quantum response")
 
 
 def pauli_probs(states) -> np.ndarray:
     """Outcome-0 probabilities of qubit states at x, y, z: (..., Xi, 3).
 
     ``states`` is an (..., Xi, 2, 2) stack of validated response states;
-    one Born-rule contraction, as :func:`_pauli_probs` makes for quantum
-    responses.
+    one Born-rule contraction.
     """
     probs = born_probs(pauli_projectors(), states, "quantum response")
     return probs[..., 0, :].swapaxes(-1, -2)
+
+
+def _pauli_table(party: np.ndarray) -> np.ndarray:
+    """A model party's (Xi, 3) Pauli table: itself, or its qubit states' one."""
+    if party.ndim == 2:
+        return party
+    if party.shape[-1] != 2:
+        raise ValueError(f"Pauli settings need qubit responses, got dim {party.shape[-1]}")
+    return pauli_probs(party)
 
 
 def verify_lhs_identity(
@@ -253,9 +207,10 @@ def verify_lhs_identity(
     For every listed Alice setting and outcome, compares the conditional
     state of ``rho_ab`` against the certificate's weighted hidden-state
     sum; returns the max-abs entry difference over all of them.  The
-    unstacked case of :func:`verify_lhs_identities`.
+    unstacked case of :func:`verify_lhs_identities`; ``alice_settings``
+    is checked as in :func:`lhs_certificate`.
     """
-    settings = projector_stack(alice_settings)
+    settings = validate_projectors(alice_settings)
     return float(
         verify_lhs_identities(rho_ab, cert.weights, cert.responses, cert.bloch, settings)
     )
@@ -284,18 +239,19 @@ def verify_lhs_identities(rho_ab: DensityMatrix, weights, responses, bloch, proj
 
 @dataclass(frozen=True)
 class SpmCertificate:
-    """Separable-model ensemble: hidden qubits for Alice, states for Bob."""
+    """Separable-model ensemble: hidden qubits for Alice, states for Bob.
+
+    ``alice_bloch`` is (Xi, 3) and ``bob_states`` the (Xi, d_b, d_b)
+    stack of Bob's response states.
+    """
 
     weights: np.ndarray = field(repr=False)
     alice_bloch: np.ndarray = field(repr=False)
-    bob_states: tuple[np.ndarray, ...] = field(repr=False)
+    bob_states: np.ndarray = field(repr=False)
 
     @property
     def n_hidden(self) -> int:
         return len(self.weights)
-
-    def alice_state(self, xi: int) -> np.ndarray:
-        return hidden_qubits(self.alice_bloch[xi])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -312,43 +268,31 @@ class SpmCertificate:
         )
 
 
-def _same_bob_responses(model: FiniteModel, model_prime: FiniteModel) -> None:
-    for xi in range(model.n_hidden):
-        r, rp = model.bob[xi], model_prime.bob[xi]
-        if isinstance(r, QuantumResponse) and isinstance(rp, QuantumResponse):
-            dev = float(np.max(np.abs(r.rho - rp.rho)))
-            if dev > WEIGHT_TOL:
-                raise ValueError(f"bob responses differ at xi={xi} (max dev {dev:.3e})")
-        elif isinstance(r, TableResponse) and isinstance(rp, TableResponse):
-            if r.table != rp.table:
-                raise ValueError(f"bob response tables differ at xi={xi}")
-        else:
-            raise ValueError(f"bob response kinds differ at xi={xi}")
-
-
 def spm_certificate(
     model_rho: FiniteModel, model_rho_prime: FiniteModel, mu: float
 ) -> SpmCertificate:
     """Build the separable ensemble for the N-mixture of two models.
 
     Both inputs must carry identical quantum Bob responses and weights;
-    Alice's hidden qubit per hidden value has Bloch components
+    Alice's responses may be quantum qubits or Pauli tables.  Alice's
+    hidden qubit per hidden value has Bloch components
     2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 for k in x, y, z.  The
     unstacked case of :func:`spm_certificates`.
     """
     check_unit_interval("mu", mu)
     _check_shared_weights(model_rho, model_rho_prime)
-    _same_bob_responses(model_rho, model_rho_prime)
-    for xi, bob in enumerate(model_rho.bob):
-        if not isinstance(bob, QuantumResponse):
-            raise ValueError(
-                f"separable construction needs quantum Bob responses (xi={xi})"
-            )
+    bob, bob_prime = model_rho.bob, model_rho_prime.bob
+    if bob.ndim != 3:
+        raise ValueError("separable construction needs quantum Bob responses")
+    if bob_prime.shape != bob.shape:
+        raise ValueError(f"bob responses differ in shape: {bob.shape} vs {bob_prime.shape}")
+    dev = float(np.max(np.abs(bob - bob_prime)))
+    if not dev <= WEIGHT_TOL:
+        raise ValueError(f"bob responses differ (max dev {dev:.3e})")
     alice_bloch = spm_certificates(
-        mu, _pauli_probs(model_rho.alice), _pauli_probs(model_rho_prime.alice)
+        mu, _pauli_table(model_rho.alice), _pauli_table(model_rho_prime.alice)
     )
-    bob_states = [bob.rho for bob in model_rho.bob]
-    return SpmCertificate(model_rho.weights.copy(), alice_bloch, tuple(bob_states))
+    return SpmCertificate(model_rho.weights.copy(), alice_bloch, bob)
 
 
 def spm_certificates(mu, p0, p0_prime) -> np.ndarray:
@@ -384,10 +328,9 @@ def verify_spm_identity(
     one batch, and returns the largest absolute difference.  The
     unstacked case of :func:`verify_spm_identities`.
     """
-    bob_states = np.stack(cert.bob_states)
     return float(
         verify_spm_identities(
-            sigma_ab, cert.weights, cert.alice_bloch, bob_states, n_samples, seed
+            sigma_ab, cert.weights, cert.alice_bloch, cert.bob_states, n_samples, seed
         )
     )
 
@@ -425,23 +368,13 @@ def verify_spm_identities(
     return np.abs(lhs - rhs).max(axis=(-3, -2, -1))
 
 
-UNBIASED_QUBIT_TABLE = {"x": (0.5, 0.5), "y": (0.5, 0.5)}
-
-
-def _biased_table(c: float) -> TableResponse:
-    check_unit_interval("c", c)
-    return table_response(
-        {**UNBIASED_QUBIT_TABLE, "z": ((1.0 + c) / 2.0, (1.0 - c) / 2.0)}
-    )
-
-
 def biased_probs(c) -> np.ndarray:
     """Outcome-0 probabilities (1/2, 1/2, (1 + c)/2) of the biased table at x, y, z.
 
     ``c`` is a float or a (T,) array; the result has shape (1, 3) or
-    (T, 1, 3): one row that every hidden value shares, as the partner
+    (T, 1, 3): one row that every hidden value shares, as in the partner
     models of :func:`bob_biased_prime_model` and
-    :func:`alice_biased_prime_model` do, without building their tables.
+    :func:`alice_biased_prime_model`.
     """
     check_unit_interval("c", c)
     c = np.asarray(c, dtype=float)
@@ -457,14 +390,14 @@ def bob_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     independently of the hidden value, unbiased at x and y and z-biased
     by c.  Matches the statistics of bob_biased_partner exactly.
     """
-    table = _biased_table(c)
-    return finite_model(model.weights, model.alice, (table,) * model.n_hidden)
+    table = np.repeat(biased_probs(c), model.n_hidden, axis=0)
+    return finite_model(model.weights, model.alice, table)
 
 
 def alice_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     """Partner model for the Alice-side biased product partner."""
-    table = _biased_table(c)
-    return finite_model(model.weights, (table,) * model.n_hidden, model.bob)
+    table = np.repeat(biased_probs(c), model.n_hidden, axis=0)
+    return finite_model(model.weights, table, model.bob)
 
 
 def vertex_witness_model(d_a: int) -> FiniteModel:
@@ -476,6 +409,5 @@ def vertex_witness_model(d_a: int) -> FiniteModel:
     this together with its biased prime model into lhs_certificate
     raises for any (mu, c) outside the feasible region.
     """
-    bob = table_response({"x": (1.0, 0.0), "y": (1.0, 0.0), "z": (1.0, 0.0)})
-    alice = quantum_response(np.eye(d_a, dtype=np.complex128) / d_a)
-    return finite_model([1.0], (alice,), (bob,))
+    alice = np.eye(d_a, dtype=np.complex128)[None] / d_a
+    return finite_model([1.0], alice, np.ones((1, 3)))

@@ -26,40 +26,11 @@ from .states import (
     DensityMatrix,
     StateValidationError,
     _closed_density,
+    check_unit_interval,
 )
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
-
-
-def check_unit_interval(name: str, value) -> None:
-    """Raise ValueError unless ``value`` (a float or an array) lies in [0, 1].
-
-    The one range check for mu, c and response probabilities.  It is
-    written so that NaN fails it; for an array the message names the
-    first offending entry.  Python numbers are compared directly.
-    """
-    if isinstance(value, (int, float)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-        return
-    v = np.asarray(value, dtype=np.float64)
-    outside = ~((v >= 0.0) & (v <= 1.0))
-    if outside.any():
-        got = value if v.ndim == 0 else v[outside][0]
-        raise ValueError(f"{name} must be in [0, 1], got {got}")
-
-
-@dataclass(frozen=True)
-class MapParams:
-    """Mixing visibility mu and partner bias c, both in [0, 1]."""
-
-    mu: float
-    c: float
-
-    def __post_init__(self):
-        check_unit_interval("mu", self.mu)
-        check_unit_interval("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -154,7 +125,7 @@ def analytic_c_max(mu: float) -> float:
 
     Defined for 0 <= mu <= 1/sqrt(3); 1 at mu=0, 0 at the right endpoint.
     """
-    if mu < 0.0 or mu > INV_SQRT3 + 1e-12:
+    if not 0.0 <= mu <= INV_SQRT3 + 1e-12:
         raise ValueError(f"mu must be in [0, 1/sqrt(3)], got {mu}")
     radicand = max(0.0, 1.0 - 2.0 * mu * mu)
     return max(0.0, (math.sqrt(radicand) - mu) / (1.0 - mu))

@@ -9,10 +9,10 @@ Measurements are built in batches: :func:`qubit_projectors` takes an
 ``(n, d, d)`` array of bases.  Each builder derives the projector
 invariants from the check it runs on its input, rather than testing its
 own output with the generic product loop, which serves only the stacks
-a caller hands to :func:`validate_projectors`.  The single builders and
-:func:`qudit_measurements` wrap those stacks.  :func:`projector_stack`
-turns a sequence of measurements back into one array for the batched
-Born-rule contractions.  Random bases are drawn (:func:`basis_draws`,
+a caller hands to :func:`validate_projectors`.  A measurement is its
+read-only ``(k, d, d)`` projector array; the single builders
+:func:`qubit_measurement` and :func:`qudit_measurement` are the
+``n = 1`` case.  Random bases are drawn (:func:`basis_draws`,
 :func:`pair_draws`) apart from their QR, so draws from several streams
 can share one.
 """
@@ -21,29 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .states import hidden_qubits
 
 PROJ_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProjMeasurement:
-    """A complete set of orthogonal projectors, one per outcome.
-
-    ``projectors`` is a read-only ``(k, d, d)`` array; row i is the
-    outcome-i projector.
-    """
-
-    dim: int
-    projectors: np.ndarray = field(repr=False)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.projectors)
 
 
 def _check(defects: np.ndarray, message: str, axes: tuple[int, ...] = ()) -> None:
@@ -135,11 +118,6 @@ def _checked(stack: np.ndarray, per_block: np.ndarray | None = None) -> np.ndarr
     return stack
 
 
-def _measurements(stack: np.ndarray) -> tuple[ProjMeasurement, ...]:
-    dim = stack.shape[-1]
-    return tuple(ProjMeasurement(dim, p) for p in stack)
-
-
 def qubit_projectors(directions) -> np.ndarray:
     """Read-only (n, 2, 2, 2) projector stack for qubit directions.
 
@@ -164,12 +142,12 @@ def qubit_projectors(directions) -> np.ndarray:
     return stack
 
 
-def qubit_measurement(n) -> ProjMeasurement:
-    """Two-outcome qubit measurement along the unit direction n."""
+def qubit_measurement(n) -> np.ndarray:
+    """Read-only (2, 2, 2) projectors of the qubit measurement along unit direction n."""
     v = np.asarray(n, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {v.shape}")
-    return ProjMeasurement(2, qubit_projectors(v[None])[0])
+    return qubit_projectors(v[None])[0]
 
 
 @functools.cache
@@ -179,28 +157,6 @@ def pauli_projectors() -> np.ndarray:
     Built and validated on the first call, then shared.
     """
     return qubit_projectors(np.eye(3))
-
-
-@functools.cache
-def pauli_settings() -> tuple[ProjMeasurement, ProjMeasurement, ProjMeasurement]:
-    """The fixed x, y, z qubit settings, in that order.
-
-    Views of :func:`pauli_projectors`, built once and shared;
-    measurements are immutable value objects.
-    """
-    return _measurements(pauli_projectors())
-
-
-PAULI_LABELS = ("x", "y", "z")
-
-
-def pauli_setting(label: str) -> ProjMeasurement:
-    """The named qubit setting for label 'x', 'y' or 'z'."""
-    try:
-        idx = PAULI_LABELS.index(label)
-    except ValueError:
-        raise ValueError(f"unknown qubit setting label {label!r}") from None
-    return pauli_settings()[idx]
 
 
 def qudit_projectors(bases) -> np.ndarray:
@@ -230,13 +186,8 @@ def qudit_projectors(bases) -> np.ndarray:
     )
 
 
-def qudit_measurements(bases) -> tuple[ProjMeasurement, ...]:
-    """One rank-1 measurement per basis of an (n, d, d) array, validated together."""
-    return _measurements(qudit_projectors(bases))
-
-
-def qudit_measurement(basis) -> ProjMeasurement:
-    """Rank-1 projective measurement from an orthonormal basis.
+def qudit_measurement(basis) -> np.ndarray:
+    """Read-only (d, d, d) rank-1 projectors of an orthonormal basis.
 
     ``basis`` is a sequence of d vectors of length d; vector i becomes
     the outcome-i projector.
@@ -246,21 +197,7 @@ def qudit_measurement(basis) -> ProjMeasurement:
     for i, v in enumerate(vecs):
         if v.shape != (d,):
             raise ValueError(f"basis vector {i} has length {v.shape[0]}, expected {d}")
-    return ProjMeasurement(d, qudit_projectors(np.array(vecs)[None])[0])
-
-
-def projector_stack(settings) -> np.ndarray:
-    """The (n, k, d, d) projector array of a sequence of measurements.
-
-    All measurements must share one dimension and outcome count.
-    """
-    settings = tuple(settings)
-    if not settings:
-        raise ValueError("need at least one measurement")
-    shape = settings[0].projectors.shape
-    if any(m.projectors.shape != shape for m in settings):
-        raise ValueError("measurements disagree on dimension or outcome count")
-    return np.stack([m.projectors for m in settings])
+    return qudit_projectors(np.array(vecs)[None])[0]
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
@@ -363,7 +300,3 @@ def _pairs_by_sample(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
         z[i] = rng.standard_normal(2 * dim * dim)
     return directions, z
 
-
-def random_qudit_measurement(dim: int, rng: np.random.Generator) -> ProjMeasurement:
-    """Random rank-1 projective measurement on a d-level system."""
-    return qudit_measurement(random_basis(dim, rng))

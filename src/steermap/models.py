@@ -1,10 +1,11 @@
-"""Finite hidden-variable models and their joint-probability evaluators.
+"""Finite hidden-variable models and the Born-rule tables they are checked with.
 
 A model is a finite ensemble: weights over a hidden index plus one
-response per party and hidden value.  A response is either quantum (a
-density matrix; probabilities come from the Born rule) or an explicit
-table over a declared finite set of settings.  Which combination is
-present decides what the model certifies:
+read-only array per party.  A party is either quantum, an (Xi, d, d)
+stack of response states whose probabilities come from the Born rule,
+or a Pauli table, an (Xi, 3) array of outcome-0 probabilities at the
+x, y, z qubit settings.  Which combination is present decides what the
+model certifies:
 
   both parties quantum   -> separable-model (SPM) witness
   only Bob quantum       -> local-hidden-state (LHS) model
@@ -12,10 +13,6 @@ present decides what the model certifies:
 
 The hidden variable is always a finite index; ensemble integrals become
 finite sums, which lets every construction be checked pointwise.
-
-Settings: a quantum response accepts a ProjMeasurement, or (for qubits)
-one of the labels 'x', 'y', 'z' which resolve to the fixed Pauli
-settings.  A table response accepts exactly the labels it declares.
 """
 
 from __future__ import annotations
@@ -25,39 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .measurements import PAULI_LABELS, ProjMeasurement, pauli_setting
-from .states import PSD_TOL, TRACE_TOL, DensityMatrix
+from .states import PSD_TOL, TRACE_TOL, DensityMatrix, check_unit_interval
 
 PROB_TOL = 1e-12
-
-
-class SettingError(ValueError):
-    """A setting could not be resolved against a response."""
-
-
-@dataclass(frozen=True)
-class QuantumResponse:
-    """Born-rule response P(a | M, xi) = tr[M_a rho]."""
-
-    rho: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
-
-
-@dataclass(frozen=True)
-class TableResponse:
-    """Explicit outcome distributions over a declared finite setting set."""
-
-    table: dict[str, tuple[float, ...]] = field(repr=False)
-
-    @property
-    def settings(self) -> tuple[str, ...]:
-        return tuple(self.table)
-
-
-Response = QuantumResponse | TableResponse
 
 
 def validate_responses(stack) -> np.ndarray:
@@ -93,43 +60,6 @@ def _index(idx: tuple[int, ...]) -> str:
     return ",".join(map(str, idx))
 
 
-def quantum_responses(stack) -> tuple[QuantumResponse, ...]:
-    """Validate an (n, d, d) stack of density matrices, one response each.
-
-    The checks of :func:`validate_responses`; the responses hold
-    read-only views of one copy of the stack.
-    """
-    m = np.asarray(stack)
-    if m.ndim != 3:
-        raise ValueError(f"expected an (n, d, d) stack of states, got shape {m.shape}")
-    return tuple(QuantumResponse(rho) for rho in validate_responses(m))
-
-
-def quantum_response(rho) -> QuantumResponse:
-    """Validate a density matrix and wrap it as a response.
-
-    The ``n = 1`` case of :func:`quantum_responses`, with its checks.
-    """
-    return quantum_responses(linalg.as_matrix(rho)[None])[0]
-
-
-def table_response(table: dict[str, tuple[float, ...]]) -> TableResponse:
-    """Validate an explicit response table: probabilities, unit sums."""
-    if not table:
-        raise ValueError("response table declares no settings")
-    clean = {}
-    for setting, probs in table.items():
-        row = tuple(float(p) for p in probs)
-        for p in row:
-            if p < -PROB_TOL or p > 1.0 + PROB_TOL:
-                raise ValueError(f"probability {p} out of [0, 1] at setting {setting!r}")
-        total = sum(row)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"outcomes at setting {setting!r} sum to {total} != 1")
-        clean[setting] = row
-    return TableResponse(clean)
-
-
 def _check_probs(values: np.ndarray, context: str) -> np.ndarray:
     """Range-check an array of probabilities to PROB_TOL and clip to [0, 1].
 
@@ -161,57 +91,22 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
     return _check_probs(flat.real.reshape(*flat.shape[:-2], n_set, n_out, -1), context)
 
 
-def response_prob(resp: Response, setting, outcome: int) -> float:
-    """Evaluate P(outcome | setting) for one response."""
-    if isinstance(resp, TableResponse):
-        if not isinstance(setting, str) or setting not in resp.table:
-            raise SettingError(
-                f"setting {setting!r} not in declared set {tuple(resp.table)}"
-            )
-        row = resp.table[setting]
-        if not 0 <= outcome < len(row):
-            raise IndexError(f"outcome {outcome} out of range for {len(row)} outcomes")
-        return row[outcome]
-    if isinstance(setting, str):
-        if resp.dim != 2 or setting not in PAULI_LABELS:
-            raise SettingError(
-                f"label {setting!r} only resolves to a Pauli setting on a qubit"
-            )
-        setting = pauli_setting(setting)
-    if not isinstance(setting, ProjMeasurement):
-        raise SettingError(f"cannot resolve setting {setting!r} for a quantum response")
-    if setting.dim != resp.dim:
-        raise ValueError(f"setting dim {setting.dim} != response dim {resp.dim}")
-    if not 0 <= outcome < setting.n_outcomes:
-        raise IndexError(
-            f"outcome {outcome} out of range for {setting.n_outcomes} outcomes"
-        )
-    pi = setting.projectors[None, outcome : outcome + 1]
-    return float(born_probs(pi, resp.rho[None], "quantum response")[0, 0, 0])
-
-
 @dataclass(frozen=True)
 class FiniteModel:
-    """Finite hidden-variable ensemble: weights plus per-party responses."""
+    """Finite hidden-variable ensemble: (Xi,) weights plus one array per party.
+
+    ``alice`` and ``bob`` are each an (Xi, d, d) response-state stack or
+    an (Xi, 3) Pauli table (see the module docstring); build one with
+    :func:`finite_model`.
+    """
 
     weights: np.ndarray = field(repr=False)
-    alice: tuple[Response, ...] = field(repr=False)
-    bob: tuple[Response, ...] = field(repr=False)
+    alice: np.ndarray = field(repr=False)
+    bob: np.ndarray = field(repr=False)
 
     @property
     def n_hidden(self) -> int:
         return len(self.weights)
-
-    @property
-    def kind(self) -> str:
-        """'SPM' if both sides quantum, 'LHS' if only Bob, else 'LHV'."""
-        alice_q = all(isinstance(r, QuantumResponse) for r in self.alice)
-        bob_q = all(isinstance(r, QuantumResponse) for r in self.bob)
-        if alice_q and bob_q:
-            return "SPM"
-        if bob_q:
-            return "LHS"
-        return "LHV"
 
 
 def check_weights(weights) -> np.ndarray:
@@ -237,19 +132,40 @@ def check_weights(weights) -> np.ndarray:
 
 
 def finite_model(weights, alice, bob) -> FiniteModel:
-    """Validate weights and assemble a FiniteModel."""
+    """Validate weights and both parties and assemble a FiniteModel.
+
+    A 3-D party is a response-state stack, checked by
+    :func:`validate_responses`; a 2-D party is a Pauli table, which must
+    have three columns and every entry in [0, 1].  Each party needs one
+    row per weight.
+    """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise ValueError("weights must be a non-empty 1-D sequence")
     w = check_weights(w)
-    alice = tuple(alice)
-    bob = tuple(bob)
+    alice, bob = _party("alice", alice), _party("bob", bob)
     if len(alice) != w.size or len(bob) != w.size:
         raise ValueError(
             f"need one response per hidden value: {w.size} weights, "
             f"{len(alice)} alice, {len(bob)} bob"
         )
     return FiniteModel(w, alice, bob)
+
+
+def _party(name: str, responses) -> np.ndarray:
+    """One party of a model as a validated read-only array."""
+    r = np.asarray(responses)
+    if r.ndim == 3:
+        return validate_responses(r)
+    if r.ndim != 2 or r.shape[1] != 3:
+        raise ValueError(
+            f"{name} must be an (Xi, d, d) state stack or an (Xi, 3) Pauli table, "
+            f"got shape {r.shape}"
+        )
+    table = np.array(r, dtype=float)
+    check_unit_interval(f"{name} table entry", table)
+    table.setflags(write=False)
+    return table
 
 
 def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
@@ -276,34 +192,6 @@ def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
     return _check_probs(values, "born_joint")
 
 
-def born_joint(
-    rho: DensityMatrix, m_a: ProjMeasurement, m_b: ProjMeasurement, a: int, b: int
-) -> float:
-    """Joint outcome probability tr[(A_a x B_b) rho]."""
-    if m_a.dim != rho.d_a or m_b.dim != rho.d_b:
-        raise ValueError(
-            f"measurement dims {m_a.dim}x{m_b.dim} do not match state "
-            f"{rho.d_a}x{rho.d_b}"
-        )
-    if not 0 <= a < m_a.n_outcomes:
-        raise IndexError(f"outcome a={a} out of range")
-    if not 0 <= b < m_b.n_outcomes:
-        raise IndexError(f"outcome b={b} out of range")
-    pa = m_a.projectors[None, a : a + 1]
-    pb = m_b.projectors[None, b : b + 1]
-    return float(born_joints(rho, pa, pb)[0, 0, 0])
-
-
-def model_joint(model: FiniteModel, setting_a, setting_b, a: int, b: int) -> float:
-    """Hidden-variable joint probability sum_xi w_xi P(a|A,xi) P(b|B,xi)."""
-    total = 0.0
-    for xi in range(model.n_hidden):
-        pa = response_prob(model.alice[xi], setting_a, a)
-        pb = response_prob(model.bob[xi], setting_b, b)
-        total += float(model.weights[xi]) * pa * pb
-    return total
-
-
 def model_from_separable(ensemble) -> FiniteModel:
     """Both-sides-quantum model indexed by a separable ensemble.
 
@@ -314,17 +202,7 @@ def model_from_separable(ensemble) -> FiniteModel:
     if not members:
         raise ValueError("ensemble is empty")
     weights = [w for w, _, _ in members]
-    alice = quantum_responses([alpha for _, alpha, _ in members])
-    bob = quantum_responses([beta for _, _, beta in members])
+    alice = np.stack([alpha for _, alpha, _ in members])
+    bob = np.stack([beta for _, _, beta in members])
     return finite_model(weights, alice, bob)
 
-
-def bob_marginal(model: FiniteModel, dim: int) -> np.ndarray:
-    """sum_xi w_xi rho^B_xi for a model with quantum Bob responses."""
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for xi in range(model.n_hidden):
-        resp = model.bob[xi]
-        if not isinstance(resp, QuantumResponse):
-            raise ValueError("bob responses are not all quantum")
-        out += model.weights[xi] * resp.rho
-    return out

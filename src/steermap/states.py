@@ -16,7 +16,6 @@ from . import linalg
 HERM_TOL = linalg.HERMITICITY_TOL
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-BLOCH_TOL = 1e-12
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -24,6 +23,25 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_STACK = np.stack(PAULIS)
+
+
+def check_unit_interval(name: str, value) -> None:
+    """Raise ValueError unless ``value`` (a float or an array) lies in [0, 1].
+
+    The one range check for mu, c, visibilities and Pauli response
+    tables.  It is written so that NaN fails it; for an array the message
+    names the first offending entry.  Python numbers are compared
+    directly.
+    """
+    if isinstance(value, (int, float)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+        return
+    v = np.asarray(value, dtype=np.float64)
+    outside = ~((v >= 0.0) & (v <= 1.0))
+    if outside.any():
+        got = value if v.ndim == 0 else v[outside][0]
+        raise ValueError(f"{name} must be in [0, 1], got {got}")
 
 
 class StateValidationError(ValueError):
@@ -50,9 +68,6 @@ class BlochVector:
 
     def norm_sq(self) -> float:
         return self.rx * self.rx + self.ry * self.ry + self.rz * self.rz
-
-    def is_physical(self, tol: float = BLOCH_TOL) -> bool:
-        return self.norm_sq() <= 1.0 + tol
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rx, self.ry, self.rz])
@@ -173,8 +188,7 @@ def singlet() -> DensityMatrix:
 
 def werner(p: float) -> DensityMatrix:
     """p * singlet + (1-p) * I/4 for visibility p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {p}")
+    check_unit_interval("visibility", p)
     mat = p * singlet().mat + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
     return _closed_density(mat, 2, 2)
 
@@ -335,15 +349,21 @@ def state_from_json(text: str) -> DensityMatrix:
         if key not in data:
             raise ValueError(f"state JSON missing field {key!r}")
     dims = data["dims"]
-    if not (isinstance(dims, list) and len(dims) == 2):
-        raise ValueError(f"'dims' must be a two-element list, got {dims!r}")
-    d_a, d_b = int(dims[0]), int(dims[1])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    # JSON integers only: bool is an int subclass, and a float would be truncated.
+    if not (isinstance(dims, list) and len(dims) == 2 and all(type(d) is int for d in dims)):
+        raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
+    d_a, d_b = dims
+    try:
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data["im"], dtype=float)
+    except TypeError:
+        raise ValueError("'re'/'im' must be 2-D arrays of numbers") from None
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError(
             f"'re'/'im' must be equal-shape 2-D arrays, got {re.shape} and {im.shape}"
         )
+    if max(d_a, d_b) > len(re):
+        raise ValueError(f"'dims' entries must not exceed the matrix side {len(re)}")
     return make_density(re + 1j * im, d_a, d_b)
 
 

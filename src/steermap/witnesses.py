@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import PAULI_STACK, DensityMatrix
+from .states import PAULI_STACK, DensityMatrix, check_unit_interval
 
 CHSH_THRESHOLD = 2.0
 F3_THRESHOLD = math.sqrt(3.0)
-NEGATIVITY_THRESHOLD = 0.0
 NEGATIVITY_ZERO_TOL = 1e-12
 
 
@@ -97,8 +96,7 @@ def werner_steerable_oracle(v: float) -> bool:
     (strict; the boundary point itself is unsteerable).  Not derivable
     from anything in this package.
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v}")
+    check_unit_interval("visibility", v)
     return v > 0.5
 
 

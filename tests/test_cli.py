@@ -461,3 +461,47 @@ class TestDemoWerner:
 
     def test_grid_validation(self):
         assert cli.main(["demo-werner", "--grid", "1"]) == 2
+
+
+def _state_payload(**fields):
+    mat = werner(0.5).mat
+    payload = {"dims": [2, 2], "re": mat.real.tolist(), "im": mat.imag.tolist(), **fields}
+    return json.dumps(payload)
+
+
+class TestStateJsonBoundary:
+    """Malformed state JSON exits 2 with a message, and nothing is written."""
+
+    PAYLOADS = {
+        "dims-null": _state_payload(dims=[2, None]),
+        "dims-nested": _state_payload(dims=[[2], 2]),
+        "re-object": _state_payload(re={"a": 1}),
+        "dims-float": _state_payload(dims=[2.7, 2]),
+        "dims-huge": _state_payload(dims=[10**400, 2]),
+    }
+    MESSAGES = {
+        "dims-null": "'dims' must be a list of two integers, got [2, None]",
+        "dims-nested": "'dims' must be a list of two integers, got [[2], 2]",
+        "re-object": "'re'/'im' must be 2-D arrays of numbers",
+        "dims-float": "'dims' must be a list of two integers, got [2.7, 2]",
+        "dims-huge": "'dims' entries must not exceed the matrix side 4",
+    }
+
+    @pytest.mark.parametrize("case", list(PAYLOADS))
+    @pytest.mark.parametrize("command", ["analyze", "map"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, case):
+        path = tmp_path / "state.json"
+        path.write_text(self.PAYLOADS[case])
+        out = tmp_path / "out.json"
+        argv = [command, "--state", str(path), "--out", str(out)]
+        if command == "map":
+            argv += ["--mode", "M", "--mu", "0.3"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {self.MESSAGES[case]}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_bool_dims_are_not_integers(self):
+        with pytest.raises(ValueError, match="list of two integers"):
+            states.state_from_json(_state_payload(dims=[True, 2]))

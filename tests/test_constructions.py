@@ -9,27 +9,22 @@ from steermap import constructions as cons
 from steermap import mapping, states
 from steermap.mapping import INV_SQRT3
 from steermap.measurements import (
-    projector_stack,
     qubit_measurement,
     qudit_measurement,
     random_basis,
     random_direction,
+    validate_projectors,
 )
-from steermap.models import (
-    born_joint,
-    finite_model,
-    model_from_separable,
-    quantum_response,
-    response_prob,
-    table_response,
-)
+from steermap.models import born_probs, finite_model, model_from_separable
 from steermap.states import (
     bloch_from_qubit,
-    conditional_state,
+    hidden_qubits,
     make_density,
     random_pure,
     random_separable,
 )
+
+HALF = np.eye(2, dtype=complex) / 2
 
 
 def separable_pair(d_a, d_b, k, seed, c, prime_side="bob"):
@@ -52,43 +47,43 @@ def computational_settings(d, extra=0, seed=None):
 
 
 class TestMixedJointProb:
+    """The mixed joint eta = mu P(a|s,xi) P(0|k,xi) + (1-mu) P'(a|s,xi) P'(0|k,xi).
+
+    A hidden-state certificate encodes it as responses * (1 + bloch) / 2.
+    """
+
+    @staticmethod
+    def eta(cert):
+        return cert.responses[..., None] * (1.0 + cert.bloch) / 2.0
+
     def test_endpoint_mixtures(self):
         _, model, prime = separable_pair(2, 2, 3, seed=1, c=0.3)
-        setting = computational_settings(2)[0]
-        pa = response_prob(model.alice[0], setting, 0)
-        pb = response_prob(model.bob[0], "x", 0)
-        full = cons.mixed_joint_prob("x", 0, 0, setting, 1.0, model, prime)
-        assert full == pytest.approx(pa * pb, abs=1e-15)
-        pa_p = response_prob(prime.alice[0], setting, 0)
-        none = cons.mixed_joint_prob("x", 0, 0, setting, 0.0, model, prime)
-        assert none == pytest.approx(pa_p * 0.5, abs=1e-15)
+        settings = computational_settings(2, extra=2, seed=10)
+        pa = born_probs(validate_projectors(settings), model.alice)[..., None]
+        full = self.eta(cons.lhs_certificate(model, prime, 1.0, settings))
+        assert np.max(np.abs(full - pa * cons.pauli_probs(model.bob))) <= 1e-15
+        none = self.eta(cons.lhs_certificate(model, prime, 0.0, settings))
+        assert np.max(np.abs(none - pa * prime.bob)) <= 1e-15
+        assert np.all(prime.bob == [0.5, 0.5, 0.65])
 
     def test_shared_alice_cancellation(self):
         # With the partner reusing Alice's responses the ratio collapses
         # to the mixture of Bob's responses alone.
         _, model, prime = separable_pair(3, 2, 4, seed=2, c=0.25)
-        setting = computational_settings(3)[0]
+        settings = computational_settings(3, extra=2, seed=20)
         mu = 0.4
-        for xi in range(model.n_hidden):
-            for a in range(3):
-                pa = response_prob(model.alice[xi], setting, a)
-                if pa == 0.0:
-                    continue
-                eta = cons.mixed_joint_prob("z", xi, a, setting, mu, model, prime)
-                pb = response_prob(model.bob[xi], "z", 0)
-                pb_p = response_prob(prime.bob[xi], "z", 0)
-                assert eta / pa == pytest.approx(mu * pb + (1 - mu) * pb_p, abs=1e-13)
+        cert = cons.lhs_certificate(model, prime, mu, settings)
+        expected = mu * cons.pauli_probs(model.bob) + (1 - mu) * prime.bob
+        weighted = cert.responses > 0.0
+        ratio = (1.0 + cert.bloch[weighted]) / 2.0
+        assert weighted.any()
+        assert np.max(np.abs(ratio - np.broadcast_to(expected, cert.bloch.shape)[weighted])) <= 1e-13
 
     def test_weight_mismatch(self):
         _, model, _ = separable_pair(2, 2, 2, seed=3, c=0.0)
         _, other, _ = separable_pair(2, 2, 3, seed=3, c=0.0)
         with pytest.raises(ValueError, match="ensemble size"):
-            cons.mixed_joint_prob("x", 0, 0, "x", 0.5, model, other)
-
-    def test_bad_label(self):
-        _, model, prime = separable_pair(2, 2, 2, seed=4, c=0.0)
-        with pytest.raises(ValueError, match="b_label"):
-            cons.mixed_joint_prob("q", 0, 0, "x", 0.5, model, prime)
+            cons.lhs_certificate(model, other, 0.5, computational_settings(2))
 
 
 class TestLhsCertificate:
@@ -113,7 +108,7 @@ class TestLhsCertificate:
         settings = computational_settings(3)
         cert = cons.lhs_certificate(model, prime, mu, settings)
         for xi in range(model.n_hidden):
-            probs = [response_prob(model.bob[xi], lab, 0) for lab in "xyz"]
+            probs = cons.pauli_probs(model.bob)[xi]
             expected = mapping.hidden_bloch_vector(*probs, mu, c).as_array()
             for a in range(3):
                 if cert.responses[0, a, xi] == 0.0:
@@ -170,12 +165,8 @@ class TestLhsCertificate:
         # Two unphysical entries, (s=0, a=1, xi=0) and (s=0, a=0, xi=1);
         # the others carry zero weight.  The setting -> hidden value ->
         # outcome order reaches xi=0 first, flat (s, a, xi) order would not.
-        det = table_response({"x": (1.0, 0.0), "y": (1.0, 0.0), "z": (1.0, 0.0)})
-        alice = (
-            quantum_response(np.diag([0.0, 1.0]).astype(complex)),
-            quantum_response(np.diag([1.0, 0.0]).astype(complex)),
-        )
-        base = finite_model([0.5, 0.5], alice, (det, det))
+        alice = np.stack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]).astype(complex)
+        base = finite_model([0.5, 0.5], alice, np.ones((2, 3)))
         mu = 0.5
         prime = cons.bob_biased_prime_model(base, mapping.analytic_c_max(mu) + 0.05)
         settings = computational_settings(2) * 2
@@ -201,26 +192,25 @@ class TestStackedCertificates:
         # Trial 0 is feasible, trials 1 and 2 are not, with offenders at
         # different (setting, hidden value, outcome) positions: the stack
         # must raise what the first failing trial raises alone.
-        det = table_response({"x": (1.0, 0.0), "y": (1.0, 0.0), "z": (1.0, 0.0)})
+        det = np.ones((2, 3))
         alices = [
-            (quantum_response(np.eye(2) / 2), quantum_response(np.eye(2) / 2)),
-            (quantum_response(np.diag([0.0, 1.0])), quantum_response(np.diag([1.0, 0.0]))),
-            (quantum_response(np.eye(2) / 2), quantum_response(np.eye(2) / 2)),
+            np.stack([HALF, HALF]),
+            np.stack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]).astype(complex),
+            np.stack([HALF, HALF]),
         ]
         mu = 0.5
         cs = [0.3, mapping.analytic_c_max(mu) + 0.05, 0.9]
         settings = computational_settings(2) * 2
-        stack = projector_stack(settings)
+        stack = validate_projectors(settings)
         arrays, first_error = [], None
         for alice, c in zip(alices, cs):
-            base = finite_model([0.5, 0.5], alice, (det, det))
+            base = finite_model([0.5, 0.5], alice, det)
             prime = cons.bob_biased_prime_model(base, c)
             try:
                 cons.lhs_certificate(base, prime, mu, settings)
             except cons.UnphysicalHiddenStateError as exc:
                 first_error = first_error or exc
-            pa = cons._response_probs(base.alice, settings, stack)
-            arrays.append((pa, cons._pauli_probs(base.bob)))
+            arrays.append((born_probs(stack, base.alice), base.bob))
         pa = np.stack([a for a, _ in arrays])
         pb = np.stack([b for _, b in arrays])
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
@@ -229,7 +219,7 @@ class TestStackedCertificates:
         responses, bloch = cons.lhs_certificates(
             np.full(1, mu), pa[:1], pa[:1], pb[:1], cons.biased_probs(np.array(cs[:1]))
         )
-        base = finite_model([0.5, 0.5], alices[0], (det, det))
+        base = finite_model([0.5, 0.5], alices[0], det)
         cert = cons.lhs_certificate(base, cons.bob_biased_prime_model(base, cs[0]), mu, settings)
         assert np.array_equal(responses[0], cert.responses)
         assert np.array_equal(bloch[0], cert.bloch)
@@ -302,14 +292,12 @@ class TestSpmCertificate:
         _, model, prime = separable_pair(2, 3, 4, seed=18, c=c, prime_side="alice")
         cert = cons.spm_certificate(model, prime, mu)
         for xi in range(model.n_hidden):
-            probs = [response_prob(model.alice[xi], lab, 0) for lab in "xyz"]
+            probs = cons.pauli_probs(model.alice)[xi]
             expected = mapping.hidden_bloch_vector(*probs, mu, c).as_array()
             assert np.allclose(cert.alice_bloch[xi], expected, atol=1e-13)
 
     def test_unbiased_responses_collapse_to_origin(self):
-        flat = table_response({"x": (0.5, 0.5), "y": (0.5, 0.5), "z": (0.5, 0.5)})
-        bob = quantum_response(np.eye(2, dtype=complex) / 2)
-        model = finite_model([1.0], (flat,), (bob,))
+        model = finite_model([1.0], np.full((1, 3), 0.5), HALF[None])
         cert = cons.spm_certificate(model, cons.alice_biased_prime_model(model, 0.0), 0.7)
         assert np.allclose(cert.alice_bloch, 0.0, atol=1e-15)
 
@@ -323,9 +311,7 @@ class TestSpmCertificate:
     def test_unphysical_names_hidden_index(self):
         mu = 0.5
         c = mapping.analytic_c_max(mu) + 0.05
-        det = table_response({"x": (1.0, 0.0), "y": (1.0, 0.0), "z": (1.0, 0.0)})
-        bob = quantum_response(np.eye(2, dtype=complex) / 2)
-        model = finite_model([1.0], (det,), (bob,))
+        model = finite_model([1.0], np.ones((1, 3)), HALF[None])
         prime = cons.alice_biased_prime_model(model, c)
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
             cons.spm_certificate(model, prime, mu)
@@ -382,39 +368,39 @@ class TestVerifySpmIdentity:
 
 
 def spm_residual_reference(sigma, cert, n_samples, seed):
-    """verify_spm_identity as a per-pair loop over born_joint.
+    """verify_spm_identity as a per-pair loop with an explicit Kronecker trace.
 
     Draws the same measurements in the same order: per sample a qubit
     direction for Alice, then an orthonormal basis for Bob.
     """
     rng = np.random.default_rng(seed)
+    alice_states = hidden_qubits(cert.alice_bloch)
     worst = 0.0
     for _ in range(n_samples):
         m_a = qubit_measurement(random_direction(rng))
         m_b = qudit_measurement(random_basis(sigma.d_b, rng))
         for a in range(2):
-            pa = [np.trace(m_a.projectors[a] @ cert.alice_state(xi)).real
-                  for xi in range(cert.n_hidden)]
             for b in range(sigma.d_b):
                 rhs = sum(
-                    cert.weights[xi] * pa[xi]
-                    * np.trace(m_b.projectors[b] @ cert.bob_states[xi]).real
-                    for xi in range(cert.n_hidden)
+                    w * np.trace(m_a[a] @ alpha).real * np.trace(m_b[b] @ beta).real
+                    for w, alpha, beta in zip(cert.weights, alice_states, cert.bob_states)
                 )
-                worst = max(worst, abs(born_joint(sigma, m_a, m_b, a, b) - rhs))
+                lhs = np.trace(np.kron(m_a[a], m_b[b]) @ sigma.mat).real
+                worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def lhs_residual_reference(rho, cert, settings):
-    """verify_lhs_identity as a loop over conditional_state."""
+    """verify_lhs_identity as a loop over tr_A[(pi x 1) rho], Kronecker product explicit."""
     worst = 0.0
     for s, setting in enumerate(settings):
-        for a in range(setting.n_outcomes):
+        for a, pi in enumerate(setting):
             rhs = sum(
-                cert.responses[s, a, xi] * cert.weights[xi] * cert.hidden_state(s, a, xi)
+                cert.responses[s, a, xi] * cert.weights[xi] * hidden_qubits(cert.bloch[s, a, xi])
                 for xi in range(cert.n_hidden)
             )
-            lhs = conditional_state(rho, setting.projectors[a])
+            full = (np.kron(pi, np.eye(2)) @ rho.mat).reshape(rho.d_a, 2, rho.d_a, 2)
+            lhs = np.einsum("ibic->bc", full)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -506,14 +492,10 @@ class TestGeneralModelPairs:
         rng = np.random.default_rng(60)
         tau, ensemble = random_separable(3, 2, 4, seed=61)
         model = model_from_separable(ensemble)
-        mixed_bob = quantum_response(np.eye(2, dtype=complex) / 2)
-        prime_alice = tuple(
-            quantum_response(random_pure(3, rng)) for _ in range(4)
-        )
-        prime = finite_model(model.weights, prime_alice, (mixed_bob,) * 4)
+        prime_alice = np.stack([random_pure(3, rng) for _ in range(4)])
+        prime = finite_model(model.weights, prime_alice, np.stack([HALF] * 4))
         tau_prime_mat = sum(
-            w * np.kron(resp.rho, np.eye(2, dtype=complex) / 2)
-            for w, resp in zip(model.weights, prime_alice)
+            w * np.kron(alpha, HALF) for w, alpha in zip(model.weights, prime_alice)
         )
         tau_prime = make_density(tau_prime_mat, 3, 2)
         settings = computational_settings(3, extra=8, seed=62)
@@ -529,13 +511,10 @@ class TestGeneralModelPairs:
         rng = np.random.default_rng(63)
         rho, ensemble = random_separable(2, 3, 4, seed=64)
         model = model_from_separable(ensemble)
-        prime_alice = tuple(
-            quantum_response(random_pure(2, rng)) for _ in range(4)
-        )
+        prime_alice = np.stack([random_pure(2, rng) for _ in range(4)])
         prime = finite_model(model.weights, prime_alice, model.bob)
         rho_prime_mat = sum(
-            w * np.kron(resp.rho, beta)
-            for (w, _, beta), resp in zip(ensemble, prime_alice)
+            w * np.kron(alpha, beta) for (w, _, beta), alpha in zip(ensemble, prime_alice)
         )
         rho_prime = make_density(rho_prime_mat, 2, 3)
         for mu in (0.2, 0.6, 1.0):
@@ -596,3 +575,88 @@ class TestUnitIntervalCheck:
         for name, call in cases:
             with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
                 call()
+
+
+def _bad_settings(kind):
+    """Alice settings for a qubit that validate_projectors must refuse."""
+    good = computational_settings(2, extra=1, seed=5)
+    if kind == "non-idempotent":
+        return np.stack(good) * 0.5
+    if kind == "not summing to identity":
+        stack = np.array(np.stack(good))
+        stack[1, 1] = 0.0
+        return stack
+    if kind == "ragged":
+        return good + [qudit_measurement(np.eye(3))]
+    return good[0]  # one (k, d, d) measurement, not a stack of them
+
+
+class TestSettingsBoundary:
+    """Certificate builders and verifiers check Alice's settings once, as validate_projectors does."""
+
+    KINDS = ["non-idempotent", "not summing to identity", "ragged", "wrong dimension"]
+
+    @staticmethod
+    def message(call):
+        with pytest.raises(ValueError) as info:
+            call()
+        return str(info.value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejected_with_validate_projectors_message(self, kind):
+        tau, model, prime = separable_pair(2, 2, 2, seed=40, c=0.2)
+        good = computational_settings(2, extra=1, seed=5)
+        cert = cons.lhs_certificate(model, prime, 0.4, good)
+        bad = _bad_settings(kind)
+        expected = self.message(lambda: validate_projectors(bad))
+        assert self.message(lambda: cons.lhs_certificate(model, prime, 0.4, bad)) == expected
+        assert self.message(lambda: cons.verify_lhs_identity(tau, cert, bad)) == expected
+
+    def test_setting_dim_must_match_alice(self):
+        _, model, prime = separable_pair(2, 2, 2, seed=41, c=0.2)
+        with pytest.raises(ValueError, match="setting dim 3 != response dim 2"):
+            cons.lhs_certificate(model, prime, 0.4, computational_settings(3))
+
+    def test_settings_accept_one_stack_or_a_sequence(self):
+        _, model, prime = separable_pair(3, 2, 3, seed=42, c=0.2)
+        settings = computational_settings(3, extra=3, seed=43)
+        from_list = cons.lhs_certificate(model, prime, 0.4, settings)
+        from_stack = cons.lhs_certificate(model, prime, 0.4, np.stack(settings))
+        assert np.array_equal(from_list.bloch, from_stack.bloch)
+
+
+class TestPartyKinds:
+    """Which model parties each construction accepts."""
+
+    def test_lhs_rejects_a_table_alice(self):
+        _, model, _ = separable_pair(2, 2, 2, seed=44, c=0.0)
+        table_alice = finite_model(model.weights, np.full((2, 3), 0.5), model.bob)
+        for base, prime in ((table_alice, model), (model, table_alice)):
+            with pytest.raises(ValueError, match="needs quantum Alice responses"):
+                cons.lhs_certificate(base, prime, 0.4, computational_settings(2))
+
+    def test_lhs_rejects_a_qudit_bob(self):
+        _, model, _ = separable_pair(2, 3, 2, seed=45, c=0.0)
+        with pytest.raises(ValueError, match="Pauli settings need qubit responses, got dim 3"):
+            cons.lhs_certificate(model, model, 0.4, computational_settings(2))
+
+    def test_spm_rejects_a_table_bob(self):
+        _, model, _ = separable_pair(2, 2, 2, seed=46, c=0.0)
+        table_bob = finite_model(model.weights, model.alice, np.full((2, 3), 0.5))
+        with pytest.raises(ValueError, match="needs quantum Bob responses"):
+            cons.spm_certificate(table_bob, table_bob, 0.4)
+        with pytest.raises(ValueError, match=r"bob responses differ in shape: \(2, 2, 2\) vs \(2, 3\)"):
+            cons.spm_certificate(model, table_bob, 0.4)
+
+    def test_spm_rejects_bob_stacks_of_another_dim(self):
+        _, model, _ = separable_pair(2, 2, 2, seed=47, c=0.0)
+        _, qutrit, _ = separable_pair(2, 3, 2, seed=47, c=0.0)
+        other = finite_model(model.weights, model.alice, qutrit.bob)
+        with pytest.raises(ValueError, match="bob responses differ in shape"):
+            cons.spm_certificate(model, other, 0.4)
+
+    def test_spm_bob_states_is_one_stack(self):
+        _, model, prime = separable_pair(2, 3, 4, seed=48, c=0.2, prime_side="alice")
+        cert = cons.spm_certificate(model, prime, 0.4)
+        assert cert.bob_states.shape == (4, 3, 3)
+        assert np.array_equal(cert.bob_states, model.bob)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from steermap import linalg, mapping, witnesses
+from steermap import constructions, linalg, mapping, states, witnesses
 from steermap.mapping import FEAS_TOL, INV_SQRT3
 from steermap.states import StateValidationError, make_density, random_separable, werner
 
@@ -241,6 +241,11 @@ class TestAnalyticBound:
         with pytest.raises(ValueError):
             mapping.analytic_c_max(-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"^mu must be in \[0, 1/sqrt\(3\)\], got {bad}$"):
+            mapping.analytic_c_max(bad)
+
 
 class TestHiddenBloch:
     def test_unbiased_responses(self):
@@ -470,15 +475,6 @@ class TestRegionScan:
             assert pt.c_numeric == reference(pt.mu)
 
 
-class TestMapParams:
-    def test_accepts_and_rejects(self):
-        mapping.MapParams(0.5, 0.5)
-        with pytest.raises(ValueError):
-            mapping.MapParams(1.2, 0.0)
-        with pytest.raises(ValueError):
-            mapping.MapParams(0.5, -0.1)
-
-
 class TestUnitIntervalCheck:
     """Every mu/c entry point rejects values outside [0, 1], NaN included."""
 
@@ -486,8 +482,6 @@ class TestUnitIntervalCheck:
     def test_entry_points(self, bad):
         tau, _ = random_separable(2, 2, 2, seed=4)
         cases = [
-            ("mu", lambda: mapping.MapParams(bad, 0.5)),
-            ("c", lambda: mapping.MapParams(0.5, bad)),
             ("mu", lambda: mapping.map_m(tau, tau, bad)),
             ("mu", lambda: mapping.map_n(tau, tau, bad)),
             ("c", lambda: mapping.bob_biased_partner(tau, bad)),
@@ -504,3 +498,13 @@ class TestUnitIntervalCheck:
     def test_accepts_endpoints(self):
         for value in (0.0, 1.0, 0, 1, np.float64(0.5), np.array([0.0, 1.0])):
             mapping.check_unit_interval("mu", value)
+
+    def test_one_check_in_states(self):
+        assert mapping.check_unit_interval is states.check_unit_interval
+        assert constructions.check_unit_interval is states.check_unit_interval
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), np.float64(2.0), 3])
+    def test_visibility_entry_points(self, bad):
+        for call in (states.werner, witnesses.werner_steerable_oracle):
+            with pytest.raises(ValueError, match=rf"^visibility must be in \[0, 1\], got {bad}$"):
+                call(bad)

@@ -4,38 +4,40 @@ import numpy as np
 import pytest
 
 from steermap import measurements as meas
-from steermap.models import born_joint
-from steermap.states import random_separable
+from steermap.models import born_joints
+from steermap.states import PAULIS, random_separable
 
 
 def check_measurement_invariants(m, tol=1e-10):
-    total = np.zeros((m.dim, m.dim), dtype=complex)
-    for p in m.projectors:
+    """Invariants of one (k, d, d) projector array, one projector at a time."""
+    dim = m.shape[-1]
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in m:
         assert np.max(np.abs(p - p.conj().T)) <= tol
         assert np.max(np.abs(p @ p - p)) <= tol
         total += p
-    assert np.max(np.abs(total - np.eye(m.dim))) <= tol
-    for i in range(m.n_outcomes):
-        for j in range(i + 1, m.n_outcomes):
-            assert np.max(np.abs(m.projectors[i] @ m.projectors[j])) <= tol
+    assert np.max(np.abs(total - np.eye(dim))) <= tol
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
+            assert np.max(np.abs(m[i] @ m[j])) <= tol
 
 
 class TestQubitMeasurement:
     def test_z_direction(self):
         m = meas.qubit_measurement((0, 0, 1))
-        assert np.allclose(m.projectors[0], np.diag([1, 0]), atol=1e-15)
-        assert np.allclose(m.projectors[1], np.diag([0, 1]), atol=1e-15)
+        assert np.allclose(m[0], np.diag([1, 0]), atol=1e-15)
+        assert np.allclose(m[1], np.diag([0, 1]), atol=1e-15)
 
     def test_x_direction_outcome0(self):
         m = meas.qubit_measurement((1, 0, 0))
-        assert np.allclose(m.projectors[0], np.full((2, 2), 0.5), atol=1e-15)
+        assert np.allclose(m[0], np.full((2, 2), 0.5), atol=1e-15)
 
     def test_expectation_along_bloch(self):
         # Outcome 0 along n on a state with Bloch vector r has
         # probability (1 + n.r)/2; aligned pure state gives 1.
         m = meas.qubit_measurement((0, 0, 1))
         rho_up = np.diag([1, 0]).astype(complex)
-        assert np.trace(m.projectors[0] @ rho_up).real == pytest.approx(1.0)
+        assert np.trace(m[0] @ rho_up).real == pytest.approx(1.0)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
@@ -44,28 +46,25 @@ class TestQubitMeasurement:
 
 class TestPauliSettings:
     def test_order_and_values(self):
-        x, y, z = meas.pauli_settings()
-        assert np.allclose(z.projectors[0], np.diag([1, 0]), atol=1e-15)
-        assert np.allclose(
-            y.projectors[0], np.array([[0.5, -0.5j], [0.5j, 0.5]]), atol=1e-15
-        )
-        assert np.allclose(
-            y.projectors[1], np.array([[0.5, 0.5j], [-0.5j, 0.5]]), atol=1e-15
-        )
+        x, y, z = meas.pauli_projectors()
+        assert np.allclose(z[0], np.diag([1, 0]), atol=1e-15)
+        assert np.allclose(y[0], np.array([[0.5, -0.5j], [0.5j, 0.5]]), atol=1e-15)
+        assert np.allclose(y[1], np.array([[0.5, 0.5j], [-0.5j, 0.5]]), atol=1e-15)
         for m in (x, y, z):
-            assert np.allclose(sum(m.projectors), np.eye(2), atol=1e-15)
+            assert np.allclose(sum(m), np.eye(2), atol=1e-15)
+            check_measurement_invariants(m)
+
+    def test_labels(self):
+        # Rows are the x, y, z settings in that order: row k's outcome-0
+        # projector is (1 + sigma_k)/2.
+        for k, sigma in enumerate(PAULIS):
+            assert np.allclose(meas.pauli_projectors()[k, 0], (np.eye(2) + sigma) / 2, atol=1e-15)
 
     def test_projector_stack_is_shared_and_read_only(self):
         stack = meas.pauli_projectors()
         assert stack is meas.pauli_projectors()
         assert stack.shape == (3, 2, 2, 2) and not stack.flags.writeable
-        assert np.array_equal(stack, meas.projector_stack(meas.pauli_settings()))
-
-    def test_labels(self):
-        for label in "xyz":
-            check_measurement_invariants(meas.pauli_setting(label))
-        with pytest.raises(ValueError, match="label"):
-            meas.pauli_setting("w")
+        assert np.array_equal(stack, meas.qubit_projectors(np.eye(3)))
 
 
 class TestQuditMeasurement:
@@ -74,7 +73,7 @@ class TestQuditMeasurement:
         for i in range(3):
             expected = np.zeros((3, 3))
             expected[i, i] = 1.0
-            assert np.allclose(m.projectors[i], expected, atol=1e-15)
+            assert np.allclose(m[i], expected, atol=1e-15)
 
     def test_random_unitary_columns(self):
         # Oracle: Gram-Schmidt produces an orthonormal set; the derived
@@ -92,7 +91,7 @@ class TestQuditMeasurement:
     def test_qubit_special_case(self):
         m = meas.qudit_measurement(np.eye(2))
         z = meas.qubit_measurement((0, 0, 1))
-        for a, b in zip(m.projectors, z.projectors):
+        for a, b in zip(m, z):
             assert np.allclose(a, b, atol=1e-15)
 
     def test_rejects_non_orthonormal(self):
@@ -107,17 +106,15 @@ class TestRandomSampling:
             check_measurement_invariants(meas.qubit_measurement(meas.random_direction(rng)))
         for dim in (2, 3, 4):
             for _ in range(30):
-                check_measurement_invariants(meas.random_qudit_measurement(dim, rng))
+                check_measurement_invariants(meas.qudit_measurement(meas.random_basis(dim, rng)))
 
     def test_born_probabilities_sum_to_one(self):
         rng = np.random.default_rng(56)
         rho, _ = random_separable(3, 2, 4, seed=77)
         for _ in range(20):
-            m_a = meas.random_qudit_measurement(3, rng)
+            m_a = meas.qudit_measurement(meas.random_basis(3, rng))
             m_b = meas.qubit_measurement(meas.random_direction(rng))
-            total = sum(
-                born_joint(rho, m_a, m_b, a, b) for a in range(3) for b in range(2)
-            )
+            total = born_joints(rho, m_a[None], m_b[None]).sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -169,14 +166,14 @@ class TestBatchedBuilders:
         stack = meas.qubit_projectors(dirs)
         assert stack.shape == (7, 2, 2, 2) and not stack.flags.writeable
         for p, v in zip(stack, dirs):
-            assert np.array_equal(p, meas.qubit_measurement(v).projectors)
+            assert np.array_equal(p, meas.qubit_measurement(v))
 
     def test_qudit_batch_matches_single(self):
         bases = meas.random_bases(6, 4, np.random.default_rng(6))
         stack = meas.qudit_projectors(bases)
-        assert np.array_equal(stack, meas.projector_stack(meas.qudit_measurements(bases)))
-        for m, b in zip(meas.qudit_measurements(bases), bases):
-            assert np.array_equal(m.projectors, meas.qudit_measurement(b).projectors)
+        for m, b in zip(stack, bases):
+            assert np.array_equal(m, meas.qudit_measurement(b))
+            assert not meas.qudit_measurement(b).flags.writeable
             check_measurement_invariants(m)
 
     def test_rejects_non_unit_direction_in_last_row(self):
@@ -191,9 +188,10 @@ class TestBatchedBuilders:
             meas.qudit_projectors(bases)
 
     def test_projector_stack_rejects_mixed_shapes(self):
-        with pytest.raises(ValueError, match="disagree"):
-            meas.projector_stack([meas.qudit_measurement(np.eye(2)),
-                                  meas.qudit_measurement(np.eye(3))])
+        # A sequence of measurements of different dimensions is no stack.
+        with pytest.raises(ValueError, match="shape"):
+            meas.validate_projectors([meas.qudit_measurement(np.eye(2)),
+                                      meas.qudit_measurement(np.eye(3))])
 
     def test_batched_sampling_draws_the_same_numbers(self):
         # Reference: one draw and one QR per call, as a per-sample loop

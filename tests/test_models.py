@@ -1,45 +1,53 @@
 import numpy as np
 import pytest
 
-from steermap import models
+from steermap import constructions, models
 from steermap.measurements import (
-    pauli_setting,
+    pauli_projectors,
     qubit_measurement,
     qudit_measurement,
     qudit_projectors,
+    random_basis,
     random_bases,
     random_direction,
-    random_qudit_measurement,
 )
 from steermap.states import make_density, random_separable, singlet
 
+X, Y, Z = pauli_projectors()
+HALF = np.eye(2, dtype=complex) / 2
 
-def deterministic_table(bit):
-    row = (1.0, 0.0) if bit == 0 else (0.0, 1.0)
-    return models.table_response({"x": row, "y": row, "z": row})
+
+def pair(m):
+    """One measurement as the n = 1 stack born_joints takes."""
+    return np.asarray(m)[None]
 
 
 class TestBornJoint:
     def test_maximally_mixed(self):
         rho = make_density(np.eye(4, dtype=complex) / 4, 2, 2)
-        z = pauli_setting("z")
-        assert models.born_joint(rho, z, z, 0, 0) == pytest.approx(0.25, abs=1e-14)
+        assert models.born_joints(rho, pair(Z), pair(Z))[0, 0, 0] == pytest.approx(0.25, abs=1e-14)
 
     def test_singlet_anticorrelation(self):
-        z = pauli_setting("z")
-        assert models.born_joint(singlet(), z, z, 0, 0) == pytest.approx(0.0, abs=1e-14)
-        assert models.born_joint(singlet(), z, z, 0, 1) == pytest.approx(0.5, abs=1e-14)
+        joints = models.born_joints(singlet(), pair(Z), pair(Z))[0]
+        assert joints[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert joints[0, 1] == pytest.approx(0.5, abs=1e-14)
 
     def test_normalization(self):
         rho, _ = random_separable(2, 2, 3, seed=2)
-        x, z = pauli_setting("x"), pauli_setting("z")
-        total = sum(models.born_joint(rho, x, z, a, b) for a in range(2) for b in range(2))
-        assert total == pytest.approx(1.0, abs=1e-13)
+        assert models.born_joints(rho, pair(X), pair(Z)).sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_outcome_out_of_range(self):
-        z = pauli_setting("z")
+        # Outcomes are the table's axes: a qubit pair has outcomes 0 and 1.
+        joints = models.born_joints(singlet(), pair(Z), pair(Z))
+        assert joints.shape == (1, 2, 2)
         with pytest.raises(IndexError):
-            models.born_joint(singlet(), z, z, 2, 0)
+            joints[0, 2, 0]
+
+    def test_dim_mismatch(self):
+        # Qubit projectors on a 3x2 state are refused, not contracted.
+        rho, _ = random_separable(3, 2, 2, seed=4)
+        with pytest.raises(ValueError):
+            models.born_joints(rho, pair(Z), pair(Z))
 
     def test_batch_matches_kron_reference(self):
         # Reference: the per-pair Kronecker-product trace the batched
@@ -47,8 +55,8 @@ class TestBornJoint:
         rng = np.random.default_rng(5)
         for d_a, d_b in ((2, 2), (3, 2), (2, 4)):
             rho, _ = random_separable(d_a, d_b, 3, seed=50 + d_a + d_b)
-            pa = np.stack([random_qudit_measurement(d_a, rng).projectors for _ in range(4)])
-            pb = np.stack([random_qudit_measurement(d_b, rng).projectors for _ in range(4)])
+            pa = np.stack([qudit_measurement(random_basis(d_a, rng)) for _ in range(4)])
+            pb = np.stack([qudit_measurement(random_basis(d_b, rng)) for _ in range(4)])
             joints = models.born_joints(rho, pa, pb)
             for n in range(4):
                 for a in range(d_a):
@@ -58,45 +66,8 @@ class TestBornJoint:
 
     def test_born_probs_names_first_out_of_range_entry(self):
         bogus = np.stack([np.diag([0.5, 0.5]), np.diag([1.5, -0.5])]).astype(complex)
-        z = pauli_setting("z").projectors[None]
         with pytest.raises(ValueError, match=r"ctx: probability 1\.5 exceeds"):
-            models.born_probs(z, bogus, "ctx")
-
-    def test_dim_mismatch(self):
-        rho, _ = random_separable(3, 2, 2, seed=4)
-        z = pauli_setting("z")
-        with pytest.raises(ValueError, match="dims"):
-            models.born_joint(rho, z, z, 0, 0)
-
-
-class TestModelJoint:
-    def test_deterministic_single_member(self):
-        m = models.finite_model([1.0], (deterministic_table(0),), (deterministic_table(1),))
-        assert models.model_joint(m, "x", "x", 0, 1) == 1.0
-        assert models.model_joint(m, "x", "x", 0, 0) == 0.0
-        assert m.kind == "LHV"
-
-    def test_uniform_half_weights(self):
-        flat = models.table_response({"x": (0.5, 0.5)})
-        m = models.finite_model([0.5, 0.5], (flat, flat), (flat, flat))
-        assert models.model_joint(m, "x", "x", 0, 0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_undeclared_setting(self):
-        m = models.finite_model([1.0], (deterministic_table(0),), (deterministic_table(0),))
-        with pytest.raises(models.SettingError, match="declared"):
-            models.model_joint(m, "w", "x", 0, 0)
-
-    def test_non_signaling_exact(self):
-        # Dyadic tables sum exactly, so the marginal telescopes exactly.
-        alice = models.table_response({"A0": (0.25, 0.75), "A1": (1.0, 0.0)})
-        bob0 = models.table_response({"x": (0.5, 0.5), "y": (0.75, 0.25)})
-        bob1 = models.table_response({"x": (1.0, 0.0), "y": (0.25, 0.75)})
-        m = models.finite_model([0.5, 0.5], (alice, alice), (bob0, bob1))
-        for a in range(2):
-            for setting_a in ("A0", "A1"):
-                marg_x = sum(models.model_joint(m, setting_a, "x", a, b) for b in range(2))
-                marg_y = sum(models.model_joint(m, setting_a, "y", a, b) for b in range(2))
-                assert marg_x == marg_y
+            models.born_probs(pair(Z), bogus, "ctx")
 
 
 class TestModelFromSeparable:
@@ -104,27 +75,32 @@ class TestModelFromSeparable:
         _, ensemble = random_separable(2, 2, 1, seed=10)
         m = models.model_from_separable(ensemble)
         assert m.n_hidden == 1
-        assert m.kind == "SPM"
+        assert (m.alice.shape, m.bob.shape) == ((1, 2, 2), (1, 2, 2))
 
     def test_reproduces_born_statistics(self):
+        # sum_xi w_xi P(a|A, alpha_xi) P(b|B, beta_xi) against tr[(A_a x B_b) rho],
+        # one explicit Kronecker trace per entry.
         rho, ensemble = random_separable(3, 2, 4, seed=12)
         m = models.model_from_separable(ensemble)
         rng = np.random.default_rng(13)
         worst = 0.0
         for _ in range(100):
-            m_a = random_qudit_measurement(3, rng)
+            m_a = qudit_measurement(random_basis(3, rng))
             m_b = qubit_measurement(random_direction(rng))
+            pa = models.born_probs(pair(m_a), m.alice)[0]
+            pb = models.born_probs(pair(m_b), m.bob)[0]
             for a in range(3):
                 for b in range(2):
-                    lhs = models.born_joint(rho, m_a, m_b, a, b)
-                    rhs = models.model_joint(m, m_a, m_b, a, b)
+                    lhs = np.trace(np.kron(m_a[a], m_b[b]) @ rho.mat).real
+                    rhs = float(np.sum(m.weights * pa[a] * pb[b]))
                     worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-12
 
     def test_bob_marginal_matches_reduced_state(self):
         rho, ensemble = random_separable(3, 2, 5, seed=14)
         m = models.model_from_separable(ensemble)
-        assert np.max(np.abs(models.bob_marginal(m, 2) - rho.reduced_b())) <= 1e-12
+        marginal = np.einsum("x,xij->ij", m.weights, m.bob)
+        assert np.max(np.abs(marginal - rho.reduced_b())) <= 1e-12
 
     def test_empty_ensemble(self):
         with pytest.raises(ValueError, match="empty"):
@@ -132,36 +108,53 @@ class TestModelFromSeparable:
 
 
 class TestResponses:
+    """Model parties: (Xi, d, d) response-state stacks or (Xi, 3) Pauli tables."""
+
     def test_quantum_label_resolution(self):
-        resp = models.quantum_response(np.diag([1.0, 0.0]).astype(complex))
-        assert models.response_prob(resp, "z", 0) == pytest.approx(1.0)
-        assert models.response_prob(resp, "x", 0) == pytest.approx(0.5)
+        # A qubit response state answers the x, y, z settings through one
+        # Born-rule contraction.
+        probs = constructions.pauli_probs(np.diag([1.0, 0.0]).astype(complex)[None])
+        assert probs.shape == (1, 3)
+        assert probs[0] == pytest.approx([0.5, 0.5, 1.0])
 
     def test_label_rejected_on_qudit(self):
-        resp = models.quantum_response(np.eye(3, dtype=complex) / 3)
-        with pytest.raises(models.SettingError):
-            models.response_prob(resp, "z", 0)
-        assert models.response_prob(resp, qudit_measurement(np.eye(3)), 1) == pytest.approx(1 / 3)
+        qutrit = np.eye(3, dtype=complex)[None] / 3
+        model = models.finite_model([1.0], qutrit, HALF[None])
+        with pytest.raises(ValueError, match="Pauli settings need qubit responses, got dim 3"):
+            constructions.spm_certificate(model, model, 0.5)
+        probs = models.born_probs(pair(qudit_measurement(np.eye(3))), qutrit)
+        assert probs[0, 1, 0] == pytest.approx(1 / 3)
 
-    def test_table_validation(self):
-        with pytest.raises(ValueError, match="sum"):
-            models.table_response({"x": (0.5, 0.4)})
-        with pytest.raises(ValueError, match="out of"):
-            models.table_response({"x": (1.5, -0.5)})
+    @pytest.mark.parametrize(
+        "table, match",
+        [
+            ([[0.5, 1.5, 0.5]], r"^alice table entry must be in \[0, 1\], got 1\.5$"),
+            ([[0.5, np.nan, 0.5]], r"^alice table entry must be in \[0, 1\], got nan$"),
+            ([[0.5, 0.5]], r"Pauli table, got shape \(1, 2\)"),
+        ],
+    )
+    def test_table_validation(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            models.finite_model([1.0], table, HALF[None])
 
     def test_weight_validation(self):
-        flat = models.table_response({"x": (0.5, 0.5)})
+        flat = np.full((2, 3), 0.5)
         with pytest.raises(ValueError, match="sum"):
-            models.finite_model([0.5, 0.4], (flat, flat), (flat, flat))
-        with pytest.raises(ValueError, match="one response per"):
-            models.finite_model([1.0], (flat, flat), (flat,))
+            models.finite_model([0.5, 0.4], flat, flat)
+        with pytest.raises(ValueError, match="one response per hidden value: 1 weights, 2 alice, 1 bob"):
+            models.finite_model([1.0], flat, flat[:1])
+        with pytest.raises(ValueError, match="1 weights, 1 alice, 2 bob"):
+            models.finite_model([1.0], HALF[None], np.stack([HALF, HALF]))
 
     def test_kind_detection(self):
-        q = models.quantum_response(np.eye(2, dtype=complex) / 2)
-        t = models.table_response({"x": (0.5, 0.5)})
-        assert models.finite_model([1.0], (q,), (q,)).kind == "SPM"
-        assert models.finite_model([1.0], (t,), (q,)).kind == "LHS"
-        assert models.finite_model([1.0], (q,), (t,)).kind == "LHV"
+        # A party's kind is its array rank: 3 for states, 2 for a table.
+        q, t = HALF[None], np.full((1, 3), 0.5)
+        spm = models.finite_model([1.0], q, q)
+        lhs = models.finite_model([1.0], t, q)
+        lhv = models.finite_model([1.0], q, t)
+        assert (spm.alice.ndim, spm.bob.ndim) == (3, 3)
+        assert (lhs.alice.ndim, lhs.bob.ndim) == (2, 3)
+        assert (lhv.alice.ndim, lhv.bob.ndim) == (3, 2)
 
     @pytest.mark.parametrize(
         "mat, match",
@@ -173,12 +166,15 @@ class TestResponses:
         ],
     )
     def test_quantum_response_rejects_nan_and_non_psd(self, mat, match):
-        with pytest.raises(ValueError, match=match):
-            models.quantum_response(mat.astype(complex))
+        for alice, bob in ((mat[None], HALF[None]), (HALF[None], mat[None])):
+            with pytest.raises(ValueError, match=match):
+                models.finite_model([1.0], alice.astype(complex), bob.astype(complex))
 
     def test_quantum_response_accepts_rounding_level_negativity(self):
-        resp = models.quantum_response(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
-        assert resp.dim == 2
+        m = models.finite_model(
+            [1.0], np.diag([1.0 + 5e-11, -5e-11]).astype(complex)[None], HALF[None]
+        )
+        assert m.alice.shape == (1, 2, 2)
 
     @pytest.mark.parametrize(
         "mat, match",
@@ -191,16 +187,19 @@ class TestResponses:
         ],
     )
     def test_quantum_responses_name_the_bad_member(self, mat, match):
-        stack = [np.eye(2, dtype=complex) / 2] * 3 + [mat.astype(complex)]
+        stack = np.stack([HALF] * 3 + [mat.astype(complex)])
         with pytest.raises(ValueError, match=match):
-            models.quantum_responses(stack)
+            models.finite_model([0.25] * 4, stack, np.stack([HALF] * 4))
 
     def test_quantum_responses_are_read_only_copies(self):
         stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2]).astype(complex)
-        responses = models.quantum_responses(stack)
+        table = np.full((2, 3), 0.5)
+        m = models.finite_model([0.5, 0.5], stack, table)
         stack[0, 0, 0] = 0.0
-        assert [r.rho[0, 0] for r in responses] == [1.0, 0.5]
-        assert not responses[0].rho.flags.writeable
+        table[0, 0] = 1.0
+        assert list(m.alice[:, 0, 0]) == [1.0, 0.5]
+        assert m.bob[0, 0] == 0.5
+        assert not m.alice.flags.writeable and not m.bob.flags.writeable
 
     @pytest.mark.parametrize("side", [1, 2])
     def test_model_from_separable_rejects_one_bad_member(self, side):
@@ -211,11 +210,16 @@ class TestResponses:
             models.model_from_separable([tuple(m) for m in members])
 
     def test_out_of_tolerance_probability_raises(self):
-        # A unit-trace Hermitian matrix that is not PSD, built without
-        # the response constructor, must not be clamped silently.
-        bogus = models.QuantumResponse(np.diag([1.5, -0.5]).astype(complex))
+        # A unit-trace Hermitian matrix that is not PSD, passed without
+        # the model's validation, must not be clamped silently.
+        bogus = np.diag([1.5, -0.5]).astype(complex)[None]
         with pytest.raises(ValueError, match="exceeds tolerance"):
-            models.response_prob(bogus, "z", 0)
+            constructions.pauli_probs(bogus)
+
+    @pytest.mark.parametrize("bad", [np.full(3, 0.5), np.zeros((1, 1, 2, 2)), 0.5])
+    def test_party_of_another_rank_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"alice must be an \(Xi, d, d\) state stack"):
+            models.finite_model([1.0], bad, HALF[None])
 
 
 class TestStackedValidation:

