@@ -125,17 +125,15 @@ class TestResponses:
         probs = models.born_probs(pair(qudit_measurement(np.eye(3))), qutrit)
         assert probs[0, 1, 0] == pytest.approx(1 / 3)
 
-    @pytest.mark.parametrize(
-        "table, match",
-        [
+    def test_table_validation(self):
+        cases = [
             ([[0.5, 1.5, 0.5]], r"^alice table entry must be in \[0, 1\], got 1\.5$"),
             ([[0.5, np.nan, 0.5]], r"^alice table entry must be in \[0, 1\], got nan$"),
             ([[0.5, 0.5]], r"Pauli table, got shape \(1, 2\)"),
-        ],
-    )
-    def test_table_validation(self, table, match):
-        with pytest.raises(ValueError, match=match):
-            models.finite_model([1.0], table, HALF[None])
+        ]
+        for table, match in cases:
+            with pytest.raises(ValueError, match=match):
+                models.finite_model([1.0], table, HALF[None])
 
     def test_weight_validation(self):
         flat = np.full((2, 3), 0.5)
