@@ -20,7 +20,7 @@ import numpy as np
 from . import constructions, mapping, states, witnesses
 from .mapping import INV_SQRT3
 from .measurements import _orthonormal_rows, basis_draws, qudit_measurement, qudit_projectors
-from .models import born_probs, check_weights, validate_responses
+from .models import born_probs, check_weights
 
 LHS_SETTINGS_PER_TRIAL = 20
 SPM_SAMPLES_PER_TRIAL = 50
@@ -147,11 +147,10 @@ def _verify_lhs(dims, trials, seed, fixed):
             params.append(fixed if fixed else _sample_params(rng))
             draws.append(basis_draws(LHS_SETTINGS_PER_TRIAL, d_a, rng))
         mu, c = np.array(params).T
-        tau, weights, alphas, betas = states.random_separables(
+        tau, weights, alice, bob = states.random_separables(
             d_a, 2, ENSEMBLE_SIZE, [seed + LHS_STATE_SEED + t for t in block]
         )
         weights = check_weights(weights)
-        alice, bob = validate_responses(alphas), validate_responses(betas)
         settings = qudit_projectors(_orthonormal_rows(np.stack(draws)))
         pa = born_probs(settings, alice, "quantum response")
         responses, bloch = constructions.lhs_certificates(
@@ -172,11 +171,10 @@ def _verify_spm(dims, trials, seed, fixed):
 
     def run_block(rng, block):
         mu, c = np.array([fixed if fixed else _sample_params(rng) for _ in block]).T
-        rho, weights, alphas, betas = states.random_separables(
+        rho, weights, alice, bob = states.random_separables(
             2, d_b, ENSEMBLE_SIZE, [seed + SPM_STATE_SEED + t for t in block]
         )
         weights = check_weights(weights)
-        alice, bob = validate_responses(alphas), validate_responses(betas)
         alice_bloch = constructions.spm_certificates(
             mu, constructions.pauli_probs(alice), constructions.biased_probs(c)
         )

@@ -386,18 +386,20 @@ def biased_probs(c) -> np.ndarray:
 def bob_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     """Partner model for the Bob-side biased product partner.
 
-    Reuses the base model's weights and Alice responses; Bob answers
-    independently of the hidden value, unbiased at x and y and z-biased
-    by c.  Matches the statistics of bob_biased_partner exactly.
+    Reuses the base model's validated weights and Alice responses; Bob
+    answers independently of the hidden value, unbiased at x and y and
+    z-biased by the number c, through one read-only table row that every
+    hidden value shares.  Matches the statistics of bob_biased_partner
+    exactly.
     """
-    table = np.repeat(biased_probs(c), model.n_hidden, axis=0)
-    return finite_model(model.weights, model.alice, table)
+    table = np.broadcast_to(biased_probs(c), (model.n_hidden, 3))
+    return FiniteModel(model.weights, model.alice, table)
 
 
 def alice_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     """Partner model for the Alice-side biased product partner."""
-    table = np.repeat(biased_probs(c), model.n_hidden, axis=0)
-    return finite_model(model.weights, table, model.bob)
+    table = np.broadcast_to(biased_probs(c), (model.n_hidden, 3))
+    return FiniteModel(model.weights, table, model.bob)
 
 
 def vertex_witness_model(d_a: int) -> FiniteModel:

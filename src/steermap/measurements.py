@@ -58,6 +58,13 @@ def validate_projectors(projectors) -> np.ndarray:
     if p.ndim != 4 or p.shape[2] != p.shape[3] or 0 in p.shape:
         raise ValueError(f"projector stack must have shape (n, k, d, d), got {p.shape}")
     _check_finite(p)
+    # |P - P^dagger| from real arrays: no complex temporaries of the stack.
+    re, im = p.real, p.imag
+    _check(
+        np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)),
+        "measurement {0}: projector {1} is not Hermitian (defect {defect:.3e})",
+        axes=(-2, -1),
+    )
     return _checked(p)
 
 
@@ -67,9 +74,9 @@ def _check_finite(a: np.ndarray) -> None:
 
 
 def _checked(stack: np.ndarray, per_block: np.ndarray | None = None) -> np.ndarray:
-    """The checks of :func:`validate_projectors` after the finite one.
+    """The checks of :func:`validate_projectors` after the finite and Hermitian ones.
 
-    ``stack`` is a finite complex (n, k, d, d) or (T, n, k, d, d) array
+    ``stack`` is a finite Hermitian (n, k, d, d) or (T, n, k, d, d) array
     that the caller owns; errors count its measurements in C order.
     ``per_block`` holds the (n, k, k) max-abs entries of the blocks
     P_i P_j - delta_ij P_i when the caller can derive them.  Returns
@@ -77,13 +84,6 @@ def _checked(stack: np.ndarray, per_block: np.ndarray | None = None) -> np.ndarr
     """
     p = stack.reshape(-1, *stack.shape[-3:])
     n, k, d = p.shape[:3]
-    # |P - P^dagger| from real arrays: no complex temporaries of the stack.
-    re, im = p.real, p.imag
-    _check(
-        np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)),
-        "measurement {0}: projector {1} is not Hermitian (defect {defect:.3e})",
-        axes=(-2, -1),
-    )
     # Step i forms P_i [P_0 ... P_{k-1}], an (n, d, k d) array whose block
     # j is P_i P_j, which must equal delta_ij P_i.  After subtracting P_i
     # from block i, the diagonal of the per-block maxima tests idempotence
@@ -170,7 +170,10 @@ def qudit_projectors(bases) -> np.ndarray:
     :func:`validate_projectors`, but the product defects come from the
     Gram matrix: block (i, j) of P_i P_j - delta_ij P_i is
     (G_ij - delta_ij) b_i b_j^dagger, whose max-abs entry is
-    |G_ij - delta_ij| max|b_i| max|b_j|.
+    |G_ij - delta_ij| max|b_i| max|b_j|.  Hermiticity is derived: once
+    |G_ii - 1| <= PROJ_TOL, every entry of b_i b_i^dagger is one rounded
+    complex product of entries no larger than about 1, so its
+    conjugate-symmetry defect is at most about 5e-16.
     """
     b = np.asarray(bases, dtype=np.complex128)
     if b.ndim not in (3, 4) or b.shape[-1] != b.shape[-2]:

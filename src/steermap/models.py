@@ -21,43 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .states import PSD_TOL, TRACE_TOL, DensityMatrix, check_unit_interval
+from .states import DensityMatrix, check_unit_interval, validate_states
 
 PROB_TOL = 1e-12
-
-
-def validate_responses(stack) -> np.ndarray:
-    """Validate a stack of response density matrices; return a read-only copy.
-
-    ``stack`` has shape (n, d, d), or (T, n, d, d) for the members of T
-    ensembles.  One pass over the whole stack: the eigensolver rejects
-    non-finite and non-Hermitian members, then every trace must be 1 and
-    every least eigenvalue >= -1e-10, both checks written so that NaN
-    fails them.  Errors name the first offending member (``t,i`` for a
-    stack of ensembles).
-    """
-    m = np.array(stack, dtype=np.complex128)
-    if m.ndim not in (3, 4):
-        raise ValueError(f"expected an (n, d, d) stack of states, got shape {m.shape}")
-    w, _ = linalg.hermitian_eigen(m)
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)
-    if bad.any():
-        i = linalg._first(bad)
-        raise ValueError(f"response state {_index(i)} trace {tr[i]} != 1")
-    bad = ~(w[..., 0] >= -PSD_TOL)
-    if bad.any():
-        i = linalg._first(bad)
-        raise ValueError(
-            f"response state {_index(i)} is not PSD (min eigenvalue {w[i][0]:.3e})"
-        )
-    m.setflags(write=False)
-    return m
-
-
-def _index(idx: tuple[int, ...]) -> str:
-    return ",".join(map(str, idx))
 
 
 def _check_probs(values: np.ndarray, context: str) -> np.ndarray:
@@ -135,9 +101,9 @@ def finite_model(weights, alice, bob) -> FiniteModel:
     """Validate weights and both parties and assemble a FiniteModel.
 
     A 3-D party is a response-state stack, checked by
-    :func:`validate_responses`; a 2-D party is a Pauli table, which must
-    have three columns and every entry in [0, 1].  Each party needs one
-    row per weight.
+    :func:`steermap.states.validate_states`; a 2-D party is a Pauli
+    table, which must have three columns and every entry in [0, 1].  Each
+    party needs one row per weight.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
@@ -156,7 +122,7 @@ def _party(name: str, responses) -> np.ndarray:
     """One party of a model as a validated read-only array."""
     r = np.asarray(responses)
     if r.ndim == 3:
-        return validate_responses(r)
+        return validate_states(r)
     if r.ndim != 2 or r.shape[1] != 3:
         raise ValueError(
             f"{name} must be an (Xi, d, d) state stack or an (Xi, 3) Pauli table, "
@@ -177,8 +143,12 @@ def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
     tensor without forming Kronecker products.  For a stack of T states
     both projector stacks carry a leading (T,) axis and the result is
     (T, n, A, B).  Every entry is range-checked and clipped to [0, 1].
+    Projectors of other dims than the state's raise ``ValueError``.
     """
     d_a, d_b = rho.d_a, rho.d_b
+    got = (a_projectors.shape[-1], b_projectors.shape[-1])
+    if got != (d_a, d_b):
+        raise ValueError(f"projector dims {got[0]}x{got[1]} != state dims {d_a}x{d_b}")
     lead = rho.mat.shape[:-2]
     n, n_a = a_projectors.shape[len(lead) : len(lead) + 2]
     # t[k, l, i, j] = rho[(k, l), (i, j)], regrouped as a (d_a^2, d_b^2)

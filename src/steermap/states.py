@@ -7,6 +7,7 @@ constructions take an explicit seed; there is no global RNG state.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,7 @@ class StateValidationError(ValueError):
     """A density-matrix invariant failed; names it, the deviation and,
     for a stack, the first state that failed it."""
 
-    def __init__(self, invariant: str, deviation: float, state: int | None = None):
+    def __init__(self, invariant: str, deviation: float, state: int | tuple | None = None):
         self.invariant = invariant
         self.deviation = deviation
         self.state = state
@@ -98,39 +99,33 @@ class DensityMatrix:
         return linalg.partial_trace(self.mat, self.d_a, self.d_b, keep="B")
 
 
-def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
-    """Validate and wrap a matrix, or a (T, n, n) stack of them, as a DensityMatrix.
+def validate_states(mat, n: int | None = None) -> np.ndarray:
+    """Check a matrix, or an (..., n, n) stack, as density matrices; return a read-only copy.
 
-    Checks, in order: finite entries, shape, hermiticity (1e-10), unit
-    trace (1e-10) and positive semidefiniteness (min eigenvalue >=
-    -1e-10).  Raises :class:`StateValidationError` naming the first
-    failed invariant; each check covers the whole stack at once, and a
-    stack's error also names the first state that fails it.  The stored
-    matrix is the Hermitian part ``(mat + mat^dagger)/2``, so every state
-    downstream is Hermitian to rounding.  A stack makes one stacked
-    eigendecomposition.
+    The one state validator.  Checks, in order: finite entries, shape
+    (square; n x n if ``n`` is given), hermiticity (1e-10), unit trace
+    (1e-10) and min eigenvalue >= -1e-10, each over the whole stack at
+    once and so that NaN fails it.  The :class:`StateValidationError`
+    names the first failed invariant and member: ``i`` for a (T, n, n)
+    stack, ``(t, i)`` for a (T, Xi, n, n) one.
     """
-    if d_a < 2 or d_b < 2:
-        raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
-    m = np.asarray(mat, dtype=np.complex128)
-    if m.ndim not in (2, 3):
-        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
-    stacked = m.ndim == 3
+    m = np.array(mat, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or an (..., n, n) stack, got ndim={m.ndim}")
 
     def fail(invariant: str, deviation: np.ndarray, ok: np.ndarray):
-        i = int(np.argmin(ok)) if stacked else None
-        return StateValidationError(invariant, float(deviation.flat[i or 0]), i)
+        idx = linalg._first(~ok)
+        state = idx[0] if len(idx) == 1 else idx or None
+        return StateValidationError(invariant, float(deviation[idx]), state)
 
-    # Each check first looks at the whole stack; per-state values are
-    # only formed to name the first failing state.
     if not np.isfinite(m).all():
         bad = np.count_nonzero(~np.isfinite(m), axis=(-2, -1))
         raise fail("finite entries", bad, bad == 0)
-    n = d_a * d_b
+    n = m.shape[-1] if n is None else n
     if m.shape[-2:] != (n, n):
-        raise StateValidationError(
-            f"shape {m.shape} != ({n}, {n})", float(abs(m.shape[-2] - n))
-        )
+        off = abs(m.shape[-2] - n)  # an int: a huge n must not overflow float()
+        dev = float(off) if off <= sys.float_info.max else np.inf
+        raise StateValidationError(f"shape {m.shape} != ({n}, {n})", dev)
     defect = np.abs(m - m.conj().swapaxes(-1, -2))
     if defect.max() > HERM_TOL:
         defect = defect.max(axis=(-2, -1))
@@ -142,7 +137,22 @@ def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     w, _ = linalg.hermitian_eigen(m)
     if not (w[..., 0] >= -PSD_TOL).all():
         raise fail("min eigenvalue >= -1e-10", -w[..., 0], w[..., 0] >= -PSD_TOL)
-    return _closed_density(m, d_a, d_b)
+    m.setflags(write=False)
+    return m
+
+
+def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
+    """Validate (:func:`validate_states`) and wrap a matrix, or a (T, n, n) stack of them.
+
+    Stores the Hermitian part ``(mat + mat^dagger)/2``, so every state
+    downstream is Hermitian to rounding.
+    """
+    if d_a < 2 or d_b < 2:
+        raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
+    m = np.asarray(mat, dtype=np.complex128)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
+    return _closed_density(validate_states(m, d_a * d_b), d_a, d_b)
 
 
 def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
@@ -162,6 +172,11 @@ def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
     far below zero, since tracing out a qubit at most doubles the least
     eigenvalue's magnitude; ``mapping.biased_partner`` therefore checks
     its reduced state's least eigenvalue, scaled by (1 + c)/2.
+
+    :func:`random_separables` builds its mixtures here too: a mixture
+    ``sum_i w_i |p_i><p_i|`` of unit vectors p_i with simplex weights is
+    the weighted Gram matrix of the p_i, positive semidefinite since
+    ``<x|M|x> = sum_i w_i |<p_i|x>|^2``, with trace ``sum_i w_i = 1``.
     """
     out = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
     out.setflags(write=False)
@@ -236,24 +251,18 @@ def hidden_qubits(bloch) -> np.ndarray:
 def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
     """Bob's unnormalized steered states tr_A[(pi x 1) rho] for a stack.
 
-    ``projectors`` has shape (..., d_a, d_a); each must be a Hermitian
-    idempotent projector (1e-10).  The result has shape (..., d_b, d_b),
-    from one contraction on the (d_a, d_b, d_a, d_b) state tensor; the
-    trace of each entry is its outcome probability.  For a stack of T
-    states the projectors have shape (T, ..., d_a, d_a) and state t
-    meets the projectors of row t.
+    ``projectors`` has shape (..., d_a, d_a) and holds projectors their
+    builder has checked; as in ``models.born_probs``, only the shape is
+    checked here.  The result has shape (..., d_b, d_b), from one
+    contraction on the (d_a, d_b, d_a, d_b) state tensor; the trace of
+    each entry is its outcome probability.  For a stack of T states the
+    projectors have shape (T, ..., d_a, d_a) and state t meets row t.
     """
     pi = np.asarray(projectors, dtype=np.complex128)
     if pi.ndim < 2 or pi.shape[-2:] != (rho.d_a, rho.d_a):
         raise ValueError(
             f"projector shape {pi.shape} does not match d_a={rho.d_a}"
         )
-    defect = float(np.max(np.abs(pi - pi.conj().swapaxes(-1, -2)), initial=0.0))
-    if not defect <= HERM_TOL:
-        raise ValueError(f"projector is not Hermitian (defect {defect:.3e})")
-    idem = float(np.max(np.abs(pi @ pi - pi), initial=0.0))
-    if not idem <= HERM_TOL:
-        raise ValueError(f"projector is not idempotent (defect {idem:.3e})")
     d_a, d_b = rho.d_a, rho.d_b
     lead = rho.mat.shape[:-2]
     # out[..., b, d] = sum_ij pi[..., i, j] t[j, b, i, d] for the state
@@ -262,15 +271,6 @@ def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
     t = t.transpose(*range(len(lead)), -2, -4, -3, -1).reshape(*lead, d_a**2, d_b**2)
     out = pi.reshape(*lead, -1, d_a**2) @ t
     return out.reshape(*pi.shape[:-2], d_b, d_b)
-
-
-def conditional_state(rho: DensityMatrix, pi_a) -> np.ndarray:
-    """Bob's unnormalized steered state tr_A[(pi_a x 1) rho].
-
-    ``pi_a`` must be a Hermitian idempotent d_a x d_a projector (1e-10);
-    the trace of the result is the outcome probability.
-    """
-    return conditional_states(rho, linalg.as_matrix(pi_a))
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -286,9 +286,9 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     The stacked kernel of :func:`random_separable`: each seed draws
     exactly what a :func:`random_separable` call with it draws, and the
     normalization, products and mixtures of all T seeds run as stacks.
-    Returns ``(rho, weights, alphas, betas)``: the T states as one
-    validated :class:`DensityMatrix` stack (one :func:`make_density`
-    call), the (T, k) weights and the (T, k, d_a, d_a) and
+    Returns ``(rho, weights, alphas, betas)``: the T mixtures as one
+    closed :class:`DensityMatrix` stack (see :func:`_closed_density`), the
+    (T, k) weights and the validated, read-only (T, k, d_a, d_a) and
     (T, k, d_b, d_b) member stacks.
     """
     if k < 1:
@@ -305,11 +305,11 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     va, vb = re_a + 1j * im_a, re_b + 1j * im_b
     va /= np.linalg.norm(va, axis=-1, keepdims=True)
     vb /= np.linalg.norm(vb, axis=-1, keepdims=True)
-    alphas = va[..., :, None] * va.conj()[..., None, :]
-    betas = vb[..., :, None] * vb.conj()[..., None, :]
+    alphas = validate_states(va[..., :, None] * va.conj()[..., None, :])
+    betas = validate_states(vb[..., :, None] * vb.conj()[..., None, :])
     product = (va[..., :, None] * vb[..., None, :]).reshape(len(weights), k, d_a * d_b)
     mat = (weights[..., None] * product).swapaxes(-1, -2) @ product.conj()
-    return make_density(mat, d_a, d_b), weights, alphas, betas
+    return _closed_density(mat, d_a, d_b), weights, alphas, betas
 
 
 def random_separable(

@@ -225,16 +225,17 @@ class TestEigenCounts:
         return calls
 
     @pytest.mark.parametrize("target, dims", [("lhs", "3x2"), ("spm", "2x3")])
-    def test_verify_makes_at_most_four_per_block(self, eigen_calls, target, dims, capsys):
-        # One block: the states, each party's responses and the reduced
-        # states of the partners, whatever the number of trials in it.
-        counts = []
-        for trials in ("1", "5"):
+    def test_verify_makes_exactly_three_per_block(self, eigen_calls, target, dims, capsys):
+        # One block: each party's sampled members and the reduced states of
+        # the partners, whatever the number of trials in it.  The sampled
+        # mixtures, (T, d_a d_b, d_a d_b), are closed and not decomposed.
+        d_a, d_b = map(int, dims.split("x"))
+        for trials in (1, 5):
             eigen_calls.clear()
-            assert cli.main(["verify", target, "--dims", dims, "--trials", trials]) == 0
+            assert cli.main(["verify", target, "--dims", dims, "--trials", str(trials)]) == 0
             assert json.loads(capsys.readouterr().out)["pass"] is True
-            counts.append(len(eigen_calls))
-        assert counts[0] == counts[1] <= 4
+            assert len(eigen_calls) == 3
+            assert (trials, d_a * d_b, d_a * d_b) not in eigen_calls
 
     def test_feasible_map_decomposes_only_the_loaded_state(self, eigen_calls, werner_file, tmp_path):
         state = werner_file(0.9)

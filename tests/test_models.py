@@ -11,7 +11,13 @@ from steermap.measurements import (
     random_bases,
     random_direction,
 )
-from steermap.states import make_density, random_separable, singlet
+from steermap.states import (
+    StateValidationError,
+    make_density,
+    random_separable,
+    singlet,
+    validate_states,
+)
 
 X, Y, Z = pauli_projectors()
 HALF = np.eye(2, dtype=complex) / 2
@@ -46,8 +52,12 @@ class TestBornJoint:
     def test_dim_mismatch(self):
         # Qubit projectors on a 3x2 state are refused, not contracted.
         rho, _ = random_separable(3, 2, 2, seed=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^projector dims 2x2 != state dims 3x2$"):
             models.born_joints(rho, pair(Z), pair(Z))
+        qutrit = pair(qudit_measurement(np.eye(3)))
+        with pytest.raises(ValueError, match=r"^projector dims 3x3 != state dims 3x2$"):
+            models.born_joints(rho, qutrit, qutrit)
+        assert models.born_joints(rho, qutrit, pair(Z)).shape == (1, 3, 2)
 
     def test_batch_matches_kron_reference(self):
         # Reference: the per-pair Kronecker-product trace the batched
@@ -155,17 +165,18 @@ class TestResponses:
         assert (lhv.alice.ndim, lhv.bob.ndim) == (3, 2)
 
     @pytest.mark.parametrize(
-        "mat, match",
+        "mat, invariant",
         [
-            (np.full((2, 2), np.nan), "non-finite"),
-            (np.array([[np.inf, 0.0], [0.0, 0.0]]), "non-finite"),
-            (np.diag([1.5, -0.5]), "not PSD"),
-            (np.array([[0.5, 0.9], [0.9, 0.5]]), "not PSD"),
+            (np.full((2, 2), np.nan), "finite entries"),
+            (np.array([[np.inf, 0.0], [0.0, 0.0]]), "finite entries"),
+            (np.diag([1.5, -0.5]), "min eigenvalue >= -1e-10"),
+            (np.array([[0.5, 0.9], [0.9, 0.5]]), "min eigenvalue >= -1e-10"),
         ],
+        ids=["mat0-non-finite", "mat1-non-finite", "mat2-not PSD", "mat3-not PSD"],
     )
-    def test_quantum_response_rejects_nan_and_non_psd(self, mat, match):
+    def test_quantum_response_rejects_nan_and_non_psd(self, mat, invariant):
         for alice, bob in ((mat[None], HALF[None]), (HALF[None], mat[None])):
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(StateValidationError, match=f"{invariant} in state 0 "):
                 models.finite_model([1.0], alice.astype(complex), bob.astype(complex))
 
     def test_quantum_response_accepts_rounding_level_negativity(self):
@@ -175,19 +186,27 @@ class TestResponses:
         assert m.alice.shape == (1, 2, 2)
 
     @pytest.mark.parametrize(
-        "mat, match",
+        "mat, invariant",
         [
-            (np.diag([np.nan, 0.0]), r"matrix 3 has non-finite entries"),
-            (np.diag([np.inf, 0.0]), r"matrix 3 has non-finite entries"),
-            (np.array([[0.5, 0.5], [0.0, 0.5]]), r"matrix 3 is not Hermitian"),
-            (np.diag([0.6, 0.6]), r"response state 3 trace \(1\.2\+0j\) != 1"),
-            (np.diag([1.5, -0.5]), r"response state 3 is not PSD"),
+            (np.diag([np.nan, 0.0]), "finite entries"),
+            (np.diag([np.inf, 0.0]), "finite entries"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "hermitian within 1e-10"),
+            (np.diag([0.6, 0.6]), "trace = 1 within 1e-10"),
+            (np.diag([1.5, -0.5]), "min eigenvalue >= -1e-10"),
+        ],
+        ids=[
+            "mat0-matrix 3 has non-finite entries",
+            "mat1-matrix 3 has non-finite entries",
+            "mat2-matrix 3 is not Hermitian",
+            r"mat3-response state 3 trace \(1\.2\+0j\) != 1",
+            "mat4-response state 3 is not PSD",
         ],
     )
-    def test_quantum_responses_name_the_bad_member(self, mat, match):
+    def test_quantum_responses_name_the_bad_member(self, mat, invariant):
         stack = np.stack([HALF] * 3 + [mat.astype(complex)])
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(StateValidationError, match=f"{invariant} in state 3 ") as info:
             models.finite_model([0.25] * 4, stack, np.stack([HALF] * 4))
+        assert info.value.state == 3
 
     def test_quantum_responses_are_read_only_copies(self):
         stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2]).astype(complex)
@@ -204,7 +223,7 @@ class TestResponses:
         _, ensemble = random_separable(3, 2, 4, seed=15)
         members = [list(m) for m in ensemble]
         members[2][side] = members[2][side] * 1.5  # trace 1.5
-        with pytest.raises(ValueError, match="response state 2 trace"):
+        with pytest.raises(StateValidationError, match="trace = 1 within 1e-10 in state 2 "):
             models.model_from_separable([tuple(m) for m in members])
 
     def test_out_of_tolerance_probability_raises(self):
@@ -222,17 +241,20 @@ class TestResponses:
 
 class TestStackedValidation:
     def test_validate_responses_names_trial_and_member(self):
+        # Response stacks of T ensembles go through the one state validator.
         stack = np.stack([np.eye(2, dtype=complex) / 2] * 6).reshape(2, 3, 2, 2)
+        member = r"in state \(1, 2\) "
         stack[1, 2] = np.diag([1.5, -0.5])
-        with pytest.raises(ValueError, match=r"response state 1,2 is not PSD"):
-            models.validate_responses(stack)
+        with pytest.raises(StateValidationError, match=f"eigenvalue >= -1e-10 {member}") as info:
+            validate_states(stack)
+        assert info.value.state == (1, 2)
         stack[1, 2] = np.diag([0.6, 0.6])
-        with pytest.raises(ValueError, match=r"response state 1,2 trace"):
-            models.validate_responses(stack)
+        with pytest.raises(StateValidationError, match=f"trace = 1 within 1e-10 {member}"):
+            validate_states(stack)
 
     def test_validate_responses_returns_read_only_copy(self):
         stack = np.stack([np.eye(2, dtype=complex) / 2] * 4).reshape(2, 2, 2, 2)
-        out = models.validate_responses(stack)
+        out = validate_states(stack)
         assert np.array_equal(out, stack) and out is not stack
         assert not out.flags.writeable
 

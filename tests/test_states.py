@@ -11,7 +11,6 @@ from steermap.states import (
     bell_phi_plus,
     bloch_from_qubit,
     DensityMatrix,
-    conditional_state,
     conditional_states,
     make_density,
     qubit_from_bloch,
@@ -137,6 +136,24 @@ class TestMakeDensityStack:
         with pytest.raises(ValueError, match="ndim=4"):
             make_density(np.zeros((1, 1, 4, 4)), 2, 2)
 
+    def test_huge_dims_fail_the_shape_check(self):
+        # The shape deviation is an int too large for a float.
+        with pytest.raises(StateValidationError, match="shape") as info:
+            make_density(np.eye(4) / 4, 10**400, 2)
+        assert info.value.deviation == np.inf
+
+
+class TestValidateStates:
+    """The one state validator, on stacks of any rank."""
+
+    def test_shape_and_rank(self):
+        with pytest.raises(StateValidationError, match=r"shape \(3, 2, 2\) != \(4, 4\)"):
+            states.validate_states(np.stack([np.eye(2) / 2] * 3), 4)
+        with pytest.raises(StateValidationError, match=r"shape \(2, 3\) != \(3, 3\)"):
+            states.validate_states(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="ndim=1"):
+            states.validate_states(np.ones(4))
+
 
 class TestRandomSeparables:
     @pytest.mark.parametrize("dims", [(2, 2), (4, 2), (2, 3), (2, 4)])
@@ -152,6 +169,16 @@ class TestRandomSeparables:
                 assert w == weights[t, xi]
                 assert np.array_equal(alpha, alphas[t, xi])
                 assert np.array_equal(beta, betas[t, xi])
+
+    def test_output_passes_make_density(self):
+        # The mixtures skip validation; every one of them must still pass it.
+        for d_a in (2, 3, 4):
+            for d_b in (2, 3, 4):
+                for k in range(1, 7):
+                    seeds = range(100 * k, 100 * k + 50)
+                    rho, _, alphas, betas = states.random_separables(d_a, d_b, k, seeds)
+                    assert np.array_equal(make_density(rho.mat, d_a, d_b).mat, rho.mat)
+                    assert not alphas.flags.writeable and not betas.flags.writeable
 
 
 class TestWerner:
@@ -214,25 +241,19 @@ class TestConditionalState:
         beta = states.random_pure(2, rng)
         rho = make_density(linalg.kron(alpha, beta), 3, 2)
         pi = np.diag([1, 0, 0]).astype(complex)
-        out = conditional_state(rho, pi)
+        out = conditional_states(rho, pi)
         assert np.allclose(out, np.trace(pi @ alpha) * beta, atol=1e-13)
 
     def test_bell_collapse(self):
         # Hand computation: projecting Alice of |phi+> on |0> leaves |0><0|/2.
-        out = conditional_state(bell_phi_plus(), np.diag([1, 0]).astype(complex))
+        out = conditional_states(bell_phi_plus(), np.diag([1, 0]).astype(complex))
         assert np.allclose(out, np.diag([0.5, 0]), atol=1e-14)
 
     def test_completeness(self):
         rho, _ = random_separable(3, 2, 4, seed=23)
         basis = np.eye(3, dtype=complex)
-        total = sum(
-            conditional_state(rho, np.outer(basis[i], basis[i].conj())) for i in range(3)
-        )
+        total = conditional_states(rho, np.einsum("ix,iy->ixy", basis, basis.conj())).sum(axis=0)
         assert np.max(np.abs(total - rho.reduced_b())) < 1e-12
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            conditional_state(werner(0.5), (0.5 * np.eye(2)).astype(complex))
 
     def test_batch_matches_kron_reference(self):
         # Reference: tr_A[(pi x 1) rho] through an explicit Kronecker product.
@@ -248,14 +269,6 @@ class TestConditionalState:
                 big = np.kron(pis[s, a], np.eye(2)) @ rho.mat
                 ref = linalg.partial_trace(big, 3, 2, keep="B")
                 assert np.max(np.abs(out[s, a] - ref)) <= 1e-15
-
-    def test_batch_rejects_bad_projector_in_last_slot(self):
-        pis = np.stack([np.diag([1, 0]), np.diag([0, 1]), 0.5 * np.eye(2)]).astype(complex)
-        with pytest.raises(ValueError, match="idempotent"):
-            conditional_states(werner(0.5), pis)
-        pis[2] = [[1, 1], [0, 0]]
-        with pytest.raises(ValueError, match="not Hermitian"):
-            conditional_states(werner(0.5), pis)
 
 
 class TestRandomSeparable:
