@@ -72,7 +72,8 @@ def _parse_dims(raw: str) -> tuple[int, int]:
 def cmd_analyze(args) -> int:
     rho = states.load_state(args.state)
     report = witnesses.witness_report(rho)
-    rounded = {k: _sig12(v) for k, v in json.loads(report.to_json()).items()}
+    # Fields in declaration order; a detector that does not apply is left out.
+    rounded = {k: _sig12(v) for k, v in vars(report).items() if v is not None}
     _emit(json.dumps(rounded, allow_nan=False), args.out)
     return EXIT_OK
 

@@ -28,7 +28,6 @@ checked rather than assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,21 +89,6 @@ class LhsCertificate:
     weights: np.ndarray = field(repr=False)
     responses: np.ndarray = field(repr=False)
     bloch: np.ndarray = field(repr=False)
-
-    @property
-    def n_hidden(self) -> int:
-        return len(self.weights)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "hidden-state",
-                "weights": self.weights.tolist(),
-                "responses": self.responses.tolist(),
-                "bloch": self.bloch.tolist(),
-            },
-            allow_nan=False,
-        )
 
 
 def lhs_certificate(
@@ -248,24 +232,6 @@ class SpmCertificate:
     weights: np.ndarray = field(repr=False)
     alice_bloch: np.ndarray = field(repr=False)
     bob_states: np.ndarray = field(repr=False)
-
-    @property
-    def n_hidden(self) -> int:
-        return len(self.weights)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "separable",
-                "weights": self.weights.tolist(),
-                "alice_bloch": self.alice_bloch.tolist(),
-                "bob_states": [
-                    {"re": b.real.tolist(), "im": b.imag.tolist()}
-                    for b in self.bob_states
-                ],
-            },
-            allow_nan=False,
-        )
 
 
 def spm_certificate(

@@ -26,12 +26,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """Max-abs entry of m - m^dagger."""
-    a = as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, A the left (slow) factor.
 

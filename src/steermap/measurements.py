@@ -10,17 +10,15 @@ Measurements are built in batches: :func:`qubit_projectors` takes an
 invariants from the check it runs on its input, rather than testing its
 own output with the generic product loop, which serves only the stacks
 a caller hands to :func:`validate_projectors`.  A measurement is its
-read-only ``(k, d, d)`` projector array; the single builders
-:func:`qubit_measurement` and :func:`qudit_measurement` are the
-``n = 1`` case.  Random bases are drawn (:func:`basis_draws`,
-:func:`pair_draws`) apart from their QR, so draws from several streams
-can share one.
+read-only ``(k, d, d)`` projector array; the single builder
+:func:`qudit_measurement` is the ``n = 1`` case.  Random bases are drawn
+(:func:`basis_draws`, :func:`pair_draws`) apart from their QR, so draws
+from several streams can share one.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -142,14 +140,6 @@ def qubit_projectors(directions) -> np.ndarray:
     return stack
 
 
-def qubit_measurement(n) -> np.ndarray:
-    """Read-only (2, 2, 2) projectors of the qubit measurement along unit direction n."""
-    v = np.asarray(n, dtype=float).reshape(-1)
-    if v.shape != (3,):
-        raise ValueError(f"direction must be a 3-vector, got shape {v.shape}")
-    return qubit_projectors(v[None])[0]
-
-
 @functools.cache
 def pauli_projectors() -> np.ndarray:
     """The read-only (3, 2, 2, 2) projector stack of the x, y, z settings.
@@ -203,18 +193,6 @@ def qudit_measurement(basis) -> np.ndarray:
     return qudit_projectors(np.array(vecs)[None])[0]
 
 
-def random_direction(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random unit 3-vector.
-
-    Draws three normals and draws again while their norm is <= 1e-8.
-    """
-    while True:
-        v = rng.standard_normal(3)
-        norm = math.sqrt(v @ v)
-        if norm > 1e-8:
-            return v / norm
-
-
 def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
     """Orthonormal rows from a stack of complex Gaussian matrices via QR.
 
@@ -228,7 +206,7 @@ def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
 
 
 def basis_draws(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The (n, dim, dim) complex Gaussian matrices behind :func:`random_bases`.
+    """The (n, dim, dim) complex Gaussian matrices of n random bases.
 
     Per basis it draws the real parts, then the imaginary parts, as n
     calls of :func:`random_basis` do.
@@ -237,69 +215,29 @@ def basis_draws(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return z[:, 0] + 1j * z[:, 1]
 
 
-def random_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-ish random orthonormal bases (rows) as an (n, dim, dim) array."""
-    return _orthonormal_rows(basis_draws(n, dim, rng))
-
-
 def random_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthonormal basis (rows) via QR of a Gaussian matrix."""
-    return random_bases(1, dim, rng)[0]
+    return _orthonormal_rows(basis_draws(1, dim, rng))[0]
 
 
 def pair_draws(n: int, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n qubit directions and the (n, dim, dim) Gaussian matrices of n qudit bases.
 
-    Draws exactly what n alternating calls of :func:`random_direction`
-    and :func:`random_basis` draw, and leaves ``rng`` where they leave it.
-    One (n, 3 + 2 dim^2) block of normals holds, row by row, the three
-    direction entries and the basis's real and imaginary parts, the
-    order in which those calls draw them.  The norms come from a batched
-    matmul, the dot kernel of ``math.sqrt(v @ v)``, so the directions
-    are bit-identical.  If a direction would be drawn again (norm
-    <= 1e-8, probability about 1e-25), the block is replayed through the
-    per-sample loop, which draws what the redraws need after it.
+    One (n, 3 + 2 dim^2) block of normals holds, row by row, three
+    direction entries and the basis's real and imaginary parts: the
+    stream of a per-sample loop that draws a direction, then a basis.
+    The norms come from a batched matmul, the dot kernel of
+    ``math.sqrt(v @ v)``, so the directions are bit-identical to that
+    loop's.  A row whose direction norm is <= 1e-8 (probability about
+    1e-25) gets three fresh normals from ``rng``, drawn after the block.
     """
     block = rng.standard_normal((n, 3 + 2 * dim * dim))
     v = block[:, :3]
-    norm = np.sqrt(v[:, None, :] @ v[:, :, None]).reshape(n, 1)
-    if (norm > 1e-8).all():
-        directions, z = v / norm, block[:, 3:]
-    else:
-        directions, z = _pairs_by_sample(n, dim, _Replay(block, rng))
-    z = z.reshape(n, 2, dim, dim)
-    return directions, z[:, 0] + 1j * z[:, 1]
-
-
-def random_measurement_pairs(
-    n: int, dim: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """n (qubit direction, qudit basis) pairs as (n, 3) and (n, dim, dim) arrays.
-
-    The draws of :func:`pair_draws`, with one QR over the stack.
-    """
-    directions, g = pair_draws(n, dim, rng)
-    return directions, _orthonormal_rows(g)
-
-
-class _Replay:
-    """A normal source that serves the numbers of ``drawn``, then draws from ``rng``."""
-
-    def __init__(self, drawn: np.ndarray, rng: np.random.Generator):
-        self._drawn = drawn.ravel()
-        self._rng = rng
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        head, self._drawn = self._drawn[:size], self._drawn[size:]
-        return np.concatenate((head, self._rng.standard_normal(size - len(head))))
-
-
-def _pairs_by_sample(n: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The per-sample loop: n directions and n flat basis draws."""
-    directions = np.empty((n, 3))
-    z = np.empty((n, 2 * dim * dim))
-    for i in range(n):
-        directions[i] = random_direction(rng)
-        z[i] = rng.standard_normal(2 * dim * dim)
-    return directions, z
-
+    while True:
+        norm = np.sqrt(v[:, None, :] @ v[:, :, None]).reshape(n, 1)
+        redraw = np.flatnonzero(norm <= 1e-8)
+        if not len(redraw):
+            break
+        v[redraw] = rng.standard_normal((len(redraw), 3))
+    z = block[:, 3:].reshape(n, 2, dim, dim)
+    return v / norm, z[:, 0] + 1j * z[:, 1]

@@ -18,7 +18,6 @@ HERM_TOL = linalg.HERMITICITY_TOL
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
-IDENTITY_2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -87,10 +86,6 @@ class DensityMatrix:
     d_a: int
     d_b: int
     mat: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.d_a * self.d_b
 
     def reduced_a(self) -> np.ndarray:
         return linalg.partial_trace(self.mat, self.d_a, self.d_b, keep="A")
@@ -208,29 +203,6 @@ def werner(p: float) -> DensityMatrix:
     return _closed_density(mat, 2, 2)
 
 
-def bloch_from_qubit(m) -> tuple[float, BlochVector]:
-    """Decompose a Hermitian 2x2 matrix as t*I + rx*sx + ry*sy + rz*sz.
-
-    Round-trips exactly to 1e-14: qubit_from_bloch(t, r) reproduces m.
-    """
-    a = linalg.as_matrix(m)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    defect = linalg.hermiticity_defect(a)
-    if defect > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    t = float((a[0, 0].real + a[1, 1].real) / 2.0)
-    rx = float(a[0, 1].real)
-    ry = float(-a[0, 1].imag)
-    rz = float((a[0, 0].real - a[1, 1].real) / 2.0)
-    return t, BlochVector(rx, ry, rz)
-
-
-def qubit_from_bloch(t: float, r: BlochVector) -> np.ndarray:
-    """Inverse of bloch_from_qubit: t*I + r.sigma."""
-    return t * IDENTITY_2 + r.rx * SIGMA_X + r.ry * SIGMA_Y + r.rz * SIGMA_Z
-
-
 def hidden_qubits(bloch) -> np.ndarray:
     """Qubit density matrices (1 + r.sigma)/2 for an (..., 3) array of r.
 
@@ -342,7 +314,10 @@ def state_to_json(rho: DensityMatrix) -> str:
 
 def state_from_json(text: str) -> DensityMatrix:
     """Parse and fully validate the state JSON format."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("state JSON nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError("state JSON must be an object")
     for key in ("dims", "re", "im"):
@@ -365,11 +340,6 @@ def state_from_json(text: str) -> DensityMatrix:
     if max(d_a, d_b) > len(re):
         raise ValueError(f"'dims' entries must not exceed the matrix side {len(re)}")
     return make_density(re + 1j * im, d_a, d_b)
-
-
-def save_state(rho: DensityMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(state_to_json(rho))
 
 
 def load_state(path) -> DensityMatrix:

@@ -9,7 +9,6 @@ the number comes from.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,6 @@ class WitnessReport:
     negativity: float
     chsh: float | None
     f3: float | None
-
-    def to_json(self) -> str:
-        payload = {"negativity": self.negativity}
-        if self.chsh is not None:
-            payload["chsh"] = self.chsh
-        if self.f3 is not None:
-            payload["f3"] = self.f3
-        return json.dumps(payload, allow_nan=False)
 
 
 def negativity(rho: DensityMatrix) -> float:

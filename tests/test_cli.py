@@ -9,14 +9,14 @@ import pytest
 
 from steermap import cli, constructions, linalg, mapping, measurements, states
 from steermap.mapping import INV_SQRT3
-from steermap.states import make_density, random_pure, save_state, werner
+from steermap.states import make_density, random_pure, state_to_json, werner
 
 
 @pytest.fixture
 def werner_file(tmp_path):
     def _write(p):
         path = tmp_path / f"werner_{p}.json"
-        save_state(werner(p), path)
+        path.write_text(state_to_json(werner(p)))
         return str(path)
 
     return _write
@@ -43,7 +43,7 @@ class TestAnalyze:
 
     def test_maximally_mixed(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"
-        save_state(make_density(np.eye(4, dtype=complex) / 4, 2, 2), path)
+        path.write_text(state_to_json(make_density(np.eye(4, dtype=complex) / 4, 2, 2)))
         assert cli.main(["analyze", "--state", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert all(abs(v) <= 1e-10 for v in data.values())
@@ -54,7 +54,7 @@ class TestAnalyze:
             linalg.kron(random_pure(3, rng), np.eye(2, dtype=complex) / 2), 3, 2
         )
         path = tmp_path / "prod.json"
-        save_state(rho, path)
+        path.write_text(state_to_json(rho))
         assert cli.main(["analyze", "--state", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "chsh" not in data and "f3" in data
@@ -500,6 +500,22 @@ class TestStateJsonBoundary:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {self.MESSAGES[case]}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["analyze", "map"])
+    def test_deep_nesting_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        # The JSON parser recurses once per level; the loader must turn
+        # running out of stack into an input error, not crash main.
+        path = tmp_path / "state.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out.json"
+        argv = [command, "--state", str(path), "--out", str(out)]
+        if command == "map":
+            argv += ["--mode", "M", "--mu", "0.3"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: state JSON nests too deeply to parse\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [path]
 

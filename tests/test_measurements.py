@@ -24,24 +24,24 @@ def check_measurement_invariants(m, tol=1e-10):
 
 class TestQubitMeasurement:
     def test_z_direction(self):
-        m = meas.qubit_measurement((0, 0, 1))
+        m = meas.qubit_projectors(np.array([[0.0, 0, 1]]))[0]
         assert np.allclose(m[0], np.diag([1, 0]), atol=1e-15)
         assert np.allclose(m[1], np.diag([0, 1]), atol=1e-15)
 
     def test_x_direction_outcome0(self):
-        m = meas.qubit_measurement((1, 0, 0))
+        m = meas.qubit_projectors(np.array([[1.0, 0, 0]]))[0]
         assert np.allclose(m[0], np.full((2, 2), 0.5), atol=1e-15)
 
     def test_expectation_along_bloch(self):
         # Outcome 0 along n on a state with Bloch vector r has
         # probability (1 + n.r)/2; aligned pure state gives 1.
-        m = meas.qubit_measurement((0, 0, 1))
+        m = meas.qubit_projectors(np.array([[0.0, 0, 1]]))[0]
         rho_up = np.diag([1, 0]).astype(complex)
         assert np.trace(m[0] @ rho_up).real == pytest.approx(1.0)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
-            meas.qubit_measurement((0, 0, 0.9))
+            meas.qubit_projectors(np.array([[0, 0, 0.9]]))
 
 
 class TestPauliSettings:
@@ -90,7 +90,7 @@ class TestQuditMeasurement:
 
     def test_qubit_special_case(self):
         m = meas.qudit_measurement(np.eye(2))
-        z = meas.qubit_measurement((0, 0, 1))
+        z = meas.qubit_projectors(np.array([[0.0, 0, 1]]))[0]
         for a, b in zip(m, z):
             assert np.allclose(a, b, atol=1e-15)
 
@@ -102,8 +102,9 @@ class TestQuditMeasurement:
 class TestRandomSampling:
     def test_directions_and_bases_valid(self):
         rng = np.random.default_rng(55)
-        for _ in range(100):
-            check_measurement_invariants(meas.qubit_measurement(meas.random_direction(rng)))
+        dirs = rng.standard_normal((100, 3))
+        for m in meas.qubit_projectors(dirs / np.linalg.norm(dirs, axis=1, keepdims=True)):
+            check_measurement_invariants(m)
         for dim in (2, 3, 4):
             for _ in range(30):
                 check_measurement_invariants(meas.qudit_measurement(meas.random_basis(dim, rng)))
@@ -113,13 +114,15 @@ class TestRandomSampling:
         rho, _ = random_separable(3, 2, 4, seed=77)
         for _ in range(20):
             m_a = meas.qudit_measurement(meas.random_basis(3, rng))
-            m_b = meas.qubit_measurement(meas.random_direction(rng))
+            v = rng.standard_normal(3)
+            m_b = meas.qubit_projectors((v / np.linalg.norm(v))[None])[0]
             total = born_joints(rho, m_a[None], m_b[None]).sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def _valid_stack(n, dim, seed):
-    return meas.qudit_projectors(meas.random_bases(n, dim, np.random.default_rng(seed)))
+    draws = meas.basis_draws(n, dim, np.random.default_rng(seed))
+    return meas.qudit_projectors(meas._orthonormal_rows(draws))
 
 
 class TestValidateProjectors:
@@ -162,14 +165,15 @@ class TestValidateProjectors:
 class TestBatchedBuilders:
     def test_qubit_batch_matches_single(self):
         rng = np.random.default_rng(5)
-        dirs = np.array([meas.random_direction(rng) for _ in range(7)])
+        dirs = rng.standard_normal((7, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         stack = meas.qubit_projectors(dirs)
         assert stack.shape == (7, 2, 2, 2) and not stack.flags.writeable
         for p, v in zip(stack, dirs):
-            assert np.array_equal(p, meas.qubit_measurement(v))
+            assert np.array_equal(p, meas.qubit_projectors(v[None])[0])
 
     def test_qudit_batch_matches_single(self):
-        bases = meas.random_bases(6, 4, np.random.default_rng(6))
+        bases = meas._orthonormal_rows(meas.basis_draws(6, 4, np.random.default_rng(6)))
         stack = meas.qudit_projectors(bases)
         for m, b in zip(stack, bases):
             assert np.array_equal(m, meas.qudit_measurement(b))
@@ -182,7 +186,7 @@ class TestBatchedBuilders:
             meas.qubit_projectors(dirs)
 
     def test_rejects_non_orthonormal_basis_in_last_slot(self):
-        bases = np.array(meas.random_bases(3, 2, np.random.default_rng(7)))
+        bases = meas._orthonormal_rows(meas.basis_draws(3, 2, np.random.default_rng(7)))
         bases[2, 1] = bases[2, 0]
         with pytest.raises(ValueError, match="basis 2 is not orthonormal"):
             meas.qudit_projectors(bases)
@@ -212,21 +216,23 @@ class TestBatchedBuilders:
         for dim in (2, 3, 4):
             ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
             ref = [(direction(ref_rng), basis(dim, ref_rng)) for _ in range(10)]
-            dirs, bases = meas.random_measurement_pairs(10, dim, rng)
+            dirs, draws = meas.pair_draws(10, dim, rng)
+            bases = meas._orthonormal_rows(draws)
             assert np.max(np.abs(dirs - [d for d, _ in ref])) <= 1e-15
             assert np.max(np.abs(bases - [b for _, b in ref])) <= 1e-14
             assert ref_rng.random() == rng.random()
             ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
             ref_bases = [basis(dim, ref_rng) for _ in range(10)]
-            assert np.max(np.abs(meas.random_bases(10, dim, rng) - ref_bases)) <= 1e-14
+            bases = meas._orthonormal_rows(meas.basis_draws(10, dim, rng))
+            assert np.max(np.abs(bases - ref_bases)) <= 1e-14
             assert ref_rng.random() == rng.random()
 
 
 class TestStackedBuilders:
     def test_trial_axis_matches_each_row(self):
         rng = np.random.default_rng(12)
-        dirs = np.stack([meas.random_measurement_pairs(5, 3, rng)[0] for _ in range(3)])
-        bases = meas.random_bases(15, 3, rng).reshape(3, 5, 3, 3)
+        dirs = np.stack([meas.pair_draws(5, 3, rng)[0] for _ in range(3)])
+        bases = meas._orthonormal_rows(meas.basis_draws(15, 3, rng)).reshape(3, 5, 3, 3)
         qubits, qudits = meas.qubit_projectors(dirs), meas.qudit_projectors(bases)
         assert qubits.shape == (3, 5, 2, 2, 2) and qudits.shape == (3, 5, 3, 3, 3)
         assert not qubits.flags.writeable and not qudits.flags.writeable
@@ -235,7 +241,8 @@ class TestStackedBuilders:
             assert np.array_equal(qudits[t], meas.qudit_projectors(bases[t]))
 
     def test_errors_count_bases_across_the_stack(self):
-        bases = np.array(meas.random_bases(6, 2, np.random.default_rng(13))).reshape(2, 3, 2, 2)
+        draws = meas.basis_draws(6, 2, np.random.default_rng(13))
+        bases = meas._orthonormal_rows(draws).reshape(2, 3, 2, 2)
         bases[1, 0, 1] = bases[1, 0, 0]
         with pytest.raises(ValueError, match="basis 3 is not orthonormal"):
             meas.qudit_projectors(bases)
@@ -261,7 +268,7 @@ class TestCheck:
 class TestBuilderInputChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
     def test_qudit_basis_entry_non_finite(self, bad):
-        bases = np.array(meas.random_bases(3, 3, np.random.default_rng(20)))
+        bases = meas._orthonormal_rows(meas.basis_draws(3, 3, np.random.default_rng(20)))
         bases[2, 1, 0] = bad
         with pytest.raises(ValueError, match="^projectors have non-finite entries$"):
             meas.qudit_projectors(bases)
@@ -301,7 +308,8 @@ class TestBuilderParity:
         kinds = set()
         for eps in np.geomspace(1e-12, 1e-8, 17):
             scale = eps * rng.uniform(0.0, 1.0, (6, 1, 1))
-            bases = meas.random_bases(6, dim, rng) + scale * meas.basis_draws(6, dim, rng)
+            bases = meas._orthonormal_rows(meas.basis_draws(6, dim, rng))
+            bases = bases + scale * meas.basis_draws(6, dim, rng)
             ref_kind, ref = outcome(reference_qudit_projectors, bases)
             kind, got = outcome(meas.qudit_projectors, bases)
             assert kind == ref_kind
@@ -315,7 +323,7 @@ class TestBuilderParity:
         # PROJ_TOL (1 + 1e-10): only the product check catches it.
         s = np.sqrt(1.0 + 1e-10 - 4.4e-16)
         x = 1e-10 / s
-        bases = np.array(meas.random_bases(3, 2, np.random.default_rng(60)))
+        bases = meas._orthonormal_rows(meas.basis_draws(3, 2, np.random.default_rng(60)))
         bases[2] = [[s, 0.0], [x, s]]
         expected = "measurement 2: projectors 0 and 1 are not orthogonal (overlap 1.000e-10)"
         assert outcome(reference_qudit_projectors, bases) == ("raised", expected)
@@ -325,7 +333,8 @@ class TestBuilderParity:
     def test_gram_bound_is_the_product_defect(self, dim):
         # Block (i, j) of P_i P_j - delta_ij P_i is (G_ij - delta_ij) b_i b_j^dagger.
         rng = np.random.default_rng(40 + dim)
-        b = meas.random_bases(5, dim, rng) + 1e-3 * meas.basis_draws(5, dim, rng)
+        b = meas._orthonormal_rows(meas.basis_draws(5, dim, rng))
+        b = b + 1e-3 * meas.basis_draws(5, dim, rng)
         gram = np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(dim))
         peak = np.abs(b).max(axis=-1)
         p = np.einsum("...ix,...iy->...ixy", b, b.conj())

@@ -3,13 +3,13 @@ import pytest
 
 from steermap import constructions, models
 from steermap.measurements import (
+    _orthonormal_rows,
+    basis_draws,
     pauli_projectors,
-    qubit_measurement,
+    qubit_projectors,
     qudit_measurement,
     qudit_projectors,
     random_basis,
-    random_bases,
-    random_direction,
 )
 from steermap.states import (
     StateValidationError,
@@ -96,7 +96,8 @@ class TestModelFromSeparable:
         worst = 0.0
         for _ in range(100):
             m_a = qudit_measurement(random_basis(3, rng))
-            m_b = qubit_measurement(random_direction(rng))
+            v = rng.standard_normal(3)
+            m_b = qubit_projectors((v / np.linalg.norm(v))[None])[0]
             pa = models.born_probs(pair(m_a), m.alice)[0]
             pb = models.born_probs(pair(m_b), m.bob)[0]
             for a in range(3):
@@ -270,7 +271,7 @@ class TestStackedValidation:
 
     def test_born_probs_with_a_stack_axis(self):
         rng = np.random.default_rng(2)
-        projectors = np.stack([qudit_projectors(random_bases(5, 3, rng)) for _ in range(2)])
+        projectors = qudit_projectors(_orthonormal_rows(basis_draws(10, 3, rng)).reshape(2, 5, 3, 3))
         rhos = np.stack([
             np.stack([e for _, e, _ in random_separable(3, 2, 4, seed=s)[1]]) for s in (1, 2)
         ])

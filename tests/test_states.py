@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from steermap import linalg, states
-from steermap.measurements import random_bases
+from steermap.measurements import _orthonormal_rows, basis_draws
 from steermap.states import (
+    PAULI_STACK,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     StateValidationError,
     bell_phi_plus,
-    bloch_from_qubit,
     DensityMatrix,
     conditional_states,
+    hidden_qubits,
     make_density,
-    qubit_from_bloch,
     random_separable,
     singlet,
     state_from_json,
@@ -54,11 +54,11 @@ class TestMakeDensity:
         skew = g - g.conj().T
         skew *= 5e-11 / np.max(np.abs(skew))
         mat = herm.mat + skew / 2.0
-        assert linalg.hermiticity_defect(mat) == pytest.approx(5e-11, rel=1e-6)
+        assert np.max(np.abs(mat - mat.conj().T)) == pytest.approx(5e-11, rel=1e-6)
         w, _ = linalg.hermitian_eigen(mat)
         assert np.max(np.abs(w - np.linalg.eigvalsh(herm.mat))) < 1e-14
         rho = make_density(mat, 2, 2)
-        assert linalg.hermiticity_defect(rho.mat) == 0.0
+        assert np.max(np.abs(rho.mat - rho.mat.conj().T)) == 0.0
         assert np.max(np.abs(rho.mat - herm.mat)) < 1e-15
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
@@ -205,33 +205,35 @@ class TestWerner:
             werner(1.2)
 
 
+def bloch_of(m):
+    """Bloch vector r_k = tr[sigma_k m] of a unit-trace qubit matrix m."""
+    return np.einsum("kij,ji->k", PAULI_STACK, m).real
+
+
 class TestBloch:
+    """hidden_qubits builds (1 + r.sigma)/2; tr[sigma_k .] reads r back."""
+
     def test_maximally_mixed(self):
-        t, r = bloch_from_qubit(np.eye(2, dtype=complex) / 2)
-        assert t == pytest.approx(0.5)
-        assert r.norm_sq() == 0.0
+        m = hidden_qubits(np.zeros(3))
+        assert np.array_equal(m, np.eye(2) / 2)
+        assert np.array_equal(bloch_of(m), np.zeros(3))
 
     def test_z_eigenstate(self):
-        t, r = bloch_from_qubit((np.eye(2) + SIGMA_Z).astype(complex) / 2)
-        assert (t, r.rx, r.ry, r.rz) == pytest.approx((0.5, 0.0, 0.0, 0.5))
+        assert np.array_equal(hidden_qubits([0.0, 0.0, 1.0]), (np.eye(2) + SIGMA_Z) / 2)
 
     def test_off_diagonal_signs(self):
         m = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
-        _, r = bloch_from_qubit(m)
-        assert r.rx == pytest.approx(0.1)
-        assert r.ry == pytest.approx(-0.2)
+        r = bloch_of(m)
+        assert r == pytest.approx([0.2, -0.4, 0.4])
+        assert np.max(np.abs(hidden_qubits(r) - m)) < 1e-15
 
     def test_round_trip(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             m = (g + g.conj().T) / 2
-            t, r = bloch_from_qubit(m)
-            assert np.max(np.abs(qubit_from_bloch(t, r) - m)) < 1e-14
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            bloch_from_qubit(np.array([[0, 1], [0.5, 0]], dtype=complex))
+            m /= np.trace(m).real
+            assert np.max(np.abs(hidden_qubits(bloch_of(m)) - m)) < 1e-14 * np.abs(m).max()
 
 
 class TestConditionalState:
@@ -260,7 +262,7 @@ class TestConditionalState:
         rng = np.random.default_rng(24)
         rho, _ = random_separable(3, 2, 4, seed=25)
         pis = np.stack([
-            np.einsum("ix,iy->ixy", b, b.conj()) for b in random_bases(5, 3, rng)
+            np.einsum("ix,iy->ixy", b, b.conj()) for b in _orthonormal_rows(basis_draws(5, 3, rng))
         ])
         out = conditional_states(rho, pis)
         assert out.shape == (5, 3, 2, 2)
@@ -334,7 +336,7 @@ class TestJson:
     def test_round_trip_via_file(self, tmp_path):
         rho = werner(0.8)
         path = tmp_path / "state.json"
-        states.save_state(rho, path)
+        path.write_text(state_to_json(rho))
         again = states.load_state(path)
         assert np.max(np.abs(again.mat - rho.mat)) < 1e-15
 

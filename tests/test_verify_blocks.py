@@ -11,13 +11,14 @@ memory per block rather than per trial.
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from steermap import cli, constructions, mapping, measurements, models, states
-from steermap.measurements import qudit_projectors, random_bases, random_direction
+from steermap import cli, constructions, mapping, models, states
+from steermap.measurements import _orthonormal_rows, basis_draws, pair_draws, qudit_projectors
 
 
 def reference_lhs(dims, trials, seed, fixed):
@@ -30,7 +31,8 @@ def reference_lhs(dims, trials, seed, fixed):
         model_tau = models.model_from_separable(ensemble)
         mu, c = fixed if fixed else cli._sample_params(rng)
         model_prime = constructions.bob_biased_prime_model(model_tau, c)
-        settings = qudit_projectors(random_bases(cli.LHS_SETTINGS_PER_TRIAL, d_a, rng))
+        draws = basis_draws(cli.LHS_SETTINGS_PER_TRIAL, d_a, rng)
+        settings = qudit_projectors(_orthonormal_rows(draws))
         cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
         rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
         out.append((constructions.verify_lhs_identity(rho, cert, settings), mu, c))
@@ -132,8 +134,8 @@ class TestFailingTrialReport:
 class ZeroFirstDirection:
     """A normal source whose first three draws are 0.0.
 
-    ``random_direction`` rejects that zero vector and draws again, the
-    branch a real generator reaches with probability about 1e-25.
+    Its first direction has norm 0, the case a real generator reaches
+    with probability about 1e-25.
     """
 
     def __init__(self, seed):
@@ -148,21 +150,43 @@ class ZeroFirstDirection:
         return out
 
 
+def pairs_by_sample(n, dim, rng):
+    """n directions and basis draws from a per-sample loop: a direction's
+    three normals, normalised by ``math.sqrt(v @ v)``, then its basis's."""
+    directions = np.empty((n, 3))
+    z = np.empty((n, 2, dim, dim))
+    for i in range(n):
+        v = rng.standard_normal(3)
+        directions[i] = v / math.sqrt(v @ v)
+        z[i] = rng.standard_normal((2, dim, dim))
+    return directions, z[:, 0] + 1j * z[:, 1]
+
+
 class TestDirectionRejection:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_block_draw_equals_per_sample_loop(self, dim):
+        for seed in range(20):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref_dirs, ref_draws = pairs_by_sample(7, dim, ref_rng)
+            dirs, draws = pair_draws(7, dim, rng)
+            assert np.array_equal(dirs, ref_dirs)
+            assert np.array_equal(draws, ref_draws)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_zero_row_is_redrawn_after_the_block(self, dim):
         n = 6
-        ref_rng, rng = ZeroFirstDirection(5), ZeroFirstDirection(5)
-        ref_dirs = np.empty((n, 3))
-        z = np.empty((n, 2, dim, dim))
-        for i in range(n):
-            ref_dirs[i] = random_direction(ref_rng)
-            z[i] = ref_rng.standard_normal((2, dim, dim))
-        ref_bases = measurements._orthonormal_rows(z[:, 0] + 1j * z[:, 1])
-        dirs, bases = measurements.random_measurement_pairs(n, dim, rng)
-        assert np.array_equal(dirs, ref_dirs)
-        assert np.array_equal(bases, ref_bases)
-        assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+        dirs, draws = pair_draws(n, dim, ZeroFirstDirection(5))
+        # The stub serves the plain stream with its first three entries zeroed.
+        plain = np.random.default_rng(5)
+        block = plain.standard_normal((n, 3 + 2 * dim * dim))
+        redrawn = plain.standard_normal(3)
+        assert np.all(np.isfinite(dirs[0]))
+        assert np.array_equal(dirs[0], redrawn / math.sqrt(redrawn @ redrawn))
+        assert abs(np.linalg.norm(dirs[0]) - 1.0) <= 1e-15
+        assert np.array_equal(dirs[1:], [v / math.sqrt(v @ v) for v in block[1:, :3]])
+        z = block[:, 3:].reshape(n, 2, dim, dim)
+        assert np.array_equal(draws, z[:, 0] + 1j * z[:, 1])
 
 
 class TestBlockGuards:

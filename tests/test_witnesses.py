@@ -1,10 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from steermap import linalg, mapping, witnesses
+from steermap import cli, linalg, mapping, witnesses
 from steermap.mapping import INV_SQRT3
 from steermap.states import (
     PAULIS,
@@ -12,6 +11,7 @@ from steermap.states import (
     make_density,
     random_pure,
     random_separable,
+    state_to_json,
     werner,
 )
 
@@ -145,7 +145,7 @@ class TestF3Steering:
         m[2, 0] += 0.45e-10j
         m[1, 3] -= 0.45e-10j
         m[3, 1] -= 0.45e-10j
-        assert linalg.hermiticity_defect(m) == pytest.approx(0.9e-10)
+        assert np.max(np.abs(m - m.conj().T)) == pytest.approx(0.9e-10)
         assert witnesses.f3_steering(make_density(m, 2, 2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_qubit_bob(self):
@@ -191,28 +191,35 @@ class TestWernerOracle:
 class TestReport:
     def test_two_qubit_report(self):
         report = witnesses.witness_report(werner(1.0))
-        data = json.loads(report.to_json())
-        assert set(data) == {"negativity", "chsh", "f3"}
-        assert data["negativity"] == pytest.approx(0.5, abs=1e-10)
-        assert data["chsh"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
-        assert data["f3"] == pytest.approx(3.0, abs=1e-10)
+        assert report.negativity == pytest.approx(0.5, abs=1e-10)
+        assert report.chsh == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+        assert report.f3 == pytest.approx(3.0, abs=1e-10)
 
     def test_qudit_qubit_report_drops_chsh(self):
         report = witnesses.witness_report(product_state(3, seed=9))
-        data = json.loads(report.to_json())
-        assert "chsh" not in data
-        assert "f3" in data
+        assert report.chsh is None
+        assert report.f3 is not None
 
     def test_qubit_qudit_report_drops_f3(self):
         rho, _ = random_separable(2, 3, 2, seed=10)
-        data = json.loads(witnesses.witness_report(rho).to_json())
-        assert set(data) == {"negativity"}
+        report = witnesses.witness_report(rho)
+        assert report.chsh is None and report.f3 is None
 
 
 class TestReportJson:
-    def test_non_finite_value_is_not_serialized(self):
-        assert json.loads(witnesses.WitnessReport(0.5, None, None).to_json()) == {
-            "negativity": 0.5
-        }
-        with pytest.raises(ValueError, match="JSON compliant"):
-            witnesses.WitnessReport(float("nan"), None, 2.0).to_json()
+    def test_non_finite_value_is_not_serialized(self, tmp_path, monkeypatch, capsys):
+        # analyze writes the report's fields in order, leaves out the
+        # detectors that do not apply, and refuses non-finite values.
+        path = tmp_path / "state.json"
+        path.write_text(state_to_json(werner(0.5)))
+        argv = ["analyze", "--state", str(path)]
+        cases = [
+            (witnesses.WitnessReport(0.5, None, None), 0, '{"negativity": 0.5}\n'),
+            (witnesses.WitnessReport(float("nan"), None, 2.0), 2, ""),
+        ]
+        for report, code, out in cases:
+            monkeypatch.setattr(witnesses, "witness_report", lambda rho, r=report: r)
+            assert cli.main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.out == out
+        assert "JSON compliant" in captured.err
