@@ -48,8 +48,8 @@ CORPUS = DATA / "cli_contract.json"
 REL_TOL = 1e-12
 RESIDUAL_BOUND = 1e-13
 
-NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 FLOAT = r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+NUMBER = re.compile(f"({FLOAT})")
 RESIDUAL = re.compile(rf'("max_residual": |residual=)({FLOAT})')
 WORST = re.compile(rf"worst trial (\d+) \(state seed (\d+)\): mu=({FLOAT}), c=({FLOAT}), ")
 
@@ -77,7 +77,7 @@ def _payload(m: np.ndarray, dims) -> str:
 def state_files() -> dict[str, str]:
     """Name -> text of the checked-in input states, valid and malformed."""
     werner = _singlet_mix(0.5)
-    files = {
+    return {
         "werner_0.9": _payload(_singlet_mix(0.9), (2, 2)),
         "mixed_2x2": _payload(np.eye(4) / 4, (2, 2)),
         "rand_3x2": _payload(_random_state(6, 2, 1), (3, 2)),
@@ -98,7 +98,6 @@ def state_files() -> dict[str, str]:
         "bad_trace": _payload(np.eye(4) / 2, (2, 2)),
         "not_psd": _payload(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2)),
     }
-    return files
 
 
 VALID = ["werner_0.9", "mixed_2x2", "rand_3x2", "rand_2x3", "rand_4x2", "rand_2x4", "rand_3x3"]
@@ -192,8 +191,13 @@ def cases() -> list[list[str]]:
 # --- running and comparing ----------------------------------------------------
 
 
-def run(argv: list[str], tmp: Path) -> dict:
-    """One in-process CLI run in the empty directory ``tmp``, as a record."""
+def run(argv: list[str]) -> dict:
+    """One in-process CLI run, with a fresh scratch directory, as a record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _run_in(argv, Path(tmp))
+
+
+def _run_in(argv: list[str], tmp: Path) -> dict:
     paths = {"{states}": str(STATES), "{tmp}": str(tmp)}
 
     def expand(arg: str) -> str:
@@ -269,12 +273,8 @@ def compare(want: dict, got: dict) -> list[str]:
 
 
 def replay(records: list[dict]) -> list[str]:
-    """Replay every record, each in a fresh directory; all mismatches."""
-    problems = []
-    for record in records:
-        with tempfile.TemporaryDirectory() as tmp:
-            problems += compare(record, run(record["argv"], Path(tmp)))
-    return problems
+    """Replay every record; all mismatches."""
+    return [problem for record in records for problem in compare(record, run(record["argv"]))]
 
 
 def main() -> None:
@@ -283,10 +283,7 @@ def main() -> None:
         path = STATES / f"{name}.json"
         if not path.exists():
             path.write_text(text)
-    records = []
-    for argv in cases():
-        with tempfile.TemporaryDirectory() as tmp:
-            records.append(run(argv, Path(tmp)))
+    records = [run(argv) for argv in cases()]
     CORPUS.write_text(json.dumps(records, indent=1) + "\n")
     codes = sorted({r["exit"] for r in records})
     print(f"{len(records)} records, exit codes {codes}, written to {CORPUS}", file=sys.stderr)
