@@ -14,7 +14,7 @@ family; general instances are checked by the construction residuals in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RegionPoint:
+class RegionPoint(NamedTuple):
     """One grid point of the feasibility boundary scan."""
 
     mu: float
@@ -120,15 +119,18 @@ def alice_biased_partner(rho: DensityMatrix, c: float) -> DensityMatrix:
     return biased_partner(rho, c, "A")
 
 
-def analytic_c_max(mu: float) -> float:
-    """Closed-form bias bound (sqrt(1 - 2 mu^2) - mu) / (1 - mu).
+def analytic_c_max(mu):
+    """Closed-form bias bound (sqrt(1 - 2 mu^2) - mu) / (1 - mu), elementwise.
 
     Defined for 0 <= mu <= 1/sqrt(3); 1 at mu=0, 0 at the right endpoint.
+    A float in gives a float out; a range error names the first bad entry.
     """
-    if not 0.0 <= mu <= INV_SQRT3 + 1e-12:
-        raise ValueError(f"mu must be in [0, 1/sqrt(3)], got {mu}")
-    radicand = max(0.0, 1.0 - 2.0 * mu * mu)
-    return max(0.0, (math.sqrt(radicand) - mu) / (1.0 - mu))
+    m = np.asarray(mu, dtype=np.float64)
+    outside = ~((m >= 0.0) & (m <= INV_SQRT3 + 1e-12))
+    if outside.any():
+        raise ValueError(f"mu must be in [0, 1/sqrt(3)], got {m[outside][0] if m.ndim else mu}")
+    c = np.maximum(0.0, (np.sqrt(np.maximum(0.0, 1.0 - 2.0 * m * m)) - m) / (1.0 - m))
+    return float(c) if c.ndim == 0 else c
 
 
 def hidden_bloch_vector(
@@ -151,15 +153,16 @@ def hidden_bloch_vector(
 def _worst_norm_sq(mu, c):
     """Largest squared hidden-state Bloch norm over the response box.
 
-    At every box vertex the x and y components are exactly -mu or +mu
-    and z is ``zc`` or ``2 mu + zc``; the sums keep the order of
-    ``rx*rx + ry*ry + rz*rz``, so the value equals the 8-vertex maximum
-    bit for bit.  Works on floats and elementwise on arrays.
+    At every box vertex x and y are exactly -mu or +mu and z is
+    ``zc = c - mu c - mu`` or ``z1 = 2 mu + zc``.  For mu, c in [0, 1]
+    every rounding step is monotone and ``mu c <= c``, so ``zc >= -mu``
+    and ``z1 >= max(zc, mu) >= |zc|``: the z1 vertices are the worst.
+    The sum keeps the order of ``rx*rx + ry*ry + rz*rz``, so the value is
+    the 8-vertex maximum bit for bit.  Works on floats and on arrays.
     """
-    zc = c - mu * c - mu
-    z1 = 2.0 * mu + zc
-    xy = mu * mu + mu * mu
-    return np.maximum(xy + zc * zc, xy + z1 * z1)
+    z1 = 2.0 * mu + (c - mu * c - mu)
+    xy = mu * mu
+    return xy + xy + z1 * z1
 
 
 def feasible(mu: float, c: float) -> bool:
@@ -178,10 +181,12 @@ def feasible(mu: float, c: float) -> bool:
 def c_max_numeric(mu, tol: float = 1e-10):
     """Supremum bias c with feasible(mu, c), by bisection on [0, 1].
 
-    ``mu`` is a float or an array; every entry is bisected at once, each
-    stopping once its bracket is narrower than ``tol`` or can no longer
-    be split in floating point, so any finite positive ``tol``
-    terminates.  A float in gives a float out.
+    ``mu`` is a float (float out) or an array, whose entries are bisected
+    at once; each stops once its bracket is narrower than ``tol`` or can
+    no longer be split in floating point, so any finite positive ``tol``
+    terminates.  Every active bracket is [k w, (k+1) w] for one power of
+    two w.  While w > 2**-50 its midpoint lo + w/2 is exact, so only lo is
+    kept and all stop when w <= tol; below that each stops by the full rule.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -190,8 +195,14 @@ def c_max_numeric(mu, tol: float = 1e-10):
     limit = 1.0 + FEAS_TOL
     feasible_at_0 = _worst_norm_sq(mu, 0.0) <= limit
     feasible_at_1 = _worst_norm_sq(mu, 1.0) <= limit
-    lo, hi = np.zeros_like(mu), np.ones_like(mu)
+    lo = np.zeros_like(mu)
     active = feasible_at_0 & ~feasible_at_1
+    width = 1.0 if active.any() else 0.0  # nothing active: no halvings
+    while tol < width > 2.0**-50:
+        width /= 2.0
+        mid = lo + width
+        lo = np.where(_worst_norm_sq(mu, mid) <= limit, mid, lo)
+    hi = lo + width
     while True:
         mid = (lo + hi) / 2.0
         active &= (hi - lo > tol) & (mid != lo) & (mid != hi)
@@ -205,29 +216,18 @@ def c_max_numeric(mu, tol: float = 1e-10):
 
 
 def region_scan(n_grid: int = 200, bisect_tol: float = 1e-10) -> list[RegionPoint]:
-    """Numeric vs analytic boundary over a uniform mu grid on [0, 1/sqrt(3)].
-
-    The whole grid is bisected as one array; output is assembled by
-    grid index.
-    """
+    """Numeric vs analytic boundary on a uniform mu grid over [0, 1/sqrt(3)], one array each."""
     if n_grid < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_grid}")
     mus = INV_SQRT3 * np.arange(n_grid, dtype=np.float64) / (n_grid - 1)
-    c_numeric = c_max_numeric(mus, bisect_tol)
-    return [
-        RegionPoint(mu, c, analytic_c_max(mu))
-        for mu, c in zip(mus.tolist(), c_numeric.tolist())
-    ]
+    c_numeric, c_analytic = c_max_numeric(mus, bisect_tol), analytic_c_max(mus)
+    return list(map(RegionPoint, mus.tolist(), c_numeric.tolist(), c_analytic.tolist()))
 
 
 REGION_CSV_HEADER = "mu,c_max_numeric,c_max_analytic,abs_err"
 
 
 def region_to_csv(points) -> str:
-    """CSV rendering of a region scan, 12 significant digits."""
-    lines = [REGION_CSV_HEADER]
-    for pt in points:
-        lines.append(
-            f"{pt.mu:.12g},{pt.c_numeric:.12g},{pt.c_analytic:.12g},{pt.abs_err:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV rendering of region points, 12 significant digits, by one ``%`` format."""
+    values = tuple([v for mu, c, a in points for v in (mu, c, a, abs(c - a))])
+    return REGION_CSV_HEADER + "\n" + ("%.12g,%.12g,%.12g,%.12g\n" * len(points)) % values

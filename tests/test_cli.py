@@ -297,6 +297,14 @@ class TestRegion:
         target = tmp_path / "no_such_dir" / "region.csv"
         assert cli.main(["region", "--grid", "5", "--out", str(target)]) == 2
 
+    def test_grid_too_large_to_allocate_exits_2(self, capsys):
+        # 10**12 points need 7.28 TiB per array: numpy refuses the
+        # allocation up front, and main must report it as an input error.
+        assert cli.main(["region", "--grid", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestVerify:
     def test_lhs_passes(self, capsys):

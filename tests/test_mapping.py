@@ -48,6 +48,24 @@ def reference_c_max(mu, tol):
     return (lo + hi) / 2.0
 
 
+def reference_analytic_c_max(mu):
+    """The scalar closed form that analytic_c_max evaluated before it took arrays."""
+    return max(0.0, (math.sqrt(max(0.0, 1.0 - 2.0 * mu * mu)) - mu) / (1.0 - mu))
+
+
+def reference_region_csv(points):
+    """The per-row renderer that region_to_csv ran before its one-pass format."""
+    lines = ["mu,c_max_numeric,c_max_analytic,abs_err"]
+    for pt in points:
+        lines.append(
+            f"{pt.mu:.12g},{pt.c_numeric:.12g},{pt.c_analytic:.12g},{pt.abs_err:.12g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [0.0, 5e-324, 1e-300, 2.0**-53, 0.5, INV_SQRT3, 1.0 - 2.0**-53, 1.0]
+
+
 def random_density(d_a, d_b, seed):
     """Full-rank random state (Ginibre), entangled in general."""
     rng = np.random.default_rng(seed)
@@ -240,6 +258,26 @@ class TestAnalyticBound:
             mapping.analytic_c_max(INV_SQRT3 + 1e-6)
         with pytest.raises(ValueError):
             mapping.analytic_c_max(-0.1)
+        with pytest.raises(ValueError, match=r"^mu must be in \[0, 1/sqrt\(3\)\], got 0.6$"):
+            mapping.analytic_c_max(np.array([0.1, 0.2, 0.6, -0.1]))
+        with pytest.raises(ValueError, match=r"got nan$"):
+            mapping.analytic_c_max(np.array([[0.1, np.nan]]))
+
+    def test_array_equals_scalar(self):
+        rng = np.random.default_rng(23)
+        edges = [mu for mu in EDGE_VALUES if mu <= INV_SQRT3] + [INV_SQRT3 + 1e-12]
+        mus = np.concatenate([edges, rng.uniform(0.0, INV_SQRT3, 5000)])
+        for n_grid in (2, 7, 200, 1001):
+            mus = np.concatenate([mus, INV_SQRT3 * np.arange(n_grid) / (n_grid - 1)])
+        batch = mapping.analytic_c_max(mus)
+        assert isinstance(batch, np.ndarray) and batch.shape == mus.shape
+        for mu, got in zip(mus.tolist(), batch.tolist()):
+            scalar = mapping.analytic_c_max(mu)
+            assert isinstance(scalar, float)
+            assert got == scalar == reference_analytic_c_max(mu), mu
+        assert mapping.analytic_c_max(np.float64(0.5)) == reference_analytic_c_max(0.5)
+        grid = mapping.analytic_c_max(mus[:10].reshape(2, 5))
+        assert np.array_equal(grid, batch[:10].reshape(2, 5))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
@@ -307,8 +345,11 @@ class TestFeasible:
 class TestClosedFormVertexMax:
     def test_equals_vertex_loop_bit_for_bit(self):
         rng = np.random.default_rng(17)
-        mus = np.concatenate([[0.0, 1.0, INV_SQRT3, 0.5], rng.uniform(0, 1, 20000)])
-        cs = np.concatenate([[0.0, 1.0, 0.0, 1.0], rng.uniform(0, 1, 20000)])
+        edge_mu, edge_c = np.meshgrid(EDGE_VALUES, EDGE_VALUES)
+        mus = np.concatenate(
+            [[0.0, 1.0, INV_SQRT3, 0.5], rng.uniform(0, 1, 20000), edge_mu.ravel()]
+        )
+        cs = np.concatenate([[0.0, 1.0, 0.0, 1.0], rng.uniform(0, 1, 20000), edge_c.ravel()])
         batch = mapping._worst_norm_sq(mus, cs)
         for i, (mu, c) in enumerate(zip(mus.tolist(), cs.tolist())):
             ref = reference_worst_norm_sq(mu, c)
@@ -320,7 +361,11 @@ class TestClosedFormVertexMax:
 class TestArrayBisection:
     MUS = [0.0, INV_SQRT3, 0.5, 0.6, 1.0, 0.1, 0.3, 0.577, 1e-300]
 
-    @pytest.mark.parametrize("tol", [1e-15, 1e-10, 1e-6, 1e-3, 0.7, 2.0, 1e-300])
+    # 2**-50 .. 5e-324 sit on both sides of the width below which each
+    # entry stops by the full rule.
+    @pytest.mark.parametrize(
+        "tol", [1e-15, 1e-10, 1e-6, 1e-3, 0.7, 2.0, 1e-300, 2.0**-50, 2.0**-52, 2.0**-53, 5e-324]
+    )
     def test_array_equals_scalar(self, tol):
         rng = np.random.default_rng(3)
         mus = np.concatenate([self.MUS, rng.uniform(0, 1, 40)])
@@ -355,7 +400,9 @@ class TestArrayBisection:
         assert len(calls) <= 1100
 
     @pytest.mark.parametrize("n_grid", [2, 3, 7, 50, 201])
-    @pytest.mark.parametrize("tol", [1e-15, 1e-10, 1e-3, 2.0, 1e-300])
+    @pytest.mark.parametrize(
+        "tol", [1e-15, 1e-10, 1e-3, 2.0, 1e-300, 2.0**-50, 2.0**-52, 2.0**-53, 5e-324]
+    )
     def test_region_matches_per_point_reference(self, n_grid, tol):
         for pt in mapping.region_scan(n_grid, tol):
             assert pt.c_numeric == reference_c_max(pt.mu, tol)
@@ -427,6 +474,12 @@ class TestRegionScan:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[2]) == 1.0
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-10, 1e-3, 0.7, 2.0])
+    def test_csv_matches_per_row_renderer(self, tol):
+        for n_grid in [*range(2, 61), 199, 200, 201, 1001]:
+            points = mapping.region_scan(n_grid, tol)
+            assert mapping.region_to_csv(points) == reference_region_csv(points), n_grid
 
     def test_validates_args(self):
         with pytest.raises(ValueError):
