@@ -3,12 +3,13 @@
 One binary, subcommand style; JSON for structured reports, CSV for
 scans.  Exit codes are a stable contract: 0 success, 2 input error,
 3 infeasible mixing parameters, 4 verification failure.  Output files
-are written atomically (temp + rename).
+are written atomically (temp + rename; a failed write removes its temp).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -30,9 +31,10 @@ ENSEMBLE_SIZE = 4
 LHS_STATE_SEED = 1000
 SPM_STATE_SEED = 2000
 SPM_SAMPLE_SEED = 3000
-# verify runs its trials in blocks of this many, each block one stacked
-# pass per stage, so a request's memory does not grow with --trials.
+# verify runs its trials, and demo-werner its grid points, in blocks of these
+# sizes, each one stacked pass per stage, so memory does not grow with the run.
 VERIFY_BLOCK = 8
+WERNER_BLOCK = 1024
 
 # Map M mixes with a partner biased on Bob's qubit, map N on Alice's.
 PARTNER_SIDE = {"M": "B", "N": "A"}
@@ -45,9 +47,14 @@ EXIT_VERIFY = 4
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _sig12(x: float) -> float:
@@ -91,17 +98,10 @@ def cmd_map(args) -> int:
     if not ok and not args.force:
         if args.mu <= INV_SQRT3:
             bound = mapping.analytic_c_max(args.mu)
-            print(
-                f"infeasible: c = {args.c:.12g} exceeds c_max = {bound:.12g} "
-                f"at mu = {args.mu:.12g} (use --force to map anyway)",
-                file=sys.stderr,
-            )
+            why = f"c = {args.c:.12g} exceeds c_max = {bound:.12g} at mu = {args.mu:.12g}"
         else:
-            print(
-                f"infeasible: mu = {args.mu:.12g} > 1/sqrt(3) admits no c "
-                f"(use --force to map anyway)",
-                file=sys.stderr,
-            )
+            why = f"mu = {args.mu:.12g} > 1/sqrt(3) admits no c"
+        print(f"infeasible: {why} (use --force to map anyway)", file=sys.stderr)
         return EXIT_INFEASIBLE
     mapped = mapping.mix(rho, partner, args.mu)
     _atomic_write(args.out, states.state_to_json(mapped))
@@ -248,28 +248,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+def _werner_rows(p: np.ndarray) -> str:
+    """demo-werner's CSV rows at visibilities ``p``: one stacked pass per detector, one format."""
+    tau = states.werner(p)
+    sigma = mapping.mix(tau, mapping.biased_partner(tau, 0.0, "A"), INV_SQRT3)
+    neg, f3 = witnesses.negativity(sigma), witnesses.f3_steering(tau)
+    chsh, steer = witnesses.chsh_horodecki(tau), witnesses.werner_steerable_oracle(p * INV_SQRT3)
+    flags = (steer, ~steer | (chsh > witnesses.CHSH_THRESHOLD),
+             (neg <= 0.0) | (f3 > witnesses.F3_THRESHOLD))
+    words = [np.where(b, "true", "false").tolist() for b in flags]
+    rows = zip(p.tolist(), neg.tolist(), f3.tolist(), chsh.tolist(), *words)
+    return ("%.12g,%.12g,%.12g,%.12g,%s,%s,%s\n" * len(p)) % tuple([v for r in rows for v in r])
+
+
 def cmd_demo_werner(args) -> int:
     if args.grid < 2:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
-    rows = [
-        "p,negativity_sigma,f3_tau,chsh_tau,steerable_rho_oracle,"
-        "impl_steerable_nonlocal,impl_entangled_steerable"
-    ]
-    for i in range(args.grid):
-        p = i / (args.grid - 1)
-        tau = states.werner(p)
-        sigma = mapping.mix(tau, mapping.biased_partner(tau, 0.0, "A"), INV_SQRT3)
-        neg = witnesses.negativity(sigma)
-        f3 = witnesses.f3_steering(tau)
-        chsh = witnesses.chsh_horodecki(tau)
-        steer = witnesses.werner_steerable_oracle(p * INV_SQRT3)
-        impl_nonlocal = (not steer) or chsh > witnesses.CHSH_THRESHOLD
-        impl_steer = neg <= 0.0 or f3 > witnesses.F3_THRESHOLD
-        rows.append(
-            f"{p:.12g},{neg:.12g},{f3:.12g},{chsh:.12g},"
-            f"{str(steer).lower()},{str(impl_nonlocal).lower()},{str(impl_steer).lower()}"
-        )
-    _emit("\n".join(rows) + "\n", args.out)
+    header = ("p,negativity_sigma,f3_tau,chsh_tau,steerable_rho_oracle,"
+              "impl_steerable_nonlocal,impl_entangled_steerable\n")
+    blocks = [_werner_rows(np.arange(i, min(i + WERNER_BLOCK, args.grid)) / (args.grid - 1))
+              for i in range(0, args.grid, WERNER_BLOCK)]
+    _emit("".join([header, *blocks]), args.out)
     return EXIT_OK
 
 

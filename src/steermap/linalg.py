@@ -1,8 +1,12 @@
 """Dense complex matrix kernel for small bipartite operators.
 
-Matrices are plain numpy ``complex128`` 2-D arrays, row-major, with
-subsystem A always the left (slow-varying) tensor factor.  Construction
-never normalizes anything; callers validate explicitly.
+Matrices are plain numpy ``complex128`` arrays, row-major, with
+subsystem A always the left (slow-varying) tensor factor.  Every
+function takes one matrix or a stack of them (``kron`` and
+``partial_trace`` a ``(T, n, n)`` stack, the others any ``(..., n, n)``
+one) and treats each member alone: a stacked call gives, bit for bit,
+what its members' single calls give.  Construction never normalizes
+anything; callers validate explicitly.
 
 The Hermitian eigensolver is LAPACK's ``eigh`` (via numpy) behind one
 validation step: the input must be square, finite and Hermitian within
@@ -16,14 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-
-
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a complex128 2-D array (C-contiguous copy-free if possible)."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
 
 
 def kron(a, b) -> np.ndarray:
@@ -69,14 +65,14 @@ def partial_trace(m, d_a: int, d_b: int, keep: str = "B") -> np.ndarray:
 
 
 def partial_transpose(m, d_a: int, d_b: int, on: str = "B") -> np.ndarray:
-    """Transpose one tensor factor in place; involutive, trace preserving."""
-    a = as_matrix(m)
+    """Transpose one tensor factor; involutive, trace preserving, (..., n, n) stacks too."""
+    a = np.asarray(m, dtype=np.complex128)
     _check_bipartite(a, d_a, d_b)
-    t = a.reshape(d_a, d_b, d_a, d_b)
+    t = a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b)
     if on == "B":
-        return t.transpose(0, 3, 2, 1).reshape(a.shape)
+        return t.swapaxes(-1, -3).reshape(a.shape)
     if on == "A":
-        return t.transpose(2, 1, 0, 3).reshape(a.shape)
+        return t.swapaxes(-2, -4).reshape(a.shape)
     raise ValueError(f"on must be 'A' or 'B', got {on!r}")
 
 
@@ -118,7 +114,12 @@ def hermitian_eigen(m):
     return w, v
 
 
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
+def scalar_or_array(x: np.ndarray):
+    """A 0-d result (one matrix's or one float's) as a Python number; a stack's as it is."""
+    return x.item() if x.ndim == 0 else x
+
+
+def trace_norm(m):
+    """Sum of absolute eigenvalues of a Hermitian matrix: a float, or an array for a stack."""
     w, _ = hermitian_eigen(m)
-    return float(np.sum(np.abs(w)))
+    return scalar_or_array(np.sum(np.abs(w), axis=-1))

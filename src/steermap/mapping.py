@@ -13,6 +13,7 @@ family; general instances are checked by the construction residuals in
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -109,14 +110,9 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     return _closed_density(mat, state.d_a, state.d_b)
 
 
-def bob_biased_partner(tau: DensityMatrix, c: float) -> DensityMatrix:
-    """Product partner tr_B[tau] (x) (1 + c sigma_z)/2 for a d x 2 state."""
-    return biased_partner(tau, c, "B")
-
-
-def alice_biased_partner(rho: DensityMatrix, c: float) -> DensityMatrix:
-    """Product partner (1 + c sigma_z)/2 (x) tr_A[rho] for a 2 x d state."""
-    return biased_partner(rho, c, "A")
+# Map M's partner, tr_B[tau] (x) (1 + c sigma_z)/2, and map N's, (1 + c sigma_z)/2 (x) tr_A[rho].
+bob_biased_partner = functools.partial(biased_partner, side="B")
+alice_biased_partner = functools.partial(biased_partner, side="A")
 
 
 def analytic_c_max(mu):
@@ -130,7 +126,7 @@ def analytic_c_max(mu):
     if outside.any():
         raise ValueError(f"mu must be in [0, 1/sqrt(3)], got {m[outside][0] if m.ndim else mu}")
     c = np.maximum(0.0, (np.sqrt(np.maximum(0.0, 1.0 - 2.0 * m * m)) - m) / (1.0 - m))
-    return float(c) if c.ndim == 0 else c
+    return linalg.scalar_or_array(c)
 
 
 def hidden_bloch_vector(
@@ -212,7 +208,7 @@ def c_max_numeric(mu, tol: float = 1e-10):
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
     c = np.where(feasible_at_0, np.where(feasible_at_1, 1.0, (lo + hi) / 2.0), 0.0)
-    return float(c) if c.ndim == 0 else c
+    return linalg.scalar_or_array(c)
 
 
 def region_scan(n_grid: int = 200, bisect_tol: float = 1e-10) -> list[RegionPoint]:

@@ -6,6 +6,7 @@ constructions take an explicit seed; there is no global RNG state.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -79,8 +80,8 @@ class DensityMatrix:
 
     ``mat`` is one ``(n, n)`` matrix, or a ``(T, n, n)`` stack of T
     states of the same dims that the stacked kernels (``make_density``,
-    ``mapping.mix``, ``mapping.biased_partner``, ``conditional_states``,
-    ``models.born_joints``) process in one pass.
+    ``werner``, ``mix``, ``biased_partner``, the witnesses,
+    ``conditional_states``, ``models.born_joints``) process in one pass.
     """
 
     d_a: int
@@ -184,21 +185,24 @@ def pure_state(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+@functools.cache
 def bell_phi_plus() -> DensityMatrix:
-    """(|00> + |11>)/sqrt(2) projector as a 2x2 state."""
+    """(|00> + |11>)/sqrt(2) projector as a 2x2 state, built once; read-only."""
     v = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
     return make_density(pure_state(v), 2, 2)
 
 
+@functools.cache
 def singlet() -> DensityMatrix:
-    """(|01> - |10>)/sqrt(2) projector."""
+    """(|01> - |10>)/sqrt(2) projector, built once; read-only."""
     v = np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2)
     return make_density(pure_state(v), 2, 2)
 
 
-def werner(p: float) -> DensityMatrix:
-    """p * singlet + (1-p) * I/4 for visibility p in [0, 1]."""
+def werner(p) -> DensityMatrix:
+    """p * singlet + (1-p) * I/4 for visibility p in [0, 1]; an array of p gives a stack."""
     check_unit_interval("visibility", p)
+    p = np.asarray(p, dtype=np.float64)[..., None, None]
     mat = p * singlet().mat + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
     return _closed_density(mat, 2, 2)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from steermap import cli, constructions, linalg, mapping, measurements, states
 from steermap.mapping import INV_SQRT3
 from steermap.states import make_density, random_pure, state_to_json, werner
+
+STATE_DIR = Path(__file__).parent / "data" / "states"
 
 
 @pytest.fixture
@@ -247,6 +250,27 @@ class TestEigenCounts:
         assert eigen_calls == [(4, 4), (2, 2)]
         states.load_state(out)
 
+    @pytest.mark.parametrize("name, count", [("mixed_2x2", 4), ("rand_4x2", 3)])
+    def test_analyze_makes_one_per_detector(self, eigen_calls, capsys, name, count):
+        # The loaded state's validation, then one each for negativity,
+        # f3 (its three blocks in one call) and, on 2x2 only, chsh.
+        assert cli.main(["analyze", "--state", str(STATE_DIR / f"{name}.json")]) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert len(eigen_calls) == count
+
+    def test_demo_werner_makes_four_per_block(self, eigen_calls, capsys):
+        # One per stacked pass: the partners' reduced states, negativity,
+        # f3 and chsh, however many grid points the block holds.  The
+        # first run also validates the singlet, built once and cached.
+        states.singlet.cache_clear()
+        counts = []
+        for grid in (2, 2, cli.WERNER_BLOCK, cli.WERNER_BLOCK + 1, 2 * cli.WERNER_BLOCK + 1):
+            eigen_calls.clear()
+            assert cli.main(["demo-werner", "--grid", str(grid)]) == 0
+            capsys.readouterr()
+            counts.append(len(eigen_calls))
+        assert counts == [5, 4, 4, 8, 12]
+
 
 class TestQrCounts:
     """verify orthonormalises the random bases of a block with one QR."""
@@ -414,6 +438,26 @@ class TestParserReuse:
         assert capsys.readouterr().out == ""
         assert cli.main(["region", "--grid", "5"]) == 0
         assert capsys.readouterr().out == out.read_text()
+
+
+class TestFailedWrite:
+    """A write that fails exits 2 with its message and leaves no temp file behind."""
+
+    @pytest.mark.parametrize("command", ["region", "map", "demo-werner"])
+    def test_out_is_a_directory(self, tmp_path, werner_file, capsys, command):
+        argv = {
+            "region": ["region", "--grid", "3"],
+            "map": ["map", "--state", werner_file(0.9), "--mode", "M", "--mu", "0.3"],
+            "demo-werner": ["demo-werner", "--grid", "3"],
+        }[command]
+        target = tmp_path / "target"
+        target.mkdir()
+        assert cli.main(argv + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ")
+        assert f"'{target}'" in captured.err
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert list(target.iterdir()) == []
 
 
 class TestDemoWerner:

@@ -7,6 +7,7 @@ from steermap import cli, linalg, mapping, witnesses
 from steermap.mapping import INV_SQRT3
 from steermap.states import (
     PAULIS,
+    DensityMatrix,
     bell_phi_plus,
     make_density,
     random_pure,
@@ -85,11 +86,14 @@ class TestNegativity:
         # grids 101..299.  There f3(tau) = 3p <= sqrt3, so the
         # entangled => steerable column holds only if the mapped state's
         # negativity is exactly 0 rather than eigensolver rounding.
+        # All points go through one stacked call, which gives each point's
+        # single-state value bit for bit (TestStackedEqualsPerState).
         ps = {i / (g - 1) for g in range(101, 300) for i in range(g)}
-        for p in sorted(x for x in ps if x < INV_SQRT3):
-            tau = werner(p)
-            sigma = mapping.map_n(tau, mapping.alice_biased_partner(tau, 0.0), INV_SQRT3)
-            assert witnesses.negativity(sigma) == 0.0, p
+        p = np.array(sorted(x for x in ps if x < INV_SQRT3))
+        tau = werner(p)
+        sigma = mapping.map_n(tau, mapping.alice_biased_partner(tau, 0.0), INV_SQRT3)
+        nonzero = p[witnesses.negativity(sigma) != 0.0]
+        assert nonzero.size == 0, f"first p with nonzero negativity: {nonzero[0]!r}"
 
 
 class TestChsh:
@@ -175,6 +179,85 @@ class TestContractionsMatchLoops:
     def test_f3(self):
         for rho in contraction_cases():
             assert abs(witnesses.f3_steering(rho) - loop_f3(rho)) <= 1e-12
+
+
+def assert_same_bits(stacked, singles):
+    """``stacked`` holds exactly the bits of the per-member results ``singles``."""
+    expected = np.array(singles)
+    assert stacked.shape == expected.shape and stacked.dtype == expected.dtype
+    assert stacked.tobytes() == expected.tobytes()
+
+
+STACK_DIMS = [(2, 2), (2, 3), (3, 2), (4, 2)]
+
+
+class TestStackedEqualsPerState:
+    """A stacked call gives, bit for bit, what one call per state gives."""
+
+    @staticmethod
+    def stack(d_a, d_b, size):
+        mats = [random_density(d_a, d_b, 100 * d_a + 10 * d_b + t).mat for t in range(size)]
+        return make_density(np.stack(mats), d_a, d_b)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("d_a, d_b", STACK_DIMS)
+    def test_partial_transpose_and_trace_norm(self, d_a, d_b, size):
+        mats = self.stack(d_a, d_b, size).mat
+        for on in ("A", "B"):
+            pt = linalg.partial_transpose(mats, d_a, d_b, on)
+            assert_same_bits(pt, [linalg.partial_transpose(m, d_a, d_b, on) for m in mats])
+            assert_same_bits(linalg.trace_norm(pt), [linalg.trace_norm(m) for m in pt])
+            # A deeper stack, as f3_steering's (T, 3, d_a, d_a) blocks are.
+            deep = np.stack([pt, pt[::-1]], axis=1)
+            singles = [[linalg.trace_norm(m) for m in pair] for pair in deep]
+            assert_same_bits(linalg.trace_norm(deep), singles)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("d_a, d_b", STACK_DIMS)
+    def test_detectors(self, d_a, d_b, size):
+        rho = self.stack(d_a, d_b, size)
+        members = [DensityMatrix(d_a, d_b, m) for m in rho.mat]
+        detectors = [witnesses.negativity]
+        if d_b == 2:
+            detectors.append(witnesses.f3_steering)
+        if (d_a, d_b) == (2, 2):
+            detectors += [witnesses.chsh_horodecki, witnesses.correlation_matrix]
+        for detector in detectors:
+            assert_same_bits(detector(rho), [detector(m) for m in members])
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_werner_family(self, size):
+        p = np.random.default_rng(size).uniform(size=size)
+        p[: min(size, 5)] = [0.0, 1.0, 0.5, INV_SQRT3, 0.3][:size]
+        tau, members = werner(p), [werner(float(x)) for x in p]
+        assert_same_bits(tau.mat, [t.mat for t in members])
+
+        def mapped(t):
+            return mapping.map_n(t, mapping.alice_biased_partner(t, 0.0), INV_SQRT3)
+
+        singles = [witnesses.negativity(mapped(t)) for t in members]
+        assert_same_bits(witnesses.negativity(mapped(tau)), singles)
+        for detector in (witnesses.f3_steering, witnesses.chsh_horodecki):
+            assert_same_bits(detector(tau), [detector(t) for t in members])
+        v = p * INV_SQRT3
+        oracle = witnesses.werner_steerable_oracle(v)
+        assert_same_bits(oracle, [witnesses.werner_steerable_oracle(float(x)) for x in v])
+        assert witnesses.werner_steerable_oracle(p).tolist() == [x > 0.5 for x in p]
+
+    def test_single_state_gives_python_scalars(self):
+        for d_a, d_b in STACK_DIMS:
+            rho = random_density(d_a, d_b, seed=3)
+            values = [witnesses.negativity(rho), linalg.trace_norm(rho.mat)]
+            if d_b == 2:
+                values.append(witnesses.f3_steering(rho))
+            if (d_a, d_b) == (2, 2):
+                values.append(witnesses.chsh_horodecki(rho))
+            assert all(type(v) is float for v in values)
+        assert type(witnesses.negativity(werner(0.2))) is float  # the exact-zero branch
+        for v in (0.4, 0.6, np.float64(0.6), 1):
+            assert type(witnesses.werner_steerable_oracle(v)) is bool
+        assert werner(0.3).mat.shape == (4, 4)
+        assert werner(np.array(0.3)).mat.shape == (4, 4)
 
 
 class TestWernerOracle:
