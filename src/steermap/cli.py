@@ -21,7 +21,7 @@ import numpy as np
 from . import constructions, mapping, states, witnesses
 from .mapping import INV_SQRT3
 from .measurements import _orthonormal_rows, basis_draws, qudit_measurement, qudit_projectors
-from .models import born_probs, check_weights
+from .models import born_probs
 
 LHS_SETTINGS_PER_TRIAL = 20
 SPM_SAMPLES_PER_TRIAL = 50
@@ -151,7 +151,6 @@ def _verify_lhs(dims, trials, seed, fixed):
         tau, weights, alice, bob = states.random_separables(
             d_a, 2, ENSEMBLE_SIZE, [seed + LHS_STATE_SEED + t for t in block]
         )
-        weights = check_weights(weights)
         settings = qudit_projectors(_orthonormal_rows(np.stack(draws)))
         pa = born_probs(settings, alice, "quantum response")
         responses, bloch = constructions.lhs_certificates(
@@ -175,7 +174,6 @@ def _verify_spm(dims, trials, seed, fixed):
         rho, weights, alice, bob = states.random_separables(
             2, d_b, ENSEMBLE_SIZE, [seed + SPM_STATE_SEED + t for t in block]
         )
-        weights = check_weights(weights)
         alice_bloch = constructions.spm_certificates(
             mu, constructions.pauli_probs(alice), constructions.biased_probs(c)
         )

@@ -111,7 +111,6 @@ def lhs_certificate(
     first one in (setting, hidden value, outcome) order.  The unstacked
     case of :func:`lhs_certificates`.
     """
-    check_unit_interval("mu", mu)
     _check_shared_weights(model_tau, model_tau_prime)
     settings = validate_projectors(alice_settings)
     pa = [_alice_probs(m.alice, settings) for m in (model_tau, model_tau_prime)]
@@ -245,7 +244,6 @@ def spm_certificate(
     2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 for k in x, y, z.  The
     unstacked case of :func:`spm_certificates`.
     """
-    check_unit_interval("mu", mu)
     _check_shared_weights(model_rho, model_rho_prime)
     bob, bob_prime = model_rho.bob, model_rho_prime.bob
     if bob.ndim != 3:

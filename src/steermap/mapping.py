@@ -213,6 +213,8 @@ def c_max_numeric(mu, tol: float = 1e-10):
 
 def region_scan(n_grid: int = 200, bisect_tol: float = 1e-10) -> list[RegionPoint]:
     """Numeric vs analytic boundary on a uniform mu grid over [0, 1/sqrt(3)], one array each."""
+    if not isinstance(n_grid, (int, np.integer)):
+        raise ValueError(f"grid needs an integer number of points, got {n_grid}")
     if n_grid < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_grid}")
     mus = INV_SQRT3 * np.arange(n_grid, dtype=np.float64) / (n_grid - 1)

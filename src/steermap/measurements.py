@@ -50,9 +50,13 @@ def validate_projectors(projectors) -> np.ndarray:
     entries, each projector Hermitian and idempotent, each measurement
     summing to the identity and its projectors pairwise orthogonal.
     Raises ``ValueError`` naming the first offending measurement and
-    projector; returns a read-only complex copy.
+    projector, or a ragged sequence; returns a read-only complex copy.
     """
-    p = np.array(projectors, dtype=np.complex128)
+    try:
+        p = np.asarray(projectors)
+    except ValueError:
+        raise ValueError("projector stack is ragged: its entries differ in shape") from None
+    p = np.array(p, dtype=np.complex128)
     if p.ndim != 4 or p.shape[2] != p.shape[3] or 0 in p.shape:
         raise ValueError(f"projector stack must have shape (n, k, d, d), got {p.shape}")
     _check_finite(p)

@@ -75,40 +75,23 @@ class FiniteModel:
         return len(self.weights)
 
 
-def check_weights(weights) -> np.ndarray:
-    """Validate hidden-variable weights; return a read-only float copy.
-
-    ``weights`` is one non-empty 1-D sequence or a (T, Xi) stack of T
-    ensembles' weights: every weight >= -1e-12 and every row summing to
-    1 within 1e-12.  The error names the first bad row's least weight or
-    sum.
-    """
-    w = np.array(weights, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] == 0:
-        raise ValueError("weights must be a non-empty 1-D sequence")
-    low = w.min(axis=-1)
-    if np.any(low < -PROB_TOL):
-        raise ValueError(f"negative weight {low.flat[np.argmax(low < -PROB_TOL)]}")
-    total = w.sum(axis=-1)
-    off = ~(np.abs(total - 1.0) <= PROB_TOL)
-    if off.any():
-        raise ValueError(f"weights sum to {float(total.flat[np.argmax(off)])} != 1")
-    w.setflags(write=False)
-    return w
-
-
 def finite_model(weights, alice, bob) -> FiniteModel:
     """Validate weights and both parties and assemble a FiniteModel.
 
-    A 3-D party is a response-state stack, checked by
-    :func:`steermap.states.validate_states`; a 2-D party is a Pauli
+    The weights must form a non-empty 1-D sequence summing to 1 within
+    1e-12, each >= -1e-12.  A 3-D party is a response-state stack, checked
+    by :func:`steermap.states.validate_states`; a 2-D party is a Pauli
     table, which must have three columns and every entry in [0, 1].  Each
     party needs one row per weight.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
+    w = np.array(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D sequence")
-    w = check_weights(w)
+    if w.min() < -PROB_TOL:
+        raise ValueError(f"negative weight {w.min()}")
+    if not abs(w.sum() - 1.0) <= PROB_TOL:
+        raise ValueError(f"weights sum to {w.sum()} != 1")
+    w.setflags(write=False)
     alice, bob = _party("alice", alice), _party("bob", bob)
     if len(alice) != w.size or len(bob) != w.size:
         raise ValueError(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -143,6 +144,10 @@ def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     Stores the Hermitian part ``(mat + mat^dagger)/2``, so every state
     downstream is Hermitian to rounding.
     """
+    try:
+        d_a, d_b = operator.index(d_a), operator.index(d_b)
+    except TypeError:
+        raise ValueError(f"subsystem dims must be integers, got {d_a}x{d_b}") from None
     if d_a < 2 or d_b < 2:
         raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
     m = np.asarray(mat, dtype=np.complex128)
@@ -169,9 +174,11 @@ def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
     eigenvalue's magnitude; ``mapping.biased_partner`` therefore checks
     its reduced state's least eigenvalue, scaled by (1 + c)/2.
 
-    :func:`random_separables` builds its mixtures here too: a mixture
-    ``sum_i w_i |p_i><p_i|`` of unit vectors p_i with simplex weights is
-    the weighted Gram matrix of the p_i, positive semidefinite since
+    :func:`random_separables` builds its mixtures here too and checks
+    neither them nor their members.  A member ``|p><p|`` of a unit vector
+    p is Hermitian with trace ``|p|^2 = 1`` to rounding and eigenvalues
+    ``|p|^2`` and zeros; a mixture ``sum_i w_i |p_i><p_i|`` with simplex
+    weights is their weighted Gram matrix, positive semidefinite since
     ``<x|M|x> = sum_i w_i |<p_i|x>|^2``, with trace ``sum_i w_i = 1``.
     """
     out = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
@@ -262,10 +269,11 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     The stacked kernel of :func:`random_separable`: each seed draws
     exactly what a :func:`random_separable` call with it draws, and the
     normalization, products and mixtures of all T seeds run as stacks.
-    Returns ``(rho, weights, alphas, betas)``: the T mixtures as one
-    closed :class:`DensityMatrix` stack (see :func:`_closed_density`), the
-    (T, k) weights and the validated, read-only (T, k, d_a, d_a) and
-    (T, k, d_b, d_b) member stacks.
+    Returns ``(rho, weights, alphas, betas)``, all read-only: the T
+    mixtures as one closed :class:`DensityMatrix` stack, the (T, k)
+    Dirichlet weights and the (T, k, d_a, d_a) and (T, k, d_b, d_b)
+    members ``v v^dagger`` of unit vectors v, which need no check: each
+    is Hermitian, with trace and one eigenvalue ``|v|^2 = 1``, the rest 0.
     """
     if k < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
@@ -275,16 +283,20 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
         rng = np.random.default_rng(seed)
         weights.append(rng.dirichlet(alpha))
         draws.append(rng.standard_normal((k, 2 * d_a + 2 * d_b)))
+    if not weights:
+        raise ValueError("need at least one seed")
     weights = np.array(weights)
     # Row i: real, then imaginary parts of alpha_i's vector, then of beta_i's.
     re_a, im_a, re_b, im_b = np.split(np.array(draws), np.cumsum([d_a, d_a, d_b]), axis=-1)
     va, vb = re_a + 1j * im_a, re_b + 1j * im_b
     va /= np.linalg.norm(va, axis=-1, keepdims=True)
     vb /= np.linalg.norm(vb, axis=-1, keepdims=True)
-    alphas = validate_states(va[..., :, None] * va.conj()[..., None, :])
-    betas = validate_states(vb[..., :, None] * vb.conj()[..., None, :])
+    alphas = va[..., :, None] * va.conj()[..., None, :]
+    betas = vb[..., :, None] * vb.conj()[..., None, :]
     product = (va[..., :, None] * vb[..., None, :]).reshape(len(weights), k, d_a * d_b)
     mat = (weights[..., None] * product).swapaxes(-1, -2) @ product.conj()
+    for a in (weights, alphas, betas):
+        a.setflags(write=False)
     return _closed_density(mat, d_a, d_b), weights, alphas, betas
 
 

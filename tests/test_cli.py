@@ -228,17 +228,17 @@ class TestEigenCounts:
         return calls
 
     @pytest.mark.parametrize("target, dims", [("lhs", "3x2"), ("spm", "2x3")])
-    def test_verify_makes_exactly_three_per_block(self, eigen_calls, target, dims, capsys):
-        # One block: each party's sampled members and the reduced states of
-        # the partners, whatever the number of trials in it.  The sampled
-        # mixtures, (T, d_a d_b, d_a d_b), are closed and not decomposed.
+    def test_verify_makes_exactly_one_per_block(self, eigen_calls, target, dims, capsys):
+        # One block: the reduced states of the partners, whatever the number
+        # of trials in it.  The sampled members and mixtures are built
+        # closed and not decomposed.
         d_a, d_b = map(int, dims.split("x"))
+        reduced = d_a if target == "lhs" else d_b
         for trials in (1, 5):
             eigen_calls.clear()
             assert cli.main(["verify", target, "--dims", dims, "--trials", str(trials)]) == 0
             assert json.loads(capsys.readouterr().out)["pass"] is True
-            assert len(eigen_calls) == 3
-            assert (trials, d_a * d_b, d_a * d_b) not in eigen_calls
+            assert eigen_calls == [(trials, reduced, reduced)]
 
     def test_feasible_map_decomposes_only_the_loaded_state(self, eigen_calls, werner_file, tmp_path):
         state = werner_file(0.9)

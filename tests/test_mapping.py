@@ -487,6 +487,11 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             mapping.c_max_numeric(0.3, tol=0.0)
 
+    @pytest.mark.parametrize("n_grid", [2.5, 200.0, "200"])
+    def test_rejects_a_non_integer_grid(self, n_grid):
+        with pytest.raises(ValueError, match=f"^grid needs an integer number of points, got {n_grid}$"):
+            mapping.region_scan(n_grid, 1e-8)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
     def test_rejects_non_finite_or_negative_tol(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):

@@ -155,6 +155,24 @@ class TestResponses:
         with pytest.raises(ValueError, match="1 weights, 1 alice, 2 bob"):
             models.finite_model([1.0], HALF[None], np.stack([HALF, HALF]))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([0.4, 0.5], "weights sum to 0.9 != 1"),
+         ([1.5, -0.5], "negative weight -0.5"),
+         ([np.nan, 0.5], "weights sum to nan != 1"),
+         ([], "weights must be a non-empty 1-D sequence"),
+         ([[0.5, 0.5]], "weights must be a non-empty 1-D sequence")],
+    )
+    def test_weight_messages(self, weights, message):
+        flat = np.full((2, 3), 0.5)
+        with pytest.raises(ValueError) as info:
+            models.finite_model(weights, flat, flat)
+        assert str(info.value) == message
+
+    def test_weights_are_read_only_floats(self):
+        model = models.finite_model([1, 0], np.full((2, 3), 0.5), np.full((2, 3), 0.5))
+        assert model.weights.dtype == float and not model.weights.flags.writeable
+
     def test_kind_detection(self):
         # A party's kind is its array rank: 3 for states, 2 for a table.
         q, t = HALF[None], np.full((1, 3), 0.5)
@@ -258,16 +276,6 @@ class TestStackedValidation:
         out = validate_states(stack)
         assert np.array_equal(out, stack) and out is not stack
         assert not out.flags.writeable
-
-    def test_check_weights_rows(self):
-        w = models.check_weights([[0.25, 0.75], [0.5, 0.5]])
-        assert w.shape == (2, 2) and not w.flags.writeable
-        with pytest.raises(ValueError, match="sum to 0.9 != 1"):
-            models.check_weights([[0.5, 0.5], [0.4, 0.5]])
-        with pytest.raises(ValueError, match="negative weight -0.5"):
-            models.check_weights([[0.5, 0.5], [1.5, -0.5]])
-        with pytest.raises(ValueError, match="sum to nan"):
-            models.check_weights([[0.5, 0.5], [np.nan, 0.5]])
 
     def test_born_probs_with_a_stack_axis(self):
         rng = np.random.default_rng(2)

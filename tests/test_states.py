@@ -75,6 +75,16 @@ class TestMakeDensity:
         w, _ = linalg.hermitian_eigen(rho.mat)
         assert np.allclose(w, [0, 0, 0, 1], atol=1e-12)
 
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.5), ("2", 2)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ValueError, match=r"^subsystem dims must be integers, got "):
+            make_density(np.eye(4) / 4, *dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = make_density(np.eye(4) / 4, np.int64(2), np.int32(2))
+        assert type(rho.d_a) is int and type(rho.d_b) is int
+        assert np.array_equal(rho.reduced_a(), np.eye(2) / 2)
+
     def test_matrix_read_only(self):
         rho = make_density(np.eye(4, dtype=complex) / 4, 2, 2)
         with pytest.raises(ValueError):
@@ -179,6 +189,26 @@ class TestRandomSeparables:
                     rho, _, alphas, betas = states.random_separables(d_a, d_b, k, seeds)
                     assert np.array_equal(make_density(rho.mat, d_a, d_b).mat, rho.mat)
                     assert not alphas.flags.writeable and not betas.flags.writeable
+
+    def test_members_and_weights_meet_the_state_invariants(self):
+        # random_separables validates none of its outputs: each member is
+        # v v^dagger of a unit vector, each weight row a Dirichlet draw.
+        for d_a in (2, 3, 4):
+            for d_b in (2, 3, 4):
+                rho, weights, alphas, betas = states.random_separables(d_a, d_b, 4, range(2000))
+                for members in (alphas, betas):
+                    herm = np.abs(members - members.conj().swapaxes(-1, -2)).max()
+                    trace = np.abs(np.trace(members, axis1=-2, axis2=-1) - 1.0).max()
+                    least = np.linalg.eigvalsh(members)[..., 0].min()
+                    assert max(herm, trace, -least) <= 1e-14, (d_a, d_b, herm, trace, least)
+                assert weights.min() >= 0.0
+                assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-14
+                for out in (rho.mat, weights, alphas, betas):
+                    assert not out.flags.writeable
+
+    def test_needs_a_seed(self):
+        with pytest.raises(ValueError, match="^need at least one seed$"):
+            states.random_separables(2, 2, 4, [])
 
 
 class TestWerner:
