@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -32,7 +33,8 @@ LHS_STATE_SEED = 1000
 SPM_STATE_SEED = 2000
 SPM_SAMPLE_SEED = 3000
 # verify runs its trials, and demo-werner its grid points, in blocks of these
-# sizes, each one stacked pass per stage, so memory does not grow with the run.
+# sizes, each one stacked pass per stage, so memory does not grow with the run;
+# demo-werner writes each block before it makes the next.
 VERIFY_BLOCK = 8
 WERNER_BLOCK = 1024
 
@@ -45,11 +47,12 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks``, each as it comes, to a temp file renamed to ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -61,11 +64,14 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the strings of ``chunks`` to ``out``, or to stdout ending in a newline."""
     if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return _atomic_write(out, chunks)
+    text = "\n"
+    for text in chunks:
+        sys.stdout.write(text)
+    sys.stdout.write("" if text.endswith("\n") else "\n")
 
 
 def _parse_dims(raw: str) -> tuple[int, int]:
@@ -81,7 +87,7 @@ def cmd_analyze(args) -> int:
     report = witnesses.witness_report(rho)
     # Fields in declaration order; a detector that does not apply is left out.
     rounded = {k: _sig12(v) for k, v in vars(report).items() if v is not None}
-    _emit(json.dumps(rounded, allow_nan=False), args.out)
+    _emit([json.dumps(rounded, allow_nan=False)], args.out)
     return EXIT_OK
 
 
@@ -104,13 +110,13 @@ def cmd_map(args) -> int:
         print(f"infeasible: {why} (use --force to map anyway)", file=sys.stderr)
         return EXIT_INFEASIBLE
     mapped = mapping.mix(rho, partner, args.mu)
-    _atomic_write(args.out, states.state_to_json(mapped))
+    _atomic_write(args.out, [states.state_to_json(mapped)])
     return EXIT_OK
 
 
 def cmd_region(args) -> int:
     points = mapping.region_scan(args.grid, args.tol)
-    _emit(mapping.region_to_csv(points), args.out)
+    _emit([mapping.region_to_csv(points)], args.out)
     return EXIT_OK
 
 
@@ -153,11 +159,11 @@ def _verify_lhs(dims, trials, seed, fixed):
         )
         settings = qudit_projectors(_orthonormal_rows(np.stack(draws)))
         pa = born_probs(settings, alice, "quantum response")
-        responses, bloch = constructions.lhs_certificates(
-            mu, pa, pa, constructions.pauli_probs(bob), constructions.biased_probs(c)
+        bloch = constructions.lhs_certificates(
+            mu, pa, constructions.pauli_probs(bob), constructions.biased_probs(c)
         )
         rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
-        residuals = constructions.verify_lhs_identities(rho, weights, responses, bloch, settings)
+        residuals = constructions.verify_lhs_identities(rho, weights, pa, bloch, settings)
         return residuals, mu, c
 
     return _run_blocks(trials, seed, run_block)
@@ -193,6 +199,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--dims subsystems must be in 2..4, got {args.dims}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     fixed = None
@@ -210,9 +218,7 @@ def cmd_verify(args) -> int:
             except constructions.UnphysicalHiddenStateError as exc:
                 print(f"infeasible parameters: {exc}", file=sys.stderr)
                 return EXIT_VERIFY
-            print(
-                "infeasible parameters (no vertex witness found)", file=sys.stderr
-            )
+            print("infeasible parameters (no vertex witness found)", file=sys.stderr)
             return EXIT_VERIFY
     try:
         if args.target == "lhs":
@@ -242,7 +248,7 @@ def cmd_verify(args) -> int:
         "max_residual": _sig12(residual),
         "pass": passed,
     }
-    _emit(json.dumps(report, allow_nan=False), args.out)
+    _emit([json.dumps(report, allow_nan=False)], args.out)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -264,9 +270,9 @@ def cmd_demo_werner(args) -> int:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     header = ("p,negativity_sigma,f3_tau,chsh_tau,steerable_rho_oracle,"
               "impl_steerable_nonlocal,impl_entangled_steerable\n")
-    blocks = [_werner_rows(np.arange(i, min(i + WERNER_BLOCK, args.grid)) / (args.grid - 1))
-              for i in range(0, args.grid, WERNER_BLOCK)]
-    _emit("".join([header, *blocks]), args.out)
+    blocks = (_werner_rows(np.arange(i, min(i + WERNER_BLOCK, args.grid)) / (args.grid - 1))
+              for i in range(0, args.grid, WERNER_BLOCK))
+    _emit(itertools.chain([header], blocks), args.out)
     return EXIT_OK
 
 

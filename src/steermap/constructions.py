@@ -17,13 +17,13 @@ case of a stacked kernel (``lhs_certificates``, ``verify_lhs_identities``,
 tables, certificate arrays and projector stacks with a leading trial
 axis; ``verify`` runs a block of trials through each kernel in one call.
 
-A caveat worth keeping in mind: the general recipe makes the hidden
-state depend on Alice's setting and outcome through the ratio it is
-built from.  For the biased-partner family (the partner reusing Alice's
-responses) that dependence cancels and the ensemble is a genuine
-single hidden-state model; the certificate stores the per-(setting,
-outcome) states exactly as constructed so the cancellation can be
-checked rather than assumed.
+Both maps share one construction with the parties swapped.  The two
+models share their weights and the responses of the party that was not
+mixed; the other party, Bob's qubit for map M and Alice's for map N,
+gets one hidden qubit per hidden value with Bloch components
+2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z.
+Since that qubit depends on the hidden value alone, an LHS certificate
+is a hidden-state model by construction.
 """
 
 from __future__ import annotations
@@ -66,24 +66,59 @@ class UnphysicalHiddenStateError(ValueError):
         )
 
 
-def _check_shared_weights(model: FiniteModel, model_prime: FiniteModel) -> None:
+def _shared_party(model: FiniteModel, model_prime: FiniteModel, side: str) -> np.ndarray:
+    """The quantum responses that both models share on ``side``, with their weights."""
     if model.n_hidden != model_prime.n_hidden:
-        raise ValueError(
-            f"models disagree on ensemble size: {model.n_hidden} vs "
-            f"{model_prime.n_hidden}"
-        )
+        sizes = f"{model.n_hidden} vs {model_prime.n_hidden}"
+        raise ValueError(f"models disagree on ensemble size: {sizes}")
     dev = float(np.max(np.abs(model.weights - model_prime.weights)))
     if dev > WEIGHT_TOL:
         raise ValueError(f"models must share hidden-variable weights (max dev {dev:.3e})")
+    party, party_prime = getattr(model, side), getattr(model_prime, side)
+    if party.ndim != 3:
+        kind = "hidden-state" if side == "alice" else "separable"
+        raise ValueError(f"{kind} construction needs quantum {side.capitalize()} responses")
+    if party_prime.shape != party.shape:
+        raise ValueError(f"{side} responses differ in shape: {party.shape} vs {party_prime.shape}")
+    dev = float(np.max(np.abs(party - party_prime)))
+    if not dev <= WEIGHT_TOL:
+        raise ValueError(f"{side} responses differ (max dev {dev:.3e})")
+    return party
+
+
+def _hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
+    """Hidden Bloch vectors 2 (mu p0 + (1 - mu) p0') - 1 of both maps: (..., Xi, 3).
+
+    ``p0[..., xi, k]`` is the mixed party's outcome-0 probability at the
+    k-th Pauli setting in the base model and ``p0_prime`` the partner's
+    (length 1 on the xi axis for a row shared by every hidden value);
+    ``mu`` is a float or one value per leading index.  The error names
+    the first unphysical (trial, hidden value); with Alice's
+    ``responses`` (..., S, A, Xi), setting 0 and its first outcome of
+    positive probability, else the settings "xyz" and outcome -1.
+    """
+    check_unit_interval("mu", mu)
+    m = np.asarray(mu, dtype=float)[..., None, None]
+    bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
+    norm_sq = np.einsum("...xk,...xk->...x", bloch, bloch)
+    bad = np.argwhere(norm_sq > 1.0 + PHYS_TOL)
+    if len(bad):
+        *trial, xi = (int(i) for i in bad[0])
+        setting, outcome = "xyz", -1
+        if responses is not None:
+            setting = 0
+            outcome = int(np.argmax(responses[(*trial, 0, slice(None), xi)] > 0.0))
+        raise UnphysicalHiddenStateError(xi, setting, outcome, float(norm_sq[(*trial, xi)]))
+    return bloch
 
 
 @dataclass(frozen=True)
 class LhsCertificate:
     """Hidden-state ensemble for a mixed qudit-qubit state.
 
-    ``responses[s, a, xi]`` is the conditional probability of outcome a
-    at the s-th Alice setting; ``bloch[s, a, xi]`` the matching hidden
-    qubit Bloch vector (zero rows mark skipped zero-probability entries).
+    ``responses[s, a, xi]`` is Alice's Born probability of outcome a at
+    the s-th setting, which both models share; ``bloch[xi]`` is Bob's
+    hidden qubit Bloch vector, the same for every setting and outcome.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -92,75 +127,36 @@ class LhsCertificate:
 
 
 def lhs_certificate(
-    model_tau: FiniteModel,
-    model_tau_prime: FiniteModel,
-    mu: float,
-    alice_settings,
+    model_tau: FiniteModel, model_tau_prime: FiniteModel, mu: float, alice_settings
 ) -> LhsCertificate:
     """Build the hidden-state ensemble for the M-mixture of two models.
 
-    Both models need quantum Alice responses; Bob's may be quantum qubits
-    or Pauli tables.  ``alice_settings`` is an (S, k, d_a, d_a) projector
-    stack (or a sequence of (k, d_a, d_a) measurements), checked by
-    :func:`steermap.measurements.validate_projectors`.  For every Alice
-    setting, outcome and hidden value the conditional probability is the
-    mu-mixture of the two models' responses and the hidden Bloch
-    component for B is 2 eta(B)/p - 1.  Zero-probability entries
-    contribute nothing and get the maximally mixed state.  An unphysical
-    Bloch vector raises :class:`UnphysicalHiddenStateError` naming the
-    first one in (setting, hidden value, outcome) order.  The unstacked
+    Both models need the same weights and the same quantum Alice
+    responses; Bob's may be quantum qubits or Pauli tables.
+    ``alice_settings`` is an (S, k, d_a, d_a) projector stack (or a
+    sequence of (k, d_a, d_a) measurements), checked by
+    :func:`steermap.measurements.validate_projectors`.  The unstacked
     case of :func:`lhs_certificates`.
     """
-    _check_shared_weights(model_tau, model_tau_prime)
+    alice = _shared_party(model_tau, model_tau_prime, "alice")
     settings = validate_projectors(alice_settings)
-    pa = [_alice_probs(m.alice, settings) for m in (model_tau, model_tau_prime)]
-    responses, bloch = lhs_certificates(
-        mu, *pa, _pauli_table(model_tau.bob), _pauli_table(model_tau_prime.bob)
+    dim = settings.shape[-1]
+    if alice.shape[-1] != dim:
+        raise ValueError(f"setting dim {dim} != response dim {alice.shape[-1]}")
+    responses = born_probs(settings, alice, "quantum response")
+    bloch = lhs_certificates(
+        mu, responses, _pauli_table(model_tau.bob), _pauli_table(model_tau_prime.bob)
     )
     return LhsCertificate(model_tau.weights.copy(), responses, bloch)
 
 
-def lhs_certificates(mu, pa, pa_prime, pb, pb_prime) -> tuple[np.ndarray, np.ndarray]:
-    """Responses and hidden Bloch vectors of M-mixtures, for a stack of trials.
+def lhs_certificates(mu, pa, pb, pb_prime) -> np.ndarray:
+    """Bob's hidden Bloch vectors of M-mixtures, for a stack of trials: (..., Xi, 3).
 
-    ``pa[..., s, a, xi]`` is the base model's P(a | s, xi) for Alice and
-    ``pb[..., xi, k]`` its Bob outcome-0 probability at the k-th Pauli
-    setting; the primed arrays are the partner model's.  A partner row
-    shared by every hidden value, like a biased table's, may have length
-    1 on the xi axis.  ``mu`` is a float or one value per leading index.
-    Returns ``responses`` (..., S, A, Xi) and ``bloch`` (..., S, A, Xi, 3).
-    The error names the first unphysical entry in (trial, setting, hidden
-    value, outcome) order, where a loop over the trials would stop.
+    ``pb`` and ``pb_prime`` are the two models' Bob Pauli tables and
+    ``pa`` Alice's shared P(a | s, xi); see :func:`_hidden_bloch`.
     """
-    check_unit_interval("mu", mu)
-    m = np.asarray(mu, dtype=float)[..., None, None, None]
-    responses = m * pa + (1.0 - m) * pa_prime
-    # eta[..., s, a, xi, k] pairs Alice's (s, a) with Bob's outcome 0 at k.
-    eta = (
-        m[..., None] * pa[..., None] * pb[..., None, None, :, :]
-        + (1.0 - m[..., None]) * pa_prime[..., None] * pb_prime[..., None, None, :, :]
-    )
-    weighted = responses > 0.0  # zero-weight entries keep r = 0
-    ratio = np.divide(
-        eta, responses[..., None], out=np.zeros_like(eta), where=weighted[..., None]
-    )
-    bloch = np.where(weighted[..., None], 2.0 * ratio - 1.0, 0.0)
-    norm_sq = np.einsum("...saxk,...saxk->...sax", bloch, bloch)
-    bad = np.argwhere(np.swapaxes(norm_sq > 1.0 + PHYS_TOL, -1, -2))
-    if len(bad):
-        *trial, s, xi, a = (int(i) for i in bad[0])
-        raise UnphysicalHiddenStateError(xi, s, a, float(norm_sq[(*trial, s, a, xi)]))
-    return responses, bloch
-
-
-def _alice_probs(alice: np.ndarray, settings: np.ndarray) -> np.ndarray:
-    """P(a | s, xi) of quantum Alice responses at validated settings: (S, A, Xi)."""
-    if alice.ndim != 3:
-        raise ValueError("hidden-state construction needs quantum Alice responses")
-    dim = settings.shape[-1]
-    if alice.shape[-1] != dim:
-        raise ValueError(f"setting dim {dim} != response dim {alice.shape[-1]}")
-    return born_probs(settings, alice, "quantum response")
+    return _hidden_bloch(mu, pb, pb_prime, pa)
 
 
 def pauli_probs(states) -> np.ndarray:
@@ -194,16 +190,15 @@ def verify_lhs_identity(
     is checked as in :func:`lhs_certificate`.
     """
     settings = validate_projectors(alice_settings)
-    return float(
-        verify_lhs_identities(rho_ab, cert.weights, cert.responses, cert.bloch, settings)
-    )
+    arrays = (cert.weights, cert.responses, cert.bloch)
+    return float(verify_lhs_identities(rho_ab, *arrays, settings))
 
 
 def verify_lhs_identities(rho_ab: DensityMatrix, weights, responses, bloch, projectors):
     """Steered-state decomposition residuals, one per state of a stack.
 
     ``rho_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
-    ``responses`` (..., S, A, Xi) and ``bloch`` (..., S, A, Xi, 3) are
+    ``responses`` (..., S, A, Xi) and ``bloch`` (..., Xi, 3) are
     the certificate arrays and ``projectors`` (..., S, A, d_a, d_a) are
     Alice's settings, each with the state's leading axes.  All steered
     states come from one contraction over the settings' stack.  Returns
@@ -216,7 +211,7 @@ def verify_lhs_identities(rho_ab: DensityMatrix, weights, responses, bloch, proj
         raise ValueError(f"certificate built for {n_set} settings, got {got}")
     lhs = conditional_states(rho_ab, projectors)
     coef = responses * weights[..., None, None, :]
-    rhs = np.einsum("...sax,...saxij->...saij", coef, hidden_qubits(bloch))
+    rhs = np.einsum("...sax,...xij->...saij", coef, hidden_qubits(bloch))
     return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
 
 
@@ -238,21 +233,11 @@ def spm_certificate(
 ) -> SpmCertificate:
     """Build the separable ensemble for the N-mixture of two models.
 
-    Both inputs must carry identical quantum Bob responses and weights;
-    Alice's responses may be quantum qubits or Pauli tables.  Alice's
-    hidden qubit per hidden value has Bloch components
-    2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 for k in x, y, z.  The
+    Both models need the same weights and the same quantum Bob
+    responses; Alice's may be quantum qubits or Pauli tables.  The
     unstacked case of :func:`spm_certificates`.
     """
-    _check_shared_weights(model_rho, model_rho_prime)
-    bob, bob_prime = model_rho.bob, model_rho_prime.bob
-    if bob.ndim != 3:
-        raise ValueError("separable construction needs quantum Bob responses")
-    if bob_prime.shape != bob.shape:
-        raise ValueError(f"bob responses differ in shape: {bob.shape} vs {bob_prime.shape}")
-    dev = float(np.max(np.abs(bob - bob_prime)))
-    if not dev <= WEIGHT_TOL:
-        raise ValueError(f"bob responses differ (max dev {dev:.3e})")
+    bob = _shared_party(model_rho, model_rho_prime, "bob")
     alice_bloch = spm_certificates(
         mu, _pauli_table(model_rho.alice), _pauli_table(model_rho_prime.alice)
     )
@@ -260,24 +245,12 @@ def spm_certificate(
 
 
 def spm_certificates(mu, p0, p0_prime) -> np.ndarray:
-    """Alice's hidden Bloch vectors of N-mixtures, for a stack of trials.
+    """Alice's hidden Bloch vectors of N-mixtures, for a stack of trials: (..., Xi, 3).
 
-    ``p0[..., xi, k]`` is the base model's Alice outcome-0 probability at
-    the k-th Pauli setting and ``p0_prime`` the partner's (length 1 on
-    the xi axis for a row shared by every hidden value); ``mu`` is a
-    float or one value per leading index.  Returns (..., Xi, 3).  The
-    error names the first unphysical vector in (trial, hidden value)
-    order.
+    ``p0`` and ``p0_prime`` are the two models' Alice Pauli tables; see
+    :func:`_hidden_bloch`.
     """
-    check_unit_interval("mu", mu)
-    m = np.asarray(mu, dtype=float)[..., None, None]
-    alice_bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
-    norm_sq = np.einsum("...xk,...xk->...x", alice_bloch, alice_bloch)
-    bad = np.argwhere(norm_sq > 1.0 + PHYS_TOL)
-    if len(bad):
-        idx = tuple(int(i) for i in bad[0])
-        raise UnphysicalHiddenStateError(idx[-1], "xyz", -1, float(norm_sq[idx]))
-    return alice_bloch
+    return _hidden_bloch(mu, p0, p0_prime)
 
 
 def verify_spm_identity(
@@ -292,11 +265,8 @@ def verify_spm_identity(
     one batch, and returns the largest absolute difference.  The
     unstacked case of :func:`verify_spm_identities`.
     """
-    return float(
-        verify_spm_identities(
-            sigma_ab, cert.weights, cert.alice_bloch, cert.bob_states, n_samples, seed
-        )
-    )
+    arrays = (cert.weights, cert.alice_bloch, cert.bob_states)
+    return float(verify_spm_identities(sigma_ab, *arrays, n_samples, seed))
 
 
 def verify_spm_identities(

@@ -50,13 +50,17 @@ def validate_projectors(projectors) -> np.ndarray:
     entries, each projector Hermitian and idempotent, each measurement
     summing to the identity and its projectors pairwise orthogonal.
     Raises ``ValueError`` naming the first offending measurement and
-    projector, or a ragged sequence; returns a read-only complex copy.
+    projector, a ragged sequence or a non-numeric entry; returns a
+    read-only complex copy.
     """
     try:
         p = np.asarray(projectors)
     except ValueError:
         raise ValueError("projector stack is ragged: its entries differ in shape") from None
-    p = np.array(p, dtype=np.complex128)
+    try:
+        p = np.array(p, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError("projector stack has non-numeric entries") from None
     if p.ndim != 4 or p.shape[2] != p.shape[3] or 0 in p.shape:
         raise ValueError(f"projector stack must have shape (n, k, d, d), got {p.shape}")
     _check_finite(p)

@@ -328,6 +328,18 @@ def state_to_json(rho: DensityMatrix) -> str:
     return json.dumps(payload, allow_nan=False)
 
 
+def _numbers_only(value) -> bool:
+    """Whether every leaf of nested JSON lists is a number (bools are not)."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        elif type(item) is not float and type(item) is not int:
+            return False
+    return True
+
+
 def state_from_json(text: str) -> DensityMatrix:
     """Parse and fully validate the state JSON format."""
     try:
@@ -344,11 +356,15 @@ def state_from_json(text: str) -> DensityMatrix:
     if not (isinstance(dims, list) and len(dims) == 2 and all(type(d) is int for d in dims)):
         raise ValueError(f"'dims' must be a list of two integers, got {dims!r}")
     d_a, d_b = dims
+    not_numbers = "'re'/'im' must be 2-D arrays of numbers"
+    # numpy would read true/false as 1/0 and a numeric string as its value.
+    if not (_numbers_only(data["re"]) and _numbers_only(data["im"])):
+        raise ValueError(not_numbers)
     try:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except TypeError:
-        raise ValueError("'re'/'im' must be 2-D arrays of numbers") from None
+    except OverflowError:  # a JSON integer too large for a float
+        raise ValueError(not_numbers) from None
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError(
             f"'re'/'im' must be equal-shape 2-D arrays, got {re.shape} and {im.shape}"

@@ -387,6 +387,14 @@ class TestVerify:
         assert "--trials" in captured.err
 
     @pytest.mark.parametrize("target", ["spm", "lhs"])
+    def test_negative_seed_exit_2(self, target, capsys):
+        # numpy's own refusal ("expected non-negative integer") names no flag.
+        assert cli.main(["verify", target, "--trials", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("target", ["spm", "lhs"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-10"])
     def test_bad_tol_exit_2(self, target, tol, capsys):
         assert cli.main(["verify", target, "--trials", "1", f"--tol={tol}"]) == 2
@@ -522,6 +530,13 @@ def _state_payload(**fields):
     return json.dumps(payload)
 
 
+def _product_state_with(entry):
+    """|00><00| as state JSON, with ``entry`` in place of its 1 at re[0][0]."""
+    re = np.zeros((4, 4)).tolist()
+    re[0][0] = entry
+    return json.dumps({"dims": [2, 2], "re": re, "im": np.zeros((4, 4)).tolist()})
+
+
 class TestStateJsonBoundary:
     """Malformed state JSON exits 2 with a message, and nothing is written."""
 
@@ -531,13 +546,25 @@ class TestStateJsonBoundary:
         "re-object": _state_payload(re={"a": 1}),
         "dims-float": _state_payload(dims=[2.7, 2]),
         "dims-huge": _state_payload(dims=[10**400, 2]),
+        # numpy alone reads true as 1 (a valid state) and "a" as a float error.
+        "re-bool": _product_state_with(True),
+        "re-string": _product_state_with("a"),
+        "re-numeric-string": _product_state_with("1"),
+        "re-null": _product_state_with(None),
+        "re-huge-int": _product_state_with(10**400),
     }
+    NOT_NUMBERS = "'re'/'im' must be 2-D arrays of numbers"
     MESSAGES = {
         "dims-null": "'dims' must be a list of two integers, got [2, None]",
         "dims-nested": "'dims' must be a list of two integers, got [[2], 2]",
-        "re-object": "'re'/'im' must be 2-D arrays of numbers",
+        "re-object": NOT_NUMBERS,
         "dims-float": "'dims' must be a list of two integers, got [2.7, 2]",
         "dims-huge": "'dims' entries must not exceed the matrix side 4",
+        "re-bool": NOT_NUMBERS,
+        "re-string": NOT_NUMBERS,
+        "re-numeric-string": NOT_NUMBERS,
+        "re-null": NOT_NUMBERS,
+        "re-huge-int": NOT_NUMBERS,
     }
 
     @pytest.mark.parametrize("case", list(PAYLOADS))
@@ -570,6 +597,9 @@ class TestStateJsonBoundary:
         assert captured.err == "error: state JSON nests too deeply to parse\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_product_state_with_a_number_loads(self):
+        assert states.state_from_json(_product_state_with(1)).mat[0, 0] == 1.0
 
     def test_bool_dims_are_not_integers(self):
         with pytest.raises(ValueError, match="list of two integers"):

@@ -66,17 +66,18 @@ class TestMixedJointProb:
         assert np.all(prime.bob == [0.5, 0.5, 0.65])
 
     def test_shared_alice_cancellation(self):
-        # With the partner reusing Alice's responses the ratio collapses
-        # to the mixture of Bob's responses alone.
+        # With the partner reusing Alice's responses, eta factors into
+        # P(a|s,xi) times the mixture of Bob's responses alone.
         _, model, prime = separable_pair(3, 2, 4, seed=2, c=0.25)
         settings = computational_settings(3, extra=2, seed=20)
         mu = 0.4
         cert = cons.lhs_certificate(model, prime, mu, settings)
+        pa = born_probs(validate_projectors(settings), model.alice)[..., None]
+        eta = mu * pa * cons.pauli_probs(model.bob) + (1 - mu) * pa * prime.bob
         expected = mu * cons.pauli_probs(model.bob) + (1 - mu) * prime.bob
-        weighted = cert.responses > 0.0
-        ratio = (1.0 + cert.bloch[weighted]) / 2.0
-        assert weighted.any()
-        assert np.max(np.abs(ratio - np.broadcast_to(expected, cert.bloch.shape)[weighted])) <= 1e-13
+        assert cert.bloch.shape == (4, 3)
+        assert np.max(np.abs((1.0 + cert.bloch) / 2.0 - expected)) <= 1e-13
+        assert np.max(np.abs(self.eta(cert) - eta)) <= 1e-13
 
     def test_weight_mismatch(self):
         _, model, _ = separable_pair(2, 2, 2, seed=3, c=0.0)
@@ -95,10 +96,7 @@ class TestLhsCertificate:
         cert = cons.lhs_certificate(model, model, 1.0, settings)
         for xi, (_, _, beta) in enumerate(ensemble):
             expected = np.einsum("kij,ji->k", PAULI_STACK, beta).real
-            for a in range(2):
-                if cert.responses[0, a, xi] == 0.0:
-                    continue
-                assert np.allclose(cert.bloch[0, a, xi], expected, atol=1e-12)
+            assert np.allclose(cert.bloch[xi], expected, atol=1e-12)
 
     def test_biased_family_matches_affine_formula(self):
         mu, c = 0.45, 0.3
@@ -108,32 +106,25 @@ class TestLhsCertificate:
         for xi in range(model.n_hidden):
             probs = cons.pauli_probs(model.bob)[xi]
             expected = mapping.hidden_bloch_vector(*probs, mu, c).as_array()
-            for a in range(3):
-                if cert.responses[0, a, xi] == 0.0:
-                    continue
-                assert np.allclose(cert.bloch[0, a, xi], expected, atol=1e-13)
+            assert np.allclose(cert.bloch[xi], expected, atol=1e-13)
 
     def test_alice_setting_independence(self):
         # The biased family's hidden state must not depend on which
-        # Alice setting or outcome produced it.
+        # Alice setting or outcome produced it: one vector per hidden
+        # value, whatever settings the certificate was built for.
         _, model, prime = separable_pair(3, 2, 4, seed=7, c=0.2)
         settings = computational_settings(3, extra=6, seed=70)
         cert = cons.lhs_certificate(model, prime, 0.5, settings)
-        for xi in range(model.n_hidden):
-            seen = None
-            for s in range(len(settings)):
-                for a in range(3):
-                    if cert.responses[s, a, xi] == 0.0:
-                        continue
-                    if seen is None:
-                        seen = cert.bloch[s, a, xi]
-                    assert np.max(np.abs(cert.bloch[s, a, xi] - seen)) <= 1e-14
+        alone = cons.lhs_certificate(model, prime, 0.5, settings[-1:])
+        assert cert.responses.shape == (7, 3, 4)
+        assert cert.bloch.shape == (model.n_hidden, 3)
+        assert np.array_equal(cert.bloch, alone.bloch)
 
     def test_all_physical_at_saturation_point(self):
         _, model, prime = separable_pair(3, 2, 4, seed=8, c=0.0)
         settings = computational_settings(3, extra=4, seed=80)
         cert = cons.lhs_certificate(model, prime, INV_SQRT3, settings)
-        norms = np.einsum("saxk,saxk->sax", cert.bloch, cert.bloch)
+        norms = np.einsum("xk,xk->x", cert.bloch, cert.bloch)
         assert norms.max() <= 1.0 + 1e-12
 
     def test_response_normalization(self):
@@ -204,14 +195,14 @@ class TestStackedCertificates:
         pa = np.stack([a for a, _ in arrays])
         pb = np.stack([b for _, b in arrays])
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
-            cons.lhs_certificates(np.full(3, mu), pa, pa, pb, cons.biased_probs(np.array(cs)))
+            cons.lhs_certificates(np.full(3, mu), pa, pb, cons.biased_probs(np.array(cs)))
         assert str(info.value) == str(first_error)
-        responses, bloch = cons.lhs_certificates(
-            np.full(1, mu), pa[:1], pa[:1], pb[:1], cons.biased_probs(np.array(cs[:1]))
+        bloch = cons.lhs_certificates(
+            np.full(1, mu), pa[:1], pb[:1], cons.biased_probs(np.array(cs[:1]))
         )
         base = finite_model([0.5, 0.5], alices[0], det)
         cert = cons.lhs_certificate(base, cons.bob_biased_prime_model(base, cs[0]), mu, settings)
-        assert np.array_equal(responses[0], cert.responses)
+        assert np.array_equal(pa[0], cert.responses)
         assert np.array_equal(bloch[0], cert.bloch)
 
     def test_spm_stack_equals_each_trial(self):
@@ -365,7 +356,7 @@ def lhs_residual_reference(rho, cert, settings):
     for s, setting in enumerate(settings):
         for a, pi in enumerate(setting):
             rhs = sum(
-                cert.responses[s, a, xi] * cert.weights[xi] * hidden_qubits(cert.bloch[s, a, xi])
+                cert.responses[s, a, xi] * cert.weights[xi] * hidden_qubits(cert.bloch[xi])
                 for xi in range(len(cert.weights))
             )
             full = (np.kron(pi, np.eye(2)) @ rho.mat).reshape(rho.d_a, 2, rho.d_a, 2)
@@ -455,23 +446,18 @@ class TestGeneralModelPairs:
 
     def test_lhs_with_independent_partner_model(self):
         # Partner with its own Alice responses and maximally mixed Bob
-        # responses: hidden states stay physical for every mu, and the
-        # decomposition identity must hold even though the hidden state
-        # now genuinely depends on Alice's setting and outcome.
+        # responses: a hidden state built from such a pair would depend
+        # on Alice's setting and outcome, so it is no LHS model and the
+        # builder refuses the pair.
         rng = np.random.default_rng(60)
-        tau, ensemble = random_separable(3, 2, 4, seed=61)
+        _, ensemble = random_separable(3, 2, 4, seed=61)
         model = model_from_separable(ensemble)
         prime_alice = np.stack([random_pure(3, rng) for _ in range(4)])
         prime = finite_model(model.weights, prime_alice, np.stack([HALF] * 4))
-        tau_prime_mat = sum(
-            w * np.kron(alpha, HALF) for w, alpha in zip(model.weights, prime_alice)
-        )
-        tau_prime = make_density(tau_prime_mat, 3, 2)
         settings = computational_settings(3, extra=8, seed=62)
         for mu in (0.15, 0.5, 0.9):
-            cert = cons.lhs_certificate(model, prime, mu, settings)
-            rho = mapping.map_m(tau, tau_prime, mu)
-            assert cons.verify_lhs_identity(rho, cert, settings) <= 1e-12
+            with pytest.raises(ValueError, match=r"^alice responses differ \(max dev "):
+                cons.lhs_certificate(model, prime, mu, settings)
 
     def test_spm_with_independent_alice_responses(self):
         # Same Bob ensemble, fresh Alice qubits on the partner side: the
@@ -506,6 +492,37 @@ class TestGeneralModelPairs:
         wrong = mapping.map_n(rho, mapping.alice_biased_partner(rho, 0.1), 0.2)
         assert cons.verify_spm_identity(wrong, cert, 20, seed=69) > 1e-3
 
+
+class TestOperatorIdentity:
+    """Both certificates are models of the mixed state itself, not only of its statistics.
+
+    Map M: sum_xi w_xi alpha_xi (x) h_xi, with Alice's shared responses
+    and the certificate's hidden qubits; map N: sum_xi w_xi a_xi (x)
+    beta_xi, with the hidden qubits on Alice's side.
+    """
+
+    @staticmethod
+    def ensemble_state(weights, alice, bob):
+        return sum(w * np.kron(a, b) for w, a, b in zip(weights, alice, bob))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_both_maps(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        for trial in range(5):
+            mu = float(rng.uniform(0.0, INV_SQRT3))
+            c = float(rng.uniform(0.0, 1.0)) * mapping.analytic_c_max(mu)
+            seed = 100 * dim + trial
+            tau, model, prime = separable_pair(dim, 2, 4, seed=seed, c=c)
+            cert = cons.lhs_certificate(model, prime, mu, computational_settings(dim))
+            rho = mapping.map_m(tau, mapping.bob_biased_partner(tau, c), mu)
+            got = self.ensemble_state(cert.weights, model.alice, hidden_qubits(cert.bloch))
+            assert np.max(np.abs(got - rho.mat)) <= 1e-12
+
+            rho, model, prime = separable_pair(2, dim, 4, seed=seed, c=c, prime_side="alice")
+            cert = cons.spm_certificate(model, prime, mu)
+            sigma = mapping.map_n(rho, mapping.alice_biased_partner(rho, c), mu)
+            got = self.ensemble_state(cert.weights, hidden_qubits(cert.alice_bloch), cert.bob_states)
+            assert np.max(np.abs(got - sigma.mat)) <= 1e-12
 
 
 class TestFeasibilityPhysicalityLink:
@@ -557,13 +574,17 @@ def _bad_settings(kind):
         return stack
     if kind == "ragged":
         return good + [qudit_measurement(np.eye(3))]
+    if kind == "non-numeric":
+        stack = np.stack(good).astype(object)
+        stack[1, 0, 1, 1] = "a"
+        return stack
     return good[0]  # one (k, d, d) measurement, not a stack of them
 
 
 class TestSettingsBoundary:
     """Certificate builders and verifiers check Alice's settings once, as validate_projectors does."""
 
-    KINDS = ["non-idempotent", "not summing to identity", "ragged", "wrong dimension"]
+    KINDS = ["non-idempotent", "not summing to identity", "ragged", "non-numeric", "wrong dimension"]
 
     @staticmethod
     def message(call):
@@ -580,6 +601,9 @@ class TestSettingsBoundary:
         expected = self.message(lambda: validate_projectors(bad))
         if kind == "ragged":
             assert expected == "projector stack is ragged: its entries differ in shape"
+        if kind == "non-numeric":
+            assert expected == "projector stack has non-numeric entries"
+            assert self.message(lambda: validate_projectors([["a"]])) == expected
         assert self.message(lambda: cons.lhs_certificate(model, prime, 0.4, bad)) == expected
         assert self.message(lambda: cons.verify_lhs_identity(tau, cert, bad)) == expected
 
@@ -602,9 +626,10 @@ class TestPartyKinds:
     def test_lhs_rejects_a_table_alice(self):
         _, model, _ = separable_pair(2, 2, 2, seed=44, c=0.0)
         table_alice = finite_model(model.weights, np.full((2, 3), 0.5), model.bob)
-        for base, prime in ((table_alice, model), (model, table_alice)):
-            with pytest.raises(ValueError, match="needs quantum Alice responses"):
-                cons.lhs_certificate(base, prime, 0.4, computational_settings(2))
+        with pytest.raises(ValueError, match="needs quantum Alice responses"):
+            cons.lhs_certificate(table_alice, model, 0.4, computational_settings(2))
+        with pytest.raises(ValueError, match=r"alice responses differ in shape: \(2, 2, 2\) vs \(2, 3\)"):
+            cons.lhs_certificate(model, table_alice, 0.4, computational_settings(2))
 
     def test_lhs_rejects_a_qudit_bob(self):
         _, model, _ = separable_pair(2, 3, 2, seed=45, c=0.0)

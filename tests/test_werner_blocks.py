@@ -4,7 +4,7 @@
 was stacked: one visibility at a time through the single-state calls,
 one f-string per row.  The stacked CLI must print byte-identical CSV at
 small grids and on both sides of every block edge, and keep its memory
-per block rather than per grid point.
+per block rather than per grid point, also in the CSV text it writes.
 """
 
 import contextlib
@@ -64,14 +64,25 @@ class TestStdoutMatchesPointLoop:
         assert out.read_text() == reference_demo_werner(BLOCK + 1)
 
 
+def traced_peak(argv):
+    """Peak traced memory of one successful ``demo-werner`` run."""
+    tracemalloc.start()
+    try:
+        assert run_demo(argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockGuards:
-    def test_peak_memory_stays_near_the_point_loop(self):
+    def test_peak_memory_stays_near_the_point_loop(self, tmp_path):
         # Unblocked, one stacked pass over all 20001 points peaks near 32 MB.
         run_demo(["--grid", "3"])  # one-time caches
-        tracemalloc.start()
-        try:
-            assert run_demo(["--grid", "20001"])[0] == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * PER_POINT_PEAK
+        assert traced_peak(["--grid", "20001"]) <= 1.5 * PER_POINT_PEAK
+        # With --out, each block is written before the next is made, so
+        # not even the CSV text grows with the grid (31 MB at 200001 when
+        # the blocks were joined first).
+        out = tmp_path / "demo.csv"
+        assert traced_peak(["--grid", "100001", "--out", str(out)]) <= 1.5 * PER_POINT_PEAK
+        with out.open() as fh:
+            assert sum(1 for _ in fh) == 100002
