@@ -21,7 +21,7 @@ import numpy as np
 
 from . import constructions, mapping, states, witnesses
 from .mapping import INV_SQRT3
-from .measurements import _orthonormal_rows, basis_draws, qudit_measurement, qudit_projectors
+from .measurements import _orthonormal_rows, basis_draws, qudit_projectors
 from .models import born_probs
 
 LHS_SETTINGS_PER_TRIAL = 20
@@ -97,11 +97,14 @@ def cmd_map(args) -> int:
     if mode not in PARTNER_SIDE:
         raise ValueError(f"--mode must be M or N, got {args.mode!r}")
     # The partner and feasible() check dims, c and mu before any output;
-    # the mixture is only built when it is written.
+    # the mixture is only built when it is written, and stdout only after
+    # that, so a failed write leaves it empty.
     partner = mapping.biased_partner(rho, args.c, PARTNER_SIDE[mode])
     ok = mapping.feasible(args.mu, args.c)
+    if ok or args.force:
+        _atomic_write(args.out, [states.state_to_json(mapping.mix(rho, partner, args.mu))])
     print(f"feasible(mu={args.mu:.12g}, c={args.c:.12g}) = {str(ok).lower()}")
-    if not ok and not args.force:
+    if not (ok or args.force):
         if args.mu <= INV_SQRT3:
             bound = mapping.analytic_c_max(args.mu)
             why = f"c = {args.c:.12g} exceeds c_max = {bound:.12g} at mu = {args.mu:.12g}"
@@ -109,8 +112,6 @@ def cmd_map(args) -> int:
             why = f"mu = {args.mu:.12g} > 1/sqrt(3) admits no c"
         print(f"infeasible: {why} (use --force to map anyway)", file=sys.stderr)
         return EXIT_INFEASIBLE
-    mapped = mapping.mix(rho, partner, args.mu)
-    _atomic_write(args.out, [states.state_to_json(mapped)])
     return EXIT_OK
 
 
@@ -159,11 +160,13 @@ def _verify_lhs(dims, trials, seed, fixed):
         )
         settings = qudit_projectors(_orthonormal_rows(np.stack(draws)))
         pa = born_probs(settings, alice, "quantum response")
-        bloch = constructions.lhs_certificates(
-            mu, pa, constructions.pauli_probs(bob), constructions.biased_probs(c)
+        bloch = constructions.hidden_bloch(
+            mu, constructions.pauli_probs(bob), constructions.biased_probs(c), pa
         )
         rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
-        residuals = constructions.verify_lhs_identities(rho, weights, pa, bloch, settings)
+        residuals = constructions.verify_lhs_identities(
+            rho, weights, pa, states.hidden_qubits(bloch), settings
+        )
         return residuals, mu, c
 
     return _run_blocks(trials, seed, run_block)
@@ -180,13 +183,14 @@ def _verify_spm(dims, trials, seed, fixed):
         rho, weights, alice, bob = states.random_separables(
             2, d_b, ENSEMBLE_SIZE, [seed + SPM_STATE_SEED + t for t in block]
         )
-        alice_bloch = constructions.spm_certificates(
+        alice_bloch = constructions.hidden_bloch(
             mu, constructions.pauli_probs(alice), constructions.biased_probs(c)
         )
         sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
         sample_seeds = [seed + SPM_SAMPLE_SEED + t for t in block]
         residuals = constructions.verify_spm_identities(
-            sigma, weights, alice_bloch, bob, SPM_SAMPLES_PER_TRIAL, sample_seeds
+            sigma, weights, states.hidden_qubits(alice_bloch), bob,
+            SPM_SAMPLES_PER_TRIAL, sample_seeds,
         )
         return residuals, mu, c
 
@@ -209,12 +213,12 @@ def cmd_verify(args) -> int:
     if args.mu is not None:
         fixed = (args.mu, args.c)
         if not mapping.feasible(*fixed):
-            # Demonstrate the failure constructively before bailing out.
-            base = constructions.vertex_witness_model(dims[0])
-            prime = constructions.bob_biased_prime_model(base, args.c)
-            settings = [qudit_measurement(np.eye(dims[0]))]
+            # Demonstrate the failure constructively before bailing out: Bob
+            # answers 0 at x, y and z, the box vertex of the largest hidden
+            # state, and one Alice outcome carries all the weight.
             try:
-                constructions.lhs_certificate(base, prime, args.mu, settings)
+                vertex, partner = np.ones((1, 3)), constructions.biased_probs(args.c)
+                constructions.hidden_bloch(args.mu, vertex, partner, np.ones((1, 1, 1)))
             except constructions.UnphysicalHiddenStateError as exc:
                 print(f"infeasible parameters: {exc}", file=sys.stderr)
                 return EXIT_VERIFY

@@ -1,34 +1,30 @@
 """Hidden-state and separable-model constructions, with numeric checks.
 
 Given a finite model for a state and one for its mixing partner (sharing
-the same hidden-variable weights), the builders below produce explicit
-certificates: hidden qubit states as Bloch vectors plus the conditional
-probabilities that reassemble the mixed state's statistics.  The
-verifiers recompute both sides of the defining identities from scratch
-and return the worst residual.
+the same hidden-variable weights), each map's builder returns its
+certificate as a :class:`~steermap.models.FiniteModel` of the mixed
+state.  Both maps share one construction with the parties swapped: the
+certificate keeps the weights and the responses of the party that was
+not mixed, and the other party, Bob's qubit for map M and Alice's for
+map N, gets one hidden qubit per hidden value with Bloch components
+2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z
+(:func:`hidden_bloch`).  Since that qubit depends on the hidden value
+alone, an LHS certificate is a hidden-state model by construction.
 
-Everything is evaluated array-first: models hold one array per party
-(see :mod:`steermap.models`), Alice's settings (or the sampled
-measurement pairs) form one (n, k, d, d) projector stack, and each side
-of an identity is one contraction over that stack, the hidden index
-and the (d_a, d_b, d_a, d_b) state tensor.  Each builder and verifier is the unstacked
-case of a stacked kernel (``lhs_certificates``, ``verify_lhs_identities``,
-``spm_certificates``, ``verify_spm_identities``) that takes probability
-tables, certificate arrays and projector stacks with a leading trial
-axis; ``verify`` runs a block of trials through each kernel in one call.
-
-Both maps share one construction with the parties swapped.  The two
-models share their weights and the responses of the party that was not
-mixed; the other party, Bob's qubit for map M and Alice's for map N,
-gets one hidden qubit per hidden value with Bloch components
-2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z.
-Since that qubit depends on the hidden value alone, an LHS certificate
-is a hidden-state model by construction.
+The verifiers recompute both sides of an identity from scratch and
+return the worst residual: the steered states at Alice's settings (map
+M), the joints of sampled measurement pairs (map N) and, for a model
+whose parties are both quantum, the operator identity
+rho = sum_xi w_xi a_xi (x) b_xi itself (:func:`verify_model_identities`),
+which covers every measurement.  Everything is evaluated array-first:
+each verifier takes the certificate's arrays and the projector stacks
+with the state's leading trial axis, and each side of an identity is one
+contraction over the hidden index and the state tensor.
+``verify_lhs_identity`` and ``verify_spm_identity`` are the unstacked
+cases; ``verify`` runs a block of trials through each kernel in one call.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +82,7 @@ def _shared_party(model: FiniteModel, model_prime: FiniteModel, side: str) -> np
     return party
 
 
-def _hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
+def hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
     """Hidden Bloch vectors 2 (mu p0 + (1 - mu) p0') - 1 of both maps: (..., Xi, 3).
 
     ``p0[..., xi, k]`` is the mixed party's outcome-0 probability at the
@@ -112,51 +108,42 @@ def _hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
     return bloch
 
 
-@dataclass(frozen=True)
-class LhsCertificate:
-    """Hidden-state ensemble for a mixed qudit-qubit state.
-
-    ``responses[s, a, xi]`` is Alice's Born probability of outcome a at
-    the s-th setting, which both models share; ``bloch[xi]`` is Bob's
-    hidden qubit Bloch vector, the same for every setting and outcome.
-    """
-
-    weights: np.ndarray = field(repr=False)
-    responses: np.ndarray = field(repr=False)
-    bloch: np.ndarray = field(repr=False)
+def _hidden_party(model: FiniteModel, model_prime: FiniteModel, mu, side: str, responses=None):
+    """The mixed party's read-only (Xi, 2, 2) hidden qubits, from both models' Pauli tables."""
+    p0 = _pauli_table(getattr(model, side))
+    p0_prime = _pauli_table(getattr(model_prime, side))
+    qubits = hidden_qubits(hidden_bloch(mu, p0, p0_prime, responses))
+    qubits.setflags(write=False)
+    return qubits
 
 
-def lhs_certificate(
-    model_tau: FiniteModel, model_tau_prime: FiniteModel, mu: float, alice_settings
-) -> LhsCertificate:
-    """Build the hidden-state ensemble for the M-mixture of two models.
-
-    Both models need the same weights and the same quantum Alice
-    responses; Bob's may be quantum qubits or Pauli tables.
-    ``alice_settings`` is an (S, k, d_a, d_a) projector stack (or a
-    sequence of (k, d_a, d_a) measurements), checked by
-    :func:`steermap.measurements.validate_projectors`.  The unstacked
-    case of :func:`lhs_certificates`.
-    """
-    alice = _shared_party(model_tau, model_tau_prime, "alice")
+def _alice_table(alice: np.ndarray, alice_settings):
+    """Alice's settings, checked by validate_projectors, and her Born table P(a | s, xi)."""
     settings = validate_projectors(alice_settings)
     dim = settings.shape[-1]
     if alice.shape[-1] != dim:
         raise ValueError(f"setting dim {dim} != response dim {alice.shape[-1]}")
-    responses = born_probs(settings, alice, "quantum response")
-    bloch = lhs_certificates(
-        mu, responses, _pauli_table(model_tau.bob), _pauli_table(model_tau_prime.bob)
-    )
-    return LhsCertificate(model_tau.weights.copy(), responses, bloch)
+    return settings, born_probs(settings, alice, "quantum response")
 
 
-def lhs_certificates(mu, pa, pb, pb_prime) -> np.ndarray:
-    """Bob's hidden Bloch vectors of M-mixtures, for a stack of trials: (..., Xi, 3).
+def lhs_certificate(
+    model_tau: FiniteModel, model_tau_prime: FiniteModel, mu: float, alice_settings
+) -> FiniteModel:
+    """The hidden-state model of the M-mixture of two models.
 
-    ``pb`` and ``pb_prime`` are the two models' Bob Pauli tables and
-    ``pa`` Alice's shared P(a | s, xi); see :func:`_hidden_bloch`.
+    Both models need the same weights and the same quantum Alice
+    responses; Bob's may be quantum qubits or Pauli tables.  The result
+    keeps the weights and Alice's responses and gives Bob one hidden
+    qubit per hidden value, so it holds for every Alice measurement.
+    ``alice_settings``, an (S, k, d_a, d_a) projector stack (or a
+    sequence of (k, d_a, d_a) measurements) checked by
+    :func:`steermap.measurements.validate_projectors`, only names the
+    setting and outcome of an :class:`UnphysicalHiddenStateError`.
     """
-    return _hidden_bloch(mu, pb, pb_prime, pa)
+    alice = _shared_party(model_tau, model_tau_prime, "alice")
+    _, responses = _alice_table(alice, alice_settings)
+    bob = _hidden_party(model_tau, model_tau_prime, mu, "bob", responses)
+    return FiniteModel(model_tau.weights, alice, bob)
 
 
 def pauli_probs(states) -> np.ndarray:
@@ -178,83 +165,55 @@ def _pauli_table(party: np.ndarray) -> np.ndarray:
     return pauli_probs(party)
 
 
-def verify_lhs_identity(
-    rho_ab: DensityMatrix, cert: LhsCertificate, alice_settings
-) -> float:
+def verify_lhs_identity(rho_ab: DensityMatrix, cert: FiniteModel, alice_settings) -> float:
     """Worst-case residual of the steered-state decomposition.
 
     For every listed Alice setting and outcome, compares the conditional
     state of ``rho_ab`` against the certificate's weighted hidden-state
-    sum; returns the max-abs entry difference over all of them.  The
-    unstacked case of :func:`verify_lhs_identities`; ``alice_settings``
-    is checked as in :func:`lhs_certificate`.
+    sum, with Alice's Born table taken from ``cert.alice`` at those
+    settings; returns the max-abs entry difference over all of them.
+    The unstacked case of :func:`verify_lhs_identities`;
+    ``alice_settings`` is checked as in :func:`lhs_certificate`.
     """
-    settings = validate_projectors(alice_settings)
-    arrays = (cert.weights, cert.responses, cert.bloch)
-    return float(verify_lhs_identities(rho_ab, *arrays, settings))
+    settings, responses = _alice_table(cert.alice, alice_settings)
+    return float(verify_lhs_identities(rho_ab, cert.weights, responses, cert.bob, settings))
 
 
-def verify_lhs_identities(rho_ab: DensityMatrix, weights, responses, bloch, projectors):
+def verify_lhs_identities(rho_ab: DensityMatrix, weights, responses, bob, projectors):
     """Steered-state decomposition residuals, one per state of a stack.
 
     ``rho_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
-    ``responses`` (..., S, A, Xi) and ``bloch`` (..., Xi, 3) are
-    the certificate arrays and ``projectors`` (..., S, A, d_a, d_a) are
-    Alice's settings, each with the state's leading axes.  All steered
+    Alice's Born table ``responses`` (..., S, A, Xi) at the settings
+    ``projectors`` (..., S, A, d_a, d_a), and Bob's hidden qubits ``bob``
+    (..., Xi, 2, 2) each carry the state's leading axes.  All steered
     states come from one contraction over the settings' stack.  Returns
     the max-abs entry difference per state.
     """
     if rho_ab.d_b != 2:
         raise ValueError(f"certificate targets a qubit on Bob's side, got {rho_ab.d_b}")
-    n_set, got = responses.shape[-3], projectors.shape[-4]
-    if got != n_set:
-        raise ValueError(f"certificate built for {n_set} settings, got {got}")
     lhs = conditional_states(rho_ab, projectors)
     coef = responses * weights[..., None, None, :]
-    rhs = np.einsum("...sax,...xij->...saij", coef, hidden_qubits(bloch))
+    rhs = np.einsum("...sax,...xij->...saij", coef, bob)
     return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
-
-
-@dataclass(frozen=True)
-class SpmCertificate:
-    """Separable-model ensemble: hidden qubits for Alice, states for Bob.
-
-    ``alice_bloch`` is (Xi, 3) and ``bob_states`` the (Xi, d_b, d_b)
-    stack of Bob's response states.
-    """
-
-    weights: np.ndarray = field(repr=False)
-    alice_bloch: np.ndarray = field(repr=False)
-    bob_states: np.ndarray = field(repr=False)
 
 
 def spm_certificate(
     model_rho: FiniteModel, model_rho_prime: FiniteModel, mu: float
-) -> SpmCertificate:
-    """Build the separable ensemble for the N-mixture of two models.
+) -> FiniteModel:
+    """The separable model of the N-mixture of two models.
 
     Both models need the same weights and the same quantum Bob
     responses; Alice's may be quantum qubits or Pauli tables.  The
-    unstacked case of :func:`spm_certificates`.
+    result keeps the weights and Bob's responses and gives Alice one
+    hidden qubit per hidden value.
     """
     bob = _shared_party(model_rho, model_rho_prime, "bob")
-    alice_bloch = spm_certificates(
-        mu, _pauli_table(model_rho.alice), _pauli_table(model_rho_prime.alice)
-    )
-    return SpmCertificate(model_rho.weights.copy(), alice_bloch, bob)
-
-
-def spm_certificates(mu, p0, p0_prime) -> np.ndarray:
-    """Alice's hidden Bloch vectors of N-mixtures, for a stack of trials: (..., Xi, 3).
-
-    ``p0`` and ``p0_prime`` are the two models' Alice Pauli tables; see
-    :func:`_hidden_bloch`.
-    """
-    return _hidden_bloch(mu, p0, p0_prime)
+    alice = _hidden_party(model_rho, model_rho_prime, mu, "alice")
+    return FiniteModel(model_rho.weights, alice, bob)
 
 
 def verify_spm_identity(
-    sigma_ab: DensityMatrix, cert: SpmCertificate, n_samples: int, seed: int
+    sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: int, seed: int
 ) -> float:
     """Worst-case residual of the separable-model joint probabilities.
 
@@ -265,18 +224,16 @@ def verify_spm_identity(
     one batch, and returns the largest absolute difference.  The
     unstacked case of :func:`verify_spm_identities`.
     """
-    arrays = (cert.weights, cert.alice_bloch, cert.bob_states)
+    arrays = (cert.weights, cert.alice, cert.bob)
     return float(verify_spm_identities(sigma_ab, *arrays, n_samples, seed))
 
 
-def verify_spm_identities(
-    sigma_ab: DensityMatrix, weights, alice_bloch, bob_states, n_samples: int, seeds
-):
+def verify_spm_identities(sigma_ab: DensityMatrix, weights, alice, bob, n_samples: int, seeds):
     """Separable-model joint residuals, one per state of a stack.
 
     ``sigma_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
-    ``alice_bloch`` (..., Xi, 3) and ``bob_states`` (..., Xi, d_b, d_b)
-    are the certificate arrays, with the state's leading axes, and
+    Alice's hidden qubits ``alice`` (..., Xi, 2, 2) and Bob's states
+    ``bob`` (..., Xi, d_b, d_b) carry the state's leading axes, and
     ``seeds`` holds one measurement seed per state (an int for one
     state).  Each seed draws its own ``n_samples`` pairs; one QR then
     orthonormalises the bases of all states, and the projectors, joints
@@ -296,10 +253,32 @@ def verify_spm_identities(
     a_stack = qubit_projectors(directions)
     b_stack = qudit_projectors(bases)
     lhs = born_joints(sigma_ab, a_stack, b_stack)
-    pa = born_probs(a_stack, hidden_qubits(alice_bloch), "certificate")
-    pb = born_probs(b_stack, bob_states, "certificate")
+    pa = born_probs(a_stack, alice, "certificate")
+    pb = born_probs(b_stack, bob, "certificate")
     rhs = np.einsum("...x,...nax,...nbx->...nab", weights, pa, pb)
     return np.abs(lhs - rhs).max(axis=(-3, -2, -1))
+
+
+def verify_model_identities(rho: DensityMatrix, weights, alice, bob):
+    """Operator residuals of models whose parties are both quantum, one per state.
+
+    The max-abs entry of rho - sum_xi w_xi a_xi (x) b_xi, from one
+    contraction.  It is at rounding level when the model is a separable
+    decomposition of the state itself, a check that covers every
+    measurement of both parties.  ``weights`` (..., Xi), ``alice``
+    (..., Xi, d_a, d_a) and ``bob`` (..., Xi, d_b, d_b) carry the
+    leading axes of ``rho``, one state or a stack of T.
+    """
+    d_a, d_b = rho.d_a, rho.d_b
+    got = (np.shape(alice)[-1], np.shape(bob)[-1])
+    if np.ndim(alice) < 3 or np.ndim(bob) < 3 or got != (d_a, d_b):
+        raise ValueError(
+            f"operator identity needs quantum {d_a}- and {d_b}-dim responses, "
+            f"got shapes {np.shape(alice)} and {np.shape(bob)}"
+        )
+    ensemble = np.einsum("...x,...xij,...xkl->...ikjl", weights, alice, bob)
+    lead = rho.mat.shape[:-2]
+    return np.abs(rho.mat - ensemble.reshape(*lead, d_a * d_b, d_a * d_b)).max(axis=(-2, -1))
 
 
 def biased_probs(c) -> np.ndarray:

@@ -7,9 +7,15 @@ or a Pauli table, an (Xi, 3) array of outcome-0 probabilities at the
 x, y, z qubit settings.  Which combination is present decides what the
 model certifies:
 
-  both parties quantum   -> separable-model (SPM) witness
-  only Bob quantum       -> local-hidden-state (LHS) model
+  both parties quantum   -> separable model (SPM)
+  only Bob quantum       -> local-hidden-state (LHS) model for Alice's Paulis
   otherwise              -> local-hidden-variable (LHV) model
+
+A certificate of map M built from a quantum Alice keeps her responses
+beside Bob's hidden qubits, so both its parties are quantum: where
+``constructions.verify_model_identities`` reads zero to rounding, it is
+a separable decomposition sum_xi w_xi a_xi (x) b_xi of the M-mixed
+state, and so a hidden-state model for every Alice measurement.
 
 The hidden variable is always a finite index; ensemble integrals become
 finite sums, which lets every construction be checked pointwise.

@@ -449,7 +449,7 @@ class TestParserReuse:
 
 
 class TestFailedWrite:
-    """A write that fails exits 2 with its message and leaves no temp file behind."""
+    """A failed write exits 2 with its message, leaves stdout empty and no temp file behind."""
 
     @pytest.mark.parametrize("command", ["region", "map", "demo-werner"])
     def test_out_is_a_directory(self, tmp_path, werner_file, capsys, command):
@@ -462,6 +462,7 @@ class TestFailedWrite:
         target.mkdir()
         assert cli.main(argv + ["--out", str(target)]) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith("error: [Errno ")
         assert f"'{target}'" in captured.err
         assert list(tmp_path.glob("*.tmp.*")) == []

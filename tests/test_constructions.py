@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from steermap import constructions as cons
 from steermap import mapping, states
+from steermap.states import DensityMatrix
 from steermap.mapping import INV_SQRT3
 from steermap.measurements import (
     qubit_projectors,
@@ -24,6 +25,11 @@ from steermap.states import (
 )
 
 HALF = np.eye(2, dtype=complex) / 2
+
+
+def bloch_of(qubits):
+    """Bloch vectors tr[sigma_k q] of an (..., 2, 2) qubit stack."""
+    return np.einsum("kij,...ji->...k", PAULI_STACK, qubits).real
 
 
 def separable_pair(d_a, d_b, k, seed, c, prime_side="bob"):
@@ -48,20 +54,22 @@ def computational_settings(d, extra=0, seed=None):
 class TestMixedJointProb:
     """The mixed joint eta = mu P(a|s,xi) P(0|k,xi) + (1-mu) P'(a|s,xi) P'(0|k,xi).
 
-    A hidden-state certificate encodes it as responses * (1 + bloch) / 2.
+    A hidden-state certificate encodes it as Alice's Born table at the
+    settings times the Pauli table of Bob's hidden qubits.
     """
 
     @staticmethod
-    def eta(cert):
-        return cert.responses[..., None] * (1.0 + cert.bloch) / 2.0
+    def eta(cert, settings):
+        pa = born_probs(validate_projectors(settings), cert.alice)[..., None]
+        return pa * cons.pauli_probs(cert.bob)
 
     def test_endpoint_mixtures(self):
         _, model, prime = separable_pair(2, 2, 3, seed=1, c=0.3)
         settings = computational_settings(2, extra=2, seed=10)
         pa = born_probs(validate_projectors(settings), model.alice)[..., None]
-        full = self.eta(cons.lhs_certificate(model, prime, 1.0, settings))
+        full = self.eta(cons.lhs_certificate(model, prime, 1.0, settings), settings)
         assert np.max(np.abs(full - pa * cons.pauli_probs(model.bob))) <= 1e-15
-        none = self.eta(cons.lhs_certificate(model, prime, 0.0, settings))
+        none = self.eta(cons.lhs_certificate(model, prime, 0.0, settings), settings)
         assert np.max(np.abs(none - pa * prime.bob)) <= 1e-15
         assert np.all(prime.bob == [0.5, 0.5, 0.65])
 
@@ -75,9 +83,9 @@ class TestMixedJointProb:
         pa = born_probs(validate_projectors(settings), model.alice)[..., None]
         eta = mu * pa * cons.pauli_probs(model.bob) + (1 - mu) * pa * prime.bob
         expected = mu * cons.pauli_probs(model.bob) + (1 - mu) * prime.bob
-        assert cert.bloch.shape == (4, 3)
-        assert np.max(np.abs((1.0 + cert.bloch) / 2.0 - expected)) <= 1e-13
-        assert np.max(np.abs(self.eta(cert) - eta)) <= 1e-13
+        assert cert.bob.shape == (4, 2, 2)
+        assert np.max(np.abs(cons.pauli_probs(cert.bob) - expected)) <= 1e-13
+        assert np.max(np.abs(self.eta(cert, settings) - eta)) <= 1e-13
 
     def test_weight_mismatch(self):
         _, model, _ = separable_pair(2, 2, 2, seed=3, c=0.0)
@@ -96,7 +104,7 @@ class TestLhsCertificate:
         cert = cons.lhs_certificate(model, model, 1.0, settings)
         for xi, (_, _, beta) in enumerate(ensemble):
             expected = np.einsum("kij,ji->k", PAULI_STACK, beta).real
-            assert np.allclose(cert.bloch[xi], expected, atol=1e-12)
+            assert np.allclose(bloch_of(cert.bob[xi]), expected, atol=1e-12)
 
     def test_biased_family_matches_affine_formula(self):
         mu, c = 0.45, 0.3
@@ -106,7 +114,7 @@ class TestLhsCertificate:
         for xi in range(model.n_hidden):
             probs = cons.pauli_probs(model.bob)[xi]
             expected = mapping.hidden_bloch_vector(*probs, mu, c).as_array()
-            assert np.allclose(cert.bloch[xi], expected, atol=1e-13)
+            assert np.allclose(bloch_of(cert.bob[xi]), expected, atol=1e-13)
 
     def test_alice_setting_independence(self):
         # The biased family's hidden state must not depend on which
@@ -116,23 +124,26 @@ class TestLhsCertificate:
         settings = computational_settings(3, extra=6, seed=70)
         cert = cons.lhs_certificate(model, prime, 0.5, settings)
         alone = cons.lhs_certificate(model, prime, 0.5, settings[-1:])
-        assert cert.responses.shape == (7, 3, 4)
-        assert cert.bloch.shape == (model.n_hidden, 3)
-        assert np.array_equal(cert.bloch, alone.bloch)
+        assert cert.bob.shape == (model.n_hidden, 2, 2)
+        assert np.array_equal(cert.alice, model.alice)
+        assert np.array_equal(cert.bob, alone.bob)
 
     def test_all_physical_at_saturation_point(self):
         _, model, prime = separable_pair(3, 2, 4, seed=8, c=0.0)
         settings = computational_settings(3, extra=4, seed=80)
         cert = cons.lhs_certificate(model, prime, INV_SQRT3, settings)
-        norms = np.einsum("xk,xk->x", cert.bloch, cert.bloch)
+        bloch = bloch_of(cert.bob)
+        norms = np.einsum("xk,xk->x", bloch, bloch)
         assert norms.max() <= 1.0 + 1e-12
 
     def test_response_normalization(self):
         _, model, prime = separable_pair(2, 2, 3, seed=9, c=0.4)
         settings = computational_settings(2, extra=5, seed=90)
         cert = cons.lhs_certificate(model, prime, 0.3, settings)
-        sums = cert.responses.sum(axis=1)
+        sums = born_probs(validate_projectors(settings), cert.alice).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
+        traces = np.trace(cert.bob, axis1=-2, axis2=-1)
+        assert np.max(np.abs(traces - 1.0)) <= 1e-12
 
     def test_unphysical_raises_with_context(self):
         mu = 0.5
@@ -195,27 +206,29 @@ class TestStackedCertificates:
         pa = np.stack([a for a, _ in arrays])
         pb = np.stack([b for _, b in arrays])
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
-            cons.lhs_certificates(np.full(3, mu), pa, pb, cons.biased_probs(np.array(cs)))
+            cons.hidden_bloch(np.full(3, mu), pb, cons.biased_probs(np.array(cs)), pa)
         assert str(info.value) == str(first_error)
-        bloch = cons.lhs_certificates(
-            np.full(1, mu), pa[:1], pb[:1], cons.biased_probs(np.array(cs[:1]))
+        bloch = cons.hidden_bloch(
+            np.full(1, mu), pb[:1], cons.biased_probs(np.array(cs[:1])), pa[:1]
         )
         base = finite_model([0.5, 0.5], alices[0], det)
         cert = cons.lhs_certificate(base, cons.bob_biased_prime_model(base, cs[0]), mu, settings)
-        assert np.array_equal(pa[0], cert.responses)
-        assert np.array_equal(bloch[0], cert.bloch)
+        assert np.array_equal(pa[0], born_probs(stack, cert.alice))
+        assert np.array_equal(hidden_qubits(bloch[0]), cert.bob)
 
     def test_spm_stack_equals_each_trial(self):
         mus, cs = np.array([0.1, 0.3, 0.5]), np.array([0.8, 0.5, 0.1])
         rho, weights, alphas, betas = states.random_separables(2, 3, 4, [31, 32, 33])
-        alice_bloch = cons.spm_certificates(mus, cons.pauli_probs(alphas), cons.biased_probs(cs))
+        alice = hidden_qubits(
+            cons.hidden_bloch(mus, cons.pauli_probs(alphas), cons.biased_probs(cs))
+        )
         partners = mapping.biased_partner(rho, cs, "A")
         sigma = mapping.mix(rho, partners, mus)
-        residuals = cons.verify_spm_identities(sigma, weights, alice_bloch, betas, 20, [7, 8, 9])
+        residuals = cons.verify_spm_identities(sigma, weights, alice, betas, 20, [7, 8, 9])
         for t, seed in enumerate([31, 32, 33]):
             state, model, prime = separable_pair(2, 3, 4, seed, cs[t], prime_side="alice")
             cert = cons.spm_certificate(model, prime, mus[t])
-            assert np.array_equal(cert.alice_bloch, alice_bloch[t])
+            assert np.array_equal(cert.alice, alice[t])
             single = mapping.mix(state, mapping.biased_partner(state, cs[t], "A"), mus[t])
             assert residuals[t] == cons.verify_spm_identity(single, cert, 20, 7 + t)
 
@@ -224,7 +237,7 @@ class TestStackedCertificates:
         p0 = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.5), np.zeros((2, 3))])
         p0[1, 1] = 1.0
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
-            cons.spm_certificates(np.ones(3), p0, cons.biased_probs(np.zeros(3)))
+            cons.hidden_bloch(np.ones(3), p0, cons.biased_probs(np.zeros(3)))
         assert (info.value.xi, info.value.norm_sq) == (1, 3.0)
 
 
@@ -251,12 +264,15 @@ class TestVerifyLhsIdentity:
         cert = cons.lhs_certificate(model, model, 1.0, settings)
         assert cons.verify_lhs_identity(tau, cert, settings) <= 1e-12
 
-    def test_setting_count_must_match(self):
+    def test_setting_count_need_not_match(self):
+        # The certificate holds for every Alice measurement: one built at
+        # one setting verifies at any number of them.
         tau, model, prime = separable_pair(2, 2, 2, seed=16, c=0.0)
-        settings = computational_settings(2)
-        cert = cons.lhs_certificate(model, prime, 0.5, settings)
-        with pytest.raises(ValueError, match="settings"):
-            cons.verify_lhs_identity(tau, cert, settings * 2)
+        cert = cons.lhs_certificate(model, prime, 0.5, computational_settings(2))
+        rho = mapping.map_m(tau, mapping.bob_biased_partner(tau, 0.0), 0.5)
+        for extra in (1, 19):
+            settings = computational_settings(2, extra=extra, seed=160)
+            assert cons.verify_lhs_identity(rho, cert, settings) <= 1e-12
 
 
 class TestSpmCertificate:
@@ -266,7 +282,7 @@ class TestSpmCertificate:
         cert = cons.spm_certificate(model, model, 1.0)
         for xi, (_, alpha, _) in enumerate(ensemble):
             expected = np.einsum("kij,ji->k", PAULI_STACK, alpha).real
-            assert np.allclose(cert.alice_bloch[xi], expected, atol=1e-12)
+            assert np.allclose(bloch_of(cert.alice[xi]), expected, atol=1e-12)
 
     def test_biased_family_matches_affine_formula(self):
         mu, c = 0.4, 0.35
@@ -275,12 +291,12 @@ class TestSpmCertificate:
         for xi in range(model.n_hidden):
             probs = cons.pauli_probs(model.alice)[xi]
             expected = mapping.hidden_bloch_vector(*probs, mu, c).as_array()
-            assert np.allclose(cert.alice_bloch[xi], expected, atol=1e-13)
+            assert np.allclose(bloch_of(cert.alice[xi]), expected, atol=1e-13)
 
     def test_unbiased_responses_collapse_to_origin(self):
         model = finite_model([1.0], np.full((1, 3), 0.5), HALF[None])
         cert = cons.spm_certificate(model, cons.alice_biased_prime_model(model, 0.0), 0.7)
-        assert np.allclose(cert.alice_bloch, 0.0, atol=1e-15)
+        assert np.allclose(bloch_of(cert.alice), 0.0, atol=1e-15)
 
     def test_bob_mismatch(self):
         _, model, _ = separable_pair(2, 2, 2, seed=19, c=0.0)
@@ -333,7 +349,6 @@ def spm_residual_reference(sigma, cert, n_samples, seed):
     direction for Alice, then an orthonormal basis for Bob.
     """
     rng = np.random.default_rng(seed)
-    alice_states = hidden_qubits(cert.alice_bloch)
     worst = 0.0
     for _ in range(n_samples):
         v = rng.standard_normal(3)
@@ -343,7 +358,7 @@ def spm_residual_reference(sigma, cert, n_samples, seed):
             for b in range(sigma.d_b):
                 rhs = sum(
                     w * np.trace(m_a[a] @ alpha).real * np.trace(m_b[b] @ beta).real
-                    for w, alpha, beta in zip(cert.weights, alice_states, cert.bob_states)
+                    for w, alpha, beta in zip(cert.weights, cert.alice, cert.bob)
                 )
                 lhs = np.trace(np.kron(m_a[a], m_b[b]) @ sigma.mat).real
                 worst = max(worst, abs(lhs - rhs))
@@ -353,11 +368,11 @@ def spm_residual_reference(sigma, cert, n_samples, seed):
 def lhs_residual_reference(rho, cert, settings):
     """verify_lhs_identity as a loop over tr_A[(pi x 1) rho], Kronecker product explicit."""
     worst = 0.0
-    for s, setting in enumerate(settings):
-        for a, pi in enumerate(setting):
+    for setting in settings:
+        for pi in setting:
             rhs = sum(
-                cert.responses[s, a, xi] * cert.weights[xi] * hidden_qubits(cert.bloch[xi])
-                for xi in range(len(cert.weights))
+                np.trace(pi @ alpha).real * w * beta
+                for w, alpha, beta in zip(cert.weights, cert.alice, cert.bob)
             )
             full = (np.kron(pi, np.eye(2)) @ rho.mat).reshape(rho.d_a, 2, rho.d_a, 2)
             lhs = np.einsum("ibic->bc", full)
@@ -498,31 +513,76 @@ class TestOperatorIdentity:
 
     Map M: sum_xi w_xi alpha_xi (x) h_xi, with Alice's shared responses
     and the certificate's hidden qubits; map N: sum_xi w_xi a_xi (x)
-    beta_xi, with the hidden qubits on Alice's side.
+    beta_xi, with the hidden qubits on Alice's side.  verify_model_identities
+    is checked against an explicit Kronecker sum.
     """
 
     @staticmethod
-    def ensemble_state(weights, alice, bob):
-        return sum(w * np.kron(a, b) for w, a, b in zip(weights, alice, bob))
+    def reference(state, cert):
+        ensemble = sum(w * np.kron(a, b) for w, a, b in zip(cert.weights, cert.alice, cert.bob))
+        return np.max(np.abs(ensemble - state.mat))
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_both_maps(self, dim):
+    @staticmethod
+    def certified(dim, seed, mu, c, vis):
+        """Both maps' (mixed state at visibility vis, certificate at mu) for one seed."""
+        tau, model, prime = separable_pair(dim, 2, 4, seed=seed, c=c)
+        cert_m = cons.lhs_certificate(model, prime, mu, computational_settings(dim))
+        rho = mapping.map_m(tau, mapping.bob_biased_partner(tau, c), vis)
+        rho_n, model, prime = separable_pair(2, dim, 4, seed=seed, c=c, prime_side="alice")
+        cert_n = cons.spm_certificate(model, prime, mu)
+        sigma = mapping.map_n(rho_n, mapping.alice_biased_partner(rho_n, c), vis)
+        return [(rho, cert_m), (sigma, cert_n)]
+
+    @staticmethod
+    def params(dim):
         rng = np.random.default_rng(90 + dim)
         for trial in range(5):
             mu = float(rng.uniform(0.0, INV_SQRT3))
             c = float(rng.uniform(0.0, 1.0)) * mapping.analytic_c_max(mu)
-            seed = 100 * dim + trial
-            tau, model, prime = separable_pair(dim, 2, 4, seed=seed, c=c)
-            cert = cons.lhs_certificate(model, prime, mu, computational_settings(dim))
-            rho = mapping.map_m(tau, mapping.bob_biased_partner(tau, c), mu)
-            got = self.ensemble_state(cert.weights, model.alice, hidden_qubits(cert.bloch))
-            assert np.max(np.abs(got - rho.mat)) <= 1e-12
+            yield 100 * dim + trial, mu, c
 
-            rho, model, prime = separable_pair(2, dim, 4, seed=seed, c=c, prime_side="alice")
-            cert = cons.spm_certificate(model, prime, mu)
-            sigma = mapping.map_n(rho, mapping.alice_biased_partner(rho, c), mu)
-            got = self.ensemble_state(cert.weights, hidden_qubits(cert.alice_bloch), cert.bob_states)
-            assert np.max(np.abs(got - sigma.mat)) <= 1e-12
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_both_maps(self, dim):
+        for seed, mu, c in self.params(dim):
+            for state, cert in self.certified(dim, seed, mu, c, mu):
+                got = cons.verify_model_identities(state, cert.weights, cert.alice, cert.bob)
+                assert got <= 1e-12
+                assert self.reference(state, cert) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_wrong_visibility_is_rejected(self, dim):
+        # Negative control: the state mixed at half the visibility is not
+        # the certificate's, and the residual is the reference's.
+        for seed, mu, c in self.params(dim):
+            for state, cert in self.certified(dim, seed, mu, c, mu / 2):
+                got = cons.verify_model_identities(state, cert.weights, cert.alice, cert.bob)
+                assert got > 1e-3
+                assert abs(got - self.reference(state, cert)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stacked_call_equals_each_trial(self, dim):
+        # At half the visibility, so that the compared residuals are not rounding noise.
+        trials = [self.certified(dim, seed, mu, c, mu / 2) for seed, mu, c in self.params(dim)]
+        for per_map in zip(*trials):  # map M's five trials, then map N's
+            mixed = [state for state, _ in per_map]
+            certs = [cert for _, cert in per_map]
+            stack = DensityMatrix(mixed[0].d_a, mixed[0].d_b, np.stack([m.mat for m in mixed]))
+            fields = ("weights", "alice", "bob")
+            arrays = [np.stack([getattr(c, f) for c in certs]) for f in fields]
+            got = cons.verify_model_identities(stack, *arrays)
+            each = [
+                cons.verify_model_identities(m, c.weights, c.alice, c.bob)
+                for m, c in zip(mixed, certs)
+            ]
+            assert got.shape == (5,)
+            assert np.array_equal(got, each)
+
+    def test_needs_quantum_parties_of_the_state_dims(self):
+        (rho, cert), _ = self.certified(3, 7, 0.3, 0.2, 0.3)
+        with pytest.raises(ValueError, match="operator identity needs quantum 3- and 2-dim"):
+            cons.verify_model_identities(rho, cert.weights, cert.alice, np.ones((4, 3)))
+        with pytest.raises(ValueError, match="operator identity needs quantum"):
+            cons.verify_model_identities(rho, cert.weights, cert.bob, cert.alice)
 
 
 class TestFeasibilityPhysicalityLink:
@@ -617,7 +677,7 @@ class TestSettingsBoundary:
         settings = computational_settings(3, extra=3, seed=43)
         from_list = cons.lhs_certificate(model, prime, 0.4, settings)
         from_stack = cons.lhs_certificate(model, prime, 0.4, np.stack(settings))
-        assert np.array_equal(from_list.bloch, from_stack.bloch)
+        assert np.array_equal(from_list.bob, from_stack.bob)
 
 
 class TestPartyKinds:
@@ -654,5 +714,5 @@ class TestPartyKinds:
     def test_spm_bob_states_is_one_stack(self):
         _, model, prime = separable_pair(2, 3, 4, seed=48, c=0.2, prime_side="alice")
         cert = cons.spm_certificate(model, prime, 0.4)
-        assert cert.bob_states.shape == (4, 3, 3)
-        assert np.array_equal(cert.bob_states, model.bob)
+        assert cert.bob.shape == (4, 3, 3)
+        assert np.array_equal(cert.bob, model.bob)
