@@ -37,7 +37,7 @@ from .measurements import (
     validate_projectors,
 )
 from .models import FiniteModel, born_joints, born_probs, finite_model
-from .states import DensityMatrix, check_unit_interval, conditional_states, hidden_qubits
+from .states import DensityMatrix, _rng, check_unit_interval, conditional_states, hidden_qubits
 
 WEIGHT_TOL = 1e-12
 PHYS_TOL = 1e-12
@@ -234,8 +234,8 @@ def verify_spm_identities(sigma_ab: DensityMatrix, weights, alice, bob, n_sample
     ``sigma_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
     Alice's hidden qubits ``alice`` (..., Xi, 2, 2) and Bob's states
     ``bob`` (..., Xi, d_b, d_b) carry the state's leading axes, and
-    ``seeds`` holds one measurement seed per state (an int for one
-    state).  Each seed draws its own ``n_samples`` pairs; one QR then
+    ``seeds`` holds one integer measurement seed per state (an int for
+    one state).  Each seed draws its own ``n_samples`` pairs; one QR then
     orthonormalises the bases of all states, and the projectors, joints
     and certificate tables are built as stacks.
     """
@@ -244,10 +244,8 @@ def verify_spm_identities(sigma_ab: DensityMatrix, weights, alice, bob, n_sample
     if n_samples < 1:
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
     lead, d_b = sigma_ab.mat.shape[:-2], sigma_ab.d_b
-    draws = [
-        pair_draws(n_samples, d_b, np.random.default_rng(int(seed)))
-        for seed in np.ravel(seeds)
-    ]
+    seeds = [seeds] if np.ndim(seeds) == 0 else seeds
+    draws = [pair_draws(n_samples, d_b, _rng(seed)) for seed in seeds]
     directions = np.reshape([d for d, _ in draws], (*lead, n_samples, 3))
     bases = _orthonormal_rows(np.reshape([g for _, g in draws], (*lead, n_samples, d_b, d_b)))
     a_stack = qubit_projectors(directions)

@@ -8,12 +8,12 @@ Measurements are built in batches: :func:`qubit_projectors` takes an
 ``(n, 3)`` array of directions and :func:`qudit_projectors` an
 ``(n, d, d)`` array of bases.  Each builder derives the projector
 invariants from the check it runs on its input, rather than testing its
-own output with the generic product loop, which serves only the stacks
-a caller hands to :func:`validate_projectors`.  A measurement is its
-read-only ``(k, d, d)`` projector array; the single builder
-:func:`qudit_measurement` is the ``n = 1`` case.  Random bases are drawn
-(:func:`basis_draws`, :func:`pair_draws`) apart from their QR, so draws
-from several streams can share one.
+own output with the generic products, one batched matmul that serves
+only the stacks a caller hands to :func:`validate_projectors`.  A
+measurement is its read-only ``(k, d, d)`` projector array; the single
+builder :func:`qudit_measurement` is the ``n = 1`` case.  Random bases
+are drawn (:func:`basis_draws`, :func:`pair_draws`) apart from their QR,
+so draws from several streams can share one.
 """
 
 from __future__ import annotations
@@ -71,7 +71,12 @@ def validate_projectors(projectors) -> np.ndarray:
         "measurement {0}: projector {1} is not Hermitian (defect {defect:.3e})",
         axes=(-2, -1),
     )
-    return _checked(p)
+    # Block (i, j) of P_i [P_0 ... P_{k-1}], an (n, k, d, k d) array, is
+    # P_i P_j, which must equal delta_ij P_i.
+    n, k, d = p.shape[:3]
+    products = (p @ p.swapaxes(1, 2).reshape(n, 1, d, k * d)).reshape(n, k, d, k, d)
+    products[:, np.arange(k), :, np.arange(k)] -= p.swapaxes(0, 1)
+    return _checked(p, np.abs(products).max(axis=(2, 4)))
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -79,39 +84,23 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("projectors have non-finite entries")
 
 
-def _checked(stack: np.ndarray, per_block: np.ndarray | None = None) -> np.ndarray:
+def _checked(stack: np.ndarray, per_block: np.ndarray) -> np.ndarray:
     """The checks of :func:`validate_projectors` after the finite and Hermitian ones.
 
     ``stack`` is a finite Hermitian (n, k, d, d) or (T, n, k, d, d) array
     that the caller owns; errors count its measurements in C order.
     ``per_block`` holds the (n, k, k) max-abs entries of the blocks
-    P_i P_j - delta_ij P_i when the caller can derive them.  Returns
-    ``stack`` read-only.
+    P_i P_j - delta_ij P_i, from the caller's batched products or Gram
+    bound: its diagonal tests idempotence and its strict upper triangle
+    orthogonality.  Returns ``stack`` read-only.
     """
     p = stack.reshape(-1, *stack.shape[-3:])
-    n, k, d = p.shape[:3]
-    # Step i forms P_i [P_0 ... P_{k-1}], an (n, d, k d) array whose block
-    # j is P_i P_j, which must equal delta_ij P_i.  After subtracting P_i
-    # from block i, the diagonal of the per-block maxima tests idempotence
-    # and its strict upper triangle orthogonality; they are only formed
-    # for a step with a defect.  One outcome at a time keeps the
-    # temporaries k times smaller than all k^2 blocks at once.
-    if per_block is None:
-        row = p.swapaxes(1, 2).reshape(n, d, k * d)
-        products = np.empty((n, d, k, d), dtype=np.complex128)
-        defects = np.empty((n, d, k, d))
-        per_block = np.zeros((n, k, k))
-        for i in range(k):
-            np.matmul(p[:, i], row, out=products.reshape(n, d, k * d))
-            products[:, :, i] -= p[:, i]
-            if np.abs(products, out=defects).max() > PROJ_TOL:
-                per_block[:, i] = defects.max(axis=(1, 3))
     _check(
         np.diagonal(per_block, axis1=1, axis2=2),
         "measurement {0}: projector {1} is not idempotent (defect {defect:.3e})",
     )
     _check(
-        np.abs(p.sum(axis=1) - np.eye(d)),
+        np.abs(p.sum(axis=1) - np.eye(p.shape[-1])),
         "measurement {0}: projectors do not sum to identity (defect {defect:.3e})",
         axes=(-2, -1),
     )
@@ -143,7 +132,7 @@ def qubit_projectors(directions) -> np.ndarray:
         raise ValueError(
             f"direction must be a unit vector (norm {float(norm.flat[off[0]])!r})"
         )
-    stack = np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=-3)
+    stack = hidden_qubits(np.stack((v, -v), axis=-2))
     stack.setflags(write=False)
     return stack
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DensityMatrix, check_unit_interval, validate_states
+from .states import DensityMatrix, check_unit_interval, conditional_states, validate_states
 
 PROB_TOL = 1e-12
 
@@ -50,12 +50,15 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
     ``projectors`` is an (S, A, d, d) stack (S measurements with A
     outcomes each) and ``states`` an (X, d, d) stack of density
     matrices.  Either may carry a leading (T,) axis, giving T tables
-    (T, S, A, X) in one batched matmul.  Every entry is range-checked and
-    clipped to [0, 1].
+    (T, S, A, X) in one batched matmul.  States of another shape, such
+    as an (X, 3) Pauli table, raise ``ValueError``.  Every entry is
+    range-checked and clipped to [0, 1].
     """
     p = np.asarray(projectors)
     rhos = np.asarray(states)
     *lead_p, n_set, n_out, _, d = p.shape
+    if rhos.ndim < 3 or rhos.shape[-2:] != (d, d):
+        raise ValueError(f"{context}: states must be (..., X, {d}, {d}), got shape {rhos.shape}")
     # tr[P rho] = sum_ij P[i, j] rho[j, i]: one matmul over flattened entries.
     flat = p.reshape(*lead_p, n_set * n_out, d * d) @ rhos.swapaxes(-1, -2).reshape(
         *rhos.shape[:-3], -1, d * d
@@ -128,26 +131,22 @@ def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
 
     ``a_projectors`` is an (n, A, d_a, d_a) stack and ``b_projectors``
     an (n, B, d_b, d_b) stack; entry [m, a, b] of the (n, A, B) result is
-    tr[(A_ma x B_mb) rho], contracted on the (d_a, d_b, d_a, d_b) state
-    tensor without forming Kronecker products.  For a stack of T states
-    both projector stacks carry a leading (T,) axis and the result is
-    (T, n, A, B).  Every entry is range-checked and clipped to [0, 1].
-    Projectors of other dims than the state's raise ``ValueError``.
+    tr[B_mb sigma_ma], where sigma_ma = tr_A[(A_ma x 1) rho] is Bob's
+    steered state from :func:`steermap.states.conditional_states`.  For a
+    stack of T states both projector stacks carry a leading (T,) axis
+    and the result is (T, n, A, B).  Every entry is range-checked and
+    clipped to [0, 1].  Projectors of other dims than the state's raise
+    ``ValueError``.
     """
     d_a, d_b = rho.d_a, rho.d_b
     got = (a_projectors.shape[-1], b_projectors.shape[-1])
     if got != (d_a, d_b):
         raise ValueError(f"projector dims {got[0]}x{got[1]} != state dims {d_a}x{d_b}")
-    lead = rho.mat.shape[:-2]
-    n, n_a = a_projectors.shape[len(lead) : len(lead) + 2]
-    # t[k, l, i, j] = rho[(k, l), (i, j)], regrouped as a (d_a^2, d_b^2)
-    # matrix with rows (i, k) and columns (j, l).  Alice's side first,
-    # x[m, a, (j, l)] = sum_ik A_ma[i, k] t[k, l, i, j], then Bob's,
-    # sum_jl x[m, a, (j, l)] B_mb[j, l].
-    t = rho.mat.reshape(*lead, d_a, d_b, d_a, d_b)
-    t = t.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d_a**2, d_b**2)
-    x = (a_projectors.reshape(*lead, n * n_a, d_a**2) @ t).reshape(*lead, n, n_a, d_b**2)
-    values = (x @ b_projectors.reshape(*lead, n, -1, d_b**2).swapaxes(-1, -2)).real
+    # sum_jl sigma[l, j] B[j, l], with sigma transposed into B's (j, l) order.
+    sigma_t = conditional_states(rho, a_projectors).swapaxes(-1, -2)
+    x = sigma_t.reshape(*sigma_t.shape[:-2], d_b**2)
+    b = b_projectors.reshape(*b_projectors.shape[:-2], d_b**2)
+    values = (x @ b.swapaxes(-1, -2)).real
     return _check_probs(values, "born_joint")
 
 

@@ -235,11 +235,13 @@ def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
     """Bob's unnormalized steered states tr_A[(pi x 1) rho] for a stack.
 
     ``projectors`` has shape (..., d_a, d_a) and holds projectors their
-    builder has checked; as in ``models.born_probs``, only the shape is
-    checked here.  The result has shape (..., d_b, d_b), from one
-    contraction on the (d_a, d_b, d_a, d_b) state tensor; the trace of
-    each entry is its outcome probability.  For a stack of T states the
-    projectors have shape (T, ..., d_a, d_a) and state t meets row t.
+    builder has checked; only the shape is checked here.  The result has
+    shape (..., d_b, d_b), from one contraction on the (d_a, d_b, d_a,
+    d_b) state tensor, the one place where a state meets Alice's
+    projectors: the trace of each entry is its outcome probability, and
+    ``models.born_joints`` takes Bob's joints from it.  For a stack of T
+    states the projectors have shape (T, ..., d_a, d_a) and state t
+    meets row t.
     """
     pi = np.asarray(projectors, dtype=np.complex128)
     if pi.ndim < 2 or pi.shape[-2:] != (rho.d_a, rho.d_a):
@@ -263,13 +265,21 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return pure_state(v)
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of an integer seed of any size; a float or a bool,
+    which numpy would read as its integer part or as 0/1, raises ``ValueError``."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_separables(d_a: int, d_b: int, k: int, seeds):
     """Random k-member separable mixtures sum_i w_i alpha_i x beta_i, one per seed.
 
     The stacked kernel of :func:`random_separable`: each seed draws
     exactly what a :func:`random_separable` call with it draws, and the
-    normalization, products and mixtures of all T seeds run as stacks.
-    Returns ``(rho, weights, alphas, betas)``, all read-only: the T
+    normalization, products and mixtures of all T integer seeds run as
+    stacks.  Returns ``(rho, weights, alphas, betas)``, all read-only: the T
     mixtures as one closed :class:`DensityMatrix` stack, the (T, k)
     Dirichlet weights and the (T, k, d_a, d_a) and (T, k, d_b, d_b)
     members ``v v^dagger`` of unit vectors v, which need no check: each
@@ -280,7 +290,7 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     alpha = np.ones(k)
     weights, draws = [], []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         weights.append(rng.dirichlet(alpha))
         draws.append(rng.standard_normal((k, 2 * d_a + 2 * d_b)))
     if not weights:

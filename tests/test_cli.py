@@ -395,6 +395,12 @@ class TestVerify:
         assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("target", ["spm", "lhs"])
+    def test_seed_of_any_size_runs(self, target, capsys):
+        seed = "1" + "0" * 40
+        assert cli.main(["verify", target, "--trials", "2", "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
+
+    @pytest.mark.parametrize("target", ["spm", "lhs"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-10"])
     def test_bad_tol_exit_2(self, target, tol, capsys):
         assert cli.main(["verify", target, "--trials", "1", f"--tol={tol}"]) == 2

@@ -335,6 +335,21 @@ class TestVerifySpmIdentity:
         cert = cons.spm_certificate(model, model, 1.0)
         assert cons.verify_spm_identity(rho, cert, 20, seed=240) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [3.7, np.float64(3.0), True, np.True_])
+    def test_refuses_float_and_bool_seeds(self, seed):
+        rho, model, _ = separable_pair(2, 2, 3, seed=24, c=0.0)
+        cert = cons.spm_certificate(model, model, 1.0)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            cons.verify_spm_identity(rho, cert, 5, seed=seed)
+
+    def test_numpy_and_large_integer_seeds(self):
+        rho, model, _ = separable_pair(2, 3, 3, seed=24, c=0.0)
+        cert = cons.spm_certificate(model, model, 1.0)
+        residual = cons.verify_spm_identity(rho, cert, 20, seed=3)
+        assert cons.verify_spm_identity(rho, cert, 20, seed=np.int64(3)) == residual
+        assert cons.verify_spm_identity(rho, cert, 20, seed=np.uint8(3)) == residual
+        assert cons.verify_spm_identity(rho, cert, 20, seed=10**40) <= 1e-12
+
     def test_needs_a_sample(self):
         rho, model, _ = separable_pair(2, 2, 1, seed=24, c=0.0)
         cert = cons.spm_certificate(model, model, 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from steermap import measurements as meas
 from steermap.models import born_joints
-from steermap.states import PAULIS, random_separable
+from steermap.states import PAULIS, hidden_qubits, random_separable
 
 
 def check_measurement_invariants(m, tol=1e-10):
@@ -357,3 +357,67 @@ class TestBuilderParity:
                     assert np.array_equal(meas.validate_projectors(stack), stack)
                     edge = max(edge, off)
         assert edge >= 0.99e-10
+
+
+def per_block_reference(p):
+    """The (n, k, k) product defects of a stack, one outcome at a time.
+
+    Step i forms P_i [P_0 ... P_{k-1}], an (n, d, k d) array whose block j
+    is P_i P_j, subtracts P_i from block i and keeps each block's max-abs
+    entry.
+    """
+    n, k, d = p.shape[:3]
+    row = p.swapaxes(1, 2).reshape(n, d, k * d)
+    products = np.empty((n, d, k, d), dtype=np.complex128)
+    per_block = np.zeros((n, k, k))
+    for i in range(k):
+        np.matmul(p[:, i], row, out=products.reshape(n, d, k * d))
+        products[:, :, i] -= p[:, i]
+        per_block[:, i] = np.abs(products).max(axis=(1, 3))
+    return per_block
+
+
+def handed_defects(monkeypatch, stack):
+    """The per-block defects validate_projectors hands to _checked, and its outcome."""
+    seen = []
+    checked = meas._checked
+
+    def spy(stack, per_block):
+        seen.append(per_block)
+        return checked(stack, per_block)
+
+    monkeypatch.setattr(meas, "_checked", spy)
+    kind, _ = outcome(meas.validate_projectors, stack)
+    (per_block,) = seen
+    return kind, per_block
+
+
+class TestBatchedProducts:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_defects_equal_the_per_outcome_loop_bit_for_bit(self, monkeypatch, dim):
+        rng = np.random.default_rng(70 + dim)
+        kinds = set()
+        for eps in np.geomspace(1e-12, 1e-6, 13):
+            b = meas._orthonormal_rows(meas.basis_draws(6, dim, rng))
+            b = b + eps * meas.basis_draws(6, dim, rng)
+            p = np.einsum("...ix,...iy->...ixy", b, b.conj())
+            p = (p + p.conj().swapaxes(-1, -2)) / 2
+            kind, per_block = handed_defects(monkeypatch, p)
+            assert np.array_equal(per_block, per_block_reference(p))
+            kinds.add(kind)
+        assert kinds == {"ok", "raised"}
+
+    def test_razor_edge_defects_bit_for_bit(self, monkeypatch):
+        s = np.sqrt(1.0 + 1e-10 - 4.4e-16)
+        bases = meas._orthonormal_rows(meas.basis_draws(3, 2, np.random.default_rng(60)))
+        bases[2] = [[s, 0.0], [1e-10 / s, s]]
+        p = np.einsum("...ix,...iy->...ixy", bases, bases.conj())
+        kind, per_block = handed_defects(monkeypatch, p)
+        assert kind == "raised"
+        assert np.array_equal(per_block, per_block_reference(p))
+
+    def test_qubit_projectors_equal_two_hidden_qubit_stacks(self):
+        v = np.random.default_rng(80).standard_normal((4, 5, 3))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        expected = np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=-3)
+        assert np.array_equal(meas.qubit_projectors(v), expected)

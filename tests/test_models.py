@@ -12,9 +12,12 @@ from steermap.measurements import (
     random_basis,
 )
 from steermap.states import (
+    DensityMatrix,
     StateValidationError,
+    hidden_qubits,
     make_density,
     random_separable,
+    random_separables,
     singlet,
     validate_states,
 )
@@ -287,3 +290,59 @@ class TestStackedValidation:
         assert out.shape == (2, 5, 3, 4)
         for t in range(2):
             assert np.array_equal(out[t], models.born_probs(projectors[t], rhos[t]))
+
+
+def born_joints_reference(rho, a_projectors, b_projectors):
+    """born_joints as its own regrouping of the (d_a, d_b, d_a, d_b) state tensor.
+
+    t[k, l, i, j] = rho[(k, l), (i, j)] as a (d_a^2, d_b^2) matrix with
+    rows (i, k) and columns (j, l); Alice's side first,
+    x[m, a, (j, l)] = sum_ik A_ma[i, k] t[k, l, i, j], then Bob's,
+    sum_jl x[m, a, (j, l)] B_mb[j, l].
+    """
+    d_a, d_b = rho.d_a, rho.d_b
+    lead = rho.mat.shape[:-2]
+    n, n_a = a_projectors.shape[len(lead) : len(lead) + 2]
+    t = rho.mat.reshape(*lead, d_a, d_b, d_a, d_b)
+    t = t.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d_a**2, d_b**2)
+    x = (a_projectors.reshape(*lead, n * n_a, d_a**2) @ t).reshape(*lead, n, n_a, d_b**2)
+    values = (x @ b_projectors.reshape(*lead, n, -1, d_b**2).swapaxes(-1, -2)).real
+    return models._check_probs(values, "born_joint")
+
+
+class TestBornJointsFromSteeredStates:
+    @pytest.mark.parametrize("d_a", [2, 3])
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    @pytest.mark.parametrize("trials", [None, 3, 8])
+    def test_equals_the_regrouped_contraction_bit_for_bit(self, d_a, d_b, trials):
+        rng = np.random.default_rng(10 * d_a + d_b)
+        lead = (trials,) if trials else ()
+        rho, *_ = random_separables(d_a, d_b, 3, range(trials or 1))
+        if not trials:
+            rho = DensityMatrix(d_a, d_b, rho.mat[0])
+
+        def settings(d):
+            bases = _orthonormal_rows(basis_draws(7 * (trials or 1), d, rng))
+            return qudit_projectors(bases.reshape(*lead, 7, d, d))
+
+        a, b = settings(d_a), settings(d_b)
+        got = models.born_joints(rho, a, b)
+        assert got.shape == (*lead, 7, d_a, d_b)
+        assert np.array_equal(got, born_joints_reference(rho, a, b))
+
+
+class TestBornProbsShapes:
+    def test_pauli_table_alice_is_refused(self):
+        # An (Xi, 3) table with Xi = 3 must not be read as one 3x3 state.
+        tau, ensemble = random_separable(3, 2, 3, seed=5)
+        w = np.array([e[0] for e in ensemble])
+        cert = models.FiniteModel(w, np.full((3, 3), 0.5), hidden_qubits(np.zeros((3, 3))))
+        message = r"^quantum response: states must be \(\.\.\., X, 3, 3\), got shape \(3, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            constructions.verify_lhs_identity(tau, cert, [qudit_measurement(np.eye(3))])
+
+    def test_states_of_another_dim_are_refused(self):
+        # Nine 2x2 states are not four 3x3 ones.
+        qubits = hidden_qubits(np.zeros((9, 3)))
+        with pytest.raises(ValueError, match=r"^born_probs: states must .* got shape \(9, 2, 2\)$"):
+            models.born_probs(qudit_measurement(np.eye(3))[None], qubits)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,19 @@ class TestRandomSeparables:
                 assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-14
                 for out in (rho.mat, weights, alphas, betas):
                     assert not out.flags.writeable
+
+    @pytest.mark.parametrize("seed", [3.7, np.float32(1.0), True, np.False_])
+    def test_refuses_float_and_bool_seeds(self, seed):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            states.random_separable(2, 3, 4, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            states.random_separables(2, 3, 4, [5, seed])
+
+    def test_numpy_and_large_integer_seeds(self):
+        rho, *_ = states.random_separables(2, 3, 4, [np.int64(5), np.uint16(6), 10**40])
+        ref, *_ = states.random_separables(2, 3, 4, [5, 6, 10**40])
+        assert np.array_equal(rho.mat, ref.mat)
 
     def test_needs_a_seed(self):
         with pytest.raises(ValueError, match="^need at least one seed$"):
