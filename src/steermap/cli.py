@@ -86,7 +86,7 @@ def cmd_analyze(args) -> int:
     rho = states.load_state(args.state)
     report = witnesses.witness_report(rho)
     # Fields in declaration order; a detector that does not apply is left out.
-    rounded = {k: _sig12(v) for k, v in vars(report).items() if v is not None}
+    rounded = {k: _sig12(v) for k, v in report._asdict().items() if v is not None}
     _emit([json.dumps(rounded, allow_nan=False)], args.out)
     return EXIT_OK
 

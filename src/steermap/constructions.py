@@ -26,6 +26,8 @@ cases; ``verify`` runs a block of trials through each kernel in one call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .measurements import (
@@ -235,7 +237,8 @@ def verify_spm_identities(sigma_ab: DensityMatrix, weights, alice, bob, n_sample
     Alice's hidden qubits ``alice`` (..., Xi, 2, 2) and Bob's states
     ``bob`` (..., Xi, d_b, d_b) carry the state's leading axes, and
     ``seeds`` holds one integer measurement seed per state (an int for
-    one state).  Each seed draws its own ``n_samples`` pairs; one QR then
+    one state); any other count raises ``ValueError`` before a draw.
+    Each seed draws its own ``n_samples`` pairs; one QR then
     orthonormalises the bases of all states, and the projectors, joints
     and certificate tables are built as stacks.
     """
@@ -245,6 +248,11 @@ def verify_spm_identities(sigma_ab: DensityMatrix, weights, alice, bob, n_sample
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
     lead, d_b = sigma_ab.mat.shape[:-2], sigma_ab.d_b
     seeds = [seeds] if np.ndim(seeds) == 0 else seeds
+    n_states = math.prod(lead)
+    if len(seeds) != n_states:
+        raise ValueError(
+            f"need one seed per state, got {len(seeds)} seed(s) for {n_states} state(s)"
+        )
     draws = [pair_draws(n_samples, d_b, _rng(seed)) for seed in seeds]
     directions = np.reshape([d for d, _ in draws], (*lead, n_samples, 3))
     bases = _orthonormal_rows(np.reshape([g for _, g in draws], (*lead, n_samples, d_b, d_b)))

@@ -23,11 +23,15 @@ finite sums, which lets every construction be checked pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .states import DensityMatrix, check_unit_interval, conditional_states, validate_states
+from .states import (
+    DensityMatrix,
+    _Frozen,
+    check_unit_interval,
+    conditional_states,
+    validate_states,
+)
 
 PROB_TOL = 1e-12
 
@@ -66,8 +70,7 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
     return _check_probs(flat.real.reshape(*flat.shape[:-2], n_set, n_out, -1), context)
 
 
-@dataclass(frozen=True)
-class FiniteModel:
+class FiniteModel(_Frozen):
     """Finite hidden-variable ensemble: (Xi,) weights plus one array per party.
 
     ``alice`` and ``bob`` are each an (Xi, d, d) response-state stack or
@@ -75,9 +78,15 @@ class FiniteModel:
     :func:`finite_model`.
     """
 
-    weights: np.ndarray = field(repr=False)
-    alice: np.ndarray = field(repr=False)
-    bob: np.ndarray = field(repr=False)
+    __slots__ = ("weights", "alice", "bob")
+
+    def __init__(self, weights: np.ndarray, alice: np.ndarray, bob: np.ndarray):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "alice", alice)
+        object.__setattr__(self, "bob", bob)
+
+    def __repr__(self) -> str:
+        return f"FiniteModel(n_hidden={self.n_hidden})"
 
     @property
     def n_hidden(self) -> int:

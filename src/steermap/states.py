@@ -10,7 +10,7 @@ import functools
 import json
 import operator
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ class StateValidationError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(NamedTuple):
     """Real 3-vector r with qubit state (1 + r.sigma)/2."""
 
     rx: float
@@ -75,8 +74,29 @@ class BlochVector:
         return np.array([self.rx, self.ry, self.rz])
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class _Frozen:
+    """Base of the array-holding value classes: fields set once, never reassigned.
+
+    A subclass lists its fields in ``__slots__`` and stores them in
+    ``__init__`` through ``object.__setattr__``; assigning or deleting a
+    field afterwards raises ``AttributeError``.  Equality is identity,
+    since arrays have no single truth value.  Copies and pickles call the
+    constructor again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class DensityMatrix(_Frozen):
     """Validated bipartite state; subsystem A is the left tensor factor.
 
     ``mat`` is one ``(n, n)`` matrix, or a ``(T, n, n)`` stack of T
@@ -85,9 +105,15 @@ class DensityMatrix:
     ``conditional_states``, ``models.born_joints``) process in one pass.
     """
 
-    d_a: int
-    d_b: int
-    mat: np.ndarray = field(repr=False)
+    __slots__ = ("d_a", "d_b", "mat")
+
+    def __init__(self, d_a: int, d_b: int, mat: np.ndarray):
+        object.__setattr__(self, "d_a", d_a)
+        object.__setattr__(self, "d_b", d_b)
+        object.__setattr__(self, "mat", mat)
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(d_a={self.d_a!r}, d_b={self.d_b!r})"
 
     def reduced_a(self) -> np.ndarray:
         return linalg.partial_trace(self.mat, self.d_a, self.d_b, keep="A")
@@ -144,16 +170,22 @@ def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     Stores the Hermitian part ``(mat + mat^dagger)/2``, so every state
     downstream is Hermitian to rounding.
     """
+    d_a, d_b = _dims(d_a, d_b)
+    m = np.asarray(mat, dtype=np.complex128)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
+    return _closed_density(validate_states(m, d_a * d_b), d_a, d_b)
+
+
+def _dims(d_a, d_b) -> tuple[int, int]:
+    """The subsystem dims as ints; non-integers and dims below 2 raise ``ValueError``."""
     try:
         d_a, d_b = operator.index(d_a), operator.index(d_b)
     except TypeError:
         raise ValueError(f"subsystem dims must be integers, got {d_a}x{d_b}") from None
     if d_a < 2 or d_b < 2:
         raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
-    m = np.asarray(mat, dtype=np.complex128)
-    if m.ndim not in (2, 3):
-        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
-    return _closed_density(validate_states(m, d_a * d_b), d_a, d_b)
+    return d_a, d_b
 
 
 def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
@@ -284,7 +316,9 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     Dirichlet weights and the (T, k, d_a, d_a) and (T, k, d_b, d_b)
     members ``v v^dagger`` of unit vectors v, which need no check: each
     is Hermitian, with trace and one eigenvalue ``|v|^2 = 1``, the rest 0.
+    Dims are checked as :func:`make_density` checks them.
     """
+    d_a, d_b = _dims(d_a, d_b)
     if k < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
     alpha = np.ones(k)

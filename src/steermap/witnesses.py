@@ -10,7 +10,7 @@ out) or a stack (one value per state, from one stacked pass).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ F3_THRESHOLD = float(np.sqrt(3.0))
 NEGATIVITY_ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Witness values for one state; None marks a non-applicable detector."""
 
     negativity: float

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from steermap.measurements import (
     random_basis,
     validate_projectors,
 )
-from steermap.models import born_probs, finite_model, model_from_separable
+from steermap.models import FiniteModel, born_probs, finite_model, model_from_separable
 from steermap.states import (
     PAULI_STACK,
     hidden_qubits,
@@ -355,6 +356,26 @@ class TestVerifySpmIdentity:
         cert = cons.spm_certificate(model, model, 1.0)
         with pytest.raises(ValueError, match="at least one"):
             cons.verify_spm_identity(rho, cert, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "stack, seeds, counts",
+        [(None, [7, 8], "2 seed(s) for 1 state(s)"), (3, 7, "1 seed(s) for 3 state(s)"),
+         (3, [7, 8], "2 seed(s) for 3 state(s)"), (3, [], "0 seed(s) for 3 state(s)")],
+    )
+    def test_refuses_a_seed_count_other_than_one_per_state(self, monkeypatch, stack, seeds, counts):
+        # The count is checked before any measurement is drawn, through the
+        # unstacked wrapper and through the stacked kernel alike.
+        monkeypatch.setattr(cons, "pair_draws", lambda *args: pytest.fail("drew measurements"))
+        rho, weights, alphas, betas = states.random_separables(2, 3, 4, [31, 32, 33])
+        arrays = (weights, alphas, betas)
+        if stack is None:
+            rho = DensityMatrix(2, 3, rho.mat[0])
+            arrays = (weights[0], alphas[0], betas[0])
+        message = f"^need one seed per state, got {re.escape(counts)}$"
+        with pytest.raises(ValueError, match=message):
+            cons.verify_spm_identity(rho, FiniteModel(*arrays), 5, seeds)
+        with pytest.raises(ValueError, match=message):
+            cons.verify_spm_identities(rho, *arrays, 5, seeds)
 
 
 def spm_residual_reference(sigma, cert, n_samples, seed):

@@ -225,6 +225,18 @@ class TestRandomSeparables:
         with pytest.raises(ValueError, match="^need at least one seed$"):
             states.random_separables(2, 2, 4, [])
 
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (0, 3), (-2, 2), (2.0, 2), (2, "3")])
+    def test_refuses_dims_as_make_density_does(self, dims):
+        with pytest.raises(ValueError) as expected:
+            make_density(np.eye(4) / 4, *dims)
+        for build in (
+            lambda: states.random_separables(*dims, 2, [1]),
+            lambda: random_separable(*dims, 2, 1),
+        ):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == str(expected.value)
+
 
 class TestWerner:
     def test_zero_visibility(self):
