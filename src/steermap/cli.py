@@ -116,8 +116,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_region(args) -> int:
-    points = mapping.region_scan(args.grid, args.tol)
-    _emit([mapping.region_to_csv(points)], args.out)
+    _emit([mapping.region_to_csv(mapping._region_grid(args.grid, args.tol))], args.out)
     return EXIT_OK
 
 

@@ -175,14 +175,15 @@ def feasible(mu: float, c: float) -> bool:
 
 
 def c_max_numeric(mu, tol: float = 1e-10):
-    """Supremum bias c with feasible(mu, c), by bisection on [0, 1].
+    """Supremum bias c with feasible(mu, c), as bisection on [0, 1] finds it.
 
-    ``mu`` is a float (float out) or an array, whose entries are bisected
-    at once; each stops once its bracket is narrower than ``tol`` or can
-    no longer be split in floating point, so any finite positive ``tol``
-    terminates.  Every active bracket is [k w, (k+1) w] for one power of
-    two w.  While w > 2**-50 its midpoint lo + w/2 is exact, so only lo is
-    kept and all stop when w <= tol; below that each stops by the full rule.
+    ``mu`` is a float (float out) or an array, searched at once; any finite
+    positive ``tol`` terminates.  Bisection's brackets are [k w, (k+1) w] for
+    powers of two w, exact while w > 2**-50, and feasibility is weakly
+    monotone in c (see :func:`_worst_norm_sq`), so halving to the last such w
+    ends at the largest feasible k w.  That k w is found directly: seeded from
+    the closed form with FEAS_TOL folded in, snapped down to the grid and
+    stepped until k w holds and (k+1) w fails; below it the full rule bisects.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -191,13 +192,17 @@ def c_max_numeric(mu, tol: float = 1e-10):
     limit = 1.0 + FEAS_TOL
     feasible_at_0 = _worst_norm_sq(mu, 0.0) <= limit
     feasible_at_1 = _worst_norm_sq(mu, 1.0) <= limit
-    lo = np.zeros_like(mu)
     active = feasible_at_0 & ~feasible_at_1
-    width = 1.0 if active.any() else 0.0  # nothing active: no halvings
+    width = 1.0
     while tol < width > 2.0**-50:
         width /= 2.0
-        mid = lo + width
-        lo = np.where(_worst_norm_sq(mu, mid) <= limit, mid, lo)
+    m = np.where(active, mu, 0.0)  # at mu = 1 (inactive) the seed would divide by 0
+    seed = (np.sqrt(1.0 + FEAS_TOL - 2.0 * m * m) - m) / (1.0 - m)
+    lo = np.clip(np.floor(seed / width) * width, 0.0, 1.0 - width)
+    for step, probe, holds in ((width, width, True), (-width, 0.0, False)):
+        move = active
+        while (move := move & ((_worst_norm_sq(mu, lo + probe) <= limit) == holds)).any():
+            lo = np.where(move, lo + step, lo)
     hi = lo + width
     while True:
         mid = (lo + hi) / 2.0
@@ -211,21 +216,26 @@ def c_max_numeric(mu, tol: float = 1e-10):
     return linalg.scalar_or_array(c)
 
 
-def region_scan(n_grid: int = 200, bisect_tol: float = 1e-10) -> list[RegionPoint]:
-    """Numeric vs analytic boundary on a uniform mu grid over [0, 1/sqrt(3)], one array each."""
+def _region_grid(n_grid: int, bisect_tol: float) -> np.ndarray:
+    """(n_grid, 3) rows of mu, numeric and analytic c_max on a uniform grid over [0, 1/sqrt(3)]."""
     if not isinstance(n_grid, (int, np.integer)):
         raise ValueError(f"grid needs an integer number of points, got {n_grid}")
     if n_grid < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_grid}")
     mus = INV_SQRT3 * np.arange(n_grid, dtype=np.float64) / (n_grid - 1)
-    c_numeric, c_analytic = c_max_numeric(mus, bisect_tol), analytic_c_max(mus)
-    return list(map(RegionPoint, mus.tolist(), c_numeric.tolist(), c_analytic.tolist()))
+    return np.column_stack([mus, c_max_numeric(mus, bisect_tol), analytic_c_max(mus)])
+
+
+def region_scan(n_grid: int = 200, bisect_tol: float = 1e-10) -> list[RegionPoint]:
+    """Numeric vs analytic boundary on a uniform mu grid over [0, 1/sqrt(3)], one array each."""
+    return list(map(RegionPoint, *_region_grid(n_grid, bisect_tol).T.tolist()))
 
 
 REGION_CSV_HEADER = "mu,c_max_numeric,c_max_analytic,abs_err"
 
 
 def region_to_csv(points) -> str:
-    """CSV rendering of region points, 12 significant digits, by one ``%`` format."""
-    values = tuple([v for mu, c, a in points for v in (mu, c, a, abs(c - a))])
-    return REGION_CSV_HEADER + "\n" + ("%.12g,%.12g,%.12g,%.12g\n" * len(points)) % values
+    """CSV of region points or (n, 3) rows, 12 significant digits, by one ``%`` format."""
+    rows = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    values = np.column_stack([rows, abs(rows[:, 1] - rows[:, 2])]).ravel().tolist()
+    return REGION_CSV_HEADER + "\n" + ("%.12g,%.12g,%.12g,%.12g\n" * len(rows)) % tuple(values)

@@ -399,6 +399,43 @@ class TestArrayBisection:
         assert max(pt.abs_err for pt in points) <= 2e-10
         assert len(calls) <= 1100
 
+    @pytest.mark.parametrize("grid", [None, 200, 100_000])
+    def test_search_takes_a_constant_number_of_steps(self, monkeypatch, grid):
+        # Two endpoint evaluations and one check each way from the seed;
+        # halving would take 34 more at tol = 1e-10.
+        calls = []
+        worst = mapping._worst_norm_sq
+        monkeypatch.setattr(
+            mapping, "_worst_norm_sq", lambda mu, c: calls.append(c) or worst(mu, c)
+        )
+        if grid is None:
+            assert mapping.c_max_numeric(0.3) == reference_c_max(0.3, 1e-10)
+        else:
+            mapping.region_scan(grid, 1e-10)
+        assert len(calls) <= 6
+
+    # Tolerances at every power of two down to 2**-53, their float neighbours and odd values.
+    TOLS = sorted(
+        {t for k in range(1, 54) for t in (2.0**-k, *(math.nextafter(2.0**-k, x) for x in (0, 1)))}
+        | {1e-10, 1e-300, 5e-324, 0.7, 2.0}
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        mu=st.floats(0.0, 1.0)
+        | st.sampled_from([math.nextafter(INV_SQRT3, 0), INV_SQRT3, math.nextafter(INV_SQRT3, 1)]),
+        tol=st.sampled_from(TOLS),
+    )
+    def test_search_equals_bisection_bit_for_bit(self, mu, tol):
+        expected = reference_c_max(mu, tol).hex()
+        assert mapping.c_max_numeric(mu, tol).hex() == expected
+        assert mapping.c_max_numeric(np.array([mu]), tol)[0].hex() == expected
+
+    def test_dense_grid_equals_bisection(self):
+        mus = np.linspace(0.0, INV_SQRT3, 10_007)
+        got = [c.hex() for c in mapping.c_max_numeric(mus).tolist()]
+        assert got == [reference_c_max(mu, 1e-10).hex() for mu in mus.tolist()]
+
     @pytest.mark.parametrize("n_grid", [2, 3, 7, 50, 201])
     @pytest.mark.parametrize(
         "tol", [1e-15, 1e-10, 1e-3, 2.0, 1e-300, 2.0**-50, 2.0**-52, 2.0**-53, 5e-324]
@@ -503,9 +540,9 @@ class TestRegionScan:
         # The bracket cannot shrink below float spacing; bisection must stop
         # there (at most ~1075 halvings of [0, 1]) instead of spinning.
         calls = []
-        feasible = mapping.feasible
+        worst = mapping._worst_norm_sq
         monkeypatch.setattr(
-            mapping, "feasible", lambda mu, c: calls.append(c) or feasible(mu, c)
+            mapping, "_worst_norm_sq", lambda mu, c: calls.append(c) or worst(mu, c)
         )
         for mu in (0.1, 0.3, 0.5):
             c = mapping.c_max_numeric(mu, tol=1e-300)
