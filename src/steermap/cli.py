@@ -212,16 +212,10 @@ def cmd_verify(args) -> int:
     if args.mu is not None:
         fixed = (args.mu, args.c)
         if not mapping.feasible(*fixed):
-            # Demonstrate the failure constructively before bailing out: Bob
-            # answers 0 at x, y and z, the box vertex of the largest hidden
-            # state, and one Alice outcome carries all the weight.
-            try:
-                vertex, partner = np.ones((1, 3)), constructions.biased_probs(args.c)
-                constructions.hidden_bloch(args.mu, vertex, partner, np.ones((1, 1, 1)))
-            except constructions.UnphysicalHiddenStateError as exc:
-                print(f"infeasible parameters: {exc}", file=sys.stderr)
-                return EXIT_VERIFY
-            print("infeasible parameters (no vertex witness found)", file=sys.stderr)
+            # Name the box vertex that decided it: outcome 0 at every Pauli
+            # setting, whose hidden state is the largest.
+            exc = constructions.UnphysicalHiddenStateError(0, 0, 0, mapping._worst_norm_sq(*fixed))
+            print(f"infeasible parameters: {exc}", file=sys.stderr)
             return EXIT_VERIFY
     try:
         if args.target == "lhs":

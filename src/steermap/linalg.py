@@ -8,11 +8,12 @@ one) and treats each member alone: a stacked call gives, bit for bit,
 what its members' single calls give.  Construction never normalizes
 anything; callers validate explicitly.
 
-The Hermitian eigensolver is LAPACK's ``eigh`` (via numpy) behind one
-validation step: the input must be square, finite and Hermitian within
-``HERMITICITY_TOL``, the same tolerance states are held to.  The
-Hermitian part ``(m + m^dagger)/2`` is what gets decomposed, so callers
-never need to symmetrize.
+The Hermitian eigensolver is LAPACK's eigenvalues-only ``eigvalsh`` (via
+numpy) behind one validation step: the input must be square, finite and
+Hermitian within ``HERMITICITY_TOL``, the same tolerance states are held
+to.  Every spectral quantity here needs eigenvalues alone, so no
+eigenvectors are computed.  The Hermitian part ``(m + m^dagger)/2`` is
+what gets solved, so callers never need to symmetrize.
 """
 
 from __future__ import annotations
@@ -64,16 +65,12 @@ def partial_trace(m, d_a: int, d_b: int, keep: str = "B") -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def partial_transpose(m, d_a: int, d_b: int, on: str = "B") -> np.ndarray:
-    """Transpose one tensor factor; involutive, trace preserving, (..., n, n) stacks too."""
+def partial_transpose(m, d_a: int, d_b: int) -> np.ndarray:
+    """Transpose the B factor; involutive, trace preserving, (..., n, n) stacks too."""
     a = np.asarray(m, dtype=np.complex128)
     _check_bipartite(a, d_a, d_b)
     t = a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b)
-    if on == "B":
-        return t.swapaxes(-1, -3).reshape(a.shape)
-    if on == "A":
-        return t.swapaxes(-2, -4).reshape(a.shape)
-    raise ValueError(f"on must be 'A' or 'B', got {on!r}")
+    return t.swapaxes(-1, -3).reshape(a.shape)
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...]:
@@ -87,15 +84,14 @@ def _at(idx: tuple[int, ...]) -> str:
 
 
 def hermitian_eigen(m):
-    """Eigendecomposition of a Hermitian matrix via LAPACK ``eigh``.
+    """Eigenvalues of a Hermitian matrix via LAPACK ``eigvalsh``.
 
-    ``m`` is one matrix or an ``(..., d, d)`` stack, decomposed in one
-    call.  Returns ``(w, v)`` with real eigenvalues ``w`` ascending and
-    eigenvectors in the columns of ``v`` (same order), stacked like
-    ``m``.  Raises ``ValueError`` for non-square, non-finite or
-    non-Hermitian input (defect > 1e-10), checked per matrix; for a
-    stack the message names the first offending matrix.  The Hermitian
-    part of ``m`` is decomposed.
+    ``m`` is one matrix or an ``(..., d, d)`` stack, solved in one call.
+    Returns the real eigenvalues of the Hermitian part of ``m``,
+    ascending along the last axis and stacked like ``m``.  Raises
+    ``ValueError`` for non-square, non-finite or non-Hermitian input
+    (defect > 1e-10), checked per matrix; for a stack the message names
+    the first offending matrix.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -110,8 +106,7 @@ def hermitian_eigen(m):
         defect = defect.max(axis=(-2, -1))
         idx = _first(defect > HERMITICITY_TOL)
         raise ValueError(f"matrix{_at(idx)} is not Hermitian (defect {float(defect[idx]):.3e})")
-    w, v = np.linalg.eigh((a + adjoint) / 2.0)
-    return w, v
+    return np.linalg.eigvalsh((a + adjoint) / 2.0)
 
 
 def scalar_or_array(x: np.ndarray):
@@ -121,5 +116,4 @@ def scalar_or_array(x: np.ndarray):
 
 def trace_norm(m):
     """Sum of absolute eigenvalues of a Hermitian matrix: a float, or an array for a stack."""
-    w, _ = hermitian_eigen(m)
-    return scalar_or_array(np.sum(np.abs(w), axis=-1))
+    return scalar_or_array(np.sum(np.abs(hermitian_eigen(m)), axis=-1))

@@ -80,9 +80,9 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     :func:`steermap.states._closed_density`): a reduced state negative
     within tolerance.  So the partner's least eigenvalue, the reduced
     state's times (1 + c)/2, must be >= -1e-10, from one small
-    eigendecomposition; otherwise :class:`StateValidationError`.  For a
+    eigenvalue solve; otherwise :class:`StateValidationError`.  For a
     stack of T states ``c`` is a float or a (T,) array and the T reduced
-    states are decomposed in one call.
+    states are solved in one call.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -94,8 +94,7 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     c = np.asarray(c, dtype=np.float64)
     qubit = (np.eye(2, dtype=np.complex128) + c[..., None, None] * SIGMA_Z) / 2.0
     reduced = state.reduced_a() if side == "B" else state.reduced_b()
-    w, _ = linalg.hermitian_eigen(reduced)
-    least = w[..., 0] * (1.0 + c) / 2.0
+    least = linalg.hermitian_eigen(reduced)[..., 0] * (1.0 + c) / 2.0
     if not (least >= -PSD_TOL).all():
         i = int(np.argmin(least >= -PSD_TOL))
         raise StateValidationError(

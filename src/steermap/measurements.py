@@ -35,7 +35,7 @@ def _check(defects: np.ndarray, message: str, axes: tuple[int, ...] = ()) -> Non
     ``defect``.  The maxima over ``axes`` are only formed to name an
     offender.
     """
-    if not defects.max() <= PROJ_TOL:
+    if not defects.max(initial=0.0) <= PROJ_TOL:
         if axes:
             defects = defects.max(axis=axes)
         idx = tuple(int(i) for i in np.argwhere(~(defects <= PROJ_TOL))[0])

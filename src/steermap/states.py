@@ -150,14 +150,14 @@ def validate_states(mat, n: int | None = None) -> np.ndarray:
         dev = float(off) if off <= sys.float_info.max else np.inf
         raise StateValidationError(f"shape {m.shape} != ({n}, {n})", dev)
     defect = np.abs(m - m.conj().swapaxes(-1, -2))
-    if defect.max() > HERM_TOL:
+    if defect.max(initial=0.0) > HERM_TOL:
         defect = defect.max(axis=(-2, -1))
         raise fail("hermitian within 1e-10", defect, defect <= HERM_TOL)
     tr = np.trace(m, axis1=-2, axis2=-1)
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     if not (tr_dev <= TRACE_TOL).all():
         raise fail("trace = 1 within 1e-10", tr_dev, tr_dev <= TRACE_TOL)
-    w, _ = linalg.hermitian_eigen(m)
+    w = linalg.hermitian_eigen(m)
     if not (w[..., 0] >= -PSD_TOL).all():
         raise fail("min eigenvalue >= -1e-10", -w[..., 0], w[..., 0] >= -PSD_TOL)
     m.setflags(write=False)
@@ -297,12 +297,17 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return pure_state(v)
 
 
+def _integer(name: str, value):
+    """``value`` if it is an integer of any size; a float or a bool, which
+    numpy would read as its integer part or as 0/1, raises ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _rng(seed) -> np.random.Generator:
-    """The generator of an integer seed of any size; a float or a bool,
-    which numpy would read as its integer part or as 0/1, raises ``ValueError``."""
-    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    """The generator of an integer seed (see :func:`_integer`)."""
+    return np.random.default_rng(_integer("seed", seed))
 
 
 def random_separables(d_a: int, d_b: int, k: int, seeds):
@@ -316,10 +321,11 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     Dirichlet weights and the (T, k, d_a, d_a) and (T, k, d_b, d_b)
     members ``v v^dagger`` of unit vectors v, which need no check: each
     is Hermitian, with trace and one eigenvalue ``|v|^2 = 1``, the rest 0.
-    Dims are checked as :func:`make_density` checks them.
+    Dims are checked as :func:`make_density` checks them, and ``k`` and the
+    seeds as integers.
     """
     d_a, d_b = _dims(d_a, d_b)
-    if k < 1:
+    if _integer("ensemble size k", k) < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
     alpha = np.ones(k)
     weights, draws = [], []

@@ -39,7 +39,7 @@ def negativity(rho: DensityMatrix):
     or below ``NEGATIVITY_ZERO_TOL`` are eigensolver rounding on a
     separable state and come back as exactly 0.0.
     """
-    pt = linalg.partial_transpose(rho.mat, rho.d_a, rho.d_b, on="B")
+    pt = linalg.partial_transpose(rho.mat, rho.d_a, rho.d_b)
     neg = (np.asarray(linalg.trace_norm(pt)) - 1.0) / 2.0
     return linalg.scalar_or_array(np.where(neg > NEGATIVITY_ZERO_TOL, neg, 0.0))
 
@@ -61,7 +61,7 @@ def chsh_horodecki(rho: DensityMatrix):
     two-qubit state.
     """
     t = correlation_matrix(rho)
-    w, _ = linalg.hermitian_eigen(t.swapaxes(-1, -2) @ t)
+    w = linalg.hermitian_eigen(t.swapaxes(-1, -2) @ t)
     return linalg.scalar_or_array(2.0 * np.sqrt(np.maximum(0.0, w[..., -1] + w[..., -2])))
 
 

@@ -248,6 +248,20 @@ class TestStackedBuilders:
             meas.qudit_projectors(bases)
 
 
+    def test_empty_stacks(self):
+        # Zero measurements build as zero Werner visibilities do; a
+        # settings stack handed to validate_projectors may not be empty.
+        for stack, shape in (
+            (meas.qudit_projectors(np.zeros((0, 3, 3))), (0, 3, 3, 3)),
+            (meas.qudit_projectors(np.zeros((2, 0, 3, 3))), (2, 0, 3, 3, 3)),
+            (meas.qubit_projectors(np.zeros((0, 3))), (0, 2, 2, 2)),
+        ):
+            assert stack.shape == shape and stack.dtype == np.complex128
+            assert not stack.flags.writeable
+        with pytest.raises(ValueError, match=r"must have shape \(n, k, d, d\)"):
+            meas.validate_projectors(np.zeros((0, 3, 3, 3)))
+
+
 class TestCheck:
     def test_nan_defect_is_named(self):
         defects = np.array([[0.0, 1e-12], [np.nan, 0.0], [1.0, 0.0]])

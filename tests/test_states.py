@@ -57,7 +57,7 @@ class TestMakeDensity:
         skew *= 5e-11 / np.max(np.abs(skew))
         mat = herm.mat + skew / 2.0
         assert np.max(np.abs(mat - mat.conj().T)) == pytest.approx(5e-11, rel=1e-6)
-        w, _ = linalg.hermitian_eigen(mat)
+        w = linalg.hermitian_eigen(mat)
         assert np.max(np.abs(w - np.linalg.eigvalsh(herm.mat))) < 1e-14
         rho = make_density(mat, 2, 2)
         assert np.max(np.abs(rho.mat - rho.mat.conj().T)) == 0.0
@@ -74,7 +74,7 @@ class TestMakeDensity:
 
     def test_bell_projector_is_pure(self):
         rho = bell_phi_plus()
-        w, _ = linalg.hermitian_eigen(rho.mat)
+        w = linalg.hermitian_eigen(rho.mat)
         assert np.allclose(w, [0, 0, 0, 1], atol=1e-12)
 
     @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.5), ("2", 2)])
@@ -167,6 +167,26 @@ class TestValidateStates:
             states.validate_states(np.ones(4))
 
 
+    def test_empty_stack(self):
+        # Zero states pass every check and come back read-only, as zero
+        # Werner visibilities or qubit directions do.
+        for mat, shape in (
+            (make_density(np.zeros((0, 4, 4)), 2, 2).mat, (0, 4, 4)),
+            (states.validate_states(np.zeros((0, 4, 4))), (0, 4, 4)),
+            (states.validate_states(np.zeros((0, 3, 4, 4)), 4), (0, 3, 4, 4)),
+        ):
+            assert mat.shape == shape and mat.dtype == np.complex128
+            assert not mat.flags.writeable
+
+    def test_nan_stack_fails_finite_entries_first(self):
+        # Not Hermitian, not of unit trace and, for n = 3, the wrong shape as well.
+        mats = np.full((2, 4, 4), np.nan, dtype=complex)
+        for n in (None, 3):
+            with pytest.raises(StateValidationError) as info:
+                states.validate_states(mats, n)
+            assert info.value.invariant == "finite entries" and info.value.state == 0
+
+
 class TestRandomSeparables:
     @pytest.mark.parametrize("dims", [(2, 2), (4, 2), (2, 3), (2, 4)])
     def test_each_seed_matches_random_separable(self, dims):
@@ -215,6 +235,24 @@ class TestRandomSeparables:
             states.random_separable(2, 3, 4, seed=seed)
         with pytest.raises(ValueError, match="^seed must be an integer"):
             states.random_separables(2, 3, 4, [5, seed])
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.True_, "2", None])
+    def test_refuses_non_integer_ensemble_size(self, k):
+        message = f"^ensemble size k must be an integer, got {re.escape(repr(k))}$"
+        with pytest.raises(ValueError, match=message):
+            states.random_separables(2, 2, k, [1])
+        with pytest.raises(ValueError, match=message):
+            random_separable(2, 2, k, 1)
+
+    @pytest.mark.parametrize("k", [0, -3, np.int64(0)])
+    def test_refuses_ensemble_size_below_one(self, k):
+        with pytest.raises(ValueError, match=f"^ensemble size must be >= 1, got {k}$"):
+            states.random_separables(2, 2, k, [1])
+
+    def test_numpy_integer_ensemble_size(self):
+        rho, weights, *_ = states.random_separables(2, 2, np.int64(3), [1])
+        assert np.array_equal(rho.mat, states.random_separables(2, 2, 3, [1])[0].mat)
+        assert weights.shape == (1, 3)
 
     def test_numpy_and_large_integer_seeds(self):
         rho, *_ = states.random_separables(2, 3, 4, [np.int64(5), np.uint16(6), 10**40])
@@ -334,13 +372,13 @@ class TestRandomSeparable:
     def test_single_member_is_product(self):
         rho, ensemble = random_separable(2, 2, 1, seed=3)
         assert len(ensemble) == 1
-        pt = linalg.partial_transpose(rho.mat, 2, 2, "B")
+        pt = linalg.partial_transpose(rho.mat, 2, 2)
         assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ppt(self, seed):
         rho, _ = random_separable(3, 2, 4, seed=seed)
-        pt = linalg.partial_transpose(rho.mat, 3, 2, "B")
+        pt = linalg.partial_transpose(rho.mat, 3, 2)
         assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
     def test_deterministic(self):

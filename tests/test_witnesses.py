@@ -181,6 +181,58 @@ class TestContractionsMatchLoops:
             assert abs(witnesses.f3_steering(rho) - loop_f3(rho)) <= 1e-12
 
 
+def eigh_trace_norm(m):
+    """Reference: sum of absolute eigenvalues from the full eigendecomposition."""
+    return float(np.sum(np.abs(np.linalg.eigh(m)[0])))
+
+
+def eigh_witnesses(rho):
+    """Reference negativity, CHSH and F3 of one state: loops, and ``eigh`` for spectra."""
+    d_a, d_b = rho.d_a, rho.d_b
+    n = d_a * d_b
+    pt = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(n, n)
+    neg = (eigh_trace_norm(pt) - 1.0) / 2.0
+    values = {"negativity": neg if neg > witnesses.NEGATIVITY_ZERO_TOL else 0.0}
+    if d_b == 2:
+        eye_a = np.eye(d_a, dtype=np.complex128)
+        values["f3"] = sum(
+            eigh_trace_norm(linalg.partial_trace(np.kron(eye_a, s) @ rho.mat, d_a, 2, keep="A"))
+            for s in PAULIS
+        )
+    if (d_a, d_b) == (2, 2):
+        t = loop_correlation_matrix(rho)
+        w = np.linalg.eigh(t.T @ t)[0]
+        values["chsh"] = 2.0 * math.sqrt(max(0.0, w[-1] + w[-2]))
+    return values
+
+
+class TestEigenvaluesMatchEighReference:
+    """The detectors, from eigenvalues alone, agree with an ``eigh``-based reference."""
+
+    @staticmethod
+    def assert_matches(rho):
+        values = {"negativity": witnesses.negativity(rho)}
+        if rho.d_b == 2:
+            values["f3"] = witnesses.f3_steering(rho)
+        if (rho.d_a, rho.d_b) == (2, 2):
+            values["chsh"] = witnesses.chsh_horodecki(rho)
+        for t, mat in enumerate(rho.mat):
+            ref = eigh_witnesses(DensityMatrix(rho.d_a, rho.d_b, mat))
+            assert ref.keys() == values.keys()
+            for name, value in ref.items():
+                assert abs(values[name][t] - value) <= 1e-13, (name, t)
+
+    def test_random_states(self):
+        dims = [(d_a, d_b) for d_a in (2, 3, 4) for d_b in (2, 3, 4)]
+        for i, (d_a, d_b) in enumerate(dims):
+            seeds = range(i, 200, len(dims))
+            mats = np.stack([random_density(d_a, d_b, 7000 + s).mat for s in seeds])
+            self.assert_matches(make_density(mats, d_a, d_b))
+
+    def test_werner_grid(self):
+        self.assert_matches(werner(np.linspace(0.0, 1.0, 1001)))
+
+
 def assert_same_bits(stacked, singles):
     """``stacked`` holds exactly the bits of the per-member results ``singles``."""
     expected = np.array(singles)
@@ -203,14 +255,13 @@ class TestStackedEqualsPerState:
     @pytest.mark.parametrize("d_a, d_b", STACK_DIMS)
     def test_partial_transpose_and_trace_norm(self, d_a, d_b, size):
         mats = self.stack(d_a, d_b, size).mat
-        for on in ("A", "B"):
-            pt = linalg.partial_transpose(mats, d_a, d_b, on)
-            assert_same_bits(pt, [linalg.partial_transpose(m, d_a, d_b, on) for m in mats])
-            assert_same_bits(linalg.trace_norm(pt), [linalg.trace_norm(m) for m in pt])
-            # A deeper stack, as f3_steering's (T, 3, d_a, d_a) blocks are.
-            deep = np.stack([pt, pt[::-1]], axis=1)
-            singles = [[linalg.trace_norm(m) for m in pair] for pair in deep]
-            assert_same_bits(linalg.trace_norm(deep), singles)
+        pt = linalg.partial_transpose(mats, d_a, d_b)
+        assert_same_bits(pt, [linalg.partial_transpose(m, d_a, d_b) for m in mats])
+        assert_same_bits(linalg.trace_norm(pt), [linalg.trace_norm(m) for m in pt])
+        # A deeper stack, as f3_steering's (T, 3, d_a, d_a) blocks are.
+        deep = np.stack([pt, pt[::-1]], axis=1)
+        singles = [[linalg.trace_norm(m) for m in pair] for pair in deep]
+        assert_same_bits(linalg.trace_norm(deep), singles)
 
     @pytest.mark.parametrize("size", [1, 7])
     @pytest.mark.parametrize("d_a, d_b", STACK_DIMS)
