@@ -1,15 +1,16 @@
 """Hidden-state and separable-model constructions, with numeric checks.
 
 Given a finite model for a state and one for its mixing partner (sharing
-the same hidden-variable weights), each map's builder returns its
-certificate as a :class:`~steermap.models.FiniteModel` of the mixed
-state.  Both maps share one construction with the parties swapped: the
+the same hidden-variable weights), :func:`certificate` returns the
+certificate of the mixed state as a :class:`~steermap.models.FiniteModel`.
+Both maps share this one construction with the parties swapped: the
 certificate keeps the weights and the responses of the party that was
 not mixed, and the other party, Bob's qubit for map M and Alice's for
 map N, gets one hidden qubit per hidden value with Bloch components
 2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z
 (:func:`hidden_bloch`).  Since that qubit depends on the hidden value
 alone, an LHS certificate is a hidden-state model by construction.
+:func:`lhs_certificate` and :func:`spm_certificate` are its two maps.
 
 The verifiers recompute both sides of an identity from scratch and
 return the worst residual: the steered states at Alice's settings (map
@@ -17,11 +18,10 @@ M), the joints of sampled measurement pairs (map N) and, for a model
 whose parties are both quantum, the operator identity
 rho = sum_xi w_xi a_xi (x) b_xi itself (:func:`verify_model_identities`),
 which covers every measurement.  Everything is evaluated array-first:
-each verifier takes the certificate's arrays and the projector stacks
-with the state's leading trial axis, and each side of an identity is one
-contraction over the hidden index and the state tensor.
-``verify_lhs_identity`` and ``verify_spm_identity`` are the unstacked
-cases; ``verify`` runs a block of trials through each kernel in one call.
+models, states and projector stacks may carry the same leading trial
+axes, each side of an identity is one contraction over the hidden index
+and the state tensor, and a stack gives one residual per state.
+``verify`` builds and checks a block of trials in one call per stage.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from .linalg import scalar_or_array
 from .measurements import (
     _orthonormal_rows,
     pair_draws,
@@ -64,16 +65,21 @@ class UnphysicalHiddenStateError(ValueError):
         )
 
 
+def _quantum(model: FiniteModel, party: np.ndarray) -> bool:
+    """Whether ``party`` of ``model`` holds response states rather than a Pauli table."""
+    return party.ndim == model.weights.ndim + 2
+
+
 def _shared_party(model: FiniteModel, model_prime: FiniteModel, side: str) -> np.ndarray:
     """The quantum responses that both models share on ``side``, with their weights."""
-    if model.n_hidden != model_prime.n_hidden:
-        sizes = f"{model.n_hidden} vs {model_prime.n_hidden}"
-        raise ValueError(f"models disagree on ensemble size: {sizes}")
+    if model.weights.shape != model_prime.weights.shape:
+        sizes = f"{model.weights.shape} vs {model_prime.weights.shape}"
+        raise ValueError(f"models disagree on ensemble size: weights {sizes}")
     dev = float(np.max(np.abs(model.weights - model_prime.weights)))
     if dev > WEIGHT_TOL:
         raise ValueError(f"models must share hidden-variable weights (max dev {dev:.3e})")
     party, party_prime = getattr(model, side), getattr(model_prime, side)
-    if party.ndim != 3:
+    if not _quantum(model, party):
         kind = "hidden-state" if side == "alice" else "separable"
         raise ValueError(f"{kind} construction needs quantum {side.capitalize()} responses")
     if party_prime.shape != party.shape:
@@ -110,42 +116,54 @@ def hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
     return bloch
 
 
-def _hidden_party(model: FiniteModel, model_prime: FiniteModel, mu, side: str, responses=None):
-    """The mixed party's read-only (Xi, 2, 2) hidden qubits, from both models' Pauli tables."""
-    p0 = _pauli_table(getattr(model, side))
-    p0_prime = _pauli_table(getattr(model_prime, side))
-    qubits = hidden_qubits(hidden_bloch(mu, p0, p0_prime, responses))
-    qubits.setflags(write=False)
-    return qubits
+def certificate(
+    model: FiniteModel, model_prime: FiniteModel, mu, side: str, responses=None
+) -> FiniteModel:
+    """The certificate of the mixture of two models, mixed on party ``side``.
+
+    ``side`` is "B" for map M (a hidden-state model) and "A" for map N
+    (a separable model), as in :func:`steermap.mapping.biased_partner`.
+    Both models need the same weights and the same quantum responses on
+    the other party; the mixed party's may be qubit states or Pauli
+    tables.  The result keeps the weights and the shared responses and
+    gives the mixed party one read-only hidden qubit per hidden value.
+    Models may carry leading trial axes, with ``mu`` a float or one value
+    per trial; ``responses`` is as in :func:`hidden_bloch`.
+    """
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    mixed, kept = ("alice", "bob") if side == "A" else ("bob", "alice")
+    parties = {kept: _shared_party(model, model_prime, kept)}
+    p0, p0_prime = (_pauli_table(m, getattr(m, mixed)) for m in (model, model_prime))
+    parties[mixed] = hidden_qubits(hidden_bloch(mu, p0, p0_prime, responses))
+    parties[mixed].setflags(write=False)
+    return FiniteModel(model.weights, **parties)
 
 
-def _alice_table(alice: np.ndarray, alice_settings):
-    """Alice's settings, checked by validate_projectors, and her Born table P(a | s, xi)."""
-    settings = validate_projectors(alice_settings)
+def _alice_table(alice: np.ndarray, settings: np.ndarray) -> np.ndarray:
+    """Alice's Born table P(a | s, xi) at settings that validate_projectors checked."""
     dim = settings.shape[-1]
     if alice.shape[-1] != dim:
         raise ValueError(f"setting dim {dim} != response dim {alice.shape[-1]}")
-    return settings, born_probs(settings, alice, "quantum response")
+    return born_probs(settings, alice, "quantum response")
 
 
 def lhs_certificate(
     model_tau: FiniteModel, model_tau_prime: FiniteModel, mu: float, alice_settings
 ) -> FiniteModel:
-    """The hidden-state model of the M-mixture of two models.
+    """The hidden-state model of the M-mixture of two models: :func:`certificate` on side "B".
 
-    Both models need the same weights and the same quantum Alice
-    responses; Bob's may be quantum qubits or Pauli tables.  The result
-    keeps the weights and Alice's responses and gives Bob one hidden
-    qubit per hidden value, so it holds for every Alice measurement.
-    ``alice_settings``, an (S, k, d_a, d_a) projector stack (or a
-    sequence of (k, d_a, d_a) measurements) checked by
+    It holds for every Alice measurement.  ``alice_settings``, an
+    (S, k, d_a, d_a) projector stack (or a sequence of (k, d_a, d_a)
+    measurements) checked by
     :func:`steermap.measurements.validate_projectors`, only names the
     setting and outcome of an :class:`UnphysicalHiddenStateError`.
     """
-    alice = _shared_party(model_tau, model_tau_prime, "alice")
-    _, responses = _alice_table(alice, alice_settings)
-    bob = _hidden_party(model_tau, model_tau_prime, mu, "bob", responses)
-    return FiniteModel(model_tau.weights, alice, bob)
+    settings = validate_projectors(alice_settings)
+    alice = model_tau.alice
+    # A table Alice has no Born table; the builder refuses her by name.
+    responses = _alice_table(alice, settings) if _quantum(model_tau, alice) else None
+    return certificate(model_tau, model_tau_prime, mu, "B", responses)
 
 
 def pauli_probs(states) -> np.ndarray:
@@ -158,9 +176,9 @@ def pauli_probs(states) -> np.ndarray:
     return probs[..., 0, :].swapaxes(-1, -2)
 
 
-def _pauli_table(party: np.ndarray) -> np.ndarray:
-    """A model party's (Xi, 3) Pauli table: itself, or its qubit states' one."""
-    if party.ndim == 2:
+def _pauli_table(model: FiniteModel, party: np.ndarray) -> np.ndarray:
+    """A model party's (..., Xi, 3) Pauli table: itself, or its qubit states' one."""
+    if not _quantum(model, party):
         return party
     if party.shape[-1] != 2:
         raise ValueError(f"Pauli settings need qubit responses, got dim {party.shape[-1]}")
@@ -174,95 +192,70 @@ def verify_lhs_identity(rho_ab: DensityMatrix, cert: FiniteModel, alice_settings
     state of ``rho_ab`` against the certificate's weighted hidden-state
     sum, with Alice's Born table taken from ``cert.alice`` at those
     settings; returns the max-abs entry difference over all of them.
-    The unstacked case of :func:`verify_lhs_identities`;
-    ``alice_settings`` is checked as in :func:`lhs_certificate`.
+    ``alice_settings`` is checked as in :func:`lhs_certificate`; for
+    settings that are already checked and a stacked certificate, see
+    :func:`verify_lhs_identities`.
     """
-    settings, responses = _alice_table(cert.alice, alice_settings)
-    return float(verify_lhs_identities(rho_ab, cert.weights, responses, cert.bob, settings))
+    settings = validate_projectors(alice_settings)
+    return float(verify_lhs_identities(rho_ab, cert, _alice_table(cert.alice, settings), settings))
 
 
-def verify_lhs_identities(rho_ab: DensityMatrix, weights, responses, bob, projectors):
+def verify_lhs_identities(rho_ab: DensityMatrix, cert: FiniteModel, responses, projectors):
     """Steered-state decomposition residuals, one per state of a stack.
 
-    ``rho_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
-    Alice's Born table ``responses`` (..., S, A, Xi) at the settings
-    ``projectors`` (..., S, A, d_a, d_a), and Bob's hidden qubits ``bob``
-    (..., Xi, 2, 2) each carry the state's leading axes.  All steered
-    states come from one contraction over the settings' stack.  Returns
-    the max-abs entry difference per state.
+    ``rho_ab`` holds one state or a stack of T, and the certificate
+    ``cert``, Alice's Born table ``responses`` (..., S, A, Xi) at the
+    settings ``projectors`` (..., S, A, d_a, d_a) and the projectors
+    themselves carry the state's leading axes.  All steered states come
+    from one contraction over the settings' stack.  Returns the max-abs
+    entry difference per state.
     """
     if rho_ab.d_b != 2:
         raise ValueError(f"certificate targets a qubit on Bob's side, got {rho_ab.d_b}")
     lhs = conditional_states(rho_ab, projectors)
-    coef = responses * weights[..., None, None, :]
-    rhs = np.einsum("...sax,...xij->...saij", coef, bob)
+    coef = responses * cert.weights[..., None, None, :]
+    rhs = np.einsum("...sax,...xij->...saij", coef, cert.bob)
     return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
 
 
-def spm_certificate(
-    model_rho: FiniteModel, model_rho_prime: FiniteModel, mu: float
-) -> FiniteModel:
-    """The separable model of the N-mixture of two models.
-
-    Both models need the same weights and the same quantum Bob
-    responses; Alice's may be quantum qubits or Pauli tables.  The
-    result keeps the weights and Bob's responses and gives Alice one
-    hidden qubit per hidden value.
-    """
-    bob = _shared_party(model_rho, model_rho_prime, "bob")
-    alice = _hidden_party(model_rho, model_rho_prime, mu, "alice")
-    return FiniteModel(model_rho.weights, alice, bob)
+def spm_certificate(model_rho: FiniteModel, model_rho_prime: FiniteModel, mu) -> FiniteModel:
+    """The separable model of the N-mixture of two models: :func:`certificate` on side "A"."""
+    return certificate(model_rho, model_rho_prime, mu, "A")
 
 
-def verify_spm_identity(
-    sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: int, seed: int
-) -> float:
-    """Worst-case residual of the separable-model joint probabilities.
+def verify_spm_identity(sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: int, seed):
+    """Worst-case residual of the separable-model joint probabilities, per state.
 
-    Samples ``n_samples`` measurement pairs (per sample a random qubit
-    direction for Alice, then a random orthonormal basis for Bob, so a
-    seed always samples the same measurements), evaluates all
-    n x 2 x d_b joints on both the state and the certificate ensemble in
-    one batch, and returns the largest absolute difference.  The
-    unstacked case of :func:`verify_spm_identities`.
-    """
-    arrays = (cert.weights, cert.alice, cert.bob)
-    return float(verify_spm_identities(sigma_ab, *arrays, n_samples, seed))
-
-
-def verify_spm_identities(sigma_ab: DensityMatrix, weights, alice, bob, n_samples: int, seeds):
-    """Separable-model joint residuals, one per state of a stack.
-
-    ``sigma_ab`` holds one state or a stack of T.  ``weights`` (..., Xi),
-    Alice's hidden qubits ``alice`` (..., Xi, 2, 2) and Bob's states
-    ``bob`` (..., Xi, d_b, d_b) carry the state's leading axes, and
-    ``seeds`` holds one integer measurement seed per state (an int for
-    one state); any other count raises ``ValueError`` before a draw.
-    Each seed draws its own ``n_samples`` pairs; one QR then
-    orthonormalises the bases of all states, and the projectors, joints
-    and certificate tables are built as stacks.
+    ``sigma_ab`` holds one state or a stack of T, whose leading axes the
+    certificate carries, and ``seed`` one integer per state (an int for
+    one state; any other count raises ``ValueError`` before a draw).
+    Each seed samples ``n_samples`` measurement pairs (per sample a
+    random qubit direction for Alice, then a random orthonormal basis
+    for Bob); all n x 2 x d_b joints of the state and the certificate
+    come from stacks, with one QR for all bases.  Returns the largest
+    absolute difference: a float for one state, else an array.
     """
     if sigma_ab.d_a != 2:
         raise ValueError(f"certificate targets a qubit on Alice's side, got {sigma_ab.d_a}")
     if n_samples < 1:
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
     lead, d_b = sigma_ab.mat.shape[:-2], sigma_ab.d_b
-    seeds = [seeds] if np.ndim(seeds) == 0 else seeds
+    seeds = [seed] if np.ndim(seed) == 0 else seed
     n_states = math.prod(lead)
     if len(seeds) != n_states:
         raise ValueError(
             f"need one seed per state, got {len(seeds)} seed(s) for {n_states} state(s)"
         )
-    draws = [pair_draws(n_samples, d_b, _rng(seed)) for seed in seeds]
+    draws = [pair_draws(n_samples, d_b, _rng(s)) for s in seeds]
     directions = np.reshape([d for d, _ in draws], (*lead, n_samples, 3))
     bases = _orthonormal_rows(np.reshape([g for _, g in draws], (*lead, n_samples, d_b, d_b)))
     a_stack = qubit_projectors(directions)
     b_stack = qudit_projectors(bases)
     lhs = born_joints(sigma_ab, a_stack, b_stack)
-    pa = born_probs(a_stack, alice, "certificate")
-    pb = born_probs(b_stack, bob, "certificate")
-    rhs = np.einsum("...x,...nax,...nbx->...nab", weights, pa, pb)
-    return np.abs(lhs - rhs).max(axis=(-3, -2, -1))
+    pa = born_probs(a_stack, cert.alice, "certificate")
+    pb = born_probs(b_stack, cert.bob, "certificate")
+    rhs = np.einsum("...x,...nax,...nbx->...nab", cert.weights, pa, pb)
+    return scalar_or_array(np.abs(lhs - rhs).max(axis=(-3, -2, -1)))
 
 
 def verify_model_identities(rho: DensityMatrix, weights, alice, bob):
@@ -311,13 +304,13 @@ def bob_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     hidden value shares.  Matches the statistics of bob_biased_partner
     exactly.
     """
-    table = np.broadcast_to(biased_probs(c), (model.n_hidden, 3))
+    table = np.broadcast_to(biased_probs(c), (*model.weights.shape, 3))
     return FiniteModel(model.weights, model.alice, table)
 
 
 def alice_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     """Partner model for the Alice-side biased product partner."""
-    table = np.broadcast_to(biased_probs(c), (model.n_hidden, 3))
+    table = np.broadcast_to(biased_probs(c), (*model.weights.shape, 3))
     return FiniteModel(model.weights, table, model.bob)
 
 

@@ -163,7 +163,7 @@ def qudit_projectors(bases) -> np.ndarray:
     conjugate-symmetry defect is at most about 5e-16.
     """
     b = np.asarray(bases, dtype=np.complex128)
-    if b.ndim not in (3, 4) or b.shape[-1] != b.shape[-2]:
+    if b.ndim not in (3, 4) or b.shape[-1] != b.shape[-2] or b.shape[-1] == 0:
         raise ValueError(f"bases must have shape (n, d, d), got {b.shape}")
     _check_finite(b)
     flat = b.reshape(-1, *b.shape[-2:])

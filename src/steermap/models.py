@@ -4,8 +4,11 @@ A model is a finite ensemble: weights over a hidden index plus one
 read-only array per party.  A party is either quantum, an (Xi, d, d)
 stack of response states whose probabilities come from the Born rule,
 or a Pauli table, an (Xi, 3) array of outcome-0 probabilities at the
-x, y, z qubit settings.  Which combination is present decides what the
-model certifies:
+x, y, z qubit settings.  A model may hold one ensemble per trial:
+(..., Xi) weights and (..., Xi, d, d) or (..., Xi, 3) parties.  A party's
+kind is its rank relative to the weights', not its shape: a (T, 3, 3)
+stack of Pauli tables has the shape of three qutrit states.  Which
+combination is present decides what the model certifies:
 
   both parties quantum   -> separable model (SPM)
   only Bob quantum       -> local-hidden-state (LHS) model for Alice's Paulis
@@ -71,11 +74,11 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
 
 
 class FiniteModel(_Frozen):
-    """Finite hidden-variable ensemble: (Xi,) weights plus one array per party.
+    """Finite hidden-variable ensemble: (..., Xi) weights plus one array per party.
 
-    ``alice`` and ``bob`` are each an (Xi, d, d) response-state stack or
-    an (Xi, 3) Pauli table (see the module docstring); build one with
-    :func:`finite_model`.
+    ``alice`` and ``bob`` are each an (..., Xi, d, d) response-state stack
+    or an (..., Xi, 3) Pauli table (see the module docstring), with the
+    leading trial axes of the weights; build one with :func:`finite_model`.
     """
 
     __slots__ = ("weights", "alice", "bob")
@@ -90,7 +93,7 @@ class FiniteModel(_Frozen):
 
     @property
     def n_hidden(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[-1]
 
 
 def finite_model(weights, alice, bob) -> FiniteModel:

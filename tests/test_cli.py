@@ -408,6 +408,28 @@ class TestVerify:
         assert captured.out == ""
         assert "--tol" in captured.err
 
+    def test_exact_identity_gates_pass(self, monkeypatch, capsys):
+        # An anti-Hermitian 1e-3j sigma_x on one hidden qubit leaves every
+        # real Born probability, and so the sampled residual, unchanged:
+        # only the exact operator identity sees it.
+        build = constructions.certificate
+
+        def mutated(*args, **kwargs):
+            cert = build(*args, **kwargs)
+            alice = cert.alice.copy()
+            alice[1, 2] += 1e-3j * np.array([[0, 1], [1, 0]])
+            return constructions.FiniteModel(cert.weights, alice, cert.bob)
+
+        monkeypatch.setattr(constructions, "certificate", mutated)
+        rc = cli.main(["verify", "spm", "--trials", "3", "--dims", "2x3", "--seed", "5"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert rc == 4 and report["pass"] is False
+        assert report["max_residual"] <= 1e-15
+        assert captured.err.startswith("worst trial 1 (state seed 2006): mu=")
+        exact = float(captured.err.split("exact residual=")[1])
+        assert 1e-4 < exact <= 1e-3
+
     def test_zero_tol_is_accepted(self, capsys):
         rc = cli.main(["verify", "spm", "--trials", "1", "--tol", "0"])
         assert rc in (0, 4)

@@ -11,8 +11,11 @@ from steermap import mapping, states
 from steermap.states import DensityMatrix
 from steermap.mapping import INV_SQRT3
 from steermap.measurements import (
+    _orthonormal_rows,
+    basis_draws,
     qubit_projectors,
     qudit_measurement,
+    qudit_projectors,
     random_basis,
     validate_projectors,
 )
@@ -225,13 +228,53 @@ class TestStackedCertificates:
         )
         partners = mapping.biased_partner(rho, cs, "A")
         sigma = mapping.mix(rho, partners, mus)
-        residuals = cons.verify_spm_identities(sigma, weights, alice, betas, 20, [7, 8, 9])
+        stacked = FiniteModel(weights, alice, betas)
+        residuals = cons.verify_spm_identity(sigma, stacked, 20, seed=[7, 8, 9])
         for t, seed in enumerate([31, 32, 33]):
             state, model, prime = separable_pair(2, 3, 4, seed, cs[t], prime_side="alice")
             cert = cons.spm_certificate(model, prime, mus[t])
             assert np.array_equal(cert.alice, alice[t])
             single = mapping.mix(state, mapping.biased_partner(state, cs[t], "A"), mus[t])
             assert residuals[t] == cons.verify_spm_identity(single, cert, 20, 7 + t)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["qubits", "pauli-table"])
+    def test_core_stack_equals_each_trial(self, table):
+        # Three hidden values: a stacked (T, 3, 3) Pauli table has the shape
+        # of three qutrit states, and must still be read as a table.
+        mus, cs, seeds = np.array([0.1, 0.3, 0.5]), np.array([0.8, 0.5, 0.1]), [51, 52, 53]
+        draws = basis_draws(3 * 4, 3, np.random.default_rng(54)).reshape(3, 4, 3, 3)
+        settings = qudit_projectors(_orthonormal_rows(draws))
+        tau, weights, alphas, betas = states.random_separables(3, 2, 3, seeds)
+        rho, weights_n, alphas_n, betas_n = states.random_separables(2, 3, 3, seeds)
+        if table:
+            betas, alphas_n = cons.pauli_probs(betas), cons.pauli_probs(alphas_n)
+            assert betas.shape == alphas_n.shape == (3, 3, 3)
+        model_m = FiniteModel(weights, alphas, betas)
+        model_n = FiniteModel(weights_n, alphas_n, betas_n)
+        prime_m = cons.bob_biased_prime_model(model_m, cs)
+        prime_n = cons.alice_biased_prime_model(model_n, cs)
+        assert prime_m.bob.shape == prime_n.alice.shape == (3, 3, 3)
+        pa = born_probs(settings, alphas, "quantum response")
+        lhs = cons.certificate(model_m, prime_m, mus, "B", pa)
+        spm = cons.certificate(model_n, prime_n, mus, "A")
+        assert lhs.bob.shape == spm.alice.shape == (3, 3, 2, 2)
+        for t in range(3):
+            single_m = finite_model(weights[t], alphas[t], betas[t])
+            single_n = finite_model(weights_n[t], alphas_n[t], betas_n[t])
+            cert_m = cons.lhs_certificate(
+                single_m, cons.bob_biased_prime_model(single_m, cs[t]), mus[t], settings[t]
+            )
+            cert_n = cons.spm_certificate(
+                single_n, cons.alice_biased_prime_model(single_n, cs[t]), mus[t]
+            )
+            for stacked, single in ((lhs, cert_m), (spm, cert_n)):
+                for party in ("weights", "alice", "bob"):
+                    assert np.array_equal(getattr(stacked, party)[t], getattr(single, party))
+
+    def test_core_refuses_an_unknown_side(self):
+        _, model, prime = separable_pair(2, 2, 2, seed=55, c=0.2)
+        with pytest.raises(ValueError, match=r"^side must be 'A' or 'B', got 'M'$"):
+            cons.certificate(model, prime, 0.4, "M")
 
     def test_spm_unphysical_names_first_trial(self):
         # Trial 1 is unphysical at xi = 1, trial 2 at xi = 0.
@@ -363,8 +406,8 @@ class TestVerifySpmIdentity:
          (3, [7, 8], "2 seed(s) for 3 state(s)"), (3, [], "0 seed(s) for 3 state(s)")],
     )
     def test_refuses_a_seed_count_other_than_one_per_state(self, monkeypatch, stack, seeds, counts):
-        # The count is checked before any measurement is drawn, through the
-        # unstacked wrapper and through the stacked kernel alike.
+        # The count is checked before any measurement is drawn, for one
+        # state and for a stack alike.
         monkeypatch.setattr(cons, "pair_draws", lambda *args: pytest.fail("drew measurements"))
         rho, weights, alphas, betas = states.random_separables(2, 3, 4, [31, 32, 33])
         arrays = (weights, alphas, betas)
@@ -373,9 +416,7 @@ class TestVerifySpmIdentity:
             arrays = (weights[0], alphas[0], betas[0])
         message = f"^need one seed per state, got {re.escape(counts)}$"
         with pytest.raises(ValueError, match=message):
-            cons.verify_spm_identity(rho, FiniteModel(*arrays), 5, seeds)
-        with pytest.raises(ValueError, match=message):
-            cons.verify_spm_identities(rho, *arrays, 5, seeds)
+            cons.verify_spm_identity(rho, FiniteModel(*arrays), 5, seed=seeds)
 
 
 def spm_residual_reference(sigma, cert, n_samples, seed):

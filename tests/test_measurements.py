@@ -240,6 +240,14 @@ class TestStackedBuilders:
             assert np.array_equal(qubits[t], meas.qubit_projectors(dirs[t]))
             assert np.array_equal(qudits[t], meas.qudit_projectors(bases[t]))
 
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (2, 3, 3, 3, 3), (2, 3, 2), (1, 0, 0), (2, 1, 0, 0)]
+    )
+    def test_qudit_rejects_bad_shape(self, shape):
+        message = rf"^bases must have shape \(n, d, d\), got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            meas.qudit_projectors(np.zeros(shape))
+
     def test_errors_count_bases_across_the_stack(self):
         draws = meas.basis_draws(6, 2, np.random.default_rng(13))
         bases = meas._orthonormal_rows(draws).reshape(2, 3, 2, 2)
