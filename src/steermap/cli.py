@@ -21,25 +21,22 @@ import numpy as np
 
 from . import constructions, mapping, states, witnesses
 from .mapping import INV_SQRT3
-from .measurements import _orthonormal_rows, basis_draws, qudit_projectors
-from .models import FiniteModel, born_probs
+from .models import FiniteModel
 
-LHS_SETTINGS_PER_TRIAL = 20
-SPM_SAMPLES_PER_TRIAL = 50
 ENSEMBLE_SIZE = 4
-# Trial t of a request seeded s samples its state from seed s + 1000 + t
-# (lhs) or s + 2000 + t (spm), and spm's measurements from s + 3000 + t.
-LHS_STATE_SEED = 1000
-SPM_STATE_SEED = 2000
-SPM_SAMPLE_SEED = 3000
 # verify runs its trials, and demo-werner its grid points, in blocks of these
 # sizes, each one stacked pass per stage, so memory does not grow with the run;
 # demo-werner writes each block before it makes the next.
 VERIFY_BLOCK = 8
 WERNER_BLOCK = 1024
 
-# Map M mixes with a partner biased on Bob's qubit, map N on Alice's.
+# Map M mixes with a partner biased on Bob's qubit, map N on Alice's; verify
+# checks map M's certificate (lhs) or map N's (spm).
 PARTNER_SIDE = {"M": "B", "N": "A"}
+VERIFY_SIDE = {"lhs": "B", "spm": "A"}
+# Trial t of a verify request seeded s samples its state from seed
+# s + 1000 + t (lhs) or s + 2000 + t (spm).
+STATE_SEED = {"B": 1000, "A": 2000}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -126,74 +123,41 @@ def _sample_params(rng: np.random.Generator) -> tuple[float, float]:
     return mu, c
 
 
-def _run_blocks(trials: int, seed: int, run_block):
-    """Sampled and exact residuals, mu and c of every trial, from ``run_block(rng, block)``.
+def _verify_block(side: str, dims, seeds, mu, c) -> np.ndarray:
+    """Exact operator residuals of one block of trials, mixed on ``side``.
 
-    ``run_block`` returns a block's mixed states, certificates, sampled
-    residuals, mu and c; the exact residuals are the certificates'
-    operator identities.  The blocks hold VERIFY_BLOCK trials each and
-    share the request RNG in trial order.  A block's arrays are freed
-    before the next is built.
+    Trial t samples its separable state from ``seeds[t]``, builds the
+    certificate of its mixture at ``(mu[t], c[t])`` and compares it with
+    the mixed state itself (:func:`constructions.verify_model_identities`).
+    """
+    tau, *arrays = states.random_separables(*dims, ENSEMBLE_SIZE, seeds)
+    model = FiniteModel(*arrays)
+    if side == "B":
+        prime = constructions.bob_biased_prime_model(model, c)
+    else:
+        prime = constructions.alice_biased_prime_model(model, c)
+    cert = constructions.certificate(model, prime, mu, side)
+    rho = mapping.mix(tau, mapping.biased_partner(tau, c, side), mu)
+    return constructions.verify_model_identities(rho, cert.weights, cert.alice, cert.bob)
+
+
+def _verify_trials(side: str, dims, trials: int, seed: int, fixed):
+    """Exact residuals, mu and c of every trial, VERIFY_BLOCK trials per block.
+
+    The request RNG draws each trial's (mu, c) in trial order and nothing
+    else, so trial t of seed s is trial 0 of seed s + t at those values.
+    Each block is built and freed in its own call.
     """
     rng = np.random.default_rng(seed)
-    parts = []
+    residuals, mu, c = np.empty(trials), np.empty(trials), np.empty(trials)
     for start in range(0, trials, VERIFY_BLOCK):
-        block = range(start, min(start + VERIFY_BLOCK, trials))
-        mixed, cert, residuals, mu, c = run_block(rng, block)
-        exact = constructions.verify_model_identities(mixed, cert.weights, cert.alice, cert.bob)
-        parts.append((residuals, exact, mu, c))
-    return [np.concatenate(part) for part in zip(*parts)]
-
-
-def _verify_lhs(dims, trials, seed, fixed):
-    """Per-trial sampled and exact residuals, mu and c of the hidden-state construction."""
-    d_a, d_b = dims
-    if d_b != 2:
-        raise ValueError(f"hidden-state verification needs AxB with B=2, got {d_a}x{d_b}")
-
-    def run_block(rng, block):
-        # Per trial, in the order a trial loop draws them: (mu, c), then the
-        # bases' Gaussian matrices, orthonormalised by one QR per block.
-        params, draws = [], []
-        for _ in block:
-            params.append(fixed if fixed else _sample_params(rng))
-            draws.append(basis_draws(LHS_SETTINGS_PER_TRIAL, d_a, rng))
-        mu, c = np.array(params).T
-        tau, *arrays = states.random_separables(
-            d_a, 2, ENSEMBLE_SIZE, [seed + LHS_STATE_SEED + t for t in block]
-        )
-        model = FiniteModel(*arrays)
-        settings = qudit_projectors(_orthonormal_rows(np.stack(draws)))
-        pa = born_probs(settings, model.alice, "quantum response")
-        prime = constructions.bob_biased_prime_model(model, c)
-        cert = constructions.certificate(model, prime, mu, "B", pa)
-        rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
-        return rho, cert, constructions.verify_lhs_identities(rho, cert, pa, settings), mu, c
-
-    return _run_blocks(trials, seed, run_block)
-
-
-def _verify_spm(dims, trials, seed, fixed):
-    """Per-trial sampled and exact residuals, mu and c of the separable construction."""
-    d_a, d_b = dims
-    if d_a != 2:
-        raise ValueError(f"separable verification needs AxB with A=2, got {d_a}x{d_b}")
-
-    def run_block(rng, block):
-        mu, c = np.array([fixed if fixed else _sample_params(rng) for _ in block]).T
-        rho, *arrays = states.random_separables(
-            2, d_b, ENSEMBLE_SIZE, [seed + SPM_STATE_SEED + t for t in block]
-        )
-        model = FiniteModel(*arrays)
-        prime = constructions.alice_biased_prime_model(model, c)
-        cert = constructions.certificate(model, prime, mu, "A")
-        sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
-        residuals = constructions.verify_spm_identity(
-            sigma, cert, SPM_SAMPLES_PER_TRIAL, seed=[seed + SPM_SAMPLE_SEED + t for t in block]
-        )
-        return sigma, cert, residuals, mu, c
-
-    return _run_blocks(trials, seed, run_block)
+        stop = min(start + VERIFY_BLOCK, trials)
+        block = slice(start, stop)
+        params = [fixed if fixed else _sample_params(rng) for _ in range(start, stop)]
+        mu[block], c[block] = np.array(params).T
+        seeds = [seed + STATE_SEED[side] + t for t in range(start, stop)]
+        residuals[block] = _verify_block(side, dims, seeds, mu[block], c[block])
+    return residuals, mu, c
 
 
 def cmd_verify(args) -> int:
@@ -217,26 +181,25 @@ def cmd_verify(args) -> int:
             exc = constructions.UnphysicalHiddenStateError(0, 0, 0, mapping._worst_norm_sq(*fixed))
             print(f"infeasible parameters: {exc}", file=sys.stderr)
             return EXIT_VERIFY
+    side = VERIFY_SIDE[args.target]
+    d_a, d_b = dims
+    if side == "B" and d_b != 2:
+        raise ValueError(f"hidden-state verification needs AxB with B=2, got {d_a}x{d_b}")
+    if side == "A" and d_a != 2:
+        raise ValueError(f"separable verification needs AxB with A=2, got {d_a}x{d_b}")
     try:
-        if args.target == "lhs":
-            residuals, exact, mu, c = _verify_lhs(dims, args.trials, args.seed, fixed)
-            state_seed = args.seed + LHS_STATE_SEED
-        else:
-            residuals, exact, mu, c = _verify_spm(dims, args.trials, args.seed, fixed)
-            state_seed = args.seed + SPM_STATE_SEED
+        residuals, mu, c = _verify_trials(side, dims, args.trials, args.seed, fixed)
     except constructions.UnphysicalHiddenStateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    # A pass needs the sampled identity and the exact operator identity; the
-    # report gives the sampled residual, stderr the first identity that failed.
-    residual = float(np.max(residuals))
-    name, values = ("exact residual", exact) if residual <= args.tol else ("residual", residuals)
-    worst = int(np.argmax(values))
-    passed = bool(values[worst] <= args.tol)
+    # A pass needs every trial's exact operator identity within --tol.
+    worst = int(np.argmax(residuals))
+    residual = float(residuals[worst])
+    passed = residual <= args.tol
     if not passed:
         print(
-            f"worst trial {worst} (state seed {state_seed + worst}): "
-            f"mu={float(mu[worst])!r}, c={float(c[worst])!r}, {name}={float(values[worst])!r}",
+            f"worst trial {worst} (state seed {args.seed + STATE_SEED[side] + worst}): "
+            f"mu={float(mu[worst])!r}, c={float(c[worst])!r}, residual={residual!r}",
             file=sys.stderr,
         )
     report = {

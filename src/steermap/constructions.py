@@ -14,23 +14,19 @@ alone, an LHS certificate is a hidden-state model by construction.
 
 The verifiers recompute both sides of an identity from scratch and
 return the worst residual: the steered states at Alice's settings (map
-M), the joints of sampled measurement pairs (map N) and, for a model
-whose parties are both quantum, the operator identity
+M) and the joints of sampled measurement pairs (map N) of one state,
+and, for a model whose parties are both quantum, the operator identity
 rho = sum_xi w_xi a_xi (x) b_xi itself (:func:`verify_model_identities`),
-which covers every measurement.  Everything is evaluated array-first:
-models, states and projector stacks may carry the same leading trial
-axes, each side of an identity is one contraction over the hidden index
-and the state tensor, and a stack gives one residual per state.
-``verify`` builds and checks a block of trials in one call per stage.
+which covers every measurement.  Models and states may carry leading
+trial axes, and each side of an identity is one contraction over the
+hidden index and the state tensor.  ``verify`` builds a block of trials
+in one call per stage and checks it by its operator identities alone.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linalg import scalar_or_array
 from .measurements import (
     _orthonormal_rows,
     pair_draws,
@@ -192,30 +188,16 @@ def verify_lhs_identity(rho_ab: DensityMatrix, cert: FiniteModel, alice_settings
     state of ``rho_ab`` against the certificate's weighted hidden-state
     sum, with Alice's Born table taken from ``cert.alice`` at those
     settings; returns the max-abs entry difference over all of them.
-    ``alice_settings`` is checked as in :func:`lhs_certificate`; for
-    settings that are already checked and a stacked certificate, see
-    :func:`verify_lhs_identities`.
+    ``alice_settings`` is checked as in :func:`lhs_certificate`, and all
+    steered states come from one contraction over its stack.
     """
     settings = validate_projectors(alice_settings)
-    return float(verify_lhs_identities(rho_ab, cert, _alice_table(cert.alice, settings), settings))
-
-
-def verify_lhs_identities(rho_ab: DensityMatrix, cert: FiniteModel, responses, projectors):
-    """Steered-state decomposition residuals, one per state of a stack.
-
-    ``rho_ab`` holds one state or a stack of T, and the certificate
-    ``cert``, Alice's Born table ``responses`` (..., S, A, Xi) at the
-    settings ``projectors`` (..., S, A, d_a, d_a) and the projectors
-    themselves carry the state's leading axes.  All steered states come
-    from one contraction over the settings' stack.  Returns the max-abs
-    entry difference per state.
-    """
+    responses = _alice_table(cert.alice, settings)
     if rho_ab.d_b != 2:
         raise ValueError(f"certificate targets a qubit on Bob's side, got {rho_ab.d_b}")
-    lhs = conditional_states(rho_ab, projectors)
-    coef = responses * cert.weights[..., None, None, :]
-    rhs = np.einsum("...sax,...xij->...saij", coef, cert.bob)
-    return np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
+    lhs = conditional_states(rho_ab, settings)
+    rhs = np.einsum("sax,xij->saij", responses * cert.weights, cert.bob)
+    return float(np.abs(lhs - rhs).max())
 
 
 def spm_certificate(model_rho: FiniteModel, model_rho_prime: FiniteModel, mu) -> FiniteModel:
@@ -223,39 +205,29 @@ def spm_certificate(model_rho: FiniteModel, model_rho_prime: FiniteModel, mu) ->
     return certificate(model_rho, model_rho_prime, mu, "A")
 
 
-def verify_spm_identity(sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: int, seed):
-    """Worst-case residual of the separable-model joint probabilities, per state.
+def verify_spm_identity(sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: int, seed) -> float:
+    """Worst-case residual of the separable-model joint probabilities of one state.
 
-    ``sigma_ab`` holds one state or a stack of T, whose leading axes the
-    certificate carries, and ``seed`` one integer per state (an int for
-    one state; any other count raises ``ValueError`` before a draw).
-    Each seed samples ``n_samples`` measurement pairs (per sample a
-    random qubit direction for Alice, then a random orthonormal basis
-    for Bob); all n x 2 x d_b joints of the state and the certificate
-    come from stacks, with one QR for all bases.  Returns the largest
-    absolute difference: a float for one state, else an array.
+    The integer ``seed`` samples ``n_samples`` measurement pairs (per
+    sample a random qubit direction for Alice, then a random orthonormal
+    basis for Bob); all n x 2 x d_b joints of the state and the
+    certificate come from stacks, with one QR for all bases.  Returns the
+    largest absolute difference.
     """
     if sigma_ab.d_a != 2:
         raise ValueError(f"certificate targets a qubit on Alice's side, got {sigma_ab.d_a}")
+    if sigma_ab.mat.ndim != 2:
+        raise ValueError(f"need one state, got a stack of shape {sigma_ab.mat.shape[:-2]}")
     if n_samples < 1:
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
-    lead, d_b = sigma_ab.mat.shape[:-2], sigma_ab.d_b
-    seeds = [seed] if np.ndim(seed) == 0 else seed
-    n_states = math.prod(lead)
-    if len(seeds) != n_states:
-        raise ValueError(
-            f"need one seed per state, got {len(seeds)} seed(s) for {n_states} state(s)"
-        )
-    draws = [pair_draws(n_samples, d_b, _rng(s)) for s in seeds]
-    directions = np.reshape([d for d, _ in draws], (*lead, n_samples, 3))
-    bases = _orthonormal_rows(np.reshape([g for _, g in draws], (*lead, n_samples, d_b, d_b)))
+    directions, draws = pair_draws(n_samples, sigma_ab.d_b, _rng(seed))
     a_stack = qubit_projectors(directions)
-    b_stack = qudit_projectors(bases)
+    b_stack = qudit_projectors(_orthonormal_rows(draws))
     lhs = born_joints(sigma_ab, a_stack, b_stack)
     pa = born_probs(a_stack, cert.alice, "certificate")
     pb = born_probs(b_stack, cert.bob, "certificate")
-    rhs = np.einsum("...x,...nax,...nbx->...nab", cert.weights, pa, pb)
-    return scalar_or_array(np.abs(lhs - rhs).max(axis=(-3, -2, -1)))
+    rhs = np.einsum("x,nax,nbx->nab", cert.weights, pa, pb)
+    return float(np.abs(lhs - rhs).max())
 
 
 def verify_model_identities(rho: DensityMatrix, weights, alice, bob):

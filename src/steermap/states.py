@@ -70,9 +70,6 @@ class BlochVector(NamedTuple):
     def norm_sq(self) -> float:
         return self.rx * self.rx + self.ry * self.ry + self.rz * self.rz
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz])
-
 
 class _Frozen:
     """Base of the array-holding value classes: fields set once, never reassigned.
@@ -413,7 +410,7 @@ def state_from_json(text: str) -> DensityMatrix:
     try:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except OverflowError:  # a JSON integer too large for a float
+    except (OverflowError, ValueError):  # too large for a float; ragged or > 64 deep
         raise ValueError(not_numbers) from None
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError(

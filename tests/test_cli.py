@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steermap import cli, constructions, linalg, mapping, measurements, states
+from steermap import cli, constructions, linalg, mapping, states
 from steermap.mapping import INV_SQRT3
 from steermap.states import make_density, random_pure, state_to_json, werner
 
@@ -272,29 +272,6 @@ class TestEigenCounts:
         assert counts == [5, 4, 4, 8, 12]
 
 
-class TestQrCounts:
-    """verify orthonormalises the random bases of a block with one QR."""
-
-    @pytest.mark.parametrize("target, dims", [("lhs", "3x2"), ("spm", "2x3")])
-    def test_one_qr_per_block(self, monkeypatch, capsys, target, dims):
-        calls = []
-        real_qr = measurements._orthonormal_rows
-
-        def counted_qr(g):
-            calls.append(np.shape(g))
-            return real_qr(g)
-
-        for module in (measurements, constructions, cli):
-            monkeypatch.setattr(module, "_orthonormal_rows", counted_qr)
-        counts = []
-        for trials in ("1", "8", "9"):
-            calls.clear()
-            assert cli.main(["verify", target, "--dims", dims, "--trials", trials]) == 0
-            assert json.loads(capsys.readouterr().out)["pass"] is True
-            counts.append(len(calls))
-        assert counts == [1, 1, 2]
-
-
 class TestRegion:
     def test_csv_contract(self, tmp_path):
         out = tmp_path / "region.csv"
@@ -410,8 +387,8 @@ class TestVerify:
 
     def test_exact_identity_gates_pass(self, monkeypatch, capsys):
         # An anti-Hermitian 1e-3j sigma_x on one hidden qubit leaves every
-        # real Born probability, and so the sampled residual, unchanged:
-        # only the exact operator identity sees it.
+        # real Born probability, and so any sampled joint, unchanged: only
+        # the exact operator identity sees it, and it is what verify reports.
         build = constructions.certificate
 
         def mutated(*args, **kwargs):
@@ -425,10 +402,10 @@ class TestVerify:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert rc == 4 and report["pass"] is False
-        assert report["max_residual"] <= 1e-15
+        assert 1e-4 < report["max_residual"] <= 1e-3
         assert captured.err.startswith("worst trial 1 (state seed 2006): mu=")
-        exact = float(captured.err.split("exact residual=")[1])
-        assert 1e-4 < exact <= 1e-3
+        residual = float(captured.err.split("residual=")[1])
+        assert report["max_residual"] == float(f"{residual:.12g}")
 
     def test_zero_tol_is_accepted(self, capsys):
         rc = cli.main(["verify", "spm", "--trials", "1", "--tol", "0"])

@@ -451,6 +451,22 @@ class TestJson:
         with pytest.raises(ValueError, match="dims"):
             state_from_json('{"dims": [2], "re": [[1]], "im": [[0]]}')
 
+    @pytest.mark.parametrize("case", ["ragged", "65-deep"])
+    def test_rejects_ragged_and_deep_arrays_in_its_own_words(self, case):
+        # numpy refuses both with its own wording, which differs between
+        # numpy versions; the loader must name the fields instead.
+        import json
+
+        entries = [[1, 0], [0]]
+        if case == "65-deep":
+            entries = 0.0
+            for _ in range(65):
+                entries = [entries]
+        payload = json.dumps({"dims": [2, 2], "re": entries, "im": entries})
+        with pytest.raises(ValueError) as info:
+            state_from_json(payload)
+        assert str(info.value) == "'re'/'im' must be 2-D arrays of numbers"
+
     def test_non_finite_state_is_not_serialized(self):
         # DensityMatrix bypasses make_density here on purpose: whatever
         # slips past validation must not come out as non-standard JSON.

@@ -1,46 +1,54 @@
-"""Block-stacked ``verify`` against the per-trial loop it replaced.
+"""Block-stacked ``verify`` against a per-trial loop.
 
-``reference_lhs`` and ``reference_spm`` are the bodies ``verify`` ran
-before its trials were stacked: one trial at a time through the public
-single-trial functions, each trial drawing from its own streams.  The
-stacked CLI must print byte-identical reports, name the reference's
-worst trial when it fails, and keep its eigendecomposition count and
-memory per block rather than per trial.
+``reference_lhs`` and ``reference_spm`` check one trial at a time
+through the public single-trial functions: the certificate from
+``lhs_certificate`` or ``spm_certificate``, checked by its exact
+operator identity.  The request RNG draws (mu, c) in trial order, and
+each trial's state comes from its own seed.  The stacked CLI must print
+byte-identical reports, name the reference's worst trial when it fails,
+and keep its eigendecomposition count and memory per block rather than
+per trial.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from steermap import cli, constructions, mapping, models, states
-from steermap.measurements import _orthonormal_rows, basis_draws, pair_draws, qudit_projectors
+from steermap.measurements import pair_draws, pauli_projectors, qudit_measurement
+
+
+def exact_residual(rho, cert):
+    return float(constructions.verify_model_identities(rho, cert.weights, cert.alice, cert.bob))
 
 
 def reference_lhs(dims, trials, seed, fixed):
-    """Per-trial residuals and (mu, c) of the hidden-state verification loop."""
+    """Per-trial exact residuals and (mu, c) of the hidden-state verification loop."""
     d_a, _ = dims
     rng = np.random.default_rng(seed)
+    # Alice's settings only name an unphysical hidden state's setting.
+    settings = [qudit_measurement(np.eye(d_a))]
     out = []
     for trial in range(trials):
         tau, ensemble = states.random_separable(d_a, 2, cli.ENSEMBLE_SIZE, seed + 1000 + trial)
         model_tau = models.model_from_separable(ensemble)
         mu, c = fixed if fixed else cli._sample_params(rng)
         model_prime = constructions.bob_biased_prime_model(model_tau, c)
-        draws = basis_draws(cli.LHS_SETTINGS_PER_TRIAL, d_a, rng)
-        settings = qudit_projectors(_orthonormal_rows(draws))
         cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
         rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
-        out.append((constructions.verify_lhs_identity(rho, cert, settings), mu, c))
+        out.append((exact_residual(rho, cert), mu, c))
     return out
 
 
 def reference_spm(dims, trials, seed, fixed):
-    """Per-trial residuals and (mu, c) of the separable verification loop."""
+    """Per-trial exact residuals and (mu, c) of the separable verification loop."""
     _, d_b = dims
     rng = np.random.default_rng(seed)
     out = []
@@ -51,10 +59,7 @@ def reference_spm(dims, trials, seed, fixed):
         model_prime = constructions.alice_biased_prime_model(model_rho, c)
         cert = constructions.spm_certificate(model_rho, model_prime, mu)
         sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
-        residual = constructions.verify_spm_identity(
-            sigma, cert, cli.SPM_SAMPLES_PER_TRIAL, seed + 3000 + trial
-        )
-        out.append((residual, mu, c))
+        out.append((exact_residual(sigma, cert), mu, c))
     return out
 
 
@@ -137,6 +142,91 @@ class TestFailingTrialReport:
             f"worst trial {worst} (state seed {seed + offset + worst}): "
             f"mu={mu!r}, c={c!r}, residual={residuals[worst]!r}\n"
         )
+
+
+WORST_LINE = re.compile(
+    r"worst trial (\d+) \(state seed (\d+)\): mu=(\S+), c=(\S+), residual=(\S+)\n"
+)
+
+
+def worst_line(argv):
+    code, _, err = run_verify(argv)
+    assert code == 4
+    match = WORST_LINE.fullmatch(err)
+    assert match, err
+    trial, state_seed, mu, c, residual = match.groups()
+    return int(trial), int(state_seed), float(mu), float(c), residual
+
+
+class TestReproduceFromReport:
+    """A failing trial is re-run alone from its stderr line."""
+
+    @pytest.mark.parametrize("target, dims", [("lhs", "3x2"), ("spm", "2x3")])
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_worst_trial_reruns_alone(self, target, dims, seed):
+        base = [target, "--dims", dims, "--tol", "0"]
+        trial, state_seed, mu, c, residual = worst_line(
+            base + ["--trials", str(2 * cli.VERIFY_BLOCK + 1), "--seed", str(seed)]
+        )
+        again = worst_line(base + ["--trials", "1", "--seed", str(seed + trial),
+                                   "--mu", repr(mu), "--c", repr(c)])
+        assert again == (0, state_seed, mu, c, residual)
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_both_targets_draw_the_same_params(self, monkeypatch, seed):
+        # The request RNG draws (mu, c) per trial and nothing else.
+        trials = cli.VERIFY_BLOCK + 1
+        rng = np.random.default_rng(seed)
+        params = [cli._sample_params(rng) for _ in range(trials)]
+        sample = cli._sample_params
+
+        def recorded(rng):
+            drawn.append(sample(rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "_sample_params", recorded)
+        for target, dims in (("lhs", "2x2"), ("spm", "2x2")):
+            drawn = []
+            trial, _, mu, c, _ = worst_line(
+                [target, "--dims", dims, "--trials", str(trials), "--seed", str(seed),
+                 "--tol", "0"]
+            )
+            assert drawn == params
+            assert (mu, c) == params[trial]
+
+
+SAMPLED_CHECK = ("verify_spm_identity", "verify_lhs_identity", "pair_draws", "basis_draws",
+                 "_orthonormal_rows", "qudit_projectors")
+
+
+class TestExactCheckOnly:
+    @pytest.mark.parametrize("target, dims", [("lhs", "4x2"), ("spm", "2x4")])
+    def test_no_sampled_check_and_one_identity_per_block(self, monkeypatch, target, dims):
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[0]))
+                return real(*args, **kwargs)
+            return wrapper
+
+        names = (*SAMPLED_CHECK, "born_probs", "verify_model_identities")
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("steermap"):
+                for name in names:
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for trials, blocks in ((1, 1), (cli.VERIFY_BLOCK, 1), (2 * cli.VERIFY_BLOCK + 1, 3)):
+            calls.clear()
+            code, out, _ = run_verify([target, "--dims", dims, "--trials", str(trials)])
+            assert code == 0 and json.loads(out)["pass"] is True
+            called = [name for name, _ in calls]
+            assert not set(called) & set(SAMPLED_CHECK)
+            assert called.count("verify_model_identities") == blocks
+            # The one Born table per block is the certificate builder's read
+            # of the mixed party's Pauli probabilities, not a sampled check.
+            assert called.count("born_probs") == blocks
+            assert all(arg is pauli_projectors() for name, arg in calls if name == "born_probs")
 
 
 class ZeroFirstDirection:
