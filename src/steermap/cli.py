@@ -117,10 +117,15 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _sample_params(rng: np.random.Generator) -> tuple[float, float]:
-    mu = float(rng.uniform(0.0, INV_SQRT3))
-    c = float(rng.uniform(0.0, 1.0)) * mapping.analytic_c_max(mu)
-    return mu, c
+def _sample_params(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` trials' (mu, c): mu uniform in [0, 1/sqrt(3)], c uniform in [0, c_max(mu)].
+
+    One draw of n (mu, u) rows, c = u c_max(mu): the values, and the
+    generator state after, of n draws of one row each.  A uniform draw
+    on [0, h) is h times a ``random()`` draw, bit for bit.
+    """
+    mu, u = (rng.random((n, 2)) * (INV_SQRT3, 1.0)).T
+    return mu, u * mapping.analytic_c_max(mu)
 
 
 def _verify_block(side: str, dims, seeds, mu, c) -> np.ndarray:
@@ -144,18 +149,18 @@ def _verify_block(side: str, dims, seeds, mu, c) -> np.ndarray:
 def _verify_trials(side: str, dims, trials: int, seed: int, fixed):
     """Exact residuals, mu and c of every trial, VERIFY_BLOCK trials per block.
 
-    The request RNG draws each trial's (mu, c) in trial order and nothing
-    else, so trial t of seed s is trial 0 of seed s + t at those values.
-    Each block is built and freed in its own call.
+    The request RNG draws each trial's (mu, c) in trial order, one call
+    per block, and nothing else, so trial t of seed s is trial 0 of seed
+    s + t at those values.  Each block is built and freed in its own call.
     """
     rng = np.random.default_rng(seed)
     residuals, mu, c = np.empty(trials), np.empty(trials), np.empty(trials)
+    first = seed + STATE_SEED[side]
     for start in range(0, trials, VERIFY_BLOCK):
         stop = min(start + VERIFY_BLOCK, trials)
         block = slice(start, stop)
-        params = [fixed if fixed else _sample_params(rng) for _ in range(start, stop)]
-        mu[block], c[block] = np.array(params).T
-        seeds = [seed + STATE_SEED[side] + t for t in range(start, stop)]
+        mu[block], c[block] = fixed if fixed else _sample_params(rng, stop - start)
+        seeds = range(first + start, first + stop)
         residuals[block] = _verify_block(side, dims, seeds, mu[block], c[block])
     return residuals, mu, c
 

@@ -66,12 +66,23 @@ def _quantum(model: FiniteModel, party: np.ndarray) -> bool:
     return party.ndim == model.weights.ndim + 2
 
 
+def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of |a - b|; 0, without the subtraction, for one finite array passed as both."""
+    if a is b and np.isfinite(a).all():
+        return 0.0
+    return float(np.max(np.abs(a - b)))
+
+
 def _shared_party(model: FiniteModel, model_prime: FiniteModel, side: str) -> np.ndarray:
-    """The quantum responses that both models share on ``side``, with their weights."""
+    """The quantum responses that both models share on ``side``, with their weights.
+
+    A partner that reuses the base model's arrays, as the biased prime
+    models do, is not compared entry by entry with itself.
+    """
     if model.weights.shape != model_prime.weights.shape:
         sizes = f"{model.weights.shape} vs {model_prime.weights.shape}"
         raise ValueError(f"models disagree on ensemble size: weights {sizes}")
-    dev = float(np.max(np.abs(model.weights - model_prime.weights)))
+    dev = _max_dev(model.weights, model_prime.weights)
     if dev > WEIGHT_TOL:
         raise ValueError(f"models must share hidden-variable weights (max dev {dev:.3e})")
     party, party_prime = getattr(model, side), getattr(model_prime, side)
@@ -80,7 +91,7 @@ def _shared_party(model: FiniteModel, model_prime: FiniteModel, side: str) -> np
         raise ValueError(f"{kind} construction needs quantum {side.capitalize()} responses")
     if party_prime.shape != party.shape:
         raise ValueError(f"{side} responses differ in shape: {party.shape} vs {party_prime.shape}")
-    dev = float(np.max(np.abs(party - party_prime)))
+    dev = _max_dev(party, party_prime)
     if not dev <= WEIGHT_TOL:
         raise ValueError(f"{side} responses differ (max dev {dev:.3e})")
     return party
@@ -101,9 +112,9 @@ def hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
     m = np.asarray(mu, dtype=float)[..., None, None]
     bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
     norm_sq = np.einsum("...xk,...xk->...x", bloch, bloch)
-    bad = np.argwhere(norm_sq > 1.0 + PHYS_TOL)
-    if len(bad):
-        *trial, xi = (int(i) for i in bad[0])
+    over = norm_sq > 1.0 + PHYS_TOL
+    if over.any():
+        *trial, xi = (int(i) for i in np.argwhere(over)[0])
         setting, outcome = "xyz", -1
         if responses is not None:
             setting = 0

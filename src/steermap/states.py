@@ -332,12 +332,13 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
         draws.append(rng.standard_normal((k, 2 * d_a + 2 * d_b)))
     if not weights:
         raise ValueError("need at least one seed")
-    weights = np.array(weights)
+    weights, draws = np.array(weights), np.array(draws)
     # Row i: real, then imaginary parts of alpha_i's vector, then of beta_i's.
-    re_a, im_a, re_b, im_b = np.split(np.array(draws), np.cumsum([d_a, d_a, d_b]), axis=-1)
-    va, vb = re_a + 1j * im_a, re_b + 1j * im_b
-    va /= np.linalg.norm(va, axis=-1, keepdims=True)
-    vb /= np.linalg.norm(vb, axis=-1, keepdims=True)
+    va = draws[..., :d_a] + 1j * draws[..., d_a : 2 * d_a]
+    vb = draws[..., 2 * d_a : 2 * d_a + d_b] + 1j * draws[..., 2 * d_a + d_b :]
+    for v in (va, vb):
+        # np.linalg.norm's own formula for one axis, without its dispatch.
+        v /= np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1, keepdims=True))
     alphas = va[..., :, None] * va.conj()[..., None, :]
     betas = vb[..., :, None] * vb.conj()[..., None, :]
     product = (va[..., :, None] * vb[..., None, :]).reshape(len(weights), k, d_a * d_b)

@@ -436,14 +436,18 @@ class TestParserReuse:
         assert not out.exists()
 
     def test_fixed_params_do_not_leak(self, monkeypatch, capsys):
+        # Fixed --mu/--c draw nothing; a sampled run draws once per block.
         sampled = []
         sample = cli._sample_params
-        monkeypatch.setattr(cli, "_sample_params", lambda rng: sampled.append(1) or sample(rng))
-        argv = ["verify", "lhs", "--trials", "2", "--dims", "2x2", "--seed", "3"]
+        monkeypatch.setattr(
+            cli, "_sample_params", lambda rng, n: sampled.append(n) or sample(rng, n)
+        )
+        trials = str(cli.VERIFY_BLOCK + 1)
+        argv = ["verify", "lhs", "--trials", trials, "--dims", "2x2", "--seed", "3"]
         assert cli.main(argv + ["--mu", "0.5", "--c", "0.4"]) == 0
         assert sampled == []
         assert cli.main(argv) == 0
-        assert len(sampled) == 2
+        assert sampled == [cli.VERIFY_BLOCK, 1]
 
     def test_out_does_not_leak(self, tmp_path, capsys):
         out = tmp_path / "region.csv"

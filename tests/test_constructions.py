@@ -768,3 +768,44 @@ class TestPartyKinds:
         cert = cons.spm_certificate(model, prime, 0.4)
         assert cert.bob.shape == (4, 3, 3)
         assert np.array_equal(cert.bob, model.bob)
+
+
+# Per mixed side: the party both models share, and the biased partner's builder.
+SHARED = {"B": ("alice", cons.bob_biased_prime_model), "A": ("bob", cons.alice_biased_prime_model)}
+
+
+class TestSharedParty:
+    """The builder skips comparing an array with itself, and only that."""
+
+    @pytest.mark.parametrize("side", ["B", "A"])
+    def test_nan_in_a_party_passed_as_both_is_refused(self, side):
+        _, model, _ = separable_pair(2, 2, 4, seed=49, c=0.0)
+        kept, build = SHARED[side]
+        party = getattr(model, kept).copy()
+        party[1, 0, 0] = np.nan
+        bad = FiniteModel(model.weights, **{"alice": model.alice, "bob": model.bob, kept: party})
+        prime = build(bad, 0.3)
+        assert getattr(prime, kept) is party
+        with pytest.raises(ValueError, match=rf"^{kept} responses differ \(max dev nan\)$"):
+            cons.certificate(bad, prime, 0.4, side)
+
+    @pytest.mark.parametrize("side", ["B", "A"])
+    def test_a_shifted_copy_is_compared_and_refused(self, side):
+        _, model, _ = separable_pair(2, 2, 4, seed=50, c=0.0)
+        kept, build = SHARED[side]
+        prime = build(model, 0.3)
+        copy = getattr(model, kept).copy()
+        same = FiniteModel(prime.weights.copy(), **{"alice": prime.alice, "bob": prime.bob,
+                                                    kept: copy})
+        cert, want = (cons.certificate(model, m, 0.4, side) for m in (same, prime))
+        assert np.array_equal(cert.alice, want.alice) and np.array_equal(cert.bob, want.bob)
+        shifted = FiniteModel(prime.weights, **{"alice": prime.alice, "bob": prime.bob,
+                                                kept: copy + 1e-9})
+        with pytest.raises(ValueError, match=rf"^{kept} responses differ \(max dev 1\.000e-09\)$"):
+            cons.certificate(model, shifted, 0.4, side)
+
+    def test_shifted_weights_are_refused(self):
+        _, model, prime = separable_pair(2, 2, 4, seed=51, c=0.3)
+        shifted = FiniteModel(model.weights + 1e-9, prime.alice, prime.bob)
+        with pytest.raises(ValueError, match=r"^models must share hidden-variable weights"):
+            cons.certificate(model, shifted, 0.4, "B")

@@ -187,6 +187,25 @@ class TestValidateStates:
             assert info.value.invariant == "finite entries" and info.value.state == 0
 
 
+def split_and_norm_separables(d_a, d_b, k, seeds):
+    """random_separables' mixtures, weights and members, built with np.split and np.linalg.norm."""
+    weights, draws = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        weights.append(rng.dirichlet(np.ones(k)))
+        draws.append(rng.standard_normal((k, 2 * d_a + 2 * d_b)))
+    weights = np.array(weights)
+    re_a, im_a, re_b, im_b = np.split(np.array(draws), np.cumsum([d_a, d_a, d_b]), axis=-1)
+    va, vb = re_a + 1j * im_a, re_b + 1j * im_b
+    va /= np.linalg.norm(va, axis=-1, keepdims=True)
+    vb /= np.linalg.norm(vb, axis=-1, keepdims=True)
+    alphas = va[..., :, None] * va.conj()[..., None, :]
+    betas = vb[..., :, None] * vb.conj()[..., None, :]
+    product = (va[..., :, None] * vb[..., None, :]).reshape(len(weights), k, d_a * d_b)
+    mat = (weights[..., None] * product).swapaxes(-1, -2) @ product.conj()
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0, weights, alphas, betas
+
+
 class TestRandomSeparables:
     @pytest.mark.parametrize("dims", [(2, 2), (4, 2), (2, 3), (2, 4)])
     def test_each_seed_matches_random_separable(self, dims):
@@ -201,6 +220,18 @@ class TestRandomSeparables:
                 assert w == weights[t, xi]
                 assert np.array_equal(alpha, alphas[t, xi])
                 assert np.array_equal(beta, betas[t, xi])
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_draws_match_a_split_and_norm_reference(self, k):
+        # Vectors sliced from each seed's draws and normalised with
+        # np.linalg.norm's own formula: bit-equal to calling it.
+        for d_a in (2, 3, 4):
+            for d_b in (2, 3, 4):
+                for seeds in ([0], [5, 17, 3], range(40, 49)):
+                    got = states.random_separables(d_a, d_b, k, seeds)
+                    want = split_and_norm_separables(d_a, d_b, k, seeds)
+                    for a, b in zip((got[0].mat, *got[1:]), want):
+                        assert np.array_equal(a, b), (d_a, d_b, k, list(seeds))
 
     def test_output_passes_make_density(self):
         # The mixtures skip validation; every one of them must still pass it.

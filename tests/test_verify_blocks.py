@@ -29,6 +29,19 @@ def exact_residual(rho, cert):
     return float(constructions.verify_model_identities(rho, cert.weights, cert.alice, cert.bob))
 
 
+def draw_one(rng):
+    """One trial's (mu, c) as floats: a block draw of one trial."""
+    mu, c = cli._sample_params(rng, 1)
+    return float(mu[0]), float(c[0])
+
+
+def scalar_params(rng):
+    """One trial's (mu, c) from two scalar draws: mu, then c's fraction of c_max(mu)."""
+    mu = float(rng.uniform(0.0, mapping.INV_SQRT3))
+    c = float(rng.uniform(0.0, 1.0)) * mapping.analytic_c_max(mu)
+    return mu, c
+
+
 def reference_lhs(dims, trials, seed, fixed):
     """Per-trial exact residuals and (mu, c) of the hidden-state verification loop."""
     d_a, _ = dims
@@ -39,7 +52,7 @@ def reference_lhs(dims, trials, seed, fixed):
     for trial in range(trials):
         tau, ensemble = states.random_separable(d_a, 2, cli.ENSEMBLE_SIZE, seed + 1000 + trial)
         model_tau = models.model_from_separable(ensemble)
-        mu, c = fixed if fixed else cli._sample_params(rng)
+        mu, c = fixed if fixed else draw_one(rng)
         model_prime = constructions.bob_biased_prime_model(model_tau, c)
         cert = constructions.lhs_certificate(model_tau, model_prime, mu, settings)
         rho = mapping.mix(tau, mapping.biased_partner(tau, c, "B"), mu)
@@ -55,7 +68,7 @@ def reference_spm(dims, trials, seed, fixed):
     for trial in range(trials):
         rho, ensemble = states.random_separable(2, d_b, cli.ENSEMBLE_SIZE, seed + 2000 + trial)
         model_rho = models.model_from_separable(ensemble)
-        mu, c = fixed if fixed else cli._sample_params(rng)
+        mu, c = fixed if fixed else draw_one(rng)
         model_prime = constructions.alice_biased_prime_model(model_rho, c)
         cert = constructions.spm_certificate(model_rho, model_prime, mu)
         sigma = mapping.mix(rho, mapping.biased_partner(rho, c, "A"), mu)
@@ -174,25 +187,43 @@ class TestReproduceFromReport:
 
     @pytest.mark.parametrize("seed", [0, 4, 9])
     def test_both_targets_draw_the_same_params(self, monkeypatch, seed):
-        # The request RNG draws (mu, c) per trial and nothing else.
+        # The request RNG draws (mu, c) once per block and nothing else:
+        # nine trials are a block of eight and a block of one.
         trials = cli.VERIFY_BLOCK + 1
         rng = np.random.default_rng(seed)
-        params = [cli._sample_params(rng) for _ in range(trials)]
+        params = [draw_one(rng) for _ in range(trials)]
         sample = cli._sample_params
 
-        def recorded(rng):
-            drawn.append(sample(rng))
-            return drawn[-1]
+        def recorded(rng, n):
+            mu, c = sample(rng, n)
+            sizes.append(n)
+            drawn.extend(zip(mu.tolist(), c.tolist()))
+            return mu, c
 
         monkeypatch.setattr(cli, "_sample_params", recorded)
         for target, dims in (("lhs", "2x2"), ("spm", "2x2")):
-            drawn = []
+            sizes, drawn = [], []
             trial, _, mu, c, _ = worst_line(
                 [target, "--dims", dims, "--trials", str(trials), "--seed", str(seed),
                  "--tol", "0"]
             )
+            assert sizes == [cli.VERIFY_BLOCK, 1]
             assert drawn == params
             assert (mu, c) == params[trial]
+
+
+class TestBlockDraw:
+    def test_one_block_draw_is_n_scalar_draws(self):
+        # Same values bit for bit, and the generator left in the same state,
+        # so a block's trials draw what a trial-by-trial loop would.
+        for seed in range(200):
+            for n in range(1, cli.VERIFY_BLOCK + 1):
+                block_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                mu, c = cli._sample_params(block_rng, n)
+                assert mu.shape == c.shape == (n,)
+                want = np.array([scalar_params(scalar_rng) for _ in range(n)]).T
+                assert np.array_equal(np.array([mu, c]), want), (seed, n)
+                assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 SAMPLED_CHECK = ("verify_spm_identity", "verify_lhs_identity", "pair_draws", "basis_draws",
