@@ -102,7 +102,7 @@ def cmd_map(args) -> int:
         _atomic_write(args.out, [states.state_to_json(mapping.mix(rho, partner, args.mu))])
     print(f"feasible(mu={args.mu:.12g}, c={args.c:.12g}) = {str(ok).lower()}")
     if not (ok or args.force):
-        if args.mu <= INV_SQRT3:
+        if mapping.feasible(args.mu, 0.0):
             bound = mapping.analytic_c_max(args.mu)
             why = f"c = {args.c:.12g} exceeds c_max = {bound:.12g} at mu = {args.mu:.12g}"
         else:
@@ -136,12 +136,7 @@ def _verify_block(side: str, dims, seeds, mu, c) -> np.ndarray:
     the mixed state itself (:func:`constructions.verify_model_identities`).
     """
     tau, *arrays = states.random_separables(*dims, ENSEMBLE_SIZE, seeds)
-    model = FiniteModel(*arrays)
-    if side == "B":
-        prime = constructions.bob_biased_prime_model(model, c)
-    else:
-        prime = constructions.alice_biased_prime_model(model, c)
-    cert = constructions.certificate(model, prime, mu, side)
+    cert = constructions.certificate(FiniteModel(*arrays), mu, side, constructions.biased_probs(c))
     rho = mapping.mix(tau, mapping.biased_partner(tau, c, side), mu)
     return constructions.verify_model_identities(rho, cert.weights, cert.alice, cert.bob)
 

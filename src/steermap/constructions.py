@@ -1,8 +1,8 @@
 """Hidden-state and separable-model constructions, with numeric checks.
 
-Given a finite model for a state and one for its mixing partner (sharing
-the same hidden-variable weights), :func:`certificate` returns the
-certificate of the mixed state as a :class:`~steermap.models.FiniteModel`.
+Given a finite model for a state and its mixing partner's Pauli table on
+the mixed party, :func:`certificate` returns the certificate of the
+mixed state as a :class:`~steermap.models.FiniteModel`.
 Both maps share this one construction with the parties swapped: the
 certificate keeps the weights and the responses of the party that was
 not mixed, and the other party, Bob's qubit for map M and Alice's for
@@ -10,7 +10,9 @@ map N, gets one hidden qubit per hidden value with Bloch components
 2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z
 (:func:`hidden_bloch`).  Since that qubit depends on the hidden value
 alone, an LHS certificate is a hidden-state model by construction.
-:func:`lhs_certificate` and :func:`spm_certificate` are its two maps.
+:func:`lhs_certificate` and :func:`spm_certificate` are its two maps for
+a partner given as a model, which must share the base model's weights
+and other party and is compared with them entry by entry.
 
 The verifiers recompute both sides of an identity from scratch and
 return the worst residual: the steered states at Alice's settings (map
@@ -66,35 +68,37 @@ def _quantum(model: FiniteModel, party: np.ndarray) -> bool:
     return party.ndim == model.weights.ndim + 2
 
 
-def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entry of |a - b|; 0, without the subtraction, for one finite array passed as both."""
-    if a is b and np.isfinite(a).all():
-        return 0.0
-    return float(np.max(np.abs(a - b)))
+def _parties(model: FiniteModel, side: str) -> tuple[str, str]:
+    """The (mixed, kept) party names of ``side``, once the kept party is checked to be quantum."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    mixed, kept = ("alice", "bob") if side == "A" else ("bob", "alice")
+    if not _quantum(model, getattr(model, kept)):
+        kind = "hidden-state" if kept == "alice" else "separable"
+        raise ValueError(f"{kind} construction needs quantum {kept.capitalize()} responses")
+    return mixed, kept
 
 
-def _shared_party(model: FiniteModel, model_prime: FiniteModel, side: str) -> np.ndarray:
-    """The quantum responses that both models share on ``side``, with their weights.
+def _partner_table(model: FiniteModel, prime: FiniteModel, side: str) -> np.ndarray:
+    """The Pauli table of ``prime`` on the party that ``side`` mixes.
 
-    A partner that reuses the base model's arrays, as the biased prime
-    models do, is not compared entry by entry with itself.
+    The two models must share their weights and the kept party's quantum
+    responses; each is compared entry by entry.
     """
-    if model.weights.shape != model_prime.weights.shape:
-        sizes = f"{model.weights.shape} vs {model_prime.weights.shape}"
+    if model.weights.shape != prime.weights.shape:
+        sizes = f"{model.weights.shape} vs {prime.weights.shape}"
         raise ValueError(f"models disagree on ensemble size: weights {sizes}")
-    dev = _max_dev(model.weights, model_prime.weights)
+    dev = float(np.max(np.abs(model.weights - prime.weights)))
     if dev > WEIGHT_TOL:
         raise ValueError(f"models must share hidden-variable weights (max dev {dev:.3e})")
-    party, party_prime = getattr(model, side), getattr(model_prime, side)
-    if not _quantum(model, party):
-        kind = "hidden-state" if side == "alice" else "separable"
-        raise ValueError(f"{kind} construction needs quantum {side.capitalize()} responses")
+    mixed, kept = _parties(model, side)
+    party, party_prime = getattr(model, kept), getattr(prime, kept)
     if party_prime.shape != party.shape:
-        raise ValueError(f"{side} responses differ in shape: {party.shape} vs {party_prime.shape}")
-    dev = _max_dev(party, party_prime)
+        raise ValueError(f"{kept} responses differ in shape: {party.shape} vs {party_prime.shape}")
+    dev = float(np.max(np.abs(party - party_prime)))
     if not dev <= WEIGHT_TOL:
-        raise ValueError(f"{side} responses differ (max dev {dev:.3e})")
-    return party
+        raise ValueError(f"{kept} responses differ (max dev {dev:.3e})")
+    return _pauli_table(prime, getattr(prime, mixed))
 
 
 def hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
@@ -123,28 +127,25 @@ def hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
     return bloch
 
 
-def certificate(
-    model: FiniteModel, model_prime: FiniteModel, mu, side: str, responses=None
-) -> FiniteModel:
-    """The certificate of the mixture of two models, mixed on party ``side``.
+def certificate(model: FiniteModel, mu, side: str, partner, responses=None) -> FiniteModel:
+    """The certificate of ``model`` mixed on party ``side`` with a partner.
 
     ``side`` is "B" for map M (a hidden-state model) and "A" for map N
     (a separable model), as in :func:`steermap.mapping.biased_partner`.
-    Both models need the same weights and the same quantum responses on
-    the other party; the mixed party's may be qubit states or Pauli
-    tables.  The result keeps the weights and the shared responses and
+    ``partner`` is the partner's Pauli table on the mixed party, (..., Xi, 3)
+    or (..., 1, 3) for one row that every hidden value shares, as
+    :func:`biased_probs` gives.  The other party must hold quantum
+    responses; the mixed party's may be qubit states or a Pauli table.
+    The result keeps the weights and the other party's responses and
     gives the mixed party one read-only hidden qubit per hidden value.
     Models may carry leading trial axes, with ``mu`` a float or one value
     per trial; ``responses`` is as in :func:`hidden_bloch`.
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    mixed, kept = ("alice", "bob") if side == "A" else ("bob", "alice")
-    parties = {kept: _shared_party(model, model_prime, kept)}
-    p0, p0_prime = (_pauli_table(m, getattr(m, mixed)) for m in (model, model_prime))
-    parties[mixed] = hidden_qubits(hidden_bloch(mu, p0, p0_prime, responses))
-    parties[mixed].setflags(write=False)
-    return FiniteModel(model.weights, **parties)
+    mixed, kept = _parties(model, side)
+    p0 = _pauli_table(model, getattr(model, mixed))
+    qubits = hidden_qubits(hidden_bloch(mu, p0, partner, responses))
+    qubits.setflags(write=False)
+    return FiniteModel(model.weights, **{kept: getattr(model, kept), mixed: qubits})
 
 
 def _alice_table(alice: np.ndarray, settings: np.ndarray) -> np.ndarray:
@@ -167,10 +168,9 @@ def lhs_certificate(
     setting and outcome of an :class:`UnphysicalHiddenStateError`.
     """
     settings = validate_projectors(alice_settings)
-    alice = model_tau.alice
-    # A table Alice has no Born table; the builder refuses her by name.
-    responses = _alice_table(alice, settings) if _quantum(model_tau, alice) else None
-    return certificate(model_tau, model_tau_prime, mu, "B", responses)
+    # Refuses a table Alice by name, before her Born table is taken.
+    partner = _partner_table(model_tau, model_tau_prime, "B")
+    return certificate(model_tau, mu, "B", partner, _alice_table(model_tau.alice, settings))
 
 
 def pauli_probs(states) -> np.ndarray:
@@ -213,7 +213,7 @@ def verify_lhs_identity(rho_ab: DensityMatrix, cert: FiniteModel, alice_settings
 
 def spm_certificate(model_rho: FiniteModel, model_rho_prime: FiniteModel, mu) -> FiniteModel:
     """The separable model of the N-mixture of two models: :func:`certificate` on side "A"."""
-    return certificate(model_rho, model_rho_prime, mu, "A")
+    return certificate(model_rho, mu, "A", _partner_table(model_rho, model_rho_prime, "A"))
 
 
 def verify_spm_identity(sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: int, seed) -> float:
@@ -267,9 +267,9 @@ def biased_probs(c) -> np.ndarray:
     """Outcome-0 probabilities (1/2, 1/2, (1 + c)/2) of the biased table at x, y, z.
 
     ``c`` is a float or a (T,) array; the result has shape (1, 3) or
-    (T, 1, 3): one row that every hidden value shares, as in the partner
-    models of :func:`bob_biased_prime_model` and
-    :func:`alice_biased_prime_model`.
+    (T, 1, 3): one row that every hidden value shares, a ``partner`` for
+    :func:`certificate` and the table of the partner models of
+    :func:`bob_biased_prime_model` and :func:`alice_biased_prime_model`.
     """
     check_unit_interval("c", c)
     c = np.asarray(c, dtype=float)

@@ -198,6 +198,24 @@ class TestMap:
         assert cli.main(argv + ["--force"]) == 0
         assert len(calls) == 1
 
+    def test_mu_just_above_inv_sqrt3_is_explained_by_c(self, tmp_path, capsys):
+        # This mu rounds above 1/sqrt(3) yet feasible() admits c = 0 there,
+        # so the explanation is the bound on c, not that no c is admitted.
+        argv = ["map", "--state", str(STATE_DIR / "werner_0.9.json"), "--mode", "M",
+                "--mu", "0.5773502691897259", "--out", str(tmp_path / "m.json")]
+        assert 0.5773502691897259 > INV_SQRT3
+        assert cli.main(argv + ["--c", "0"]) == 0
+        assert capsys.readouterr().out == "feasible(mu=0.57735026919, c=0) = true\n"
+        (tmp_path / "m.json").unlink()
+        assert cli.main(argv + ["--c", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "feasible(mu=0.57735026919, c=0.5) = false\n"
+        assert captured.err == (
+            "infeasible: c = 0.5 exceeds c_max = 0 at mu = 0.57735026919 "
+            "(use --force to map anyway)\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize(
         "extra, message",
         [(["--mu", "1.5"], "mu must be in [0, 1], got 1.5"),
@@ -406,6 +424,18 @@ class TestVerify:
         assert captured.err.startswith("worst trial 1 (state seed 2006): mu=")
         residual = float(captured.err.split("residual=")[1])
         assert report["max_residual"] == float(f"{residual:.12g}")
+
+    @pytest.mark.parametrize("target,dims", [("lhs", "3x2"), ("spm", "2x3")])
+    def test_builds_no_prime_model(self, target, dims, monkeypatch, capsys):
+        # verify hands the builder the partner's Pauli table: no partner
+        # model is built, and none is compared with the base model.
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built or compared a prime model")
+
+        for name in ("bob_biased_prime_model", "alice_biased_prime_model", "_partner_table"):
+            monkeypatch.setattr(constructions, name, refuse)
+        assert cli.main(["verify", target, "--trials", "9", "--dims", dims]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_zero_tol_is_accepted(self, capsys):
         rc = cli.main(["verify", "spm", "--trials", "1", "--tol", "0"])

@@ -233,12 +233,11 @@ class TestStackedCertificates:
             assert betas.shape == alphas_n.shape == (3, 3, 3)
         model_m = FiniteModel(weights, alphas, betas)
         model_n = FiniteModel(weights_n, alphas_n, betas_n)
-        prime_m = cons.bob_biased_prime_model(model_m, cs)
-        prime_n = cons.alice_biased_prime_model(model_n, cs)
-        assert prime_m.bob.shape == prime_n.alice.shape == (3, 3, 3)
+        partner = cons.biased_probs(cs)
+        assert partner.shape == (3, 1, 3)
         pa = born_probs(settings, alphas, "quantum response")
-        lhs = cons.certificate(model_m, prime_m, mus, "B", pa)
-        spm = cons.certificate(model_n, prime_n, mus, "A")
+        lhs = cons.certificate(model_m, mus, "B", partner, pa)
+        spm = cons.certificate(model_n, mus, "A", partner)
         assert lhs.bob.shape == spm.alice.shape == (3, 3, 2, 2)
         for t in range(3):
             single_m = finite_model(weights[t], alphas[t], betas[t])
@@ -254,9 +253,33 @@ class TestStackedCertificates:
                     assert np.array_equal(getattr(stacked, party)[t], getattr(single, party))
 
     def test_core_refuses_an_unknown_side(self):
-        _, model, prime = separable_pair(2, 2, 2, seed=55, c=0.2)
+        _, model, _ = separable_pair(2, 2, 2, seed=55, c=0.2)
         with pytest.raises(ValueError, match=r"^side must be 'A' or 'B', got 'M'$"):
-            cons.certificate(model, prime, 0.4, "M")
+            cons.certificate(model, 0.4, "M", cons.biased_probs(0.2))
+
+    @pytest.mark.parametrize("side", ["B", "A"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    def test_core_with_biased_row_equals_two_model_builders(self, side, stacked):
+        # The (..., 1, 3) row of biased_probs gives, bit for bit, the
+        # certificate that the biased prime model gives the two-model builders.
+        dims = (3, 2) if side == "B" else (2, 3)
+        seeds = [61, 62, 63] if stacked else [61]
+        _, *arrays = states.random_separables(*dims, 4, seeds)
+        if not stacked:
+            arrays = [a[0] for a in arrays]
+        model = FiniteModel(*arrays)
+        mu, c = (np.array([0.1, 0.3, 0.5]), np.array([0.8, 0.5, 0.1])) if stacked else (0.3, 0.5)
+        partner = cons.biased_probs(c)
+        if side == "B":
+            settings = computational_settings(3)
+            responses = born_probs(validate_projectors(settings), model.alice, "quantum response")
+            core = cons.certificate(model, mu, side, partner, responses)
+            want = cons.lhs_certificate(model, cons.bob_biased_prime_model(model, c), mu, settings)
+        else:
+            core = cons.certificate(model, mu, side, partner)
+            want = cons.spm_certificate(model, cons.alice_biased_prime_model(model, c), mu)
+        for party in ("weights", "alice", "bob"):
+            assert np.array_equal(getattr(core, party), getattr(want, party))
 
     def test_spm_unphysical_names_first_trial(self):
         # Trial 1 is unphysical at xi = 1, trial 2 at xi = 0.
@@ -770,42 +793,48 @@ class TestPartyKinds:
         assert np.array_equal(cert.bob, model.bob)
 
 
-# Per mixed side: the party both models share, and the biased partner's builder.
-SHARED = {"B": ("alice", cons.bob_biased_prime_model), "A": ("bob", cons.alice_biased_prime_model)}
+# Per mixed side: the party both models share, the biased partner's builder
+# and the two-model certificate builder.
+SHARED = {
+    "B": ("alice", cons.bob_biased_prime_model,
+          lambda model, prime: cons.lhs_certificate(model, prime, 0.4, computational_settings(2))),
+    "A": ("bob", cons.alice_biased_prime_model,
+          lambda model, prime: cons.spm_certificate(model, prime, 0.4)),
+}
 
 
 class TestSharedParty:
-    """The builder skips comparing an array with itself, and only that."""
+    """The two-model builders compare the partner's weights and kept party entry by entry."""
 
     @pytest.mark.parametrize("side", ["B", "A"])
     def test_nan_in_a_party_passed_as_both_is_refused(self, side):
         _, model, _ = separable_pair(2, 2, 4, seed=49, c=0.0)
-        kept, build = SHARED[side]
+        kept, build, certify = SHARED[side]
         party = getattr(model, kept).copy()
         party[1, 0, 0] = np.nan
         bad = FiniteModel(model.weights, **{"alice": model.alice, "bob": model.bob, kept: party})
         prime = build(bad, 0.3)
         assert getattr(prime, kept) is party
         with pytest.raises(ValueError, match=rf"^{kept} responses differ \(max dev nan\)$"):
-            cons.certificate(bad, prime, 0.4, side)
+            certify(bad, prime)
 
     @pytest.mark.parametrize("side", ["B", "A"])
     def test_a_shifted_copy_is_compared_and_refused(self, side):
         _, model, _ = separable_pair(2, 2, 4, seed=50, c=0.0)
-        kept, build = SHARED[side]
+        kept, build, certify = SHARED[side]
         prime = build(model, 0.3)
         copy = getattr(model, kept).copy()
         same = FiniteModel(prime.weights.copy(), **{"alice": prime.alice, "bob": prime.bob,
                                                     kept: copy})
-        cert, want = (cons.certificate(model, m, 0.4, side) for m in (same, prime))
+        cert, want = (certify(model, m) for m in (same, prime))
         assert np.array_equal(cert.alice, want.alice) and np.array_equal(cert.bob, want.bob)
         shifted = FiniteModel(prime.weights, **{"alice": prime.alice, "bob": prime.bob,
                                                 kept: copy + 1e-9})
         with pytest.raises(ValueError, match=rf"^{kept} responses differ \(max dev 1\.000e-09\)$"):
-            cons.certificate(model, shifted, 0.4, side)
+            certify(model, shifted)
 
     def test_shifted_weights_are_refused(self):
         _, model, prime = separable_pair(2, 2, 4, seed=51, c=0.3)
         shifted = FiniteModel(model.weights + 1e-9, prime.alice, prime.bob)
         with pytest.raises(ValueError, match=r"^models must share hidden-variable weights"):
-            cons.certificate(model, shifted, 0.4, "B")
+            SHARED["B"][2](model, shifted)
