@@ -9,10 +9,11 @@ not mixed, and the other party, Bob's qubit for map M and Alice's for
 map N, gets one hidden qubit per hidden value with Bloch components
 2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z
 (:func:`hidden_bloch`).  Since that qubit depends on the hidden value
-alone, an LHS certificate is a hidden-state model by construction.
-:func:`lhs_certificate` and :func:`spm_certificate` are its two maps for
-a partner given as a model, which must share the base model's weights
-and other party and is compared with them entry by entry.
+alone, an LHS certificate is a hidden-state model by construction, and
+no builder reads Alice's measurements.  :func:`lhs_certificate` and
+:func:`spm_certificate` are its two maps for a partner given as a model,
+which must share the base model's weights and other party and is
+compared with them entry by entry.
 
 The verifiers recompute both sides of an identity from scratch and
 return the worst residual: the steered states at Alice's settings (map
@@ -101,33 +102,29 @@ def _partner_table(model: FiniteModel, prime: FiniteModel, side: str) -> np.ndar
     return _pauli_table(prime, getattr(prime, mixed))
 
 
-def hidden_bloch(mu, p0, p0_prime, responses=None) -> np.ndarray:
+def hidden_bloch(mu, p0, p0_prime) -> np.ndarray:
     """Hidden Bloch vectors 2 (mu p0 + (1 - mu) p0') - 1 of both maps: (..., Xi, 3).
 
     ``p0[..., xi, k]`` is the mixed party's outcome-0 probability at the
     k-th Pauli setting in the base model and ``p0_prime`` the partner's
     (length 1 on the xi axis for a row shared by every hidden value);
     ``mu`` is a float or one value per leading index.  The error names
-    the first unphysical (trial, hidden value); with Alice's
-    ``responses`` (..., S, A, Xi), setting 0 and its first outcome of
-    positive probability, else the settings "xyz" and outcome -1.
+    the first unphysical (trial, hidden value), NaN included, with the
+    settings "xyz" and outcome -1: the hidden qubit depends on the hidden
+    value alone.
     """
     check_unit_interval("mu", mu)
     m = np.asarray(mu, dtype=float)[..., None, None]
     bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
     norm_sq = np.einsum("...xk,...xk->...x", bloch, bloch)
-    over = norm_sq > 1.0 + PHYS_TOL
+    over = ~(norm_sq <= 1.0 + PHYS_TOL)
     if over.any():
         *trial, xi = (int(i) for i in np.argwhere(over)[0])
-        setting, outcome = "xyz", -1
-        if responses is not None:
-            setting = 0
-            outcome = int(np.argmax(responses[(*trial, 0, slice(None), xi)] > 0.0))
-        raise UnphysicalHiddenStateError(xi, setting, outcome, float(norm_sq[(*trial, xi)]))
+        raise UnphysicalHiddenStateError(xi, "xyz", -1, float(norm_sq[(*trial, xi)]))
     return bloch
 
 
-def certificate(model: FiniteModel, mu, side: str, partner, responses=None) -> FiniteModel:
+def certificate(model: FiniteModel, mu, side: str, partner) -> FiniteModel:
     """The certificate of ``model`` mixed on party ``side`` with a partner.
 
     ``side`` is "B" for map M (a hidden-state model) and "A" for map N
@@ -139,21 +136,19 @@ def certificate(model: FiniteModel, mu, side: str, partner, responses=None) -> F
     The result keeps the weights and the other party's responses and
     gives the mixed party one read-only hidden qubit per hidden value.
     Models may carry leading trial axes, with ``mu`` a float or one value
-    per trial; ``responses`` is as in :func:`hidden_bloch`.
+    per trial.
     """
     mixed, kept = _parties(model, side)
     p0 = _pauli_table(model, getattr(model, mixed))
-    qubits = hidden_qubits(hidden_bloch(mu, p0, partner, responses))
+    qubits = hidden_qubits(hidden_bloch(mu, p0, partner))
     qubits.setflags(write=False)
     return FiniteModel(model.weights, **{kept: getattr(model, kept), mixed: qubits})
 
 
-def _alice_table(alice: np.ndarray, settings: np.ndarray) -> np.ndarray:
-    """Alice's Born table P(a | s, xi) at settings that validate_projectors checked."""
-    dim = settings.shape[-1]
-    if alice.shape[-1] != dim:
-        raise ValueError(f"setting dim {dim} != response dim {alice.shape[-1]}")
-    return born_probs(settings, alice, "quantum response")
+def _check_setting_dim(settings: np.ndarray, alice: np.ndarray) -> None:
+    """Refuse settings that validate_projectors checked but that do not fit Alice's dim."""
+    if alice.shape[-1] != settings.shape[-1]:
+        raise ValueError(f"setting dim {settings.shape[-1]} != response dim {alice.shape[-1]}")
 
 
 def lhs_certificate(
@@ -161,16 +156,17 @@ def lhs_certificate(
 ) -> FiniteModel:
     """The hidden-state model of the M-mixture of two models: :func:`certificate` on side "B".
 
-    It holds for every Alice measurement.  ``alice_settings``, an
-    (S, k, d_a, d_a) projector stack (or a sequence of (k, d_a, d_a)
-    measurements) checked by
-    :func:`steermap.measurements.validate_projectors`, only names the
-    setting and outcome of an :class:`UnphysicalHiddenStateError`.
+    It holds for every Alice measurement, since each hidden qubit depends
+    on the hidden value alone.  ``alice_settings``, an (S, k, d_a, d_a)
+    projector stack (or a sequence of (k, d_a, d_a) measurements), is
+    checked by :func:`steermap.measurements.validate_projectors` and
+    against Alice's dim; the certificate does not depend on it.
     """
     settings = validate_projectors(alice_settings)
-    # Refuses a table Alice by name, before her Born table is taken.
+    # Refuses a table Alice by name, before her dim is compared.
     partner = _partner_table(model_tau, model_tau_prime, "B")
-    return certificate(model_tau, mu, "B", partner, _alice_table(model_tau.alice, settings))
+    _check_setting_dim(settings, model_tau.alice)
+    return certificate(model_tau, mu, "B", partner)
 
 
 def pauli_probs(states) -> np.ndarray:
@@ -203,7 +199,8 @@ def verify_lhs_identity(rho_ab: DensityMatrix, cert: FiniteModel, alice_settings
     steered states come from one contraction over its stack.
     """
     settings = validate_projectors(alice_settings)
-    responses = _alice_table(cert.alice, settings)
+    _check_setting_dim(settings, cert.alice)
+    responses = born_probs(settings, cert.alice, "quantum response")
     if rho_ab.d_b != 2:
         raise ValueError(f"certificate targets a qubit on Bob's side, got {rho_ab.d_b}")
     lhs = conditional_states(rho_ab, settings)

@@ -6,14 +6,12 @@ n the outcome-0 projector is (1 + n.sigma)/2, i.e. outcome 0 carries the
 
 Measurements are built in batches: :func:`qubit_projectors` takes an
 ``(n, 3)`` array of directions and :func:`qudit_projectors` an
-``(n, d, d)`` array of bases.  Each builder derives the projector
-invariants from the check it runs on its input, rather than testing its
-own output with the generic products, one batched matmul that serves
-only the stacks a caller hands to :func:`validate_projectors`.  A
-measurement is its read-only ``(k, d, d)`` projector array; the single
-builder :func:`qudit_measurement` is the ``n = 1`` case.  Random bases
-are drawn (:func:`basis_draws`, :func:`pair_draws`) apart from their QR,
-so draws from several streams can share one.
+``(n, d, d)`` array of bases.  Each builder checks its input, then the
+stack it built, with the product checks that :func:`validate_projectors`
+runs on any stack, one batched matmul.  A measurement is its read-only
+``(k, d, d)`` projector array; the single builder
+:func:`qudit_measurement` is the ``n = 1`` case.  Random bases are drawn
+(:func:`basis_draws`, :func:`pair_draws`) apart from their QR.
 """
 
 from __future__ import annotations
@@ -71,12 +69,7 @@ def validate_projectors(projectors) -> np.ndarray:
         "measurement {0}: projector {1} is not Hermitian (defect {defect:.3e})",
         axes=(-2, -1),
     )
-    # Block (i, j) of P_i [P_0 ... P_{k-1}], an (n, k, d, k d) array, is
-    # P_i P_j, which must equal delta_ij P_i.
-    n, k, d = p.shape[:3]
-    products = (p @ p.swapaxes(1, 2).reshape(n, 1, d, k * d)).reshape(n, k, d, k, d)
-    products[:, np.arange(k), :, np.arange(k)] -= p.swapaxes(0, 1)
-    return _checked(p, np.abs(products).max(axis=(2, 4)))
+    return _checked(p)
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -84,17 +77,22 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("projectors have non-finite entries")
 
 
-def _checked(stack: np.ndarray, per_block: np.ndarray) -> np.ndarray:
+def _checked(stack: np.ndarray) -> np.ndarray:
     """The checks of :func:`validate_projectors` after the finite and Hermitian ones.
 
     ``stack`` is a finite Hermitian (n, k, d, d) or (T, n, k, d, d) array
-    that the caller owns; errors count its measurements in C order.
-    ``per_block`` holds the (n, k, k) max-abs entries of the blocks
-    P_i P_j - delta_ij P_i, from the caller's batched products or Gram
-    bound: its diagonal tests idempotence and its strict upper triangle
-    orthogonality.  Returns ``stack`` read-only.
+    that the caller owns; errors count its measurements in C order.  The
+    max-abs entries of the blocks P_i P_j - delta_ij P_i test idempotence
+    (diagonal) and orthogonality (strict upper triangle).  Returns
+    ``stack`` read-only.
     """
     p = stack.reshape(-1, *stack.shape[-3:])
+    # Block (i, j) of P_i [P_0 ... P_{k-1}], an (n, k, d, k d) array, is
+    # P_i P_j, which must equal delta_ij P_i.
+    n, k, d = p.shape[:3]
+    products = (p @ p.swapaxes(1, 2).reshape(n, 1, d, k * d)).reshape(n, k, d, k, d)
+    products[:, np.arange(k), :, np.arange(k)] -= p.swapaxes(0, 1)
+    per_block = np.abs(products).max(axis=(2, 4))
     _check(
         np.diagonal(per_block, axis1=1, axis2=2),
         "measurement {0}: projector {1} is not idempotent (defect {defect:.3e})",
@@ -118,10 +116,9 @@ def qubit_projectors(directions) -> np.ndarray:
 
     Row m of the (n, 3) array ``directions`` must be a unit vector n_m
     (``|norm - 1| <= PROJ_TOL``; NaN and inf fail); measurement m has
-    outcome projectors (1 +- n_m.sigma)/2.  These are Hermitian and sum to
-    the identity by construction, and their idempotency and orthogonality
-    defects are ``|norm^2 - 1| / 4 <= PROJ_TOL``.  A (T, n, 3) stack
-    gives (T, n, 2, 2, 2).
+    outcome projectors (1 +- n_m.sigma)/2, Hermitian by construction and
+    checked as in :func:`validate_projectors`.  A (T, n, 3) stack gives
+    (T, n, 2, 2, 2).
     """
     v = np.asarray(directions, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-1] != 3:
@@ -132,9 +129,7 @@ def qubit_projectors(directions) -> np.ndarray:
         raise ValueError(
             f"direction must be a unit vector (norm {float(norm.flat[off[0]])!r})"
         )
-    stack = hidden_qubits(np.stack((v, -v), axis=-2))
-    stack.setflags(write=False)
-    return stack
+    return _checked(hidden_qubits(np.stack((v, -v), axis=-2)))
 
 
 @functools.cache
@@ -153,14 +148,8 @@ def qudit_projectors(bases) -> np.ndarray:
     projector of measurement m.  Every basis must be finite and
     orthonormal (Gram defect within ``PROJ_TOL``).  A (T, n, d, d) stack
     gives (T, n, d, d, d), validated as one stack (errors count its bases
-    in C order).  The checks and messages are those of
-    :func:`validate_projectors`, but the product defects come from the
-    Gram matrix: block (i, j) of P_i P_j - delta_ij P_i is
-    (G_ij - delta_ij) b_i b_j^dagger, whose max-abs entry is
-    |G_ij - delta_ij| max|b_i| max|b_j|.  Hermiticity is derived: once
-    |G_ii - 1| <= PROJ_TOL, every entry of b_i b_i^dagger is one rounded
-    complex product of entries no larger than about 1, so its
-    conjugate-symmetry defect is at most about 5e-16.
+    in C order).  The projectors b_i b_i^dagger are Hermitian to rounding
+    by construction and checked as in :func:`validate_projectors`.
     """
     b = np.asarray(bases, dtype=np.complex128)
     if b.ndim not in (3, 4) or b.shape[-1] != b.shape[-2] or b.shape[-1] == 0:
@@ -169,11 +158,7 @@ def qudit_projectors(bases) -> np.ndarray:
     flat = b.reshape(-1, *b.shape[-2:])
     gram = np.abs(flat.conj() @ flat.swapaxes(-1, -2) - np.eye(b.shape[-1]))
     _check(gram, "basis {0} is not orthonormal (Gram defect {defect:.3e})", axes=(-2, -1))
-    peak = np.abs(flat).max(axis=-1)
-    return _checked(
-        np.einsum("...ix,...iy->...ixy", b, b.conj()),
-        gram * peak[:, :, None] * peak[:, None, :],
-    )
+    return _checked(np.einsum("...ix,...iy->...ixy", b, b.conj()))
 
 
 def qudit_measurement(basis) -> np.ndarray:

@@ -165,9 +165,9 @@ class TestLhsCertificate:
             cons.lhs_certificate(model, reweighted, 0.5, computational_settings(2))
 
     def test_unphysical_reports_first_entry_in_loop_order(self):
-        # Two unphysical entries, (s=0, a=1, xi=0) and (s=0, a=0, xi=1);
-        # the others carry zero weight.  The setting -> hidden value ->
-        # outcome order reaches xi=0 first, flat (s, a, xi) order would not.
+        # Two unphysical hidden values, xi=0 and xi=1, at different Alice
+        # outcomes.  The hidden qubit depends on the hidden value alone, so
+        # the error names xi=0 at the settings "xyz" and no outcome (-1).
         alice = np.stack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]).astype(complex)
         base = finite_model([0.5, 0.5], alice, np.ones((2, 3)))
         mu = 0.5
@@ -176,7 +176,7 @@ class TestLhsCertificate:
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
             cons.lhs_certificate(base, prime, mu, settings)
         err = info.value
-        assert (err.xi, err.setting, err.outcome) == (0, 0, 1)
+        assert (err.xi, err.setting, err.outcome) == (0, "xyz", -1)
         assert err.norm_sq > 1.0
 
 
@@ -185,8 +185,8 @@ class TestStackedCertificates:
 
     def test_lhs_unphysical_error_is_the_trial_loops(self):
         # Trial 0 is feasible, trials 1 and 2 are not, with offenders at
-        # different (setting, hidden value, outcome) positions: the stack
-        # must raise what the first failing trial raises alone.
+        # different hidden values: the stack must raise what the first
+        # failing trial raises alone.
         det = np.ones((2, 3))
         alices = [
             np.stack([HALF, HALF]),
@@ -209,11 +209,9 @@ class TestStackedCertificates:
         pa = np.stack([a for a, _ in arrays])
         pb = np.stack([b for _, b in arrays])
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
-            cons.hidden_bloch(np.full(3, mu), pb, cons.biased_probs(np.array(cs)), pa)
+            cons.hidden_bloch(np.full(3, mu), pb, cons.biased_probs(np.array(cs)))
         assert str(info.value) == str(first_error)
-        bloch = cons.hidden_bloch(
-            np.full(1, mu), pb[:1], cons.biased_probs(np.array(cs[:1])), pa[:1]
-        )
+        bloch = cons.hidden_bloch(np.full(1, mu), pb[:1], cons.biased_probs(np.array(cs[:1])))
         base = finite_model([0.5, 0.5], alices[0], det)
         cert = cons.lhs_certificate(base, cons.bob_biased_prime_model(base, cs[0]), mu, settings)
         assert np.array_equal(pa[0], born_probs(stack, cert.alice))
@@ -235,8 +233,7 @@ class TestStackedCertificates:
         model_n = FiniteModel(weights_n, alphas_n, betas_n)
         partner = cons.biased_probs(cs)
         assert partner.shape == (3, 1, 3)
-        pa = born_probs(settings, alphas, "quantum response")
-        lhs = cons.certificate(model_m, mus, "B", partner, pa)
+        lhs = cons.certificate(model_m, mus, "B", partner)
         spm = cons.certificate(model_n, mus, "A", partner)
         assert lhs.bob.shape == spm.alice.shape == (3, 3, 2, 2)
         for t in range(3):
@@ -270,13 +267,11 @@ class TestStackedCertificates:
         model = FiniteModel(*arrays)
         mu, c = (np.array([0.1, 0.3, 0.5]), np.array([0.8, 0.5, 0.1])) if stacked else (0.3, 0.5)
         partner = cons.biased_probs(c)
+        core = cons.certificate(model, mu, side, partner)
         if side == "B":
             settings = computational_settings(3)
-            responses = born_probs(validate_projectors(settings), model.alice, "quantum response")
-            core = cons.certificate(model, mu, side, partner, responses)
             want = cons.lhs_certificate(model, cons.bob_biased_prime_model(model, c), mu, settings)
         else:
-            core = cons.certificate(model, mu, side, partner)
             want = cons.spm_certificate(model, cons.alice_biased_prime_model(model, c), mu)
         for party in ("weights", "alice", "bob"):
             assert np.array_equal(getattr(core, party), getattr(want, party))
@@ -288,6 +283,26 @@ class TestStackedCertificates:
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
             cons.hidden_bloch(np.ones(3), p0, cons.biased_probs(np.zeros(3)))
         assert (info.value.xi, info.value.norm_sq) == (1, 3.0)
+
+    @pytest.mark.parametrize("side", ["B", "A"])
+    def test_nan_partner_is_unphysical(self, side):
+        # NaN fails every comparison, so the Bloch-ball test must be
+        # written as "not inside" to refuse it.
+        _, model, _ = separable_pair(2, 2, 2, seed=56, c=0.2)
+        with pytest.raises(cons.UnphysicalHiddenStateError) as info:
+            cons.certificate(model, 0.3, side, np.full((1, 3), np.nan))
+        assert (info.value.xi, info.value.setting, info.value.outcome) == (0, "xyz", -1)
+        assert str(info.value).endswith("|r|^2 = nan > 1")
+
+    def test_nan_in_the_base_table_is_unphysical(self):
+        with pytest.raises(cons.UnphysicalHiddenStateError, match=r"xi=0, .*= nan > 1$"):
+            cons.hidden_bloch(0.3, np.full((2, 3), np.nan), cons.biased_probs(0.1))
+        # Stacked: trial 0 is physical, trial 1 is NaN at xi = 2 only.
+        p0 = np.full((2, 3, 3), 0.5)
+        p0[1, 2, 0] = np.nan
+        with pytest.raises(cons.UnphysicalHiddenStateError) as info:
+            cons.hidden_bloch(np.full(2, 0.3), p0, cons.biased_probs(np.full(2, 0.1)))
+        assert info.value.xi == 2 and math.isnan(info.value.norm_sq)
 
 
 class TestVerifyLhsIdentity:

@@ -351,20 +351,6 @@ class TestBuilderParity:
         assert outcome(reference_qudit_projectors, bases) == ("raised", expected)
         assert outcome(meas.qudit_projectors, bases) == ("raised", expected)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_gram_bound_is_the_product_defect(self, dim):
-        # Block (i, j) of P_i P_j - delta_ij P_i is (G_ij - delta_ij) b_i b_j^dagger.
-        rng = np.random.default_rng(40 + dim)
-        b = meas._orthonormal_rows(meas.basis_draws(5, dim, rng))
-        b = b + 1e-3 * meas.basis_draws(5, dim, rng)
-        gram = np.abs(b.conj() @ b.swapaxes(-1, -2) - np.eye(dim))
-        peak = np.abs(b).max(axis=-1)
-        p = np.einsum("...ix,...iy->...ixy", b, b.conj())
-        blocks = p[:, :, None] @ p[:, None, :] - np.eye(dim)[:, :, None, None] * p[:, :, None]
-        generic = np.abs(blocks).max(axis=(-2, -1))
-        derived = gram * peak[:, :, None] * peak[:, None, :]
-        assert np.allclose(derived, generic, rtol=1e-9, atol=0.0)
-
     def test_every_accepted_qubit_stack_passes_validation(self):
         rng = np.random.default_rng(50)
         u = rng.standard_normal((40, 3))
@@ -400,18 +386,31 @@ def per_block_reference(p):
 
 
 def handed_defects(monkeypatch, stack):
-    """The per-block defects validate_projectors hands to _checked, and its outcome."""
-    seen = []
-    checked = meas._checked
+    """The product defects validate_projectors hands to _check, and its outcome.
 
-    def spy(stack, per_block):
-        seen.append(per_block)
-        return checked(stack, per_block)
+    Returns the idempotency defects (the per-block diagonal) and the
+    orthogonality defects (its strict upper triangle), the latter None
+    when the stack was refused before that check.
+    """
+    seen = {}
+    check = meas._check
 
-    monkeypatch.setattr(meas, "_checked", spy)
+    def spy(defects, message, axes=()):
+        for key in ("idempotent", "orthogonal"):
+            if key in message:
+                seen[key] = defects
+        return check(defects, message, axes)
+
+    monkeypatch.setattr(meas, "_check", spy)
     kind, _ = outcome(meas.validate_projectors, stack)
-    (per_block,) = seen
-    return kind, per_block
+    return kind, seen["idempotent"], seen.get("orthogonal")
+
+
+def assert_reference_defects(idempotent, orthogonal, p):
+    reference = per_block_reference(p)
+    assert np.array_equal(idempotent, np.diagonal(reference, axis1=1, axis2=2))
+    if orthogonal is not None:
+        assert np.array_equal(orthogonal, np.triu(reference, 1))
 
 
 class TestBatchedProducts:
@@ -424,8 +423,8 @@ class TestBatchedProducts:
             b = b + eps * meas.basis_draws(6, dim, rng)
             p = np.einsum("...ix,...iy->...ixy", b, b.conj())
             p = (p + p.conj().swapaxes(-1, -2)) / 2
-            kind, per_block = handed_defects(monkeypatch, p)
-            assert np.array_equal(per_block, per_block_reference(p))
+            kind, idempotent, orthogonal = handed_defects(monkeypatch, p)
+            assert_reference_defects(idempotent, orthogonal, p)
             kinds.add(kind)
         assert kinds == {"ok", "raised"}
 
@@ -434,9 +433,32 @@ class TestBatchedProducts:
         bases = meas._orthonormal_rows(meas.basis_draws(3, 2, np.random.default_rng(60)))
         bases[2] = [[s, 0.0], [1e-10 / s, s]]
         p = np.einsum("...ix,...iy->...ixy", bases, bases.conj())
-        kind, per_block = handed_defects(monkeypatch, p)
-        assert kind == "raised"
-        assert np.array_equal(per_block, per_block_reference(p))
+        kind, idempotent, orthogonal = handed_defects(monkeypatch, p)
+        assert kind == "raised" and orthogonal is not None
+        assert_reference_defects(idempotent, orthogonal, p)
+
+    @pytest.mark.parametrize(
+        "build, arg",
+        [
+            (meas.qubit_projectors, np.eye(3)),
+            (meas.qubit_projectors, np.eye(3)[None].repeat(2, axis=0)),
+            (meas.qudit_projectors, np.eye(3)[None]),
+            (meas.qudit_projectors, np.eye(2)[None, None].repeat(2, axis=0)),
+        ],
+        ids=["qubit", "qubit-stacked", "qudit", "qudit-stacked"],
+    )
+    def test_each_builder_call_checks_its_stack_once(self, monkeypatch, build, arg):
+        seen = []
+        checked = meas._checked
+
+        def spy(*args):
+            seen.append(args[0].shape)
+            return checked(*args)
+
+        monkeypatch.setattr(meas, "_checked", spy)
+        stack = build(arg)
+        assert seen == [stack.shape]
+        assert not stack.flags.writeable
 
     def test_qubit_projectors_equal_two_hidden_qubit_stacks(self):
         v = np.random.default_rng(80).standard_normal((4, 5, 3))
