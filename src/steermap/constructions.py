@@ -20,10 +20,12 @@ return the worst residual: the steered states at Alice's settings (map
 M) and the joints of sampled measurement pairs (map N) of one state,
 and, for a model whose parties are both quantum, the operator identity
 rho = sum_xi w_xi a_xi (x) b_xi itself (:func:`verify_model_identities`),
-which covers every measurement.  Models and states may carry leading
-trial axes, and each side of an identity is one contraction over the
-hidden index and the state tensor.  ``verify`` builds a block of trials
-in one call per stage and checks it by its operator identities alone.
+which covers every measurement.  The builders and
+:func:`verify_model_identities` take models and states with leading
+trial axes; the other two verifiers take one state.  Each side of an
+identity is one contraction over the hidden index and the state
+tensor.  ``verify`` builds a block of trials in one call per stage and
+checks it by its operator identities alone.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 from .measurements import (
-    _orthonormal_rows,
-    pair_draws,
     pauli_projectors,
     qubit_projectors,
     qudit_projectors,
+    random_bases,
     validate_projectors,
 )
 from .models import FiniteModel, born_joints, born_probs, finite_model
@@ -216,21 +217,21 @@ def spm_certificate(model_rho: FiniteModel, model_rho_prime: FiniteModel, mu) ->
 def verify_spm_identity(sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: int, seed) -> float:
     """Worst-case residual of the separable-model joint probabilities of one state.
 
-    The integer ``seed`` samples ``n_samples`` measurement pairs (per
-    sample a random qubit direction for Alice, then a random orthonormal
-    basis for Bob); all n x 2 x d_b joints of the state and the
-    certificate come from stacks, with one QR for all bases.  Returns the
-    largest absolute difference.
+    The integer ``seed`` samples ``n_samples`` measurement pairs: the n
+    random qubit directions for Alice, then the n random orthonormal
+    bases for Bob (:func:`steermap.measurements.random_bases`).  All
+    n x 2 x d_b joints of the state and the certificate come from
+    stacks.  Returns the largest absolute difference; a stack of states
+    is refused by :func:`steermap.models.born_joints`.
     """
     if sigma_ab.d_a != 2:
         raise ValueError(f"certificate targets a qubit on Alice's side, got {sigma_ab.d_a}")
-    if sigma_ab.mat.ndim != 2:
-        raise ValueError(f"need one state, got a stack of shape {sigma_ab.mat.shape[:-2]}")
     if n_samples < 1:
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
-    directions, draws = pair_draws(n_samples, sigma_ab.d_b, _rng(seed))
-    a_stack = qubit_projectors(directions)
-    b_stack = qudit_projectors(_orthonormal_rows(draws))
+    rng = _rng(seed)
+    v = rng.standard_normal((n_samples, 3))
+    a_stack = qubit_projectors(v / np.linalg.norm(v, axis=1, keepdims=True))
+    b_stack = qudit_projectors(random_bases(n_samples, sigma_ab.d_b, rng))
     lhs = born_joints(sigma_ab, a_stack, b_stack)
     pa = born_probs(a_stack, cert.alice, "certificate")
     pb = born_probs(b_stack, cert.bob, "certificate")

@@ -10,8 +10,9 @@ Measurements are built in batches: :func:`qubit_projectors` takes an
 stack it built, with the product checks that :func:`validate_projectors`
 runs on any stack, one batched matmul.  A measurement is its read-only
 ``(k, d, d)`` projector array; the single builder
-:func:`qudit_measurement` is the ``n = 1`` case.  Random bases are drawn
-(:func:`basis_draws`, :func:`pair_draws`) apart from their QR.
+:func:`qudit_measurement` is the ``n = 1`` case.  :func:`random_bases`
+draws n random bases with one QR; :func:`random_basis` is its
+``n = 1`` case.
 """
 
 from __future__ import annotations
@@ -77,16 +78,14 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("projectors have non-finite entries")
 
 
-def _checked(stack: np.ndarray) -> np.ndarray:
+def _checked(p: np.ndarray) -> np.ndarray:
     """The checks of :func:`validate_projectors` after the finite and Hermitian ones.
 
-    ``stack`` is a finite Hermitian (n, k, d, d) or (T, n, k, d, d) array
-    that the caller owns; errors count its measurements in C order.  The
-    max-abs entries of the blocks P_i P_j - delta_ij P_i test idempotence
-    (diagonal) and orthogonality (strict upper triangle).  Returns
-    ``stack`` read-only.
+    ``p`` is a finite Hermitian (n, k, d, d) array that the caller owns.
+    The max-abs entries of the blocks P_i P_j - delta_ij P_i test
+    idempotence (diagonal) and orthogonality (strict upper triangle).
+    Returns ``p`` read-only.
     """
-    p = stack.reshape(-1, *stack.shape[-3:])
     # Block (i, j) of P_i [P_0 ... P_{k-1}], an (n, k, d, k d) array, is
     # P_i P_j, which must equal delta_ij P_i.
     n, k, d = p.shape[:3]
@@ -107,8 +106,8 @@ def _checked(stack: np.ndarray) -> np.ndarray:
         "measurement {0}: projectors {1} and {2} are not orthogonal "
         "(overlap {defect:.3e})",
     )
-    stack.setflags(write=False)
-    return stack
+    p.setflags(write=False)
+    return p
 
 
 def qubit_projectors(directions) -> np.ndarray:
@@ -117,19 +116,16 @@ def qubit_projectors(directions) -> np.ndarray:
     Row m of the (n, 3) array ``directions`` must be a unit vector n_m
     (``|norm - 1| <= PROJ_TOL``; NaN and inf fail); measurement m has
     outcome projectors (1 +- n_m.sigma)/2, Hermitian by construction and
-    checked as in :func:`validate_projectors`.  A (T, n, 3) stack gives
-    (T, n, 2, 2, 2).
+    checked as in :func:`validate_projectors`.
     """
     v = np.asarray(directions, dtype=float)
-    if v.ndim not in (2, 3) or v.shape[-1] != 3:
+    if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"directions must have shape (n, 3), got {v.shape}")
-    norm = np.linalg.norm(v, axis=-1)
+    norm = np.linalg.norm(v, axis=1)
     off = np.flatnonzero(~(np.abs(norm - 1.0) <= PROJ_TOL))
     if len(off):
-        raise ValueError(
-            f"direction must be a unit vector (norm {float(norm.flat[off[0]])!r})"
-        )
-    return _checked(hidden_qubits(np.stack((v, -v), axis=-2)))
+        raise ValueError(f"direction must be a unit vector (norm {float(norm[off[0]])!r})")
+    return _checked(hidden_qubits(np.stack((v, -v), axis=1)))
 
 
 @functools.cache
@@ -146,19 +142,17 @@ def qudit_projectors(bases) -> np.ndarray:
 
     ``bases[m]`` holds basis m as rows; row i becomes the outcome-i
     projector of measurement m.  Every basis must be finite and
-    orthonormal (Gram defect within ``PROJ_TOL``).  A (T, n, d, d) stack
-    gives (T, n, d, d, d), validated as one stack (errors count its bases
-    in C order).  The projectors b_i b_i^dagger are Hermitian to rounding
-    by construction and checked as in :func:`validate_projectors`.
+    orthonormal (Gram defect within ``PROJ_TOL``).  The projectors
+    b_i b_i^dagger are Hermitian to rounding by construction and checked
+    as in :func:`validate_projectors`.
     """
     b = np.asarray(bases, dtype=np.complex128)
-    if b.ndim not in (3, 4) or b.shape[-1] != b.shape[-2] or b.shape[-1] == 0:
+    if b.ndim != 3 or b.shape[1] != b.shape[2] or b.shape[2] == 0:
         raise ValueError(f"bases must have shape (n, d, d), got {b.shape}")
     _check_finite(b)
-    flat = b.reshape(-1, *b.shape[-2:])
-    gram = np.abs(flat.conj() @ flat.swapaxes(-1, -2) - np.eye(b.shape[-1]))
-    _check(gram, "basis {0} is not orthonormal (Gram defect {defect:.3e})", axes=(-2, -1))
-    return _checked(np.einsum("...ix,...iy->...ixy", b, b.conj()))
+    gram = np.abs(b.conj() @ b.swapaxes(1, 2) - np.eye(b.shape[2]))
+    _check(gram, "basis {0} is not orthonormal (Gram defect {defect:.3e})", axes=(1, 2))
+    return _checked(np.einsum("nix,niy->nixy", b, b.conj()))
 
 
 def qudit_measurement(basis) -> np.ndarray:
@@ -175,51 +169,21 @@ def qudit_measurement(basis) -> np.ndarray:
     return qudit_projectors(np.array(vecs)[None])[0]
 
 
-def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
-    """Orthonormal rows from a stack of complex Gaussian matrices via QR.
+def random_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n random orthonormal bases of C^dim as rows: an (n, dim, dim) array.
 
-    The phases of R's diagonal are moved into Q, which makes the bases
-    Haar distributed.
+    Per basis it draws the real parts, then the imaginary parts, of a
+    complex Gaussian matrix, as n calls of :func:`random_basis` do; one
+    QR orthonormalises all n.  The phases of R's diagonal are moved into
+    Q, which makes the bases Haar distributed.
     """
-    q, r = np.linalg.qr(g)
+    z = rng.standard_normal((n, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[..., None, :]
     return q.swapaxes(-1, -2).copy()
 
 
-def basis_draws(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The (n, dim, dim) complex Gaussian matrices of n random bases.
-
-    Per basis it draws the real parts, then the imaginary parts, as n
-    calls of :func:`random_basis` do.
-    """
-    z = rng.standard_normal((n, 2, dim, dim))
-    return z[:, 0] + 1j * z[:, 1]
-
-
 def random_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthonormal basis (rows) via QR of a Gaussian matrix."""
-    return _orthonormal_rows(basis_draws(1, dim, rng))[0]
-
-
-def pair_draws(n: int, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n qubit directions and the (n, dim, dim) Gaussian matrices of n qudit bases.
-
-    One (n, 3 + 2 dim^2) block of normals holds, row by row, three
-    direction entries and the basis's real and imaginary parts: the
-    stream of a per-sample loop that draws a direction, then a basis.
-    The norms come from a batched matmul, the dot kernel of
-    ``math.sqrt(v @ v)``, so the directions are bit-identical to that
-    loop's.  A row whose direction norm is <= 1e-8 (probability about
-    1e-25) gets three fresh normals from ``rng``, drawn after the block.
-    """
-    block = rng.standard_normal((n, 3 + 2 * dim * dim))
-    v = block[:, :3]
-    while True:
-        norm = np.sqrt(v[:, None, :] @ v[:, :, None]).reshape(n, 1)
-        redraw = np.flatnonzero(norm <= 1e-8)
-        if not len(redraw):
-            break
-        v[redraw] = rng.standard_normal((len(redraw), 3))
-    z = block[:, 3:].reshape(n, 2, dim, dim)
-    return v / norm, z[:, 0] + 1j * z[:, 1]
+    """Haar random orthonormal basis (rows) via QR of a Gaussian matrix."""
+    return random_bases(1, dim, rng)[0]

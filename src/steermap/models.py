@@ -7,8 +7,11 @@ or a Pauli table, an (Xi, 3) array of outcome-0 probabilities at the
 x, y, z qubit settings.  A model may hold one ensemble per trial:
 (..., Xi) weights and (..., Xi, d, d) or (..., Xi, 3) parties.  A party's
 kind is its rank relative to the weights', not its shape: a (T, 3, 3)
-stack of Pauli tables has the shape of three qutrit states.  Which
-combination is present decides what the model certifies:
+stack of Pauli tables has the shape of three qutrit states.  The
+Born-rule kernels take one projector stack: :func:`born_probs` reads the
+response states of every trial in one matmul, and :func:`born_joints`
+the steered states of one state.  Which combination of parties is
+present decides what the model certifies:
 
   both parties quantum   -> separable model (SPM)
   only Bob quantum       -> local-hidden-state (LHS) model for Alice's Paulis
@@ -56,18 +59,18 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
 
     ``projectors`` is an (S, A, d, d) stack (S measurements with A
     outcomes each) and ``states`` an (X, d, d) stack of density
-    matrices.  Either may carry a leading (T,) axis, giving T tables
-    (T, S, A, X) in one batched matmul.  States of another shape, such
-    as an (X, 3) Pauli table, raise ``ValueError``.  Every entry is
-    range-checked and clipped to [0, 1].
+    matrices.  States may carry leading axes, such as (T, X, d, d) for T
+    models, giving (T, S, A, X) tables in one batched matmul.  States of
+    another shape, such as an (X, 3) Pauli table, raise ``ValueError``.
+    Every entry is range-checked and clipped to [0, 1].
     """
     p = np.asarray(projectors)
     rhos = np.asarray(states)
-    *lead_p, n_set, n_out, _, d = p.shape
+    n_set, n_out, _, d = p.shape
     if rhos.ndim < 3 or rhos.shape[-2:] != (d, d):
         raise ValueError(f"{context}: states must be (..., X, {d}, {d}), got shape {rhos.shape}")
     # tr[P rho] = sum_ij P[i, j] rho[j, i]: one matmul over flattened entries.
-    flat = p.reshape(*lead_p, n_set * n_out, d * d) @ rhos.swapaxes(-1, -2).reshape(
+    flat = p.reshape(n_set * n_out, d * d) @ rhos.swapaxes(-1, -2).reshape(
         *rhos.shape[:-3], -1, d * d
     ).swapaxes(-1, -2)
     return _check_probs(flat.real.reshape(*flat.shape[:-2], n_set, n_out, -1), context)
@@ -139,18 +142,20 @@ def _party(name: str, responses) -> np.ndarray:
 
 
 def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
-    """Joint outcome probabilities of n measurement pairs at once.
+    """Joint outcome probabilities of one state at n measurement pairs at once.
 
     ``a_projectors`` is an (n, A, d_a, d_a) stack and ``b_projectors``
     an (n, B, d_b, d_b) stack; entry [m, a, b] of the (n, A, B) result is
     tr[B_mb sigma_ma], where sigma_ma = tr_A[(A_ma x 1) rho] is Bob's
-    steered state from :func:`steermap.states.conditional_states`.  For a
-    stack of T states both projector stacks carry a leading (T,) axis
-    and the result is (T, n, A, B).  Every entry is range-checked and
-    clipped to [0, 1].  Projectors of other dims than the state's raise
-    ``ValueError``.
+    steered state from :func:`steermap.states.conditional_states`, which
+    refuses a stack of states.  Every entry is range-checked and clipped
+    to [0, 1].  Stacks of another rank, or of other dims than the
+    state's, raise ``ValueError``.
     """
     d_a, d_b = rho.d_a, rho.d_b
+    if a_projectors.ndim != 4 or b_projectors.ndim != 4:
+        shapes = f"{a_projectors.shape} and {b_projectors.shape}"
+        raise ValueError(f"need (n, k, d, d) projector stacks, got shapes {shapes}")
     got = (a_projectors.shape[-1], b_projectors.shape[-1])
     if got != (d_a, d_b):
         raise ValueError(f"projector dims {got[0]}x{got[1]} != state dims {d_a}x{d_b}")

@@ -50,7 +50,7 @@ class StateValidationError(ValueError):
     """A density-matrix invariant failed; names it, the deviation and,
     for a stack, the first state that failed it."""
 
-    def __init__(self, invariant: str, deviation: float, state: int | tuple | None = None):
+    def __init__(self, invariant: str, deviation: float, state: int | None = None):
         self.invariant = invariant
         self.deviation = deviation
         self.state = state
@@ -98,8 +98,8 @@ class DensityMatrix(_Frozen):
 
     ``mat`` is one ``(n, n)`` matrix, or a ``(T, n, n)`` stack of T
     states of the same dims that the stacked kernels (``make_density``,
-    ``werner``, ``mix``, ``biased_partner``, the witnesses,
-    ``conditional_states``, ``models.born_joints``) process in one pass.
+    ``werner``, ``mix``, ``biased_partner``, the witnesses) process in one
+    pass.  ``conditional_states`` and ``models.born_joints`` take one state.
     """
 
     __slots__ = ("d_a", "d_b", "mat")
@@ -120,23 +120,22 @@ class DensityMatrix(_Frozen):
 
 
 def validate_states(mat, n: int | None = None) -> np.ndarray:
-    """Check a matrix, or an (..., n, n) stack, as density matrices; return a read-only copy.
+    """Check a matrix, or a (T, n, n) stack, as density matrices; return a read-only copy.
 
-    The one state validator.  Checks, in order: finite entries, shape
-    (square; n x n if ``n`` is given), hermiticity (1e-10), unit trace
-    (1e-10) and min eigenvalue >= -1e-10, each over the whole stack at
-    once and so that NaN fails it.  The :class:`StateValidationError`
-    names the first failed invariant and member: ``i`` for a (T, n, n)
-    stack, ``(t, i)`` for a (T, Xi, n, n) one.
+    The one state validator.  Checks, in order: rank, finite entries,
+    shape (square; n x n if ``n`` is given), hermiticity (1e-10), unit
+    trace (1e-10) and min eigenvalue >= -1e-10, each over the whole stack
+    at once and so that NaN fails it.  The :class:`StateValidationError`
+    names the first failed invariant and, for a stack, the index of the
+    first state that failed it.
     """
     m = np.array(mat, dtype=np.complex128)
-    if m.ndim < 2:
-        raise ValueError(f"expected a matrix or an (..., n, n) stack, got ndim={m.ndim}")
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
 
     def fail(invariant: str, deviation: np.ndarray, ok: np.ndarray):
         idx = linalg._first(~ok)
-        state = idx[0] if len(idx) == 1 else idx or None
-        return StateValidationError(invariant, float(deviation[idx]), state)
+        return StateValidationError(invariant, float(deviation[idx]), idx[0] if idx else None)
 
     if not np.isfinite(m).all():
         bad = np.count_nonzero(~np.isfinite(m), axis=(-2, -1))
@@ -168,10 +167,7 @@ def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     downstream is Hermitian to rounding.
     """
     d_a, d_b = _dims(d_a, d_b)
-    m = np.asarray(mat, dtype=np.complex128)
-    if m.ndim not in (2, 3):
-        raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
-    return _closed_density(validate_states(m, d_a * d_b), d_a, d_b)
+    return _closed_density(validate_states(mat, d_a * d_b), d_a, d_b)
 
 
 def _dims(d_a, d_b) -> tuple[int, int]:
@@ -261,29 +257,26 @@ def hidden_qubits(bloch) -> np.ndarray:
 
 
 def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
-    """Bob's unnormalized steered states tr_A[(pi x 1) rho] for a stack.
+    """Bob's unnormalized steered states tr_A[(pi x 1) rho] of one state.
 
     ``projectors`` has shape (..., d_a, d_a) and holds projectors their
     builder has checked; only the shape is checked here.  The result has
     shape (..., d_b, d_b), from one contraction on the (d_a, d_b, d_a,
     d_b) state tensor, the one place where a state meets Alice's
     projectors: the trace of each entry is its outcome probability, and
-    ``models.born_joints`` takes Bob's joints from it.  For a stack of T
-    states the projectors have shape (T, ..., d_a, d_a) and state t
-    meets row t.
+    ``models.born_joints`` takes Bob's joints from it.  A stack of states
+    raises ``ValueError``.
     """
+    if rho.mat.ndim != 2:
+        raise ValueError(f"need one state, got a stack of shape {rho.mat.shape[:-2]}")
     pi = np.asarray(projectors, dtype=np.complex128)
     if pi.ndim < 2 or pi.shape[-2:] != (rho.d_a, rho.d_a):
-        raise ValueError(
-            f"projector shape {pi.shape} does not match d_a={rho.d_a}"
-        )
+        raise ValueError(f"projector shape {pi.shape} does not match d_a={rho.d_a}")
     d_a, d_b = rho.d_a, rho.d_b
-    lead = rho.mat.shape[:-2]
     # out[..., b, d] = sum_ij pi[..., i, j] t[j, b, i, d] for the state
     # tensor t, regrouped as a matrix with rows (i, j), columns (b, d).
-    t = rho.mat.reshape(*lead, d_a, d_b, d_a, d_b)
-    t = t.transpose(*range(len(lead)), -2, -4, -3, -1).reshape(*lead, d_a**2, d_b**2)
-    out = pi.reshape(*lead, -1, d_a**2) @ t
+    t = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3).reshape(d_a**2, d_b**2)
+    out = pi.reshape(-1, d_a**2) @ t
     return out.reshape(*pi.shape[:-2], d_b, d_b)
 
 

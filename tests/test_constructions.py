@@ -10,11 +10,10 @@ from steermap import mapping, states
 from steermap.states import DensityMatrix
 from steermap.mapping import INV_SQRT3
 from steermap.measurements import (
-    _orthonormal_rows,
-    basis_draws,
     qubit_projectors,
     qudit_measurement,
     qudit_projectors,
+    random_bases,
     random_basis,
     validate_projectors,
 )
@@ -222,8 +221,8 @@ class TestStackedCertificates:
         # Three hidden values: a stacked (T, 3, 3) Pauli table has the shape
         # of three qutrit states, and must still be read as a table.
         mus, cs, seeds = np.array([0.1, 0.3, 0.5]), np.array([0.8, 0.5, 0.1]), [51, 52, 53]
-        draws = basis_draws(3 * 4, 3, np.random.default_rng(54)).reshape(3, 4, 3, 3)
-        settings = qudit_projectors(_orthonormal_rows(draws))
+        bases = random_bases(3 * 4, 3, np.random.default_rng(54))
+        settings = qudit_projectors(bases).reshape(3, 4, 3, 3, 3)
         tau, weights, alphas, betas = states.random_separables(3, 2, 3, seeds)
         rho, weights_n, alphas_n, betas_n = states.random_separables(2, 3, 3, seeds)
         if table:
@@ -338,6 +337,13 @@ class TestVerifyLhsIdentity:
             settings = computational_settings(2, extra=extra, seed=160)
             assert cons.verify_lhs_identity(rho, cert, settings) <= 1e-12
 
+    def test_refuses_a_state_stack_by_name(self):
+        _, model, prime = separable_pair(2, 2, 2, seed=16, c=0.0)
+        settings = computational_settings(2)
+        cert = cons.lhs_certificate(model, prime, 0.5, settings)
+        with pytest.raises(ValueError, match=r"^need one state, got a stack of shape \(2,\)$"):
+            cons.verify_lhs_identity(states.werner(np.array([0.1, 0.4])), cert, settings)
+
 
 class TestSpmCertificate:
     def test_full_visibility(self):
@@ -421,11 +427,12 @@ class TestVerifySpmIdentity:
             cons.verify_spm_identity(rho, cert, 0, seed=1)
 
     def test_refuses_a_stack_and_a_seed_list(self, monkeypatch):
-        # Both are refused before any measurement is drawn.
-        monkeypatch.setattr(cons, "pair_draws", lambda *args: pytest.fail("drew measurements"))
+        # The steered-state kernel refuses the stack; the seed list is
+        # refused before any measurement is drawn.
         rho, weights, alphas, betas = states.random_separables(2, 3, 4, [31, 32, 33])
         with pytest.raises(ValueError, match=r"^need one state, got a stack of shape \(3,\)$"):
             cons.verify_spm_identity(rho, FiniteModel(weights, alphas, betas), 5, seed=7)
+        monkeypatch.setattr(cons, "random_bases", lambda *args: pytest.fail("drew measurements"))
         single = DensityMatrix(2, 3, rho.mat[0])
         cert = FiniteModel(weights[0], alphas[0], betas[0])
         with pytest.raises(ValueError, match=r"^seed must be an integer, got \[7, 8\]$"):
@@ -435,13 +442,13 @@ class TestVerifySpmIdentity:
 def spm_residual_reference(sigma, cert, n_samples, seed):
     """verify_spm_identity as a per-pair loop with an explicit Kronecker trace.
 
-    Draws the same measurements in the same order: per sample a qubit
-    direction for Alice, then an orthonormal basis for Bob.
+    Draws the same measurements in the same order: the n qubit
+    directions for Alice, then one orthonormal basis per sample for Bob.
     """
     rng = np.random.default_rng(seed)
+    directions = [rng.standard_normal(3) for _ in range(n_samples)]
     worst = 0.0
-    for _ in range(n_samples):
-        v = rng.standard_normal(3)
+    for v in directions:
         m_a = qubit_projectors((v / math.sqrt(v @ v))[None])[0]
         m_b = qudit_measurement(random_basis(sigma.d_b, rng))
         for a in range(2):

@@ -1,4 +1,4 @@
-"""The README's library tour names only what its modules define.
+"""The README's library tour and the package's docstrings name only what exists.
 
 Each ``steermap.<module>`` row of the tour is checked: every backticked
 Python name in it (``snake_case``, ``CamelCase`` or ``UPPER_CASE``, an
@@ -8,15 +8,24 @@ is not there, from the package (``states.validate_states``).  Skipped:
 tokens that are not a bare name (shapes, formulas, command lines), names
 ending in ``_`` (a prefix such as ``bob_``), one-letter names and the
 math symbols in ``MATH``.
+
+Every ``:func:``, ``:class:`` and ``:mod:`` role in the docstrings of
+``src/steermap`` must resolve the same way in its module; a target that
+starts with ``steermap.`` (after an optional ``~``) resolves from the
+package.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "steermap").glob("*.py"))
+ROLE = re.compile(r":(?:func|class|mod):`~?([\w.]+?)(?:\(\))?`")
 ROW = re.compile(r"^\| `steermap\.(\w+)` \|(.*)\|$", re.MULTILINE)
 NAME = re.compile(r"`([A-Za-z_][\w.]*)(?:\(\))?`")
 MATH = {"mu"}
@@ -60,6 +69,37 @@ def test_tour_names_exist(name):
     row = tour()[name]
     assert checked_names(row)
     assert [n for n in checked_names(row) if not resolves(module, n)] == []
+
+
+def docstring_targets(path: Path) -> list[str]:
+    """The target of every role in the docstrings of one source file, in order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = [tree, *(n for n in ast.walk(tree) if isinstance(n, kinds))]
+    return [t for n in nodes for t in ROLE.findall(ast.get_docstring(n) or "")]
+
+
+def resolves_target(module, target: str) -> bool:
+    if target.startswith("steermap."):
+        module, target = importlib.import_module("steermap"), target[len("steermap."):]
+    return resolves(module, target)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_docstring_references_resolve(path):
+    name = "steermap" if path.stem == "__init__" else f"steermap.{path.stem}"
+    module = importlib.import_module(name)
+    targets = docstring_targets(path)
+    assert [t for t in targets if not resolves_target(module, t)] == []
+
+
+def test_a_deleted_docstring_reference_is_caught():
+    module = importlib.import_module("steermap.measurements")
+    text = (":func:`random_bases`, :func:`basis_draws`, :class:`~steermap.models.FiniteModel`, "
+            ":mod:`steermap.nowhere`, :func:`steermap.states.gone()`, :func:`states.werner`")
+    assert [t for t in ROLE.findall(text) if not resolves_target(module, t)] == [
+        "basis_draws", "steermap.nowhere", "steermap.states.gone"
+    ]
 
 
 def test_a_deleted_name_is_caught():

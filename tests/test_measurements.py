@@ -121,8 +121,7 @@ class TestRandomSampling:
 
 
 def _valid_stack(n, dim, seed):
-    draws = meas.basis_draws(n, dim, np.random.default_rng(seed))
-    return meas.qudit_projectors(meas._orthonormal_rows(draws))
+    return meas.qudit_projectors(meas.random_bases(n, dim, np.random.default_rng(seed)))
 
 
 class TestValidateProjectors:
@@ -173,7 +172,7 @@ class TestBatchedBuilders:
             assert np.array_equal(p, meas.qubit_projectors(v[None])[0])
 
     def test_qudit_batch_matches_single(self):
-        bases = meas._orthonormal_rows(meas.basis_draws(6, 4, np.random.default_rng(6)))
+        bases = meas.random_bases(6, 4, np.random.default_rng(6))
         stack = meas.qudit_projectors(bases)
         for m, b in zip(stack, bases):
             assert np.array_equal(m, meas.qudit_measurement(b))
@@ -186,7 +185,7 @@ class TestBatchedBuilders:
             meas.qubit_projectors(dirs)
 
     def test_rejects_non_orthonormal_basis_in_last_slot(self):
-        bases = meas._orthonormal_rows(meas.basis_draws(3, 2, np.random.default_rng(7)))
+        bases = meas.random_bases(3, 2, np.random.default_rng(7))
         bases[2, 1] = bases[2, 0]
         with pytest.raises(ValueError, match="basis 2 is not orthonormal"):
             meas.qudit_projectors(bases)
@@ -199,69 +198,59 @@ class TestBatchedBuilders:
 
     def test_batched_sampling_draws_the_same_numbers(self):
         # Reference: one draw and one QR per call, as a per-sample loop
-        # would do.  The batched samplers must give the same measurements
-        # and leave the generator at the same point.
-        def direction(rng):
-            while True:
-                v = rng.standard_normal(3)
-                norm = np.linalg.norm(v)
-                if norm > 1e-8:
-                    return v / norm
-
+        # would do.  The batched sampler must give the same bases and
+        # leave the generator at the same point.
         def basis(dim, rng):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             q, r = np.linalg.qr(g)
             return (q * (np.diagonal(r) / np.abs(np.diagonal(r)))).T
 
         for dim in (2, 3, 4):
-            ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
-            ref = [(direction(ref_rng), basis(dim, ref_rng)) for _ in range(10)]
-            dirs, draws = meas.pair_draws(10, dim, rng)
-            bases = meas._orthonormal_rows(draws)
-            assert np.max(np.abs(dirs - [d for d, _ in ref])) <= 1e-15
-            assert np.max(np.abs(bases - [b for _, b in ref])) <= 1e-14
-            assert ref_rng.random() == rng.random()
             ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
             ref_bases = [basis(dim, ref_rng) for _ in range(10)]
-            bases = meas._orthonormal_rows(meas.basis_draws(10, dim, rng))
+            bases = meas.random_bases(10, dim, rng)
             assert np.max(np.abs(bases - ref_bases)) <= 1e-14
             assert ref_rng.random() == rng.random()
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_basis_is_the_inline_reference_bit_for_bit(self, dim):
+        for seed in range(50):
+            z = np.random.default_rng(seed).standard_normal((2, dim, dim))
+            q, r = np.linalg.qr(z[0] + 1j * z[1])
+            phases = np.diagonal(r) / np.abs(np.diagonal(r))
+            basis = meas.random_basis(dim, np.random.default_rng(seed))
+            assert np.array_equal(basis, (q * phases).T)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_bases_are_n_random_basis_calls_bit_for_bit(self, dim):
+        ref_rng, rng = np.random.default_rng(10 + dim), np.random.default_rng(10 + dim)
+        ref = [meas.random_basis(dim, ref_rng) for _ in range(25)]
+        bases = meas.random_bases(25, dim, rng)
+        assert bases.shape == (25, dim, dim)
+        assert np.array_equal(bases, ref)
+        assert ref_rng.bit_generator.state == rng.bit_generator.state
+
 
 class TestStackedBuilders:
-    def test_trial_axis_matches_each_row(self):
-        rng = np.random.default_rng(12)
-        dirs = np.stack([meas.pair_draws(5, 3, rng)[0] for _ in range(3)])
-        bases = meas._orthonormal_rows(meas.basis_draws(15, 3, rng)).reshape(3, 5, 3, 3)
-        qubits, qudits = meas.qubit_projectors(dirs), meas.qudit_projectors(bases)
-        assert qubits.shape == (3, 5, 2, 2, 2) and qudits.shape == (3, 5, 3, 3, 3)
-        assert not qubits.flags.writeable and not qudits.flags.writeable
-        for t in range(3):
-            assert np.array_equal(qubits[t], meas.qubit_projectors(dirs[t]))
-            assert np.array_equal(qudits[t], meas.qudit_projectors(bases[t]))
-
     @pytest.mark.parametrize(
-        "shape", [(3, 3), (2, 3, 3, 3, 3), (2, 3, 2), (1, 0, 0), (2, 1, 0, 0)]
+        "shape", [(3, 3), (2, 3, 3, 3, 3), (2, 3, 2), (1, 0, 0), (2, 1, 0, 0), (2, 3, 3, 3)]
     )
     def test_qudit_rejects_bad_shape(self, shape):
         message = rf"^bases must have shape \(n, d, d\), got {re.escape(str(shape))}$"
         with pytest.raises(ValueError, match=message):
             meas.qudit_projectors(np.zeros(shape))
 
-    def test_errors_count_bases_across_the_stack(self):
-        draws = meas.basis_draws(6, 2, np.random.default_rng(13))
-        bases = meas._orthonormal_rows(draws).reshape(2, 3, 2, 2)
-        bases[1, 0, 1] = bases[1, 0, 0]
-        with pytest.raises(ValueError, match="basis 3 is not orthonormal"):
-            meas.qudit_projectors(bases)
-
+    @pytest.mark.parametrize("shape", [(3,), (4, 5, 3)])
+    def test_qubit_rejects_bad_shape(self, shape):
+        message = rf"^directions must have shape \(n, 3\), got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            meas.qubit_projectors(np.ones(shape))
 
     def test_empty_stacks(self):
         # Zero measurements build as zero Werner visibilities do; a
         # settings stack handed to validate_projectors may not be empty.
         for stack, shape in (
             (meas.qudit_projectors(np.zeros((0, 3, 3))), (0, 3, 3, 3)),
-            (meas.qudit_projectors(np.zeros((2, 0, 3, 3))), (2, 0, 3, 3, 3)),
             (meas.qubit_projectors(np.zeros((0, 3))), (0, 2, 2, 2)),
         ):
             assert stack.shape == shape and stack.dtype == np.complex128
@@ -290,7 +279,7 @@ class TestCheck:
 class TestBuilderInputChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
     def test_qudit_basis_entry_non_finite(self, bad):
-        bases = meas._orthonormal_rows(meas.basis_draws(3, 3, np.random.default_rng(20)))
+        bases = meas.random_bases(3, 3, np.random.default_rng(20))
         bases[2, 1, 0] = bad
         with pytest.raises(ValueError, match="^projectors have non-finite entries$"):
             meas.qudit_projectors(bases)
@@ -302,6 +291,12 @@ class TestBuilderInputChecks:
         message = re.escape(f"direction must be a unit vector (norm {shown})")
         with pytest.raises(ValueError, match=f"^{message}$"):
             meas.qubit_projectors(dirs)
+
+
+def gaussians(n, dim, rng):
+    """n complex Gaussian (dim, dim) matrices: per matrix the real parts, then the imaginary."""
+    z = rng.standard_normal((n, 2, dim, dim))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def reference_qudit_projectors(bases):
@@ -330,8 +325,8 @@ class TestBuilderParity:
         kinds = set()
         for eps in np.geomspace(1e-12, 1e-8, 17):
             scale = eps * rng.uniform(0.0, 1.0, (6, 1, 1))
-            bases = meas._orthonormal_rows(meas.basis_draws(6, dim, rng))
-            bases = bases + scale * meas.basis_draws(6, dim, rng)
+            bases = meas.random_bases(6, dim, rng)
+            bases = bases + scale * gaussians(6, dim, rng)
             ref_kind, ref = outcome(reference_qudit_projectors, bases)
             kind, got = outcome(meas.qudit_projectors, bases)
             assert kind == ref_kind
@@ -345,7 +340,7 @@ class TestBuilderParity:
         # PROJ_TOL (1 + 1e-10): only the product check catches it.
         s = np.sqrt(1.0 + 1e-10 - 4.4e-16)
         x = 1e-10 / s
-        bases = meas._orthonormal_rows(meas.basis_draws(3, 2, np.random.default_rng(60)))
+        bases = meas.random_bases(3, 2, np.random.default_rng(60))
         bases[2] = [[s, 0.0], [x, s]]
         expected = "measurement 2: projectors 0 and 1 are not orthogonal (overlap 1.000e-10)"
         assert outcome(reference_qudit_projectors, bases) == ("raised", expected)
@@ -419,8 +414,8 @@ class TestBatchedProducts:
         rng = np.random.default_rng(70 + dim)
         kinds = set()
         for eps in np.geomspace(1e-12, 1e-6, 13):
-            b = meas._orthonormal_rows(meas.basis_draws(6, dim, rng))
-            b = b + eps * meas.basis_draws(6, dim, rng)
+            b = meas.random_bases(6, dim, rng)
+            b = b + eps * gaussians(6, dim, rng)
             p = np.einsum("...ix,...iy->...ixy", b, b.conj())
             p = (p + p.conj().swapaxes(-1, -2)) / 2
             kind, idempotent, orthogonal = handed_defects(monkeypatch, p)
@@ -430,7 +425,7 @@ class TestBatchedProducts:
 
     def test_razor_edge_defects_bit_for_bit(self, monkeypatch):
         s = np.sqrt(1.0 + 1e-10 - 4.4e-16)
-        bases = meas._orthonormal_rows(meas.basis_draws(3, 2, np.random.default_rng(60)))
+        bases = meas.random_bases(3, 2, np.random.default_rng(60))
         bases[2] = [[s, 0.0], [1e-10 / s, s]]
         p = np.einsum("...ix,...iy->...ixy", bases, bases.conj())
         kind, idempotent, orthogonal = handed_defects(monkeypatch, p)
@@ -441,11 +436,9 @@ class TestBatchedProducts:
         "build, arg",
         [
             (meas.qubit_projectors, np.eye(3)),
-            (meas.qubit_projectors, np.eye(3)[None].repeat(2, axis=0)),
             (meas.qudit_projectors, np.eye(3)[None]),
-            (meas.qudit_projectors, np.eye(2)[None, None].repeat(2, axis=0)),
         ],
-        ids=["qubit", "qubit-stacked", "qudit", "qudit-stacked"],
+        ids=["qubit", "qudit"],
     )
     def test_each_builder_call_checks_its_stack_once(self, monkeypatch, build, arg):
         seen = []
@@ -461,7 +454,7 @@ class TestBatchedProducts:
         assert not stack.flags.writeable
 
     def test_qubit_projectors_equal_two_hidden_qubit_stacks(self):
-        v = np.random.default_rng(80).standard_normal((4, 5, 3))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        expected = np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=-3)
+        v = np.random.default_rng(80).standard_normal((20, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        expected = np.stack((hidden_qubits(v), hidden_qubits(-v)), axis=1)
         assert np.array_equal(meas.qubit_projectors(v), expected)

@@ -3,12 +3,11 @@ import pytest
 
 from steermap import constructions, models
 from steermap.measurements import (
-    _orthonormal_rows,
-    basis_draws,
     pauli_projectors,
     qubit_projectors,
     qudit_measurement,
     qudit_projectors,
+    random_bases,
     random_basis,
 )
 from steermap.states import (
@@ -262,34 +261,11 @@ class TestResponses:
 
 
 class TestStackedValidation:
-    def test_validate_responses_names_trial_and_member(self):
-        # Response stacks of T ensembles go through the one state validator.
-        stack = np.stack([np.eye(2, dtype=complex) / 2] * 6).reshape(2, 3, 2, 2)
-        member = r"in state \(1, 2\) "
-        stack[1, 2] = np.diag([1.5, -0.5])
-        with pytest.raises(StateValidationError, match=f"eigenvalue >= -1e-10 {member}") as info:
-            validate_states(stack)
-        assert info.value.state == (1, 2)
-        stack[1, 2] = np.diag([0.6, 0.6])
-        with pytest.raises(StateValidationError, match=f"trace = 1 within 1e-10 {member}"):
-            validate_states(stack)
-
     def test_validate_responses_returns_read_only_copy(self):
-        stack = np.stack([np.eye(2, dtype=complex) / 2] * 4).reshape(2, 2, 2, 2)
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 4)
         out = validate_states(stack)
         assert np.array_equal(out, stack) and out is not stack
         assert not out.flags.writeable
-
-    def test_born_probs_with_a_stack_axis(self):
-        rng = np.random.default_rng(2)
-        projectors = qudit_projectors(_orthonormal_rows(basis_draws(10, 3, rng)).reshape(2, 5, 3, 3))
-        rhos = np.stack([
-            np.stack([e for _, e, _ in random_separable(3, 2, 4, seed=s)[1]]) for s in (1, 2)
-        ])
-        out = models.born_probs(projectors, rhos)
-        assert out.shape == (2, 5, 3, 4)
-        for t in range(2):
-            assert np.array_equal(out[t], models.born_probs(projectors[t], rhos[t]))
 
 
 def born_joints_reference(rho, a_projectors, b_projectors):
@@ -301,34 +277,38 @@ def born_joints_reference(rho, a_projectors, b_projectors):
     sum_jl x[m, a, (j, l)] B_mb[j, l].
     """
     d_a, d_b = rho.d_a, rho.d_b
-    lead = rho.mat.shape[:-2]
-    n, n_a = a_projectors.shape[len(lead) : len(lead) + 2]
-    t = rho.mat.reshape(*lead, d_a, d_b, d_a, d_b)
-    t = t.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d_a**2, d_b**2)
-    x = (a_projectors.reshape(*lead, n * n_a, d_a**2) @ t).reshape(*lead, n, n_a, d_b**2)
-    values = (x @ b_projectors.reshape(*lead, n, -1, d_b**2).swapaxes(-1, -2)).real
+    n, n_a = a_projectors.shape[:2]
+    t = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 3, 1).reshape(d_a**2, d_b**2)
+    x = (a_projectors.reshape(n * n_a, d_a**2) @ t).reshape(n, n_a, d_b**2)
+    values = (x @ b_projectors.reshape(n, -1, d_b**2).swapaxes(-1, -2)).real
     return models._check_probs(values, "born_joint")
 
 
 class TestBornJointsFromSteeredStates:
     @pytest.mark.parametrize("d_a", [2, 3])
     @pytest.mark.parametrize("d_b", [2, 3, 4])
-    @pytest.mark.parametrize("trials", [None, 3, 8])
-    def test_equals_the_regrouped_contraction_bit_for_bit(self, d_a, d_b, trials):
+    def test_equals_the_regrouped_contraction_bit_for_bit(self, d_a, d_b):
         rng = np.random.default_rng(10 * d_a + d_b)
-        lead = (trials,) if trials else ()
-        rho, *_ = random_separables(d_a, d_b, 3, range(trials or 1))
-        if not trials:
-            rho = DensityMatrix(d_a, d_b, rho.mat[0])
-
-        def settings(d):
-            bases = _orthonormal_rows(basis_draws(7 * (trials or 1), d, rng))
-            return qudit_projectors(bases.reshape(*lead, 7, d, d))
-
-        a, b = settings(d_a), settings(d_b)
+        rho, *_ = random_separables(d_a, d_b, 3, range(1))
+        rho = DensityMatrix(d_a, d_b, rho.mat[0])
+        a = qudit_projectors(random_bases(7, d_a, rng))
+        b = qudit_projectors(random_bases(7, d_b, rng))
         got = models.born_joints(rho, a, b)
-        assert got.shape == (*lead, 7, d_a, d_b)
+        assert got.shape == (7, d_a, d_b)
         assert np.array_equal(got, born_joints_reference(rho, a, b))
+
+    def test_refuses_a_state_stack_by_name(self):
+        rho, *_ = random_separables(2, 3, 2, range(4))
+        a, b = qubit_projectors(np.eye(3)), qudit_projectors(np.eye(3)[None].repeat(3, axis=0))
+        with pytest.raises(ValueError, match=r"^need one state, got a stack of shape \(4,\)$"):
+            models.born_joints(rho, a, b)
+
+    def test_refuses_trial_stacked_projectors(self):
+        rho = DensityMatrix(2, 3, random_separables(2, 3, 2, [0])[0].mat[0])
+        a, b = qubit_projectors(np.eye(3)), qudit_projectors(np.eye(3)[None].repeat(3, axis=0))
+        message = r"^need \(n, k, d, d\) projector stacks, got shapes \(2, 3, 2, 2, 2\) and"
+        with pytest.raises(ValueError, match=message):
+            models.born_joints(rho, np.stack([a, a]), np.stack([b, b]))
 
 
 class TestBornProbsShapes:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steermap import linalg, states
-from steermap.measurements import _orthonormal_rows, basis_draws
+from steermap.measurements import random_bases
 from steermap.states import (
     PAULI_STACK,
     SIGMA_X,
@@ -156,7 +156,7 @@ class TestMakeDensityStack:
 
 
 class TestValidateStates:
-    """The one state validator, on stacks of any rank."""
+    """The one state validator, on a matrix or a (T, n, n) stack."""
 
     def test_shape_and_rank(self):
         with pytest.raises(StateValidationError, match=r"shape \(3, 2, 2\) != \(4, 4\)"):
@@ -166,6 +166,13 @@ class TestValidateStates:
         with pytest.raises(ValueError, match="ndim=1"):
             states.validate_states(np.ones(4))
 
+    def test_refuses_a_stack_of_stacks(self):
+        # Response stacks of several models are no longer validated as one.
+        stacks = np.stack([np.eye(2, dtype=complex) / 2] * 6).reshape(2, 3, 2, 2)
+        message = r"^expected a matrix or a \(T, n, n\) stack, got ndim=4$"
+        with pytest.raises(ValueError, match=message) as info:
+            states.validate_states(stacks)
+        assert not isinstance(info.value, StateValidationError)
 
     def test_empty_stack(self):
         # Zero states pass every check and come back read-only, as zero
@@ -173,7 +180,6 @@ class TestValidateStates:
         for mat, shape in (
             (make_density(np.zeros((0, 4, 4)), 2, 2).mat, (0, 4, 4)),
             (states.validate_states(np.zeros((0, 4, 4))), (0, 4, 4)),
-            (states.validate_states(np.zeros((0, 3, 4, 4)), 4), (0, 3, 4, 4)),
         ):
             assert mat.shape == shape and mat.dtype == np.complex128
             assert not mat.flags.writeable
@@ -388,7 +394,7 @@ class TestConditionalState:
         rng = np.random.default_rng(24)
         rho, _ = random_separable(3, 2, 4, seed=25)
         pis = np.stack([
-            np.einsum("ix,iy->ixy", b, b.conj()) for b in _orthonormal_rows(basis_draws(5, 3, rng))
+            np.einsum("ix,iy->ixy", b, b.conj()) for b in random_bases(5, 3, rng)
         ])
         out = conditional_states(rho, pis)
         assert out.shape == (5, 3, 2, 2)
@@ -397,6 +403,11 @@ class TestConditionalState:
                 big = np.kron(pis[s, a], np.eye(2)) @ rho.mat
                 ref = linalg.partial_trace(big, 3, 2, keep="B")
                 assert np.max(np.abs(out[s, a] - ref)) <= 1e-15
+
+    def test_refuses_a_state_stack_by_name(self):
+        rho = werner(np.array([0.2, 0.5, 0.9]))
+        with pytest.raises(ValueError, match=r"^need one state, got a stack of shape \(3,\)$"):
+            conditional_states(rho, np.diag([1, 0]).astype(complex))
 
 
 class TestRandomSeparable:

@@ -13,7 +13,6 @@ per trial.
 import contextlib
 import io
 import json
-import math
 import re
 import sys
 import tracemalloc
@@ -22,7 +21,7 @@ import numpy as np
 import pytest
 
 from steermap import cli, constructions, mapping, models, states
-from steermap.measurements import pair_draws, pauli_projectors, qudit_measurement
+from steermap.measurements import pauli_projectors, qudit_measurement
 
 
 def exact_residual(rho, cert):
@@ -226,8 +225,7 @@ class TestBlockDraw:
                 assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
-SAMPLED_CHECK = ("verify_spm_identity", "verify_lhs_identity", "pair_draws", "basis_draws",
-                 "_orthonormal_rows", "qudit_projectors")
+SAMPLED_CHECK = ("verify_spm_identity", "verify_lhs_identity", "random_bases", "qudit_projectors")
 
 
 class TestExactCheckOnly:
@@ -258,64 +256,6 @@ class TestExactCheckOnly:
             # of the mixed party's Pauli probabilities, not a sampled check.
             assert called.count("born_probs") == blocks
             assert all(arg is pauli_projectors() for name, arg in calls if name == "born_probs")
-
-
-class ZeroFirstDirection:
-    """A normal source whose first three draws are 0.0.
-
-    Its first direction has norm 0, the case a real generator reaches
-    with probability about 1e-25.
-    """
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self._drawn = 0
-
-    def standard_normal(self, size=None):
-        out = np.atleast_1d(self._rng.standard_normal(size))
-        flat = out.reshape(-1)
-        flat[: max(0, 3 - self._drawn)] = 0.0
-        self._drawn += flat.size
-        return out
-
-
-def pairs_by_sample(n, dim, rng):
-    """n directions and basis draws from a per-sample loop: a direction's
-    three normals, normalised by ``math.sqrt(v @ v)``, then its basis's."""
-    directions = np.empty((n, 3))
-    z = np.empty((n, 2, dim, dim))
-    for i in range(n):
-        v = rng.standard_normal(3)
-        directions[i] = v / math.sqrt(v @ v)
-        z[i] = rng.standard_normal((2, dim, dim))
-    return directions, z[:, 0] + 1j * z[:, 1]
-
-
-class TestDirectionRejection:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_block_draw_equals_per_sample_loop(self, dim):
-        for seed in range(20):
-            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            ref_dirs, ref_draws = pairs_by_sample(7, dim, ref_rng)
-            dirs, draws = pair_draws(7, dim, rng)
-            assert np.array_equal(dirs, ref_dirs)
-            assert np.array_equal(draws, ref_draws)
-            assert rng.random() == ref_rng.random()
-
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_zero_row_is_redrawn_after_the_block(self, dim):
-        n = 6
-        dirs, draws = pair_draws(n, dim, ZeroFirstDirection(5))
-        # The stub serves the plain stream with its first three entries zeroed.
-        plain = np.random.default_rng(5)
-        block = plain.standard_normal((n, 3 + 2 * dim * dim))
-        redrawn = plain.standard_normal(3)
-        assert np.all(np.isfinite(dirs[0]))
-        assert np.array_equal(dirs[0], redrawn / math.sqrt(redrawn @ redrawn))
-        assert abs(np.linalg.norm(dirs[0]) - 1.0) <= 1e-15
-        assert np.array_equal(dirs[1:], [v / math.sqrt(v @ v) for v in block[1:, :3]])
-        z = block[:, 3:].reshape(n, 2, dim, dim)
-        assert np.array_equal(draws, z[:, 0] + 1j * z[:, 1])
 
 
 class TestBlockGuards:
