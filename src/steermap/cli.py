@@ -138,7 +138,7 @@ def _verify_block(side: str, dims, seeds, mu, c) -> np.ndarray:
     tau, *arrays = states.random_separables(*dims, ENSEMBLE_SIZE, seeds)
     cert = constructions.certificate(FiniteModel(*arrays), mu, side, constructions.biased_probs(c))
     rho = mapping.mix(tau, mapping.biased_partner(tau, c, side), mu)
-    return constructions.verify_model_identities(rho, cert.weights, cert.alice, cert.bob)
+    return constructions.verify_model_identities(rho, cert)
 
 
 def _verify_trials(side: str, dims, trials: int, seed: int, fixed):
@@ -178,8 +178,9 @@ def cmd_verify(args) -> int:
         if not mapping.feasible(*fixed):
             # Name the box vertex that decided it: outcome 0 at every Pauli
             # setting, whose hidden state is the largest.
-            exc = constructions.UnphysicalHiddenStateError(0, 0, 0, mapping._worst_norm_sq(*fixed))
-            print(f"infeasible parameters: {exc}", file=sys.stderr)
+            norm_sq = mapping._worst_norm_sq(*fixed)
+            print("infeasible parameters: hidden state unphysical at xi=0, setting=0, outcome=0: "
+                  f"|r|^2 = {norm_sq:.12g} > 1", file=sys.stderr)
             return EXIT_VERIFY
     side = VERIFY_SIDE[args.target]
     d_a, d_b = dims

@@ -8,12 +8,13 @@ certificate keeps the weights and the responses of the party that was
 not mixed, and the other party, Bob's qubit for map M and Alice's for
 map N, gets one hidden qubit per hidden value with Bloch components
 2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z
-(:func:`hidden_bloch`).  Since that qubit depends on the hidden value
-alone, an LHS certificate is a hidden-state model by construction, and
-no builder reads Alice's measurements.  :func:`lhs_certificate` and
-:func:`spm_certificate` are its two maps for a partner given as a model,
-which must share the base model's weights and other party and is
-compared with them entry by entry.
+(:func:`hidden_bloch`, with the Bloch-ball tolerance of
+:func:`~steermap.mapping.feasible`).  Since that qubit depends on the
+hidden value alone, an LHS certificate is a hidden-state model by
+construction, and no builder reads Alice's measurements.
+:func:`lhs_certificate` and :func:`spm_certificate` are its two maps for
+a partner given as a model, which must share the base model's weights
+and other party and is compared with them entry by entry.
 
 The verifiers recompute both sides of an identity from scratch and
 return the worst residual: the steered states at Alice's settings (map
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mapping import FEAS_TOL
 from .measurements import (
     pauli_projectors,
     qubit_projectors,
@@ -43,26 +45,19 @@ from .models import FiniteModel, born_joints, born_probs, finite_model
 from .states import DensityMatrix, _rng, check_unit_interval, conditional_states, hidden_qubits
 
 WEIGHT_TOL = 1e-12
-PHYS_TOL = 1e-12
 
 
 class UnphysicalHiddenStateError(ValueError):
     """A constructed hidden state left the Bloch ball.
 
     Signals that (mu, c) lies outside the range where the construction
-    works; carries the offending hidden index, setting, outcome and
-    squared Bloch norm.
+    works; carries the offending hidden index and squared Bloch norm.
     """
 
-    def __init__(self, xi: int, setting, outcome: int, norm_sq: float):
+    def __init__(self, xi: int, norm_sq: float):
         self.xi = xi
-        self.setting = setting
-        self.outcome = outcome
         self.norm_sq = norm_sq
-        super().__init__(
-            f"hidden state unphysical at xi={xi}, setting={setting}, "
-            f"outcome={outcome}: |r|^2 = {norm_sq:.12g} > 1"
-        )
+        super().__init__(f"hidden state unphysical at xi={xi}: |r|^2 = {norm_sq:.12g} > 1")
 
 
 def _quantum(model: FiniteModel, party: np.ndarray) -> bool:
@@ -91,7 +86,7 @@ def _partner_table(model: FiniteModel, prime: FiniteModel, side: str) -> np.ndar
         sizes = f"{model.weights.shape} vs {prime.weights.shape}"
         raise ValueError(f"models disagree on ensemble size: weights {sizes}")
     dev = float(np.max(np.abs(model.weights - prime.weights)))
-    if dev > WEIGHT_TOL:
+    if not dev <= WEIGHT_TOL:
         raise ValueError(f"models must share hidden-variable weights (max dev {dev:.3e})")
     mixed, kept = _parties(model, side)
     party, party_prime = getattr(model, kept), getattr(prime, kept)
@@ -109,19 +104,18 @@ def hidden_bloch(mu, p0, p0_prime) -> np.ndarray:
     ``p0[..., xi, k]`` is the mixed party's outcome-0 probability at the
     k-th Pauli setting in the base model and ``p0_prime`` the partner's
     (length 1 on the xi axis for a row shared by every hidden value);
-    ``mu`` is a float or one value per leading index.  The error names
-    the first unphysical (trial, hidden value), NaN included, with the
-    settings "xyz" and outcome -1: the hidden qubit depends on the hidden
-    value alone.
+    ``mu`` is a float or one value per leading index.  A squared norm
+    above 1 + ``FEAS_TOL``, the bound of :func:`~steermap.mapping.feasible`,
+    or NaN is refused, naming the first such hidden value.
     """
     check_unit_interval("mu", mu)
     m = np.asarray(mu, dtype=float)[..., None, None]
     bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
     norm_sq = np.einsum("...xk,...xk->...x", bloch, bloch)
-    over = ~(norm_sq <= 1.0 + PHYS_TOL)
+    over = ~(norm_sq <= 1.0 + FEAS_TOL)
     if over.any():
         *trial, xi = (int(i) for i in np.argwhere(over)[0])
-        raise UnphysicalHiddenStateError(xi, "xyz", -1, float(norm_sq[(*trial, xi)]))
+        raise UnphysicalHiddenStateError(xi, float(norm_sq[(*trial, xi)]))
     return bloch
 
 
@@ -239,24 +233,26 @@ def verify_spm_identity(sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: i
     return float(np.abs(lhs - rhs).max())
 
 
-def verify_model_identities(rho: DensityMatrix, weights, alice, bob):
+def verify_model_identities(rho: DensityMatrix, model: FiniteModel):
     """Operator residuals of models whose parties are both quantum, one per state.
 
     The max-abs entry of rho - sum_xi w_xi a_xi (x) b_xi, from one
     contraction.  It is at rounding level when the model is a separable
     decomposition of the state itself, a check that covers every
-    measurement of both parties.  ``weights`` (..., Xi), ``alice``
-    (..., Xi, d_a, d_a) and ``bob`` (..., Xi, d_b, d_b) carry the
-    leading axes of ``rho``, one state or a stack of T.
+    measurement of both parties.  ``model`` carries the leading axes of
+    ``rho``, one state or a stack of T; both its parties must be quantum
+    (by rank relative to the weights, see :mod:`steermap.models`) and of
+    the state's dims.
     """
     d_a, d_b = rho.d_a, rho.d_b
-    got = (np.shape(alice)[-1], np.shape(bob)[-1])
-    if np.ndim(alice) < 3 or np.ndim(bob) < 3 or got != (d_a, d_b):
+    alice, bob = model.alice, model.bob
+    quantum = _quantum(model, alice) and _quantum(model, bob)
+    if not quantum or (alice.shape[-1], bob.shape[-1]) != (d_a, d_b):
         raise ValueError(
             f"operator identity needs quantum {d_a}- and {d_b}-dim responses, "
-            f"got shapes {np.shape(alice)} and {np.shape(bob)}"
+            f"got shapes {alice.shape} and {bob.shape}"
         )
-    ensemble = np.einsum("...x,...xij,...xkl->...ikjl", weights, alice, bob)
+    ensemble = np.einsum("...x,...xij,...xkl->...ikjl", model.weights, alice, bob)
     lead = rho.mat.shape[:-2]
     return np.abs(rho.mat - ensemble.reshape(*lead, d_a * d_b, d_a * d_b)).max(axis=(-2, -1))
 

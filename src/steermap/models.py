@@ -10,8 +10,9 @@ kind is its rank relative to the weights', not its shape: a (T, 3, 3)
 stack of Pauli tables has the shape of three qutrit states.  The
 Born-rule kernels take one projector stack: :func:`born_probs` reads the
 response states of every trial in one matmul, and :func:`born_joints`
-the steered states of one state.  Which combination of parties is
-present decides what the model certifies:
+the steered states of one state.  Both return the contraction as
+computed, since states are validated where they are made.  Which
+combination of parties is present decides what the model certifies:
 
   both parties quantum   -> separable model (SPM)
   only Bob quantum       -> local-hidden-state (LHS) model for Alice's Paulis
@@ -42,30 +43,21 @@ from .states import (
 PROB_TOL = 1e-12
 
 
-def _check_probs(values: np.ndarray, context: str) -> np.ndarray:
-    """Range-check an array of probabilities to PROB_TOL and clip to [0, 1].
-
-    The error names the first offending entry in C order.
-    """
-    ok = (values >= -PROB_TOL) & (values <= 1.0 + PROB_TOL)
-    if not ok.all():
-        value = float(values[tuple(np.argwhere(~ok)[0])])
-        raise ValueError(f"{context}: probability {value} exceeds tolerance")
-    return np.minimum(np.maximum(values, 0.0), 1.0)
-
-
 def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
     """Born-rule table tr[P_sa rho_x] as an (S, A, X) array.
 
     ``projectors`` is an (S, A, d, d) stack (S measurements with A
     outcomes each) and ``states`` an (X, d, d) stack of density
     matrices.  States may carry leading axes, such as (T, X, d, d) for T
-    models, giving (T, S, A, X) tables in one batched matmul.  States of
-    another shape, such as an (X, 3) Pauli table, raise ``ValueError``.
-    Every entry is range-checked and clipped to [0, 1].
+    models, giving (T, S, A, X) tables in one batched matmul.  Projectors
+    of another rank, and states of another shape, such as an (X, 3)
+    Pauli table, raise ``ValueError``.  Entries are returned as computed:
+    validated states give probabilities to rounding.
     """
     p = np.asarray(projectors)
     rhos = np.asarray(states)
+    if p.ndim != 4 or p.shape[-2] != p.shape[-1]:
+        raise ValueError(f"{context}: projectors must be (S, A, d, d), got shape {p.shape}")
     n_set, n_out, _, d = p.shape
     if rhos.ndim < 3 or rhos.shape[-2:] != (d, d):
         raise ValueError(f"{context}: states must be (..., X, {d}, {d}), got shape {rhos.shape}")
@@ -73,7 +65,7 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
     flat = p.reshape(n_set * n_out, d * d) @ rhos.swapaxes(-1, -2).reshape(
         *rhos.shape[:-3], -1, d * d
     ).swapaxes(-1, -2)
-    return _check_probs(flat.real.reshape(*flat.shape[:-2], n_set, n_out, -1), context)
+    return flat.real.reshape(*flat.shape[:-2], n_set, n_out, -1)
 
 
 class FiniteModel(_Frozen):
@@ -148,9 +140,9 @@ def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
     an (n, B, d_b, d_b) stack; entry [m, a, b] of the (n, A, B) result is
     tr[B_mb sigma_ma], where sigma_ma = tr_A[(A_ma x 1) rho] is Bob's
     steered state from :func:`steermap.states.conditional_states`, which
-    refuses a stack of states.  Every entry is range-checked and clipped
-    to [0, 1].  Stacks of another rank, or of other dims than the
-    state's, raise ``ValueError``.
+    refuses a stack of states.  Entries are returned as computed.  Stacks
+    of another rank, or of other dims than the state's, raise
+    ``ValueError``.
     """
     d_a, d_b = rho.d_a, rho.d_b
     if a_projectors.ndim != 4 or b_projectors.ndim != 4:
@@ -163,8 +155,7 @@ def born_joints(rho: DensityMatrix, a_projectors, b_projectors) -> np.ndarray:
     sigma_t = conditional_states(rho, a_projectors).swapaxes(-1, -2)
     x = sigma_t.reshape(*sigma_t.shape[:-2], d_b**2)
     b = b_projectors.reshape(*b_projectors.shape[:-2], d_b**2)
-    values = (x @ b.swapaxes(-1, -2)).real
-    return _check_probs(values, "born_joint")
+    return (x @ b.swapaxes(-1, -2)).real
 
 
 def model_from_separable(ensemble) -> FiniteModel:

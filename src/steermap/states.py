@@ -16,7 +16,6 @@ import numpy as np
 
 from . import linalg
 
-HERM_TOL = linalg.HERMITICITY_TOL
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -146,9 +145,9 @@ def validate_states(mat, n: int | None = None) -> np.ndarray:
         dev = float(off) if off <= sys.float_info.max else np.inf
         raise StateValidationError(f"shape {m.shape} != ({n}, {n})", dev)
     defect = np.abs(m - m.conj().swapaxes(-1, -2))
-    if defect.max(initial=0.0) > HERM_TOL:
+    if defect.max(initial=0.0) > linalg.HERMITICITY_TOL:
         defect = defect.max(axis=(-2, -1))
-        raise fail("hermitian within 1e-10", defect, defect <= HERM_TOL)
+        raise fail("hermitian within 1e-10", defect, defect <= linalg.HERMITICITY_TOL)
     tr = np.trace(m, axis1=-2, axis2=-1)
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     if not (tr_dev <= TRACE_TOL).all():

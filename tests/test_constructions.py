@@ -166,7 +166,7 @@ class TestLhsCertificate:
     def test_unphysical_reports_first_entry_in_loop_order(self):
         # Two unphysical hidden values, xi=0 and xi=1, at different Alice
         # outcomes.  The hidden qubit depends on the hidden value alone, so
-        # the error names xi=0 at the settings "xyz" and no outcome (-1).
+        # the error names xi=0 and its squared norm, and nothing else.
         alice = np.stack([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]).astype(complex)
         base = finite_model([0.5, 0.5], alice, np.ones((2, 3)))
         mu = 0.5
@@ -175,8 +175,9 @@ class TestLhsCertificate:
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
             cons.lhs_certificate(base, prime, mu, settings)
         err = info.value
-        assert (err.xi, err.setting, err.outcome) == (0, "xyz", -1)
+        assert vars(err) == {"xi": 0, "norm_sq": err.norm_sq}
         assert err.norm_sq > 1.0
+        assert str(err) == f"hidden state unphysical at xi=0: |r|^2 = {err.norm_sq:.12g} > 1"
 
 
 class TestStackedCertificates:
@@ -290,11 +291,11 @@ class TestStackedCertificates:
         _, model, _ = separable_pair(2, 2, 2, seed=56, c=0.2)
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
             cons.certificate(model, 0.3, side, np.full((1, 3), np.nan))
-        assert (info.value.xi, info.value.setting, info.value.outcome) == (0, "xyz", -1)
-        assert str(info.value).endswith("|r|^2 = nan > 1")
+        assert info.value.xi == 0
+        assert str(info.value) == "hidden state unphysical at xi=0: |r|^2 = nan > 1"
 
     def test_nan_in_the_base_table_is_unphysical(self):
-        with pytest.raises(cons.UnphysicalHiddenStateError, match=r"xi=0, .*= nan > 1$"):
+        with pytest.raises(cons.UnphysicalHiddenStateError, match=r"xi=0: .*= nan > 1$"):
             cons.hidden_bloch(0.3, np.full((2, 3), np.nan), cons.biased_probs(0.1))
         # Stacked: trial 0 is physical, trial 1 is NaN at xi = 2 only.
         p0 = np.full((2, 3, 3), 0.5)
@@ -302,6 +303,28 @@ class TestStackedCertificates:
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
             cons.hidden_bloch(np.full(2, 0.3), p0, cons.biased_probs(np.full(2, 0.1)))
         assert info.value.xi == 2 and math.isnan(info.value.norm_sq)
+
+
+class TestRoundingLevelResponses:
+    @pytest.mark.parametrize("side", ["B", "A"])
+    def test_negative_within_psd_tol_certifies(self, side):
+        # finite_model accepts a qubit response with eigenvalue -5e-11, so
+        # its Pauli-z probability 1 + 5e-11 must reach the Bloch-ball test.
+        qubit = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
+        qutrit = np.eye(3, dtype=complex) / 3
+        mu, c = 0.3, 0.2
+        if side == "B":
+            model = finite_model([1.0], qutrit[None], qubit[None])
+            cert = cons.lhs_certificate(
+                model, cons.bob_biased_prime_model(model, c), mu, computational_settings(3)
+            )
+            tau = make_density(np.kron(qutrit, qubit), 3, 2)
+        else:
+            model = finite_model([1.0], qubit[None], qutrit[None])
+            cert = cons.spm_certificate(model, cons.alice_biased_prime_model(model, c), mu)
+            tau = make_density(np.kron(qubit, qutrit), 2, 3)
+        rho = mapping.mix(tau, mapping.biased_partner(tau, c, side), mu)
+        assert cons.verify_model_identities(rho, cert) <= 1e-12
 
 
 class TestVerifyLhsIdentity:
@@ -642,7 +665,7 @@ class TestOperatorIdentity:
     def test_both_maps(self, dim):
         for seed, mu, c in self.params(dim):
             for state, cert in self.certified(dim, seed, mu, c, mu):
-                got = cons.verify_model_identities(state, cert.weights, cert.alice, cert.bob)
+                got = cons.verify_model_identities(state, cert)
                 assert got <= 1e-12
                 assert self.reference(state, cert) <= 1e-12
 
@@ -652,7 +675,7 @@ class TestOperatorIdentity:
         # the certificate's, and the residual is the reference's.
         for seed, mu, c in self.params(dim):
             for state, cert in self.certified(dim, seed, mu, c, mu / 2):
-                got = cons.verify_model_identities(state, cert.weights, cert.alice, cert.bob)
+                got = cons.verify_model_identities(state, cert)
                 assert got > 1e-3
                 assert abs(got - self.reference(state, cert)) <= 1e-14
 
@@ -666,20 +689,27 @@ class TestOperatorIdentity:
             stack = DensityMatrix(mixed[0].d_a, mixed[0].d_b, np.stack([m.mat for m in mixed]))
             fields = ("weights", "alice", "bob")
             arrays = [np.stack([getattr(c, f) for c in certs]) for f in fields]
-            got = cons.verify_model_identities(stack, *arrays)
-            each = [
-                cons.verify_model_identities(m, c.weights, c.alice, c.bob)
-                for m, c in zip(mixed, certs)
-            ]
+            got = cons.verify_model_identities(stack, FiniteModel(*arrays))
+            each = [cons.verify_model_identities(m, c) for m, c in zip(mixed, certs)]
             assert got.shape == (5,)
             assert np.array_equal(got, each)
 
     def test_needs_quantum_parties_of_the_state_dims(self):
         (rho, cert), _ = self.certified(3, 7, 0.3, 0.2, 0.3)
+        table_bob = FiniteModel(cert.weights, cert.alice, np.ones((4, 3)))
         with pytest.raises(ValueError, match="operator identity needs quantum 3- and 2-dim"):
-            cons.verify_model_identities(rho, cert.weights, cert.alice, np.ones((4, 3)))
+            cons.verify_model_identities(rho, table_bob)
         with pytest.raises(ValueError, match="operator identity needs quantum"):
-            cons.verify_model_identities(rho, cert.weights, cert.bob, cert.alice)
+            cons.verify_model_identities(rho, FiniteModel(cert.weights, cert.bob, cert.alice))
+
+    def test_stacked_pauli_table_of_the_state_dim_is_refused(self):
+        # A (T, Xi, 3) table with Xi = 3 has the shape of T stacks of qutrit
+        # states; the kind is its rank relative to the weights', not its shape.
+        tau, weights, _, betas = states.random_separables(3, 2, 3, range(4))
+        model = FiniteModel(weights, np.full((4, 3, 3), 0.5), betas)
+        message = r"^operator identity needs quantum 3- and 2-dim .* got shapes \(4, 3, 3\) and"
+        with pytest.raises(ValueError, match=message):
+            cons.verify_model_identities(tau, model)
 
 
 class TestFeasibilityPhysicalityLink:
@@ -860,3 +890,14 @@ class TestSharedParty:
         shifted = FiniteModel(model.weights + 1e-9, prime.alice, prime.bob)
         with pytest.raises(ValueError, match=r"^models must share hidden-variable weights"):
             SHARED["B"][2](model, shifted)
+
+    @pytest.mark.parametrize("side", ["B", "A"])
+    def test_nan_weights_are_refused(self, side):
+        # NaN fails every comparison, so the weight test is written as
+        # "not within", as the kept party's is.
+        _, model, _ = separable_pair(2, 2, 4, seed=52, c=0.3)
+        prime = SHARED[side][1](model, 0.3)
+        nan = FiniteModel(np.full(4, np.nan), prime.alice, prime.bob)
+        message = r"^models must share hidden-variable weights \(max dev nan\)$"
+        with pytest.raises(ValueError, match=message):
+            SHARED[side][2](model, nan)

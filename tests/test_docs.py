@@ -13,6 +13,11 @@ Every ``:func:``, ``:class:`` and ``:mod:`` role in the docstrings of
 ``src/steermap`` must resolve the same way in its module; a target that
 starts with ``steermap.`` (after an optional ``~``) resolves from the
 package.
+
+Every top-level function, class and assigned name of ``src/steermap``
+(dunders excepted) must be used: referenced by another top-level
+statement in ``src/``, or named in ``tests/test_acceptance.py``.  A
+name used only inside its own definition counts as unused.
 """
 
 import ast
@@ -108,3 +113,61 @@ def test_a_deleted_name_is_caught():
     assert [n for n in checked_names(row) if not resolves(module, n)] == [
         "deleted_kernel", "DeletedClass", "states.nowhere"
     ]
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Identifiers that ``tree`` reads: names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines, dunders excepted."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def orphans(sources: dict[str, str], pinned: set[str]) -> list[str]:
+    """``module.name`` of every top-level name no other top-level statement uses or pins."""
+    statements = [(module, stmt) for module, text in sources.items()
+                  for stmt in ast.parse(text).body]
+    reads = [used_names(stmt) for _, stmt in statements]
+    found = []
+    for i, (module, stmt) in enumerate(statements):
+        for name in defined_names(stmt):
+            if name in pinned:
+                continue
+            if not any(name in r for j, r in enumerate(reads) if j != i):
+                found.append(f"{module}.{name}")
+    return found
+
+
+def source_texts() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+
+
+def acceptance_names() -> set[str]:
+    return used_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text("utf-8")))
+
+
+def test_every_top_level_name_is_used():
+    assert orphans(source_texts(), acceptance_names()) == []
+
+
+def test_a_deliberately_orphaned_name_is_caught():
+    sources = {**source_texts(), "extra": "def orphan(n):\n    return orphan(n - 1)\n"}
+    pinned = acceptance_names() - {"region_scan"}
+    assert orphans(sources, pinned) == ["mapping.region_scan", "extra.orphan"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,10 +78,12 @@ class TestBornJoint:
                         ref = np.trace(np.kron(pa[n, a], pb[n, b]) @ rho.mat).real
                         assert abs(joints[n, a, b] - ref) <= 1e-15
 
-    def test_born_probs_names_first_out_of_range_entry(self):
+    def test_born_probs_returns_an_unvalidated_table_as_computed(self):
+        # States are validated where they are made; the contraction neither
+        # range-checks nor clips what it is given.
         bogus = np.stack([np.diag([0.5, 0.5]), np.diag([1.5, -0.5])]).astype(complex)
-        with pytest.raises(ValueError, match=r"ctx: probability 1\.5 exceeds"):
-            models.born_probs(pair(Z), bogus, "ctx")
+        got = models.born_probs(pair(Z), bogus, "ctx")
+        assert np.array_equal(got, [[[0.5, 1.5], [0.5, -0.5]]])
 
 
 class TestModelFromSeparable:
@@ -247,13 +251,6 @@ class TestResponses:
         with pytest.raises(StateValidationError, match="trace = 1 within 1e-10 in state 2 "):
             models.model_from_separable([tuple(m) for m in members])
 
-    def test_out_of_tolerance_probability_raises(self):
-        # A unit-trace Hermitian matrix that is not PSD, passed without
-        # the model's validation, must not be clamped silently.
-        bogus = np.diag([1.5, -0.5]).astype(complex)[None]
-        with pytest.raises(ValueError, match="exceeds tolerance"):
-            constructions.pauli_probs(bogus)
-
     @pytest.mark.parametrize("bad", [np.full(3, 0.5), np.zeros((1, 1, 2, 2)), 0.5])
     def test_party_of_another_rank_is_rejected(self, bad):
         with pytest.raises(ValueError, match=r"alice must be an \(Xi, d, d\) state stack"):
@@ -280,8 +277,7 @@ def born_joints_reference(rho, a_projectors, b_projectors):
     n, n_a = a_projectors.shape[:2]
     t = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 3, 1).reshape(d_a**2, d_b**2)
     x = (a_projectors.reshape(n * n_a, d_a**2) @ t).reshape(n, n_a, d_b**2)
-    values = (x @ b_projectors.reshape(n, -1, d_b**2).swapaxes(-1, -2)).real
-    return models._check_probs(values, "born_joint")
+    return (x @ b_projectors.reshape(n, -1, d_b**2).swapaxes(-1, -2)).real
 
 
 class TestBornJointsFromSteeredStates:
@@ -326,3 +322,12 @@ class TestBornProbsShapes:
         qubits = hidden_qubits(np.zeros((9, 3)))
         with pytest.raises(ValueError, match=r"^born_probs: states must .* got shape \(9, 2, 2\)$"):
             models.born_probs(qudit_measurement(np.eye(3))[None], qubits)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3, 3, 3, 3), (3, 3, 3)], ids=["trial-stacked", "one-measurement"]
+    )
+    def test_projectors_of_another_rank_are_refused(self, shape):
+        qutrits = np.broadcast_to(np.eye(3, dtype=complex) / 3, (4, 3, 3))
+        message = rf"^ctx: projectors must be \(S, A, d, d\), got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            models.born_probs(np.zeros(shape, dtype=complex), qutrits, "ctx")

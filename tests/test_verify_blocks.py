@@ -25,7 +25,7 @@ from steermap.measurements import pauli_projectors, qudit_measurement
 
 
 def exact_residual(rho, cert):
-    return float(constructions.verify_model_identities(rho, cert.weights, cert.alice, cert.bob))
+    return float(constructions.verify_model_identities(rho, cert))
 
 
 def draw_one(rng):
