@@ -41,10 +41,8 @@ from .measurements import (
     random_bases,
     validate_projectors,
 )
-from .models import FiniteModel, born_joints, born_probs, finite_model
+from .models import WEIGHT_TOL, FiniteModel, born_joints, born_probs, finite_model
 from .states import DensityMatrix, _rng, check_unit_interval, conditional_states, hidden_qubits
-
-WEIGHT_TOL = 1e-12
 
 
 class UnphysicalHiddenStateError(ValueError):

@@ -10,8 +10,10 @@ anything; callers validate explicitly.
 
 The Hermitian eigensolver is LAPACK's eigenvalues-only ``eigvalsh`` (via
 numpy) behind one validation step: the input must be square, finite and
-Hermitian within ``HERMITICITY_TOL``, the same tolerance states are held
-to.  Every spectral quantity here needs eigenvalues alone, so no
+Hermitian within ``STATE_TOL``.  It is the one judge of finite entries
+and hermiticity for every caller, ``states.validate_states`` included,
+and raises :class:`StateValidationError`, the error of every state
+invariant.  Every spectral quantity here needs eigenvalues alone, so no
 eigenvectors are computed.  The Hermitian part ``(m + m^dagger)/2`` is
 what gets solved, so callers never need to symmetrize.
 """
@@ -20,7 +22,32 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
+STATE_TOL = 1e-10  # of a state's hermiticity, unit trace and least eigenvalue
+
+
+class StateValidationError(ValueError):
+    """A density-matrix invariant failed; names it, the deviation and,
+    for a stack, the first state that failed it."""
+
+    def __init__(self, invariant: str, deviation: float, state: int | None = None):
+        self.invariant = invariant
+        self.deviation = deviation
+        self.state = state
+        where = "" if state is None else f" in state {state}"
+        super().__init__(f"invariant violated: {invariant}{where} (deviation {deviation:.3e})")
+
+
+def _check_invariant(invariant: str, deviation: np.ndarray, ok: np.ndarray) -> None:
+    """Raise :class:`StateValidationError` unless every entry of ``ok`` holds.
+
+    ``ok`` and ``deviation`` hold one value per member (0-d for one
+    matrix); the error reports the first failing member's deviation and
+    its first leading index.
+    """
+    if ok.all():
+        return
+    idx = tuple(int(i) for i in np.argwhere(~ok)[0])
+    raise StateValidationError(invariant, float(deviation[idx]), idx[0] if idx else None)
 
 
 def kron(a, b) -> np.ndarray:
@@ -73,39 +100,28 @@ def partial_transpose(m, d_a: int, d_b: int) -> np.ndarray:
     return t.swapaxes(-1, -3).reshape(a.shape)
 
 
-def _first(bad: np.ndarray) -> tuple[int, ...]:
-    """Index of the first True entry (C order) of a boolean array."""
-    return tuple(int(i) for i in np.argwhere(bad)[0])
-
-
-def _at(idx: tuple[int, ...]) -> str:
-    """`` i`` or `` i,j`` naming a stack member in a message; empty for none."""
-    return f" {','.join(map(str, idx))}" if idx else ""
-
-
 def hermitian_eigen(m):
     """Eigenvalues of a Hermitian matrix via LAPACK ``eigvalsh``.
 
     ``m`` is one matrix or an ``(..., d, d)`` stack, solved in one call.
     Returns the real eigenvalues of the Hermitian part of ``m``,
-    ascending along the last axis and stacked like ``m``.  Raises
-    ``ValueError`` for non-square, non-finite or non-Hermitian input
-    (defect > 1e-10), checked per matrix; for a stack the message names
-    the first offending matrix.
+    ascending along the last axis and stacked like ``m``.  Non-square
+    input raises ``ValueError``; non-finite entries, then a hermiticity
+    defect above ``STATE_TOL``, raise :class:`StateValidationError`,
+    checked per matrix and naming the first offending member of a stack.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # Whole-stack checks first; per-matrix values only name an offender.
     if not np.isfinite(a).all():
-        finite = np.isfinite(a).all(axis=(-2, -1))
-        raise ValueError(f"matrix{_at(_first(~finite))} has non-finite entries")
+        bad = np.count_nonzero(~np.isfinite(a), axis=(-2, -1))
+        _check_invariant("finite entries", bad, bad == 0)
     adjoint = a.conj().swapaxes(-1, -2)
     defect = np.abs(a - adjoint)
-    if defect.max(initial=0.0) > HERMITICITY_TOL:
+    if defect.max(initial=0.0) > STATE_TOL:
         defect = defect.max(axis=(-2, -1))
-        idx = _first(defect > HERMITICITY_TOL)
-        raise ValueError(f"matrix{_at(idx)} is not Hermitian (defect {float(defect[idx]):.3e})")
+        _check_invariant(f"hermitian within {STATE_TOL:g}", defect, defect <= STATE_TOL)
     return np.linalg.eigvalsh((a + adjoint) / 2.0)
 
 

@@ -20,15 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .states import (
-    PSD_TOL,
-    SIGMA_Z,
-    BlochVector,
-    DensityMatrix,
-    StateValidationError,
-    _closed_density,
-    check_unit_interval,
-)
+from .linalg import STATE_TOL, _check_invariant
+from .states import SIGMA_Z, BlochVector, DensityMatrix, _closed_density, check_unit_interval
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
@@ -79,9 +72,9 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     reduced state with a qubit state is closed but for one edge case (see
     :func:`steermap.states._closed_density`): a reduced state negative
     within tolerance.  So the partner's least eigenvalue, the reduced
-    state's times (1 + c)/2, must be >= -1e-10, from one small
-    eigenvalue solve; otherwise :class:`StateValidationError`.  For a
-    stack of T states ``c`` is a float or a (T,) array and the T reduced
+    state's times (1 + c)/2, must be >= -1e-10, from one small eigenvalue
+    solve; otherwise :class:`~steermap.linalg.StateValidationError`.  For
+    a stack of T states ``c`` is a float or a (T,) array and the T reduced
     states are solved in one call.
     """
     if side not in ("A", "B"):
@@ -95,13 +88,7 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     qubit = (np.eye(2, dtype=np.complex128) + c[..., None, None] * SIGMA_Z) / 2.0
     reduced = state.reduced_a() if side == "B" else state.reduced_b()
     least = linalg.hermitian_eigen(reduced)[..., 0] * (1.0 + c) / 2.0
-    if not (least >= -PSD_TOL).all():
-        i = int(np.argmin(least >= -PSD_TOL))
-        raise StateValidationError(
-            "partner min eigenvalue >= -1e-10",
-            float(-least.flat[i]),
-            i if least.ndim else None,
-        )
+    _check_invariant(f"partner min eigenvalue >= -{STATE_TOL:g}", -least, least >= -STATE_TOL)
     if side == "B":
         mat = linalg.kron(reduced, qubit)
     else:

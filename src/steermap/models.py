@@ -40,7 +40,7 @@ from .states import (
     validate_states,
 )
 
-PROB_TOL = 1e-12
+WEIGHT_TOL = 1e-12  # of hidden-variable weights, and of two models' agreement
 
 
 def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
@@ -94,18 +94,18 @@ class FiniteModel(_Frozen):
 def finite_model(weights, alice, bob) -> FiniteModel:
     """Validate weights and both parties and assemble a FiniteModel.
 
-    The weights must form a non-empty 1-D sequence summing to 1 within
-    1e-12, each >= -1e-12.  A 3-D party is a response-state stack, checked
-    by :func:`steermap.states.validate_states`; a 2-D party is a Pauli
-    table, which must have three columns and every entry in [0, 1].  Each
+    The weights must form a non-empty real 1-D sequence summing to 1
+    within 1e-12, each >= -1e-12.  A 3-D party is a response-state stack,
+    checked by :func:`steermap.states.validate_states`; a 2-D party is a
+    real Pauli table, with three columns and every entry in [0, 1].  Each
     party needs one row per weight.
     """
-    w = np.array(weights, dtype=float)
+    w = _real("weights", weights)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D sequence")
-    if w.min() < -PROB_TOL:
+    if w.min() < -WEIGHT_TOL:
         raise ValueError(f"negative weight {w.min()}")
-    if not abs(w.sum() - 1.0) <= PROB_TOL:
+    if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
         raise ValueError(f"weights sum to {w.sum()} != 1")
     w.setflags(write=False)
     alice, bob = _party("alice", alice), _party("bob", bob)
@@ -115,6 +115,14 @@ def finite_model(weights, alice, bob) -> FiniteModel:
             f"{len(alice)} alice, {len(bob)} bob"
         )
     return FiniteModel(w, alice, bob)
+
+
+def _real(name: str, values) -> np.ndarray:
+    """``values`` as a new float array; complex ones, which numpy would truncate, raise."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.array(a, dtype=float)
 
 
 def _party(name: str, responses) -> np.ndarray:
@@ -127,7 +135,7 @@ def _party(name: str, responses) -> np.ndarray:
             f"{name} must be an (Xi, d, d) state stack or an (Xi, 3) Pauli table, "
             f"got shape {r.shape}"
         )
-    table = np.array(r, dtype=float)
+    table = _real(f"{name} table", r)
     check_unit_interval(f"{name} table entry", table)
     table.setflags(write=False)
     return table

@@ -15,9 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+from .linalg import STATE_TOL, StateValidationError, _check_invariant
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -43,20 +41,6 @@ def check_unit_interval(name: str, value) -> None:
     if outside.any():
         got = value if v.ndim == 0 else v[outside][0]
         raise ValueError(f"{name} must be in [0, 1], got {got}")
-
-
-class StateValidationError(ValueError):
-    """A density-matrix invariant failed; names it, the deviation and,
-    for a stack, the first state that failed it."""
-
-    def __init__(self, invariant: str, deviation: float, state: int | None = None):
-        self.invariant = invariant
-        self.deviation = deviation
-        self.state = state
-        where = "" if state is None else f" in state {state}"
-        super().__init__(
-            f"invariant violated: {invariant}{where} (deviation {deviation:.3e})"
-        )
 
 
 class BlochVector(NamedTuple):
@@ -121,8 +105,9 @@ class DensityMatrix(_Frozen):
 def validate_states(mat, n: int | None = None) -> np.ndarray:
     """Check a matrix, or a (T, n, n) stack, as density matrices; return a read-only copy.
 
-    The one state validator.  Checks, in order: rank, finite entries,
-    shape (square; n x n if ``n`` is given), hermiticity (1e-10), unit
+    The one state validator.  Checks, in order: rank, shape (square and
+    not empty; n x n if ``n`` is given), finite entries and hermiticity
+    (1e-10), both judged by :func:`~steermap.linalg.hermitian_eigen`, unit
     trace (1e-10) and min eigenvalue >= -1e-10, each over the whole stack
     at once and so that NaN fails it.  The :class:`StateValidationError`
     names the first failed invariant and, for a stack, the index of the
@@ -131,30 +116,18 @@ def validate_states(mat, n: int | None = None) -> np.ndarray:
     m = np.array(mat, dtype=np.complex128)
     if m.ndim not in (2, 3):
         raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
-
-    def fail(invariant: str, deviation: np.ndarray, ok: np.ndarray):
-        idx = linalg._first(~ok)
-        return StateValidationError(invariant, float(deviation[idx]), idx[0] if idx else None)
-
-    if not np.isfinite(m).all():
-        bad = np.count_nonzero(~np.isfinite(m), axis=(-2, -1))
-        raise fail("finite entries", bad, bad == 0)
     n = m.shape[-1] if n is None else n
-    if m.shape[-2:] != (n, n):
-        off = abs(m.shape[-2] - n)  # an int: a huge n must not overflow float()
+    if m.shape[-2:] != (n, n) or n == 0:
+        # An int: a huge n must not overflow float().  A 0 x 0 matrix lacks a row.
+        off = abs(m.shape[-2] - n) if n else 1
         dev = float(off) if off <= sys.float_info.max else np.inf
-        raise StateValidationError(f"shape {m.shape} != ({n}, {n})", dev)
-    defect = np.abs(m - m.conj().swapaxes(-1, -2))
-    if defect.max(initial=0.0) > linalg.HERMITICITY_TOL:
-        defect = defect.max(axis=(-2, -1))
-        raise fail("hermitian within 1e-10", defect, defect <= linalg.HERMITICITY_TOL)
+        want = f"({n}, {n})" if n else "(n, n), n >= 1"
+        raise StateValidationError(f"shape {m.shape} != {want}", dev)
+    least = linalg.hermitian_eigen(m)[..., 0]
     tr = np.trace(m, axis1=-2, axis2=-1)
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    if not (tr_dev <= TRACE_TOL).all():
-        raise fail("trace = 1 within 1e-10", tr_dev, tr_dev <= TRACE_TOL)
-    w = linalg.hermitian_eigen(m)
-    if not (w[..., 0] >= -PSD_TOL).all():
-        raise fail("min eigenvalue >= -1e-10", -w[..., 0], w[..., 0] >= -PSD_TOL)
+    _check_invariant(f"trace = 1 within {STATE_TOL:g}", tr_dev, tr_dev <= STATE_TOL)
+    _check_invariant(f"min eigenvalue >= -{STATE_TOL:g}", -least, least >= -STATE_TOL)
     m.setflags(write=False)
     return m
 

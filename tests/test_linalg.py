@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from steermap import linalg
+from steermap import linalg, states
+from steermap.linalg import StateValidationError
 from steermap.states import SIGMA_X, SIGMA_Y, SIGMA_Z, singlet
 
 I2 = np.eye(2, dtype=np.complex128)
+NOT_HERMITIAN = r"^invariant violated: hermitian within 1e-10"
+NOT_FINITE = r"^invariant violated: finite entries"
 
 
 def random_hermitian(n, rng):
@@ -166,8 +169,10 @@ class TestHermitianEigen:
             assert_eigenvalues(m, w)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(StateValidationError, match=NOT_HERMITIAN + r" \(") as info:
             linalg.hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert isinstance(info.value, ValueError)
+        assert info.value.state is None and info.value.deviation == 1.0
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -177,8 +182,10 @@ class TestHermitianEigen:
     def test_rejects_non_finite(self, bad):
         m = np.eye(4, dtype=complex) / 4
         m[1, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(StateValidationError, match=NOT_FINITE + r" \(") as info:
             linalg.hermitian_eigen(m)
+        assert isinstance(info.value, ValueError)
+        assert info.value.state is None and info.value.deviation == 1.0
 
 
     def test_stack_matches_per_matrix(self):
@@ -196,11 +203,32 @@ class TestHermitianEigen:
         stack = np.stack([np.eye(2, dtype=complex) / 2] * 4)
         stack[3, 0, 1] = 1.0
         stack[2, 0, 1] = 1.0
-        with pytest.raises(ValueError, match=r"^matrix 2 is not Hermitian"):
+        with pytest.raises(StateValidationError, match=NOT_HERMITIAN + " in state 2 ") as info:
             linalg.hermitian_eigen(stack)
+        assert info.value.state == 2 and info.value.deviation == 1.0
         stack[3, 1, 1] = np.nan
-        with pytest.raises(ValueError, match=r"^matrix 3 has non-finite entries"):
+        with pytest.raises(StateValidationError, match=NOT_FINITE + " in state 3 ") as info:
             linalg.hermitian_eigen(stack)
+        assert info.value.state == 3 and info.value.deviation == 1.0
+
+    def test_is_the_one_judge_of_finite_entries_and_hermiticity(self):
+        # NaN in state 1, a hermiticity defect in state 2: validate_states
+        # reports what hermitian_eigen reports, first the NaN, then the defect.
+        stack = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+        stack[1, 0, 0] = np.nan
+        stack[2, 0, 1] = 1e-3
+        for invariant, deviation, state in (
+            ("finite entries", 1.0, 1),
+            ("hermitian within 1e-10", 1e-3, 2),
+        ):
+            got = []
+            for judge in (states.validate_states, linalg.hermitian_eigen):
+                with pytest.raises(StateValidationError) as info:
+                    judge(stack)
+                got.append((info.value.invariant, info.value.deviation, info.value.state))
+            assert got == [(invariant, deviation, state)] * 2
+            stack[1, 0, 0] = 0.5
+        assert states.StateValidationError is linalg.StateValidationError
 
 
 class TestTraceNorm:
@@ -217,8 +245,9 @@ class TestTraceNorm:
             assert abs(linalg.trace_norm(-(p / 2.0) * sigma) - p) < 1e-14
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(StateValidationError, match=NOT_HERMITIAN + r" \(") as info:
             linalg.trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert info.value.state is None and info.value.deviation == 1.0
 
 
 class TestStacks:

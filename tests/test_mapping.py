@@ -213,6 +213,20 @@ class TestPartnerEigenvalueCheck:
             mapping.biased_partner(stack, np.array([1.0, 1.0, 1.0]), "B")
         assert info.value.state == 1
 
+    @pytest.mark.parametrize(
+        "entry, invariant",
+        [((0, 0, np.nan), "finite entries"), ((0, 2, 0.1), "hermitian within 1e-10")],
+    )
+    def test_unvalidated_state_is_refused(self, entry, invariant):
+        # A DensityMatrix built directly skips validation; the reduced
+        # state's eigenvalue solve still refuses it.
+        i, j, value = entry
+        mat = np.eye(4, dtype=complex) / 4
+        mat[i, j] = value
+        with pytest.raises(StateValidationError) as info:
+            mapping.biased_partner(states.DensityMatrix(2, 2, mat), 0.5, "B")
+        assert info.value.invariant == invariant
+
 
 class TestClosedOperations:
     """Results built without re-validation still pass make_density."""

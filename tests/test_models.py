@@ -251,6 +251,23 @@ class TestResponses:
         with pytest.raises(StateValidationError, match="trace = 1 within 1e-10 in state 2 "):
             models.model_from_separable([tuple(m) for m in members])
 
+    def test_complex_pauli_table_is_refused(self):
+        # numpy would keep the real part 0.5 and warn.
+        for table in ([[0.5 + 1j, 0.5, 0.5]], [[0.5 + 0j, 0.5, 0.5]]):
+            with pytest.raises(ValueError, match=r"^bob table must be real, got complex values$"):
+                models.finite_model([1.0], HALF[None], table)
+
+    @pytest.mark.parametrize("weights", [[1 + 0j], np.array([0.5 + 1j, 0.5])])
+    def test_complex_weights_are_refused(self, weights):
+        flat = np.full((len(weights), 3), 0.5)
+        with pytest.raises(ValueError, match=r"^weights must be real, got complex values$"):
+            models.finite_model(weights, flat, flat)
+
+    def test_empty_response_matrices_are_refused(self):
+        with pytest.raises(StateValidationError) as info:
+            models.finite_model([1.0], np.zeros((0, 0, 0)), np.full((1, 3), 0.5))
+        assert info.value.invariant == "shape (0, 0, 0) != (n, n), n >= 1"
+
     @pytest.mark.parametrize("bad", [np.full(3, 0.5), np.zeros((1, 1, 2, 2)), 0.5])
     def test_party_of_another_rank_is_rejected(self, bad):
         with pytest.raises(ValueError, match=r"alice must be an \(Xi, d, d\) state stack"):

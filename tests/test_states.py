@@ -65,12 +65,23 @@ class TestMakeDensity:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_rejects_non_finite_first(self, bad):
-        # Wrong shape and trace as well: finiteness is checked before both.
-        mat = np.eye(6, dtype=complex)
+        # Not Hermitian and of the wrong trace as well: finiteness is
+        # checked before both.
+        mat = np.eye(4, dtype=complex)
+        mat[0, 1] = 0.1
         mat[0, 0] = bad
         with pytest.raises(StateValidationError, match="finite entries") as info:
             make_density(mat, 2, 2)
         assert info.value.deviation == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_the_wrong_shape_before_non_finite_entries(self, bad):
+        mat = np.eye(6, dtype=complex)
+        mat[0, 0] = bad
+        shape = r"^invariant violated: shape \(6, 6\) != \(4, 4\) "
+        with pytest.raises(StateValidationError, match=shape) as info:
+            make_density(mat, 2, 2)
+        assert info.value.deviation == 2.0
 
     def test_bell_projector_is_pure(self):
         rho = bell_phi_plus()
@@ -185,12 +196,26 @@ class TestValidateStates:
             assert not mat.flags.writeable
 
     def test_nan_stack_fails_finite_entries_first(self):
-        # Not Hermitian, not of unit trace and, for n = 3, the wrong shape as well.
+        # Not Hermitian and not of unit trace as well.
         mats = np.full((2, 4, 4), np.nan, dtype=complex)
-        for n in (None, 3):
+        for n in (None, 4):
             with pytest.raises(StateValidationError) as info:
                 states.validate_states(mats, n)
             assert info.value.invariant == "finite entries" and info.value.state == 0
+
+    def test_nan_stack_of_the_wrong_shape_fails_shape_first(self):
+        mats = np.full((2, 4, 4), np.nan, dtype=complex)
+        with pytest.raises(StateValidationError) as info:
+            states.validate_states(mats, 3)
+        assert info.value.invariant == "shape (2, 4, 4) != (3, 3)"
+        assert info.value.state is None and info.value.deviation == 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 0, 0), (3, 0, 0)])
+    def test_empty_matrices_fail_the_shape_check(self, shape):
+        with pytest.raises(StateValidationError) as info:
+            states.validate_states(np.zeros(shape))
+        assert info.value.invariant == f"shape {shape} != (n, n), n >= 1"
+        assert info.value.state is None and info.value.deviation == 1.0
 
 
 def split_and_norm_separables(d_a, d_b, k, seeds):
