@@ -136,7 +136,7 @@ def _verify_block(side: str, dims, seeds, mu, c) -> np.ndarray:
     the mixed state itself (:func:`constructions.verify_model_identities`).
     """
     tau, *arrays = states.random_separables(*dims, ENSEMBLE_SIZE, seeds)
-    cert = constructions.certificate(FiniteModel(*arrays), mu, side, constructions.biased_probs(c))
+    cert = constructions.certificate(FiniteModel(*arrays), mu, side, mapping.biased_probs(c))
     rho = mapping.mix(tau, mapping.biased_partner(tau, c, side), mu)
     return constructions.verify_model_identities(rho, cert)
 

@@ -1,8 +1,9 @@
 """Hidden-state and separable-model constructions, with numeric checks.
 
 Given a finite model for a state and its mixing partner's Pauli table on
-the mixed party, :func:`certificate` returns the certificate of the
-mixed state as a :class:`~steermap.models.FiniteModel`.
+the mixed party (the biased partner's is
+:func:`~steermap.mapping.biased_probs`), :func:`certificate` returns the
+certificate of the mixed state as a :class:`~steermap.models.FiniteModel`.
 Both maps share this one construction with the parties swapped: the
 certificate keeps the weights and the responses of the party that was
 not mixed, and the other party, Bob's qubit for map M and Alice's for
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mapping import FEAS_TOL
+from . import mapping
 from .measurements import (
     pauli_projectors,
     qubit_projectors,
@@ -103,14 +104,15 @@ def hidden_bloch(mu, p0, p0_prime) -> np.ndarray:
     k-th Pauli setting in the base model and ``p0_prime`` the partner's
     (length 1 on the xi axis for a row shared by every hidden value);
     ``mu`` is a float or one value per leading index.  A squared norm
-    above 1 + ``FEAS_TOL``, the bound of :func:`~steermap.mapping.feasible`,
-    or NaN is refused, naming the first such hidden value.
+    above 1 + ``mapping.FEAS_TOL``, the bound of
+    :func:`~steermap.mapping.feasible`, or NaN is refused, naming the
+    first such hidden value.
     """
     check_unit_interval("mu", mu)
     m = np.asarray(mu, dtype=float)[..., None, None]
     bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
     norm_sq = np.einsum("...xk,...xk->...x", bloch, bloch)
-    over = ~(norm_sq <= 1.0 + FEAS_TOL)
+    over = ~(norm_sq <= 1.0 + mapping.FEAS_TOL)
     if over.any():
         *trial, xi = (int(i) for i in np.argwhere(over)[0])
         raise UnphysicalHiddenStateError(xi, float(norm_sq[(*trial, xi)]))
@@ -124,12 +126,12 @@ def certificate(model: FiniteModel, mu, side: str, partner) -> FiniteModel:
     (a separable model), as in :func:`steermap.mapping.biased_partner`.
     ``partner`` is the partner's Pauli table on the mixed party, (..., Xi, 3)
     or (..., 1, 3) for one row that every hidden value shares, as
-    :func:`biased_probs` gives.  The other party must hold quantum
-    responses; the mixed party's may be qubit states or a Pauli table.
-    The result keeps the weights and the other party's responses and
-    gives the mixed party one read-only hidden qubit per hidden value.
-    Models may carry leading trial axes, with ``mu`` a float or one value
-    per trial.
+    :func:`steermap.mapping.biased_probs` gives.  The other party must
+    hold quantum responses; the mixed party's may be qubit states or a
+    Pauli table.  The result keeps the weights and the other party's
+    responses and gives the mixed party one read-only hidden qubit per
+    hidden value.  Models may carry leading trial axes, with ``mu`` a
+    float or one value per trial.
     """
     mixed, kept = _parties(model, side)
     p0 = _pauli_table(model, getattr(model, mixed))
@@ -255,21 +257,6 @@ def verify_model_identities(rho: DensityMatrix, model: FiniteModel):
     return np.abs(rho.mat - ensemble.reshape(*lead, d_a * d_b, d_a * d_b)).max(axis=(-2, -1))
 
 
-def biased_probs(c) -> np.ndarray:
-    """Outcome-0 probabilities (1/2, 1/2, (1 + c)/2) of the biased table at x, y, z.
-
-    ``c`` is a float or a (T,) array; the result has shape (1, 3) or
-    (T, 1, 3): one row that every hidden value shares, a ``partner`` for
-    :func:`certificate` and the table of the partner models of
-    :func:`bob_biased_prime_model` and :func:`alice_biased_prime_model`.
-    """
-    check_unit_interval("c", c)
-    c = np.asarray(c, dtype=float)
-    probs = np.full((*c.shape, 1, 3), 0.5)
-    probs[..., 2] = ((1.0 + c) / 2.0)[..., None]
-    return probs
-
-
 def bob_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     """Partner model for the Bob-side biased product partner.
 
@@ -279,13 +266,13 @@ def bob_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     hidden value shares.  Matches the statistics of bob_biased_partner
     exactly.
     """
-    table = np.broadcast_to(biased_probs(c), (*model.weights.shape, 3))
+    table = np.broadcast_to(mapping.biased_probs(c), (*model.weights.shape, 3))
     return FiniteModel(model.weights, model.alice, table)
 
 
 def alice_biased_prime_model(model: FiniteModel, c: float) -> FiniteModel:
     """Partner model for the Alice-side biased product partner."""
-    table = np.broadcast_to(biased_probs(c), (*model.weights.shape, 3))
+    table = np.broadcast_to(mapping.biased_probs(c), (*model.weights.shape, 3))
     return FiniteModel(model.weights, table, model.bob)
 
 

@@ -1,7 +1,9 @@
 """The two mixing maps, their product partners and the (mu, c) region.
 
 Map M mixes a qudit-qubit state with an unsteerable partner; map N mixes
-a qubit-qudit state with a separable partner.  For the biased-partner
+a qubit-qudit state with a separable partner.  The biased partner lives
+here in both its forms: as a state (:func:`biased_partner`) and as its
+qubit's Pauli table (:func:`biased_probs`).  For the biased-partner
 family (Alice response unchanged, partner's qubit responses unbiased in
 x and y and z-biased by c) the constructed hidden-state Bloch vector is
 affine in Bob's three response probabilities, so physicality over the
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import STATE_TOL, _check_invariant
-from .states import SIGMA_Z, BlochVector, DensityMatrix, _closed_density, check_unit_interval
+from .states import SIGMA_Z, BlochVector, DensityMatrix, check_unit_interval
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
@@ -45,7 +47,7 @@ def mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatri
     Map M (nonlocality -> steering) mixes a qudit-qubit tau with its
     partner, map N (steering -> entanglement) a qubit-qudit rho; both are
     this function.  A convex combination of validated states is not
-    validated again (see :func:`steermap.states._closed_density`).  For
+    validated again (see :class:`~steermap.states.DensityMatrix`).  For
     stacks of T states ``mu`` is a float or a (T,) array, one per pair.
     """
     if (state.d_a, state.d_b) != (partner.d_a, partner.d_b):
@@ -56,7 +58,7 @@ def mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatri
     check_unit_interval("mu", mu)
     m = np.asarray(mu, dtype=np.float64)[..., None, None]
     mat = m * state.mat + (1.0 - m) * partner.mat
-    return _closed_density(mat, state.d_a, state.d_b)
+    return DensityMatrix(state.d_a, state.d_b, mat)
 
 
 map_m = mix
@@ -70,7 +72,7 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
     state (map M), ``side='A'`` gives (1 + c sigma_z)/2 (x) tr_A[state]
     for a 2 x d state (map N).  The product of a validated state's
     reduced state with a qubit state is closed but for one edge case (see
-    :func:`steermap.states._closed_density`): a reduced state negative
+    :class:`~steermap.states.DensityMatrix`): a reduced state negative
     within tolerance.  So the partner's least eigenvalue, the reduced
     state's times (1 + c)/2, must be >= -1e-10, from one small eigenvalue
     solve; otherwise :class:`~steermap.linalg.StateValidationError`.  For
@@ -93,12 +95,28 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
         mat = linalg.kron(reduced, qubit)
     else:
         mat = linalg.kron(qubit, reduced)
-    return _closed_density(mat, state.d_a, state.d_b)
+    return DensityMatrix(state.d_a, state.d_b, mat)
 
 
 # Map M's partner, tr_B[tau] (x) (1 + c sigma_z)/2, and map N's, (1 + c sigma_z)/2 (x) tr_A[rho].
 bob_biased_partner = functools.partial(biased_partner, side="B")
 alice_biased_partner = functools.partial(biased_partner, side="A")
+
+
+def biased_probs(c) -> np.ndarray:
+    """Outcome-0 probabilities (1/2, 1/2, (1 + c)/2) at x, y, z of :func:`biased_partner`'s qubit.
+
+    ``c`` is a float or a (T,) array; the result has shape (1, 3) or
+    (T, 1, 3): one row that every hidden value shares, a ``partner`` for
+    :func:`steermap.constructions.certificate` and the table of the
+    partner models of :func:`steermap.constructions.bob_biased_prime_model`
+    and :func:`steermap.constructions.alice_biased_prime_model`.
+    """
+    check_unit_interval("c", c)
+    c = np.asarray(c, dtype=float)
+    probs = np.full((*c.shape, 1, 3), 0.5)
+    probs[..., 2] = ((1.0 + c) / 2.0)[..., None]
+    return probs
 
 
 def analytic_c_max(mu):

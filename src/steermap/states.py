@@ -1,6 +1,7 @@
 """Bipartite density matrices, canonical families and qubit Bloch algebra.
 
-All states are immutable value objects over numpy arrays.  Random
+All states are immutable value objects over numpy arrays, each stored as
+its read-only Hermitian part (:class:`DensityMatrix`).  Random
 constructions take an explicit seed; there is no global RNG state.
 """
 
@@ -77,20 +78,45 @@ class _Frozen:
 
 
 class DensityMatrix(_Frozen):
-    """Validated bipartite state; subsystem A is the left tensor factor.
+    """Bipartite state; subsystem A is the left tensor factor.
 
     ``mat`` is one ``(n, n)`` matrix, or a ``(T, n, n)`` stack of T
     states of the same dims that the stacked kernels (``make_density``,
     ``werner``, ``mix``, ``biased_partner``, the witnesses) process in one
     pass.  ``conditional_states`` and ``models.born_joints`` take one state.
+
+    The constructor stores the read-only Hermitian part
+    ``(mat + mat^dagger)/2``, never the caller's array, and validates
+    nothing: :func:`make_density` validates first.  Otherwise only closed
+    operations build one: convex combinations, with weights in [0, 1], of
+    validated states, and a validated state's reduced state times a
+    qubit ``diag((1 + c)/2, (1 - c)/2)``, c in [0, 1].  Such results are
+    Hermitian and have unit trace to rounding.  They are positive
+    semidefinite whenever their inputs are: a convex combination's least
+    eigenvalue is at least the weighted least eigenvalues of its terms,
+    and a product's eigenvalues are the reduced state's times
+    (1 +- c)/2 >= 0.  An input that is negative within the 1e-10
+    tolerance can leave a partner up to (1 + c) times as far below zero,
+    since tracing out a qubit at most doubles the least eigenvalue's
+    magnitude; ``mapping.biased_partner`` therefore checks its reduced
+    state's least eigenvalue, scaled by (1 + c)/2.
+
+    :func:`random_separables` builds its mixtures here too and checks
+    neither them nor their members.  A member ``|p><p|`` of a unit vector
+    p is Hermitian with trace ``|p|^2 = 1`` to rounding and eigenvalues
+    ``|p|^2`` and zeros; a mixture ``sum_i w_i |p_i><p_i|`` with simplex
+    weights is their weighted Gram matrix, positive semidefinite since
+    ``<x|M|x> = sum_i w_i |<p_i|x>|^2``, with trace ``sum_i w_i = 1``.
     """
 
     __slots__ = ("d_a", "d_b", "mat")
 
     def __init__(self, d_a: int, d_b: int, mat: np.ndarray):
+        out = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+        out.setflags(write=False)
         object.__setattr__(self, "d_a", d_a)
         object.__setattr__(self, "d_b", d_b)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", out)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(d_a={self.d_a!r}, d_b={self.d_b!r})"
@@ -119,7 +145,7 @@ def validate_states(mat, n: int | None = None) -> np.ndarray:
     n = m.shape[-1] if n is None else n
     if m.shape[-2:] != (n, n) or n == 0:
         # An int: a huge n must not overflow float().  A 0 x 0 matrix lacks a row.
-        off = abs(m.shape[-2] - n) if n else 1
+        off = max(abs(m.shape[-2] - n), abs(m.shape[-1] - n)) if n else 1
         dev = float(off) if off <= sys.float_info.max else np.inf
         want = f"({n}, {n})" if n else "(n, n), n >= 1"
         raise StateValidationError(f"shape {m.shape} != {want}", dev)
@@ -135,11 +161,9 @@ def validate_states(mat, n: int | None = None) -> np.ndarray:
 def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
     """Validate (:func:`validate_states`) and wrap a matrix, or a (T, n, n) stack of them.
 
-    Stores the Hermitian part ``(mat + mat^dagger)/2``, so every state
-    downstream is Hermitian to rounding.
+    Every state downstream is Hermitian to rounding (see :class:`DensityMatrix`).
     """
-    d_a, d_b = _dims(d_a, d_b)
-    return _closed_density(validate_states(mat, d_a * d_b), d_a, d_b)
+    return DensityMatrix(*_dims(d_a, d_b), validate_states(mat, d_a * d_b))
 
 
 def _dims(d_a, d_b) -> tuple[int, int]:
@@ -151,36 +175,6 @@ def _dims(d_a, d_b) -> tuple[int, int]:
     if d_a < 2 or d_b < 2:
         raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
     return d_a, d_b
-
-
-def _closed_density(mat: np.ndarray, d_a: int, d_b: int) -> DensityMatrix:
-    """Wrap a matrix (or a stack) built from validated states, without validating it again.
-
-    Stores the read-only Hermitian part; :func:`make_density` stores the
-    states it has validated the same way.  Otherwise only closed
-    operations may call this: convex combinations, with
-    weights in [0, 1], of validated states, and a validated state's
-    reduced state times a qubit ``diag((1 + c)/2, (1 - c)/2)``,
-    c in [0, 1].  Such results are Hermitian and have unit trace to
-    rounding.  They are positive semidefinite whenever their inputs are:
-    a convex combination's least eigenvalue is at least the weighted
-    least eigenvalues of its terms, and a product's eigenvalues are the
-    reduced state's times (1 +- c)/2 >= 0.  An input that is negative
-    within the 1e-10 tolerance can leave a partner up to (1 + c) times as
-    far below zero, since tracing out a qubit at most doubles the least
-    eigenvalue's magnitude; ``mapping.biased_partner`` therefore checks
-    its reduced state's least eigenvalue, scaled by (1 + c)/2.
-
-    :func:`random_separables` builds its mixtures here too and checks
-    neither them nor their members.  A member ``|p><p|`` of a unit vector
-    p is Hermitian with trace ``|p|^2 = 1`` to rounding and eigenvalues
-    ``|p|^2`` and zeros; a mixture ``sum_i w_i |p_i><p_i|`` with simplex
-    weights is their weighted Gram matrix, positive semidefinite since
-    ``<x|M|x> = sum_i w_i |<p_i|x>|^2``, with trace ``sum_i w_i = 1``.
-    """
-    out = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
-    out.setflags(write=False)
-    return DensityMatrix(d_a, d_b, out)
 
 
 def pure_state(vec) -> np.ndarray:
@@ -208,7 +202,7 @@ def werner(p) -> DensityMatrix:
     check_unit_interval("visibility", p)
     p = np.asarray(p, dtype=np.float64)[..., None, None]
     mat = p * singlet().mat + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
-    return _closed_density(mat, 2, 2)
+    return DensityMatrix(2, 2, mat)
 
 
 def hidden_qubits(bloch) -> np.ndarray:
@@ -310,7 +304,7 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     mat = (weights[..., None] * product).swapaxes(-1, -2) @ product.conj()
     for a in (weights, alphas, betas):
         a.setflags(write=False)
-    return _closed_density(mat, d_a, d_b), weights, alphas, betas
+    return DensityMatrix(d_a, d_b, mat), weights, alphas, betas
 
 
 def random_separable(

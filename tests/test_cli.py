@@ -74,6 +74,17 @@ class TestAnalyze:
         assert cli.main(["analyze", "--state", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_wrong_column_count_reads_its_gap(self, capsys):
+        # Rows match the dims and columns do not: the deviation is the
+        # larger of the two gaps, never 0.
+        path = STATE_DIR / "wrong_columns.json"
+        assert cli.main(["analyze", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invariant violated: shape (4, 5) != (4, 4) (deviation 1.000e+00)\n"
+        )
+        assert captured.out == ""
+
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["analyze", "--state", str(tmp_path / "gone.json")]) == 2
 

@@ -209,9 +209,9 @@ class TestStackedCertificates:
         pa = np.stack([a for a, _ in arrays])
         pb = np.stack([b for _, b in arrays])
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
-            cons.hidden_bloch(np.full(3, mu), pb, cons.biased_probs(np.array(cs)))
+            cons.hidden_bloch(np.full(3, mu), pb, mapping.biased_probs(np.array(cs)))
         assert str(info.value) == str(first_error)
-        bloch = cons.hidden_bloch(np.full(1, mu), pb[:1], cons.biased_probs(np.array(cs[:1])))
+        bloch = cons.hidden_bloch(np.full(1, mu), pb[:1], mapping.biased_probs(np.array(cs[:1])))
         base = finite_model([0.5, 0.5], alices[0], det)
         cert = cons.lhs_certificate(base, cons.bob_biased_prime_model(base, cs[0]), mu, settings)
         assert np.array_equal(pa[0], born_probs(stack, cert.alice))
@@ -231,7 +231,7 @@ class TestStackedCertificates:
             assert betas.shape == alphas_n.shape == (3, 3, 3)
         model_m = FiniteModel(weights, alphas, betas)
         model_n = FiniteModel(weights_n, alphas_n, betas_n)
-        partner = cons.biased_probs(cs)
+        partner = mapping.biased_probs(cs)
         assert partner.shape == (3, 1, 3)
         lhs = cons.certificate(model_m, mus, "B", partner)
         spm = cons.certificate(model_n, mus, "A", partner)
@@ -252,7 +252,7 @@ class TestStackedCertificates:
     def test_core_refuses_an_unknown_side(self):
         _, model, _ = separable_pair(2, 2, 2, seed=55, c=0.2)
         with pytest.raises(ValueError, match=r"^side must be 'A' or 'B', got 'M'$"):
-            cons.certificate(model, 0.4, "M", cons.biased_probs(0.2))
+            cons.certificate(model, 0.4, "M", mapping.biased_probs(0.2))
 
     @pytest.mark.parametrize("side", ["B", "A"])
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
@@ -266,7 +266,7 @@ class TestStackedCertificates:
             arrays = [a[0] for a in arrays]
         model = FiniteModel(*arrays)
         mu, c = (np.array([0.1, 0.3, 0.5]), np.array([0.8, 0.5, 0.1])) if stacked else (0.3, 0.5)
-        partner = cons.biased_probs(c)
+        partner = mapping.biased_probs(c)
         core = cons.certificate(model, mu, side, partner)
         if side == "B":
             settings = computational_settings(3)
@@ -281,7 +281,7 @@ class TestStackedCertificates:
         p0 = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.5), np.zeros((2, 3))])
         p0[1, 1] = 1.0
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
-            cons.hidden_bloch(np.ones(3), p0, cons.biased_probs(np.zeros(3)))
+            cons.hidden_bloch(np.ones(3), p0, mapping.biased_probs(np.zeros(3)))
         assert (info.value.xi, info.value.norm_sq) == (1, 3.0)
 
     @pytest.mark.parametrize("side", ["B", "A"])
@@ -296,12 +296,12 @@ class TestStackedCertificates:
 
     def test_nan_in_the_base_table_is_unphysical(self):
         with pytest.raises(cons.UnphysicalHiddenStateError, match=r"xi=0: .*= nan > 1$"):
-            cons.hidden_bloch(0.3, np.full((2, 3), np.nan), cons.biased_probs(0.1))
+            cons.hidden_bloch(0.3, np.full((2, 3), np.nan), mapping.biased_probs(0.1))
         # Stacked: trial 0 is physical, trial 1 is NaN at xi = 2 only.
         p0 = np.full((2, 3, 3), 0.5)
         p0[1, 2, 0] = np.nan
         with pytest.raises(cons.UnphysicalHiddenStateError) as info:
-            cons.hidden_bloch(np.full(2, 0.3), p0, cons.biased_probs(np.full(2, 0.1)))
+            cons.hidden_bloch(np.full(2, 0.3), p0, mapping.biased_probs(np.full(2, 0.1)))
         assert info.value.xi == 2 and math.isnan(info.value.norm_sq)
 
 

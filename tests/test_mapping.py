@@ -213,13 +213,11 @@ class TestPartnerEigenvalueCheck:
             mapping.biased_partner(stack, np.array([1.0, 1.0, 1.0]), "B")
         assert info.value.state == 1
 
-    @pytest.mark.parametrize(
-        "entry, invariant",
-        [((0, 0, np.nan), "finite entries"), ((0, 2, 0.1), "hermitian within 1e-10")],
-    )
+    @pytest.mark.parametrize("entry, invariant", [((0, 0, np.nan), "finite entries")])
     def test_unvalidated_state_is_refused(self, entry, invariant):
-        # A DensityMatrix built directly skips validation; the reduced
-        # state's eigenvalue solve still refuses it.
+        # A DensityMatrix built directly skips validation and stores its
+        # Hermitian part, which keeps a NaN; the reduced state's eigenvalue
+        # solve still refuses it.
         i, j, value = entry
         mat = np.eye(4, dtype=complex) / 4
         mat[i, j] = value
@@ -228,8 +226,22 @@ class TestPartnerEigenvalueCheck:
         assert info.value.invariant == invariant
 
 
+def assert_stored_form(rho):
+    """A state's matrix is read-only and its own conjugate transpose, bit for bit."""
+    assert not rho.mat.flags.writeable
+    assert np.array_equal(rho.mat, rho.mat.conj().swapaxes(-1, -2))
+
+
 class TestClosedOperations:
-    """Results built without re-validation still pass make_density."""
+    """Results built without re-validation still pass make_density and are stored alike."""
+
+    def test_constructor_stores_the_read_only_hermitian_part(self):
+        a = np.arange(16.0).reshape(4, 4) + 1j * np.arange(16.0).reshape(4, 4).T
+        before = a.copy()
+        rho = states.DensityMatrix(2, 2, a)
+        assert not rho.mat.flags.writeable
+        assert np.array_equal(rho.mat, (a + a.conj().T) / 2.0)
+        assert np.array_equal(a, before) and a.flags.writeable
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
@@ -245,16 +257,17 @@ class TestClosedOperations:
         d_a, d_b = (d, 2) if side == "B" else (2, d)
         state = random_density(d_a, d_b, seed)
         partner = mapping.biased_partner(state, c, side)
-        for out in (partner, mapping.mix(state, partner, mu)):
+        separables = states.random_separables(d_a, d_b, 3, [seed])[0]
+        for out in (state, partner, mapping.mix(state, partner, mu), separables):
             assert (out.d_a, out.d_b) == (d_a, d_b)
-            assert not out.mat.flags.writeable
+            assert_stored_form(out)
             assert np.array_equal(make_density(out.mat, d_a, d_b).mat, out.mat)
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(p=st.floats(0.0, 1.0))
     def test_werner(self, p):
         rho = werner(p)
-        assert not rho.mat.flags.writeable
+        assert_stored_form(rho)
         assert np.array_equal(make_density(rho.mat, 2, 2).mat, rho.mat)
 
 

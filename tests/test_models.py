@@ -220,11 +220,11 @@ class TestResponses:
             (np.diag([1.5, -0.5]), "min eigenvalue >= -1e-10"),
         ],
         ids=[
-            "mat0-matrix 3 has non-finite entries",
-            "mat1-matrix 3 has non-finite entries",
-            "mat2-matrix 3 is not Hermitian",
-            r"mat3-response state 3 trace \(1\.2\+0j\) != 1",
-            "mat4-response state 3 is not PSD",
+            "finite entries-nan",
+            "finite entries-inf",
+            "hermitian",
+            "unit trace",
+            "min eigenvalue",
         ],
     )
     def test_quantum_responses_name_the_bad_member(self, mat, invariant):

@@ -210,6 +210,17 @@ class TestValidateStates:
         assert info.value.invariant == "shape (2, 4, 4) != (3, 3)"
         assert info.value.state is None and info.value.deviation == 1.0
 
+    @pytest.mark.parametrize(
+        "shape, n, deviation",
+        [((4, 5), 4, 1.0), ((5, 4), 4, 1.0), ((2, 4, 7), 4, 3.0), ((4, 4), 6, 2.0),
+         ((3, 7), None, 4.0)],
+    )
+    def test_shape_deviation_is_the_larger_gap(self, shape, n, deviation):
+        with pytest.raises(StateValidationError) as info:
+            states.validate_states(np.zeros(shape), n)
+        assert info.value.invariant.startswith(f"shape {shape} != ")
+        assert info.value.deviation == deviation
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 0, 0), (3, 0, 0)])
     def test_empty_matrices_fail_the_shape_check(self, shape):
         with pytest.raises(StateValidationError) as info:
