@@ -10,7 +10,8 @@ not mixed, and the other party, Bob's qubit for map M and Alice's for
 map N, gets one hidden qubit per hidden value with Bloch components
 2 (mu P(0|k,xi) + (1-mu) P'(0|k,xi)) - 1 at the Paulis k = x, y, z
 (:func:`hidden_bloch`, with the Bloch-ball tolerance of
-:func:`~steermap.mapping.feasible`).  Since that qubit depends on the
+:func:`~steermap.mapping.feasible`), reading P(0|k,xi) through
+:func:`~steermap.models.pauli_table`.  Since that qubit depends on the
 hidden value alone, an LHS certificate is a hidden-state model by
 construction, and no builder reads Alice's measurements.
 :func:`lhs_certificate` and :func:`spm_certificate` are its two maps for
@@ -35,14 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import mapping
-from .measurements import (
-    pauli_projectors,
-    qubit_projectors,
-    qudit_projectors,
-    random_bases,
-    validate_projectors,
-)
-from .models import WEIGHT_TOL, FiniteModel, born_joints, born_probs, finite_model
+from .measurements import qubit_projectors, qudit_projectors, random_bases, validate_projectors
+from .models import WEIGHT_TOL, FiniteModel, born_joints, born_probs, finite_model, pauli_table
 from .states import DensityMatrix, _rng, check_unit_interval, conditional_states, hidden_qubits
 
 
@@ -59,17 +54,12 @@ class UnphysicalHiddenStateError(ValueError):
         super().__init__(f"hidden state unphysical at xi={xi}: |r|^2 = {norm_sq:.12g} > 1")
 
 
-def _quantum(model: FiniteModel, party: np.ndarray) -> bool:
-    """Whether ``party`` of ``model`` holds response states rather than a Pauli table."""
-    return party.ndim == model.weights.ndim + 2
-
-
 def _parties(model: FiniteModel, side: str) -> tuple[str, str]:
     """The (mixed, kept) party names of ``side``, once the kept party is checked to be quantum."""
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     mixed, kept = ("alice", "bob") if side == "A" else ("bob", "alice")
-    if not _quantum(model, getattr(model, kept)):
+    if not model.is_quantum(kept):
         kind = "hidden-state" if kept == "alice" else "separable"
         raise ValueError(f"{kind} construction needs quantum {kept.capitalize()} responses")
     return mixed, kept
@@ -94,7 +84,7 @@ def _partner_table(model: FiniteModel, prime: FiniteModel, side: str) -> np.ndar
     dev = float(np.max(np.abs(party - party_prime)))
     if not dev <= WEIGHT_TOL:
         raise ValueError(f"{kept} responses differ (max dev {dev:.3e})")
-    return _pauli_table(prime, getattr(prime, mixed))
+    return pauli_table(prime, mixed)
 
 
 def hidden_bloch(mu, p0, p0_prime) -> np.ndarray:
@@ -134,8 +124,7 @@ def certificate(model: FiniteModel, mu, side: str, partner) -> FiniteModel:
     float or one value per trial.
     """
     mixed, kept = _parties(model, side)
-    p0 = _pauli_table(model, getattr(model, mixed))
-    qubits = hidden_qubits(hidden_bloch(mu, p0, partner))
+    qubits = hidden_qubits(hidden_bloch(mu, pauli_table(model, mixed), partner))
     qubits.setflags(write=False)
     return FiniteModel(model.weights, **{kept: getattr(model, kept), mixed: qubits})
 
@@ -162,25 +151,6 @@ def lhs_certificate(
     partner = _partner_table(model_tau, model_tau_prime, "B")
     _check_setting_dim(settings, model_tau.alice)
     return certificate(model_tau, mu, "B", partner)
-
-
-def pauli_probs(states) -> np.ndarray:
-    """Outcome-0 probabilities of qubit states at x, y, z: (..., Xi, 3).
-
-    ``states`` is an (..., Xi, 2, 2) stack of validated response states;
-    one Born-rule contraction.
-    """
-    probs = born_probs(pauli_projectors(), states, "quantum response")
-    return probs[..., 0, :].swapaxes(-1, -2)
-
-
-def _pauli_table(model: FiniteModel, party: np.ndarray) -> np.ndarray:
-    """A model party's (..., Xi, 3) Pauli table: itself, or its qubit states' one."""
-    if not _quantum(model, party):
-        return party
-    if party.shape[-1] != 2:
-        raise ValueError(f"Pauli settings need qubit responses, got dim {party.shape[-1]}")
-    return pauli_probs(party)
 
 
 def verify_lhs_identity(rho_ab: DensityMatrix, cert: FiniteModel, alice_settings) -> float:
@@ -241,12 +211,12 @@ def verify_model_identities(rho: DensityMatrix, model: FiniteModel):
     decomposition of the state itself, a check that covers every
     measurement of both parties.  ``model`` carries the leading axes of
     ``rho``, one state or a stack of T; both its parties must be quantum
-    (by rank relative to the weights, see :mod:`steermap.models`) and of
-    the state's dims.
+    (:meth:`~steermap.models.FiniteModel.is_quantum`) and of the state's
+    dims.
     """
     d_a, d_b = rho.d_a, rho.d_b
     alice, bob = model.alice, model.bob
-    quantum = _quantum(model, alice) and _quantum(model, bob)
+    quantum = model.is_quantum("alice") and model.is_quantum("bob")
     if not quantum or (alice.shape[-1], bob.shape[-1]) != (d_a, d_b):
         raise ValueError(
             f"operator identity needs quantum {d_a}- and {d_b}-dim responses, "

@@ -7,12 +7,15 @@ or a Pauli table, an (Xi, 3) array of outcome-0 probabilities at the
 x, y, z qubit settings.  A model may hold one ensemble per trial:
 (..., Xi) weights and (..., Xi, d, d) or (..., Xi, 3) parties.  A party's
 kind is its rank relative to the weights', not its shape: a (T, 3, 3)
-stack of Pauli tables has the shape of three qutrit states.  The
-Born-rule kernels take one projector stack: :func:`born_probs` reads the
-response states of every trial in one matmul, and :func:`born_joints`
-the steered states of one state.  Both return the contraction as
-computed, since states are validated where they are made.  Which
-combination of parties is present decides what the model certifies:
+stack of Pauli tables has the shape of three qutrit states.  That rule
+is :meth:`FiniteModel.is_quantum`, and :func:`pauli_table` reads either
+kind's answers at x, y, z, which are all a certificate takes from the
+mixed party.  The Born-rule kernels take one projector stack:
+:func:`born_probs` reads the response states of every trial in one
+matmul, and :func:`born_joints` the steered states of one state.  Both
+return the contraction as computed, since states are validated where
+they are made.  Which combination of parties is present decides what
+the model certifies:
 
   both parties quantum   -> separable model (SPM)
   only Bob quantum       -> local-hidden-state (LHS) model for Alice's Paulis
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .measurements import pauli_projectors
 from .states import (
     DensityMatrix,
     _Frozen,
@@ -89,6 +93,24 @@ class FiniteModel(_Frozen):
     @property
     def n_hidden(self) -> int:
         return self.weights.shape[-1]
+
+    def is_quantum(self, party: str) -> bool:
+        """Whether ``party`` ("alice" or "bob") holds response states: rank of the weights' + 2."""
+        return getattr(self, party).ndim == self.weights.ndim + 2
+
+
+def pauli_table(model: FiniteModel, party: str) -> np.ndarray:
+    """The (..., Xi, 3) outcome-0 table of ``party`` at the x, y, z settings.
+
+    A Pauli table is returned as itself and qubit response states answer
+    by one Born-rule contraction; qudit ones raise ``ValueError``.
+    """
+    r = getattr(model, party)
+    if not model.is_quantum(party):
+        return r
+    if r.shape[-1] != 2:
+        raise ValueError(f"Pauli settings need qubit responses, got dim {r.shape[-1]}")
+    return born_probs(pauli_projectors(), r, "quantum response")[..., 0, :].swapaxes(-1, -2)
 
 
 def finite_model(weights, alice, bob) -> FiniteModel:

@@ -31,13 +31,16 @@ def check_unit_interval(name: str, value) -> None:
     The one range check for mu, c, visibilities and Pauli response
     tables.  It is written so that NaN fails it; for an array the message
     names the first offending entry.  Python numbers are compared
-    directly.
+    directly; other values must be real numeric arrays or scalars.
     """
     if isinstance(value, (int, float)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
         return
-    v = np.asarray(value, dtype=np.float64)
+    v = np.asarray(value)
+    if v.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a real number or array, got {value!r}")
+    v = v.astype(np.float64, copy=False)
     outside = ~((v >= 0.0) & (v <= 1.0))
     if outside.any():
         got = value if v.ndim == 0 else v[outside][0]

@@ -97,8 +97,11 @@ def state_files() -> dict[str, str]:
         "not_hermitian": _payload(werner + np.triu(np.ones((4, 4)), 1) * 1e-3, (2, 2)),
         "bad_trace": _payload(np.eye(4) / 2, (2, 2)),
         "not_psd": _payload(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2)),
-        # Not in the corpus: the console-script CI step and test_cli read it.
+        # Not in the corpus: the console-script CI step and test_cli read them.
         "wrong_columns": _payload(np.hstack([werner, np.zeros((4, 1))]), (2, 2)),
+        "re_im_mismatch": json.dumps(
+            {"dims": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": np.zeros((2, 2)).tolist()}
+        ),
     }
 
 

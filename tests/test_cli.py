@@ -74,6 +74,15 @@ class TestAnalyze:
         assert cli.main(["analyze", "--state", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_re_and_im_of_other_shapes_exit_2(self, capsys):
+        path = STATE_DIR / "re_im_mismatch.json"
+        assert cli.main(["analyze", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: 're'/'im' must be equal-shape 2-D arrays, got (4, 4) and (2, 2)\n"
+        )
+        assert captured.out == ""
+
     def test_wrong_column_count_reads_its_gap(self, capsys):
         # Rows match the dims and columns do not: the deviation is the
         # larger of the two gaps, never 0.
@@ -372,6 +381,20 @@ class TestVerify:
         )
         assert rc == 4
         assert "unphysical" in capsys.readouterr().err
+
+    def test_unphysical_hidden_state_exits_4(self, monkeypatch, capsys):
+        # No separable trial reaches the handler: each hidden qubit mixes
+        # two states, so the builder is made to refuse one here.
+        def unphysical(*args):
+            raise constructions.UnphysicalHiddenStateError(0, 1.5)
+
+        monkeypatch.setattr(constructions, "certificate", unphysical)
+        assert cli.main(["verify", "lhs", "--trials", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "verification failed: hidden state unphysical at xi=0: |r|^2 = 1.5 > 1\n"
+        )
+        assert captured.out == ""
 
     def test_wrong_dims_exit_2(self):
         assert cli.main(["verify", "lhs", "--dims", "2x3", "--trials", "1"]) == 2

@@ -17,7 +17,13 @@ from steermap.measurements import (
     random_basis,
     validate_projectors,
 )
-from steermap.models import FiniteModel, born_probs, finite_model, model_from_separable
+from steermap.models import (
+    FiniteModel,
+    born_probs,
+    finite_model,
+    model_from_separable,
+    pauli_table,
+)
 from steermap.states import (
     PAULI_STACK,
     hidden_qubits,
@@ -63,14 +69,14 @@ class TestMixedJointProb:
     @staticmethod
     def eta(cert, settings):
         pa = born_probs(validate_projectors(settings), cert.alice)[..., None]
-        return pa * cons.pauli_probs(cert.bob)
+        return pa * pauli_table(cert, "bob")
 
     def test_endpoint_mixtures(self):
         _, model, prime = separable_pair(2, 2, 3, seed=1, c=0.3)
         settings = computational_settings(2, extra=2, seed=10)
         pa = born_probs(validate_projectors(settings), model.alice)[..., None]
         full = self.eta(cons.lhs_certificate(model, prime, 1.0, settings), settings)
-        assert np.max(np.abs(full - pa * cons.pauli_probs(model.bob))) <= 1e-15
+        assert np.max(np.abs(full - pa * pauli_table(model, "bob"))) <= 1e-15
         none = self.eta(cons.lhs_certificate(model, prime, 0.0, settings), settings)
         assert np.max(np.abs(none - pa * prime.bob)) <= 1e-15
         assert np.all(prime.bob == [0.5, 0.5, 0.65])
@@ -83,10 +89,10 @@ class TestMixedJointProb:
         mu = 0.4
         cert = cons.lhs_certificate(model, prime, mu, settings)
         pa = born_probs(validate_projectors(settings), model.alice)[..., None]
-        eta = mu * pa * cons.pauli_probs(model.bob) + (1 - mu) * pa * prime.bob
-        expected = mu * cons.pauli_probs(model.bob) + (1 - mu) * prime.bob
+        eta = mu * pa * pauli_table(model, "bob") + (1 - mu) * pa * prime.bob
+        expected = mu * pauli_table(model, "bob") + (1 - mu) * prime.bob
         assert cert.bob.shape == (4, 2, 2)
-        assert np.max(np.abs(cons.pauli_probs(cert.bob) - expected)) <= 1e-13
+        assert np.max(np.abs(pauli_table(cert, "bob") - expected)) <= 1e-13
         assert np.max(np.abs(self.eta(cert, settings) - eta)) <= 1e-13
 
     def test_weight_mismatch(self):
@@ -114,7 +120,7 @@ class TestLhsCertificate:
         settings = computational_settings(3)
         cert = cons.lhs_certificate(model, prime, mu, settings)
         for xi in range(model.n_hidden):
-            probs = cons.pauli_probs(model.bob)[xi]
+            probs = pauli_table(model, "bob")[xi]
             expected = np.array(mapping.hidden_bloch_vector(*probs, mu, c))
             assert np.allclose(bloch_of(cert.bob[xi]), expected, atol=1e-13)
 
@@ -227,7 +233,8 @@ class TestStackedCertificates:
         tau, weights, alphas, betas = states.random_separables(3, 2, 3, seeds)
         rho, weights_n, alphas_n, betas_n = states.random_separables(2, 3, 3, seeds)
         if table:
-            betas, alphas_n = cons.pauli_probs(betas), cons.pauli_probs(alphas_n)
+            betas = pauli_table(FiniteModel(weights, alphas, betas), "bob")
+            alphas_n = pauli_table(FiniteModel(weights_n, alphas_n, betas_n), "alice")
             assert betas.shape == alphas_n.shape == (3, 3, 3)
         model_m = FiniteModel(weights, alphas, betas)
         model_n = FiniteModel(weights_n, alphas_n, betas_n)
@@ -367,6 +374,15 @@ class TestVerifyLhsIdentity:
         with pytest.raises(ValueError, match=r"^need one state, got a stack of shape \(2,\)$"):
             cons.verify_lhs_identity(states.werner(np.array([0.1, 0.4])), cert, settings)
 
+    def test_refuses_a_state_without_a_qubit_bob(self):
+        _, model, prime = separable_pair(2, 2, 2, seed=16, c=0.0)
+        settings = computational_settings(2)
+        cert = cons.lhs_certificate(model, prime, 0.5, settings)
+        qutrit_bob, _ = random_separable(2, 3, 2, seed=17)
+        with pytest.raises(ValueError) as info:
+            cons.verify_lhs_identity(qutrit_bob, cert, settings)
+        assert str(info.value) == "certificate targets a qubit on Bob's side, got 3"
+
 
 class TestSpmCertificate:
     def test_full_visibility(self):
@@ -382,7 +398,7 @@ class TestSpmCertificate:
         _, model, prime = separable_pair(2, 3, 4, seed=18, c=c, prime_side="alice")
         cert = cons.spm_certificate(model, prime, mu)
         for xi in range(model.n_hidden):
-            probs = cons.pauli_probs(model.alice)[xi]
+            probs = pauli_table(model, "alice")[xi]
             expected = np.array(mapping.hidden_bloch_vector(*probs, mu, c))
             assert np.allclose(bloch_of(cert.alice[xi]), expected, atol=1e-13)
 
@@ -442,6 +458,14 @@ class TestVerifySpmIdentity:
         assert cons.verify_spm_identity(rho, cert, 20, seed=np.int64(3)) == residual
         assert cons.verify_spm_identity(rho, cert, 20, seed=np.uint8(3)) == residual
         assert cons.verify_spm_identity(rho, cert, 20, seed=10**40) <= 1e-12
+
+    def test_refuses_a_state_without_a_qubit_alice(self):
+        _, model, _ = separable_pair(2, 2, 1, seed=24, c=0.0)
+        cert = cons.spm_certificate(model, model, 1.0)
+        qutrit_alice, _ = random_separable(3, 2, 2, seed=25)
+        with pytest.raises(ValueError) as info:
+            cons.verify_spm_identity(qutrit_alice, cert, 5, seed=1)
+        assert str(info.value) == "certificate targets a qubit on Alice's side, got 3"
 
     def test_needs_a_sample(self):
         rho, model, _ = separable_pair(2, 2, 1, seed=24, c=0.0)

@@ -37,6 +37,11 @@ class TestKron:
             right = linalg.kron(a, linalg.kron(b, c))
             assert np.array_equal(left, right)
 
+    def test_refuses_vectors_and_4d_stacks(self):
+        with pytest.raises(ValueError) as info:
+            linalg.kron(np.ones(2), np.ones((1, 1, 2, 2)))
+        assert str(info.value) == "expected matrices or (T, p, q) stacks, got ndim=1, 4"
+
 
 class TestPartialTrace:
     def test_product_factorizes_exactly(self):
@@ -68,6 +73,11 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match dims"):
             linalg.partial_trace(np.eye(5, dtype=complex), 2, 2, "B")
+
+    def test_refuses_an_unknown_keep(self):
+        with pytest.raises(ValueError) as info:
+            linalg.partial_trace(np.eye(4, dtype=complex) / 4, 2, 2, "C")
+        assert str(info.value) == "keep must be 'A' or 'B', got 'C'"
 
 
 class TestPartialTranspose:

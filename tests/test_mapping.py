@@ -1,4 +1,5 @@
 import math
+import re
 
 import hypothesis
 import numpy as np
@@ -620,6 +621,22 @@ class TestUnitIntervalCheck:
     def test_accepts_endpoints(self):
         for value in (0.0, 1.0, 0, 1, np.float64(0.5), np.array([0.0, 1.0])):
             mapping.check_unit_interval("mu", value)
+
+    @pytest.mark.parametrize(
+        "bad", ["0.5", b"0.5", [0.2, "0.3"], np.complex128(0.5), 0.5 + 0j],
+        ids=["str", "bytes", "list-with-str", "np-complex", "complex"],
+    )
+    def test_refuses_non_real_values(self, bad):
+        message = rf"^mu must be a real number or array, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            mapping.check_unit_interval("mu", bad)
+
+    def test_mix_and_werner_refuse_strings(self):
+        tau, _ = random_separable(2, 2, 2, seed=4)
+        with pytest.raises(ValueError, match="^mu must be a real number or array, got '0.5'$"):
+            mapping.mix(tau, tau, "0.5")
+        with pytest.raises(ValueError, match="^visibility must be a real number or array"):
+            states.werner("0.9")
 
     def test_one_check_in_states(self):
         assert mapping.check_unit_interval is states.check_unit_interval

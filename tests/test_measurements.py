@@ -98,6 +98,11 @@ class TestQuditMeasurement:
         with pytest.raises(ValueError, match="orthonormal"):
             meas.qudit_measurement([np.array([1, 0]), np.array([1, 1]) / np.sqrt(2)])
 
+    def test_rejects_a_vector_of_another_length(self):
+        with pytest.raises(ValueError) as info:
+            meas.qudit_measurement([[1, 0], [0, 1, 0]])
+        assert str(info.value) == "basis vector 1 has length 3, expected 2"
+
 
 class TestRandomSampling:
     def test_directions_and_bases_valid(self):

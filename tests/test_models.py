@@ -130,9 +130,31 @@ class TestResponses:
     def test_quantum_label_resolution(self):
         # A qubit response state answers the x, y, z settings through one
         # Born-rule contraction.
-        probs = constructions.pauli_probs(np.diag([1.0, 0.0]).astype(complex)[None])
+        model = models.finite_model([1.0], HALF[None], np.diag([1.0, 0.0]).astype(complex)[None])
+        probs = models.pauli_table(model, "bob")
         assert probs.shape == (1, 3)
         assert probs[0] == pytest.approx([0.5, 0.5, 1.0])
+
+    def test_pauli_table_is_the_one_reader(self):
+        # Qubit states answer through the one Born-rule read, bit for bit;
+        # a Pauli table comes back as the very same array.
+        _, weights, alphas, betas = random_separables(3, 2, 4, [1, 2])
+        born = models.born_probs(pauli_projectors(), betas, "quantum response")
+        model = models.FiniteModel(weights, alphas, betas)
+        table = models.pauli_table(model, "bob")
+        assert table.shape == (2, 4, 3)
+        assert np.array_equal(table, born[..., 0, :].swapaxes(-1, -2))
+        assert models.pauli_table(models.FiniteModel(weights, alphas, table), "bob") is table
+
+    def test_is_quantum_reads_rank_not_shape(self):
+        # Three trials of three hidden values: the (3, 3, 3) table stack has
+        # the shape of three qutrit states, and is a table beside (3, 3) weights.
+        _, weights, alphas, _ = random_separables(3, 2, 3, [3, 4, 5])
+        tables = np.full((3, 3, 3), 0.5)
+        stacked = models.FiniteModel(weights, alphas, tables)
+        assert stacked.is_quantum("alice") and not stacked.is_quantum("bob")
+        single = models.finite_model(weights[0], alphas[0], alphas[0])
+        assert single.bob.shape == tables.shape and single.is_quantum("bob")
 
     def test_label_rejected_on_qudit(self):
         qutrit = np.eye(3, dtype=complex)[None] / 3

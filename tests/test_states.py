@@ -445,6 +445,11 @@ class TestConditionalState:
         with pytest.raises(ValueError, match=r"^need one state, got a stack of shape \(3,\)$"):
             conditional_states(rho, np.diag([1, 0]).astype(complex))
 
+    def test_refuses_projectors_of_another_dim(self):
+        with pytest.raises(ValueError) as info:
+            conditional_states(werner(0.5), np.eye(3, dtype=complex))
+        assert str(info.value) == "projector shape (3, 3) does not match d_a=2"
+
 
 class TestRandomSeparable:
     def test_single_member_is_product(self):
@@ -524,6 +529,11 @@ class TestJson:
     def test_rejects_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):
             state_from_json('{"dims": [2, 2], "re": [[1]]}')
+
+    def test_rejects_re_and_im_of_other_shapes(self):
+        with pytest.raises(ValueError) as info:
+            state_from_json('{"dims": [2, 2], "re": [0.25, 0, 0, 0], "im": [0, 0, 0, 0]}')
+        assert str(info.value) == "'re'/'im' must be equal-shape 2-D arrays, got (4,) and (4,)"
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="dims"):

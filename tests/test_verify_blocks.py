@@ -45,7 +45,8 @@ def reference_lhs(dims, trials, seed, fixed):
     """Per-trial exact residuals and (mu, c) of the hidden-state verification loop."""
     d_a, _ = dims
     rng = np.random.default_rng(seed)
-    # Alice's settings only name an unphysical hidden state's setting.
+    # lhs_certificate's signature takes Alice's settings; the certificate
+    # does not depend on them.
     settings = [qudit_measurement(np.eye(d_a))]
     out = []
     for trial in range(trials):
