@@ -38,7 +38,8 @@ import numpy as np
 from . import mapping
 from .measurements import qubit_projectors, qudit_projectors, random_bases, validate_projectors
 from .models import WEIGHT_TOL, FiniteModel, born_joints, born_probs, finite_model, pauli_table
-from .states import DensityMatrix, _rng, check_unit_interval, conditional_states, hidden_qubits
+from .states import DensityMatrix, check_unit_interval, conditional_states, hidden_qubits
+from .states import _integer, _rng
 
 
 class UnphysicalHiddenStateError(ValueError):
@@ -190,7 +191,7 @@ def verify_spm_identity(sigma_ab: DensityMatrix, cert: FiniteModel, n_samples: i
     """
     if sigma_ab.d_a != 2:
         raise ValueError(f"certificate targets a qubit on Alice's side, got {sigma_ab.d_a}")
-    if n_samples < 1:
+    if _integer("n_samples", n_samples) < 1:
         raise ValueError(f"need at least one measurement sample, got {n_samples}")
     rng = _rng(seed)
     v = rng.standard_normal((n_samples, 3))

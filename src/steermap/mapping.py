@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import STATE_TOL, _check_invariant
-from .states import SIGMA_Z, BlochVector, DensityMatrix, check_unit_interval
+from .states import SIGMA_Z, BlochVector, DensityMatrix, _integer, _real_array, check_unit_interval
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
@@ -125,7 +125,7 @@ def analytic_c_max(mu):
     Defined for 0 <= mu <= 1/sqrt(3); 1 at mu=0, 0 at the right endpoint.
     A float in gives a float out; a range error names the first bad entry.
     """
-    m = np.asarray(mu, dtype=np.float64)
+    m = _real_array("mu", mu)
     outside = ~((m >= 0.0) & (m <= INV_SQRT3 + 1e-12))
     if outside.any():
         raise ValueError(f"mu must be in [0, 1/sqrt(3)], got {m[outside][0] if m.ndim else mu}")
@@ -222,9 +222,7 @@ def c_max_numeric(mu, tol: float = 1e-10):
 
 def _region_grid(n_grid: int, bisect_tol: float) -> np.ndarray:
     """(n_grid, 3) rows of mu, numeric and analytic c_max on a uniform grid over [0, 1/sqrt(3)]."""
-    if not isinstance(n_grid, (int, np.integer)):
-        raise ValueError(f"grid needs an integer number of points, got {n_grid}")
-    if n_grid < 2:
+    if _integer("number of grid points", n_grid) < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_grid}")
     mus = INV_SQRT3 * np.arange(n_grid, dtype=np.float64) / (n_grid - 1)
     return np.column_stack([mus, c_max_numeric(mus, bisect_tol), analytic_c_max(mus)])

@@ -39,6 +39,7 @@ from .measurements import pauli_projectors
 from .states import (
     DensityMatrix,
     _Frozen,
+    _real_array,
     check_unit_interval,
     conditional_states,
     validate_states,
@@ -122,7 +123,7 @@ def finite_model(weights, alice, bob) -> FiniteModel:
     real Pauli table, with three columns and every entry in [0, 1].  Each
     party needs one row per weight.
     """
-    w = _real("weights", weights)
+    w = _real_array("weights", weights)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D sequence")
     if w.min() < -WEIGHT_TOL:
@@ -139,14 +140,6 @@ def finite_model(weights, alice, bob) -> FiniteModel:
     return FiniteModel(w, alice, bob)
 
 
-def _real(name: str, values) -> np.ndarray:
-    """``values`` as a new float array; complex ones, which numpy would truncate, raise."""
-    a = np.asarray(values)
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} must be real, got complex values")
-    return np.array(a, dtype=float)
-
-
 def _party(name: str, responses) -> np.ndarray:
     """One party of a model as a validated read-only array."""
     r = np.asarray(responses)
@@ -157,7 +150,7 @@ def _party(name: str, responses) -> np.ndarray:
             f"{name} must be an (Xi, d, d) state stack or an (Xi, 3) Pauli table, "
             f"got shape {r.shape}"
         )
-    table = _real(f"{name} table", r)
+    table = _real_array(f"{name} table", responses)
     check_unit_interval(f"{name} table entry", table)
     table.setflags(write=False)
     return table

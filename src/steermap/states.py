@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import sys
 from typing import NamedTuple
 
@@ -25,22 +24,36 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_STACK = np.stack(PAULIS)
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a new float64 array, the one rule for real values: strings, bytes,
+    complex and object values, which numpy would parse or truncate, raise ``ValueError``."""
+    v = np.asarray(value)
+    if v.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a real number or array, got {value!r}")
+    return v.astype(np.float64)
+
+
+def _integer(name: str, value):
+    """``value`` if it is an integer of any size, the one rule for integers: a float
+    or a bool, which numpy would read as its integer part or as 0/1, raises ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_unit_interval(name: str, value) -> None:
     """Raise ValueError unless ``value`` (a float or an array) lies in [0, 1].
 
     The one range check for mu, c, visibilities and Pauli response
     tables.  It is written so that NaN fails it; for an array the message
     names the first offending entry.  Python numbers are compared
-    directly; other values must be real numeric arrays or scalars.
+    directly; other values must be real (:func:`_real_array`).
     """
     if isinstance(value, (int, float)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
         return
-    v = np.asarray(value)
-    if v.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be a real number or array, got {value!r}")
-    v = v.astype(np.float64, copy=False)
+    v = _real_array(name, value)
     outside = ~((v >= 0.0) & (v <= 1.0))
     if outside.any():
         got = value if v.ndim == 0 else v[outside][0]
@@ -170,11 +183,8 @@ def make_density(mat, d_a: int, d_b: int) -> DensityMatrix:
 
 
 def _dims(d_a, d_b) -> tuple[int, int]:
-    """The subsystem dims as ints; non-integers and dims below 2 raise ``ValueError``."""
-    try:
-        d_a, d_b = operator.index(d_a), operator.index(d_b)
-    except TypeError:
-        raise ValueError(f"subsystem dims must be integers, got {d_a}x{d_b}") from None
+    """The subsystem dims as ints (see :func:`_integer`); dims below 2 raise ``ValueError``."""
+    d_a, d_b = int(_integer("subsystem dim", d_a)), int(_integer("subsystem dim", d_b))
     if d_a < 2 or d_b < 2:
         raise ValueError(f"subsystem dims must be >= 2, got {d_a}x{d_b}")
     return d_a, d_b
@@ -254,14 +264,6 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return pure_state(v)
-
-
-def _integer(name: str, value):
-    """``value`` if it is an integer of any size; a float or a bool, which
-    numpy would read as its integer part or as 0/1, raises ``ValueError``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _rng(seed) -> np.random.Generator:

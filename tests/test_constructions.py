@@ -473,6 +473,15 @@ class TestVerifySpmIdentity:
         with pytest.raises(ValueError, match="at least one"):
             cons.verify_spm_identity(rho, cert, 0, seed=1)
 
+    @pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
+    def test_refuses_a_non_integer_sample_count(self, n):
+        # numpy's own TypeError, or a bool read as one sample, before the check.
+        rho, model, _ = separable_pair(2, 2, 1, seed=24, c=0.0)
+        cert = cons.spm_certificate(model, model, 1.0)
+        with pytest.raises(ValueError, match=rf"^n_samples must be an integer, got {n!r}$"):
+            cons.verify_spm_identity(rho, cert, n, 0)
+        assert cons.verify_spm_identity(rho, cert, np.int64(5), 0) <= 1e-12
+
     def test_refuses_a_stack_and_a_seed_list(self, monkeypatch):
         # The steered-state kernel refuses the stack; the seed list is
         # refused before any measurement is drawn.

@@ -9,10 +9,10 @@ tokens that are not a bare name (shapes, formulas, command lines), names
 ending in ``_`` (a prefix such as ``bob_``), one-letter names and the
 math symbols in ``MATH``.
 
-Every ``:func:``, ``:class:`` and ``:mod:`` role in the docstrings of
-``src/steermap`` must resolve the same way in its module; a target that
-starts with ``steermap.`` (after an optional ``~``) resolves from the
-package.
+Every ``:func:``, ``:class:``, ``:meth:`` and ``:mod:`` role in the
+docstrings of ``src/steermap`` must resolve the same way in its module; a
+target that starts with ``steermap.`` (after an optional ``~``) resolves
+from the package.
 
 Every top-level function, class and assigned name of ``src/steermap``
 (dunders excepted) must be used: referenced by another top-level
@@ -30,7 +30,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SOURCES = sorted((ROOT / "src" / "steermap").glob("*.py"))
-ROLE = re.compile(r":(?:func|class|mod):`~?([\w.]+?)(?:\(\))?`")
+ROLE = re.compile(r":(?:func|class|meth|mod):`~?([\w.]+?)(?:\(\))?`")
 ROW = re.compile(r"^\| `steermap\.(\w+)` \|(.*)\|$", re.MULTILINE)
 NAME = re.compile(r"`([A-Za-z_][\w.]*)(?:\(\))?`")
 MATH = {"mu"}
@@ -105,6 +105,22 @@ def test_a_deleted_docstring_reference_is_caught():
     assert [t for t in ROLE.findall(text) if not resolves_target(module, t)] == [
         "basis_draws", "steermap.nowhere", "steermap.states.gone"
     ]
+
+
+def test_a_misspelt_method_reference_is_caught():
+    module = importlib.import_module("steermap.models")
+    text = (":meth:`FiniteModel.is_quantum`, :meth:`FiniteModel.is_quantm`, "
+            ":meth:`~steermap.models.FiniteModel.n_hidden`, "
+            ":meth:`~steermap.models.Finite.is_quantum`")
+    assert [t for t in ROLE.findall(text) if not resolves_target(module, t)] == [
+        "FiniteModel.is_quantm", "steermap.models.Finite.is_quantum"
+    ]
+
+
+def test_the_method_references_are_checked():
+    targets = [t for path in SOURCES for t in docstring_targets(path)]
+    assert "FiniteModel.is_quantum" in targets
+    assert "steermap.models.FiniteModel.is_quantum" in targets
 
 
 def test_a_deleted_name_is_caught():

@@ -312,6 +312,20 @@ class TestAnalyticBound:
         with pytest.raises(ValueError, match=rf"^mu must be in \[0, 1/sqrt\(3\)\], got {bad}$"):
             mapping.analytic_c_max(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["0.5", b"0.5", ["0.1", 0.2], np.complex128(0.3), 0.3 + 0j],
+        ids=["str", "bytes", "list-with-str", "np-complex", "complex"],
+    )
+    def test_non_real_rejected(self, bad):
+        # numpy would parse a string, and drop an imaginary part with a warning.
+        message = rf"^mu must be a real number or array, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            mapping.analytic_c_max(bad)
+
+    def test_bools_are_real(self):
+        assert mapping.analytic_c_max(False) == 1.0
+        assert mapping.analytic_c_max(np.array([False])).tolist() == [1.0]
+
 
 class TestHiddenBloch:
     def test_unbiased_responses(self):
@@ -552,10 +566,15 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             mapping.c_max_numeric(0.3, tol=0.0)
 
-    @pytest.mark.parametrize("n_grid", [2.5, 200.0, "200"])
+    # Read as an int, True would be one point, which the range check would name.
+    @pytest.mark.parametrize("n_grid", [2.5, 200.0, "200", True, np.True_])
     def test_rejects_a_non_integer_grid(self, n_grid):
-        with pytest.raises(ValueError, match=f"^grid needs an integer number of points, got {n_grid}$"):
+        message = f"^number of grid points must be an integer, got {re.escape(repr(n_grid))}$"
+        with pytest.raises(ValueError, match=message):
             mapping.region_scan(n_grid, 1e-8)
+
+    def test_numpy_integer_grid(self):
+        assert mapping.region_scan(np.int64(3), 1e-8) == mapping.region_scan(3, 1e-8)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
     def test_rejects_non_finite_or_negative_tol(self, tol):
@@ -641,6 +660,11 @@ class TestUnitIntervalCheck:
     def test_one_check_in_states(self):
         assert mapping.check_unit_interval is states.check_unit_interval
         assert constructions.check_unit_interval is states.check_unit_interval
+
+    def test_one_number_rule_each_in_states(self):
+        assert mapping._real_array is states._real_array
+        assert mapping._integer is states._integer
+        assert constructions._integer is states._integer
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), np.float64(2.0), 3])
     def test_visibility_entry_points(self, bad):

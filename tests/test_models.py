@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from steermap import constructions, models
+from steermap import constructions, models, states
 from steermap.measurements import (
     pauli_projectors,
     qubit_projectors,
@@ -276,14 +276,43 @@ class TestResponses:
     def test_complex_pauli_table_is_refused(self):
         # numpy would keep the real part 0.5 and warn.
         for table in ([[0.5 + 1j, 0.5, 0.5]], [[0.5 + 0j, 0.5, 0.5]]):
-            with pytest.raises(ValueError, match=r"^bob table must be real, got complex values$"):
+            message = rf"^bob table must be a real number or array, got {re.escape(repr(table))}$"
+            with pytest.raises(ValueError, match=message):
                 models.finite_model([1.0], HALF[None], table)
 
     @pytest.mark.parametrize("weights", [[1 + 0j], np.array([0.5 + 1j, 0.5])])
     def test_complex_weights_are_refused(self, weights):
         flat = np.full((len(weights), 3), 0.5)
-        with pytest.raises(ValueError, match=r"^weights must be real, got complex values$"):
+        message = rf"^weights must be a real number or array, got {re.escape(repr(weights))}$"
+        with pytest.raises(ValueError, match=message):
             models.finite_model(weights, flat, flat)
+
+    @pytest.mark.parametrize("weights", [["1.0"], [b"1.0"], ["0.5", 0.5], np.array(["1"])])
+    def test_string_weights_are_refused(self, weights):
+        # numpy would parse each string as the number it spells.
+        flat = np.full((len(weights), 3), 0.5)
+        message = rf"^weights must be a real number or array, got {re.escape(repr(weights))}$"
+        with pytest.raises(ValueError, match=message):
+            models.finite_model(weights, flat, flat)
+
+    @pytest.mark.parametrize(
+        "table", [[["0.5", "0.5", "0.5"]], [[b"0.5", b"0.5", b"0.5"]], [[0.5, "0.5", 0.5]]]
+    )
+    def test_string_pauli_tables_are_refused(self, table):
+        for party in ("alice", "bob"):
+            parties = {"alice": HALF[None], "bob": HALF[None], party: table}
+            got = re.escape(repr(table))
+            message = rf"^{party} table must be a real number or array, got {got}$"
+            with pytest.raises(ValueError, match=message):
+                models.finite_model([1.0], **parties)
+
+    def test_bool_tables_and_weights_stay_real(self):
+        m = models.finite_model(np.array([True]), HALF[None], np.array([[True, False, True]]))
+        assert m.weights.tolist() == [1.0] and m.bob.tolist() == [[1.0, 0.0, 1.0]]
+
+    def test_one_real_value_rule_in_states(self):
+        assert models._real_array is states._real_array
+        assert not hasattr(models, "_real")
 
     def test_empty_response_matrices_are_refused(self):
         with pytest.raises(StateValidationError) as info:

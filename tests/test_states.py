@@ -88,9 +88,12 @@ class TestMakeDensity:
         w = linalg.hermitian_eigen(rho.mat)
         assert np.allclose(w, [0, 0, 0, 1], atol=1e-12)
 
-    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.5), ("2", 2)])
+    # A bool is an int to Python; read as one, True would be the dim 1.
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.5), ("2", 2), (True, 2), (2, np.True_)])
     def test_rejects_non_integer_dims(self, dims):
-        with pytest.raises(ValueError, match=r"^subsystem dims must be integers, got "):
+        bad = next(d for d in dims if type(d) is not int)
+        message = rf"^subsystem dim must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             make_density(np.eye(4) / 4, *dims)
 
     def test_accepts_numpy_integer_dims(self):
