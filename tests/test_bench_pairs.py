@@ -81,8 +81,10 @@ def test_unpaired_seeds_are_refused():
         bench_pairs.summarize(bad, SPEC)
 
 
-def test_summary_covers_the_checked_in_metrics():
+def test_a_run_missing_a_checked_in_metric_is_refused():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     values = {m["name"]: [1.0] for m in spec["end_to_end"]}
-    summary = bench_pairs.summarize(runs("w", values, values), spec)
-    assert list(summary["w"]) == [m["name"] for m in spec["end_to_end"]]
+    assert set(bench_pairs.summarize(runs("w", values, values), spec)["w"]) == set(values)
+    short = {name: v for name, v in values.items() if name != "peak_rss_mb"}
+    with pytest.raises(ValueError, match="change run of seed 1 reports no peak_rss_mb"):
+        bench_pairs.summarize(runs("w", values, short), spec)

@@ -3,28 +3,28 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<pr>.json \\
-        [--workloads W ...] [--pairs 10] [--seconds 4]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<pr>.json
     python3 tools/bench_pairs.py --self-test
 
-For each seed S from 1 to ``--pairs`` and each workload W, both checkouts
-run ``OPENBLAS_NUM_THREADS=1 python3 perfbench/run.py --workload W --seed S
---trace 0 --seconds T`` as a subprocess, back to back; the parent runs
-first at odd seeds, the change first at even seeds.  The workloads and
-each end-to-end metric's ``better`` and ``bound`` are read from the
-parent's BENCHMARK.json.
+For each seed S from 1 to 10 and each workload W of the parent's
+BENCHMARK.json, both checkouts run ``OPENBLAS_NUM_THREADS=1 python3
+perfbench/run.py --workload W --seed S --trace 0 --seconds T`` as a
+subprocess, back to back; the parent runs first at odd seeds, the change
+first at even seeds.  The run length T (``run_seconds``) and each
+end-to-end metric's ``better`` and ``bound`` are read from the same file.
 
-The output holds ``what``, ``command``, ``protocol``, ``machine``,
-``summary`` and ``runs``.  Per workload and metric the summary gives both
-sides' medians and linear quartiles, the parent's IQR, the change's
-median relative to the parent's, the pairs (same seed) in which the
-change is better or worse (ties count for neither), the verdict and
-``move_resolved``, whether the medians differ by more than the parent's
-IQR.
+The output holds ``what`` (with each checkout's git commit), ``command``
+(with T filled in), ``protocol``, ``machine``, ``summary`` and ``runs``.
+Per workload and metric the summary gives both sides' medians and linear
+quartiles, the parent's IQR, the change's median relative to the
+parent's, the pairs (same seed) in which the change is better or worse
+(ties count for neither), the verdict and ``move_resolved``, whether the
+medians differ by more than the parent's IQR.
 
 ``--self-test`` runs one pair of the first workload in BENCHMARK.json for
-``--seconds 0``, with this checkout on both sides, and fails unless the
-summary covers every end-to-end metric there.  Nothing is written.
+``--seconds 0``, with this checkout on both sides, and fails unless both
+runs are correct and report every end-to-end metric there.  Nothing is
+written.
 
 The script imports neither steermap nor perfbench; it reads only their
 result lines and BENCHMARK.json.
@@ -41,16 +41,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 COMMAND = ("OPENBLAS_NUM_THREADS=1 python3 perfbench/run.py --workload W --seed S --trace 0 "
-           "--seconds T")
+           "--seconds {seconds:g}")
 PROTOCOL = (
-    "Two checkouts (parent, change). Seeds 1-N; each workload per seed runs on both trees back "
-    "to back, the parent first at odd seeds and the change first at even seeds. Quartiles are "
-    "linear percentiles of the N runs. Verdict rule: a regression beyond bound where the change "
-    "median is worse than the parent median by more than the BENCHMARK.json bound, relative to "
-    "the parent median (absolute where that median is 0); otherwise unresolved where the "
-    "parent's IQR, taken the same way, exceeds the bound, unless every change run is better "
-    "than every parent run; otherwise no regression beyond bound. "
+    f"Two checkouts (parent, change). Seeds 1-{PAIRS}; each workload per seed runs on both "
+    "trees back to back, the parent first at odd seeds and the change first at even seeds. "
+    f"Quartiles are linear percentiles of the {PAIRS} runs. Verdict rule: a regression beyond "
+    "bound where the change median is worse than the parent median by more than the "
+    "BENCHMARK.json bound, relative to the parent median (absolute where that median is 0); "
+    "otherwise unresolved where the parent's IQR, taken the same way, exceeds the bound, "
+    "unless every change run is better than every parent run; otherwise no regression beyond "
+    "bound. "
     "A move is resolved only where the difference of medians exceeds the parent's IQR."
 )
 
@@ -109,6 +111,11 @@ def summarize(runs, spec: dict) -> dict:
                          key=lambda r: r["seed"])
             for tree in ("parent", "change")
         }
+        for r in side["parent"] + side["change"]:
+            missing = [m["name"] for m in spec["end_to_end"] if m["name"] not in r["metrics"]]
+            if missing:
+                raise ValueError(f"{workload}: {r['tree']} run of seed {r['seed']} "
+                                 f"reports no {', '.join(missing)}")
         if [r["seed"] for r in side["parent"]] != [r["seed"] for r in side["change"]]:
             raise ValueError(f"{workload}: parent and change runs do not pair by seed")
         summary[workload] = {
@@ -183,12 +190,18 @@ def machine(runs) -> dict:
     return info
 
 
+def commit(checkout: Path) -> str:
+    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown commit"
+
+
 def report(parent: Path, change: Path, runs, spec: dict) -> dict:
     return {
-        "what": f"Parent checkout {parent.resolve().name} against change checkout "
-                f"{change.resolve().name}. End-to-end metrics of BENCHMARK.json per run, "
-                "medians and quartiles per workload.",
-        "command": COMMAND,
+        "what": f"Parent checkout {parent.resolve().name} ({commit(parent)}) against change "
+                f"checkout {change.resolve().name} ({commit(change)}). End-to-end metrics of "
+                "BENCHMARK.json per run, medians and quartiles per workload.",
+        "command": COMMAND.format(seconds=spec["run_seconds"]),
         "protocol": PROTOCOL,
         "machine": machine(runs),
         "summary": summarize(runs, spec),
@@ -204,12 +217,8 @@ def self_test() -> int:
     spec = load_spec(ROOT)
     workload = spec["workloads"][0]["name"]
     runs = collect({"parent": ROOT, "change": ROOT}, [workload], pairs=1, seconds=0.0)
-    summary = summarize(runs, spec)
-    wanted = [m["name"] for m in spec["end_to_end"]]
-    problems = []
-    if list(summary.get(workload, {})) != wanted:
-        problems.append(f"summary covers {list(summary.get(workload, {}))}, not {wanted}")
-    problems += [f"{r['tree']}: {r['failed']} failed" for r in runs if not r["correct"]]
+    summarize(runs, spec)  # raises unless every run reports every end-to-end metric
+    problems = [f"{r['tree']}: {r['failed']} failed" for r in runs if not r["correct"]]
     for problem in problems:
         print(f"self-test: {problem}", file=sys.stderr)
     print("self-test " + ("FAILED" if problems else "ok"))
@@ -223,22 +232,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--workloads", nargs="+",
-                        help="default: the workloads of the parent's BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=4.0)
     parser.add_argument("--self-test", action="store_true", help="one quick pair of this checkout")
     args = parser.parse_args(argv)
     if args.self_test:
         return self_test()
     if args.parent is None or args.change is None or args.out is None:
         parser.error("--parent, --change and --out are required")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     spec = load_spec(args.parent)
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    runs = collect({"parent": args.parent, "change": args.change}, workloads, args.pairs,
-                   args.seconds)
+    runs = collect({"parent": args.parent, "change": args.change},
+                   [w["name"] for w in spec["workloads"]], PAIRS, spec["run_seconds"])
     args.out.write_text(json.dumps(report(args.parent, args.change, runs, spec), indent=1,
                                    allow_nan=False) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
