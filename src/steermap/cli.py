@@ -240,13 +240,16 @@ def cmd_demo_werner(args) -> int:
     return EXIT_OK
 
 
+_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}  # by name; build_parser fills it
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
 
     ``parse_args`` leaves the parser unchanged and returns a fresh
     namespace, so reuse carries no state from one request to the next.
-    Callers get the same object each time and must not modify it.
+    Callers get the same object each time and must not modify it or :data:`_SUBPARSERS`.
     """
     parser = argparse.ArgumentParser(
         prog="steermap",
@@ -297,11 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=101, help="number of visibility steps")
     p.add_argument("--out", help="output CSV file (default stdout)")
     p.set_defaults(func=cmd_demo_werner)
+    _SUBPARSERS.update(sub.choices)
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: an argv that starts with a subcommand's name is
+    parsed by that subcommand's parser alone, as the full parser would hand it on; any other
+    argv, or one it leaves arguments of, by the full parser, for its namespace and messages."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .states import hidden_qubits
+from .states import _integer, hidden_qubits
 
 PROJ_TOL = 1e-10
 
@@ -175,9 +175,9 @@ def random_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     Per basis it draws the real parts, then the imaginary parts, of a
     complex Gaussian matrix, as n calls of :func:`random_basis` do; one
     QR orthonormalises all n.  The phases of R's diagonal are moved into
-    Q, which makes the bases Haar distributed.
+    Q, which makes the bases Haar distributed.  ``n`` and ``dim`` are integers.
     """
-    z = rng.standard_normal((n, 2, dim, dim))
+    z = rng.standard_normal((_integer("n", n), 2, _integer("dim", dim), dim))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[..., None, :]

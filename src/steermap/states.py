@@ -24,13 +24,14 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_STACK = np.stack(PAULIS)
 
 
-def _real_array(name: str, value) -> np.ndarray:
-    """``value`` as a new float64 array, the one rule for real values: strings, bytes,
-    complex and object values, which numpy would parse or truncate, raise ``ValueError``."""
+def _real_array(name: str, value, kinds: str = "biuf") -> np.ndarray:
+    """``value`` as a new float64 array (complex128 if ``kinds`` holds ``c``), the one rule
+    for numbers: a dtype kind not in ``kinds``, which numpy would parse or truncate, raises."""
     v = np.asarray(value)
-    if v.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be a real number or array, got {value!r}")
-    return v.astype(np.float64)
+    if v.dtype.kind not in kinds:
+        what = "complex" if "c" in kinds else "real"
+        raise ValueError(f"{name} must be a {what} number or array, got {value!r}")
+    return v.astype(np.complex128 if "c" in kinds else np.float64)
 
 
 def _integer(name: str, value):
@@ -155,7 +156,7 @@ def validate_states(mat, n: int | None = None) -> np.ndarray:
     names the first failed invariant and, for a stack, the index of the
     first state that failed it.
     """
-    m = np.array(mat, dtype=np.complex128)
+    m = _real_array("state", mat, "biufc")
     if m.ndim not in (2, 3):
         raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
     n = m.shape[-1] if n is None else n
@@ -260,8 +261,8 @@ def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Rank-1 density matrix from normalized complex normal deviates."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    """Rank-1 density matrix from normalized complex normal deviates; ``dim`` is an integer."""
+    v = rng.standard_normal(_integer("dim", dim)) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return pure_state(v)
 
@@ -288,15 +289,16 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
     d_a, d_b = _dims(d_a, d_b)
     if _integer("ensemble size k", k) < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
-    alpha = np.ones(k)
-    weights, draws = [], []
-    for seed in seeds:
-        rng = _rng(seed)
-        weights.append(rng.dirichlet(alpha))
-        draws.append(rng.standard_normal((k, 2 * d_a + 2 * d_b)))
-    if not weights:
+    seeds = list(seeds)
+    if not seeds:
         raise ValueError("need at least one seed")
-    weights, draws = np.array(weights), np.array(draws)
+    weights, draws = np.empty((len(seeds), k)), np.empty((len(seeds), k, 2 * d_a + 2 * d_b))
+    for seed, w, row in zip(seeds, weights, draws):
+        rng = _rng(seed)
+        rng.standard_exponential(out=w)
+        rng.standard_normal(out=row)
+    # rng.dirichlet(np.ones(k)) bit for bit: its gammas are these, over their left-to-right sum.
+    weights *= 1.0 / np.add.accumulate(weights, axis=-1)[:, -1:]
     # Row i: real, then imaginary parts of alpha_i's vector, then of beta_i's.
     va = draws[..., :d_a] + 1j * draws[..., d_a : 2 * d_a]
     vb = draws[..., 2 * d_a : 2 * d_a + d_b] + 1j * draws[..., 2 * d_a + d_b :]
@@ -305,7 +307,7 @@ def random_separables(d_a: int, d_b: int, k: int, seeds):
         v /= np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1, keepdims=True))
     alphas = va[..., :, None] * va.conj()[..., None, :]
     betas = vb[..., :, None] * vb.conj()[..., None, :]
-    product = (va[..., :, None] * vb[..., None, :]).reshape(len(weights), k, d_a * d_b)
+    product = (va[..., :, None] * vb[..., None, :]).reshape(len(seeds), k, d_a * d_b)
     mat = (weights[..., None] * product).swapaxes(-1, -2) @ product.conj()
     for a in (weights, alphas, betas):
         a.setflags(write=False)

@@ -521,6 +521,89 @@ class TestParserReuse:
         assert capsys.readouterr().out == out.read_text()
 
 
+MAP_ARGS = ["map", "--state", "s.json", "--mode", "M", "--mu", "0.5", "--out", "o.json"]
+# Every subcommand with its defaults and with every option, then argvs that
+# exercise argparse's help, abbreviation, error and "--" paths.
+PARSE_TABLE = [
+    ["analyze", "--state", "s.json"],
+    ["analyze", "--state", "s.json", "--out", "o.json"],
+    MAP_ARGS,
+    MAP_ARGS + ["--c", "0.25", "--force"],
+    ["region"],
+    ["region", "--grid", "7", "--tol", "1e-8", "--out", "r.csv"],
+    ["verify", "lhs"],
+    ["verify", "spm", "--trials", "3", "--seed", "5", "--tol", "1e-9", "--dims", "2x3",
+     "--mu", "0.3", "--c", "0.2", "--out", "v.json"],
+    ["verify", "--dims=3x2", "lhs", "--seed", "-4"],
+    ["demo-werner"],
+    ["demo-werner", "--grid", "11", "--out", "w.csv"],
+    ["verify", "lhs", "--tri", "2"],
+    ["verify", "lhs", "--t", "2"],
+    ["-h"],
+    ["-h", "verify"],
+    ["analyze", "-h"],
+    ["map", "--help"],
+    ["region", "-h"],
+    ["verify", "lhs", "-h"],
+    ["demo-werner", "--he"],
+    ["verify", "--bogus", "lhs"],
+    ["verify", "lhs", "--bogus"],
+    ["verify", "lhs", "--bogus=1"],
+    ["verify", "lhs", "spm"],
+    ["region", "extra"],
+    ["verify", "lhs", "--dims"],
+    ["verify", "lhs", "--trials", "x"],
+    ["verify", "xyz"],
+    ["verify"],
+    ["analyze"],
+    [],
+    ["bogus"],
+    ["ver", "lhs"],
+    ["--", "verify", "lhs"],
+    ["verify", "--", "lhs"],
+    ["verify", "lhs", "--"],
+    ["verify", "--", "-h"],
+    ["verify", "lhs", "--", "--trials"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What ``parse(argv)`` does: its namespace items or exit code, then stdout and stderr."""
+    try:
+        result = list(vars(parse(argv)).items())
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestOnePassParse:
+    """cli.parse_args is the full parser's parse_args, byte for byte, in one pass."""
+
+    @pytest.mark.parametrize("argv", PARSE_TABLE, ids=" ".join)
+    def test_matches_the_full_parser(self, argv, capsys):
+        want = _parse_outcome(cli.build_parser().parse_args, list(argv), capsys)
+        assert _parse_outcome(cli.parse_args, list(argv), capsys) == want
+
+    def test_reads_sys_argv_by_default(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["steermap", "verify", "spm", "--trials", "2"])
+        assert cli.parse_args() == cli.build_parser().parse_args()
+
+    def test_a_subcommand_argv_skips_the_full_parser(self, monkeypatch, capsys):
+        full = cli.build_parser()
+        monkeypatch.setattr(full, "parse_args", lambda argv: pytest.fail("full parse"))
+        args = cli.parse_args(["verify", "lhs", "--trials", "2"])
+        assert (args.command, args.target, args.trials) == ("verify", "lhs", 2)
+
+    @pytest.mark.parametrize("argv", [["verify", "lhs", "--bogus"], ["ver", "lhs"], []])
+    def test_leftovers_and_other_argvs_go_to_the_full_parser(self, argv, monkeypatch):
+        calls = []
+        full = cli.build_parser()
+        monkeypatch.setattr(full, "parse_args", lambda argv: calls.append(argv))
+        cli.parse_args(argv)
+        assert calls == [argv]
+
+
 class TestFailedWrite:
     """A failed write exits 2 with its message, leaves stdout empty and no temp file behind."""
 

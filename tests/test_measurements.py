@@ -235,6 +235,16 @@ class TestBatchedBuilders:
         assert np.array_equal(bases, ref)
         assert ref_rng.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("n, dim, name", [(2.5, 2, "n"), (2, 2.0, "dim"), (True, 2, "n")])
+    def test_non_integer_counts_are_refused_by_name(self, n, dim, name):
+        bad = n if name == "n" else dim
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            meas.random_bases(n, dim, np.random.default_rng(0))
+        if name == "dim":
+            with pytest.raises(ValueError, match=message):
+                meas.random_basis(dim, np.random.default_rng(0))
+
 
 class TestStackedBuilders:
     @pytest.mark.parametrize(

@@ -306,6 +306,11 @@ class TestResponses:
             with pytest.raises(ValueError, match=message):
                 models.finite_model([1.0], **parties)
 
+    def test_string_response_states_are_refused(self):
+        states_ = [[["0.5", "0"], ["0", "0.5"]]]
+        with pytest.raises(ValueError, match="^state must be a complex number or array"):
+            models.finite_model([1.0], states_, HALF[None])
+
     def test_bool_tables_and_weights_stay_real(self):
         m = models.finite_model(np.array([True]), HALF[None], np.array([[True, False, True]]))
         assert m.weights.tolist() == [1.0] and m.bob.tolist() == [[1.0, 0.0, 1.0]]

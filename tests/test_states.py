@@ -224,6 +224,22 @@ class TestValidateStates:
         assert info.value.invariant.startswith(f"shape {shape} != ")
         assert info.value.deviation == deviation
 
+    @pytest.mark.parametrize("kind", ["U", "S", "O"])
+    def test_strings_bytes_and_objects_are_refused(self, kind):
+        # numpy would parse each string as the number it spells.
+        mat = (np.eye(4) / 4).astype(kind)
+        message = f"^state must be a complex number or array, got {re.escape(repr(mat))}$"
+        with pytest.raises(ValueError, match=message):
+            states.validate_states(mat)
+        with pytest.raises(ValueError, match="^state must be a complex number or array"):
+            make_density(mat, 2, 2)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32, np.complex64])
+    def test_every_numeric_kind_is_read_as_complex(self, dtype):
+        mat = np.diag([1, 0]).astype(dtype)
+        out = states.validate_states(mat)
+        assert out.dtype == np.complex128 and np.array_equal(out, np.diag([1, 0]))
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 0, 0), (3, 0, 0)])
     def test_empty_matrices_fail_the_shape_check(self, shape):
         with pytest.raises(StateValidationError) as info:
@@ -266,7 +282,7 @@ class TestRandomSeparables:
                 assert np.array_equal(alpha, alphas[t, xi])
                 assert np.array_equal(beta, betas[t, xi])
 
-    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("k", range(1, 10))
     def test_draws_match_a_split_and_norm_reference(self, k):
         # Vectors sliced from each seed's draws and normalised with
         # np.linalg.norm's own formula: bit-equal to calling it.
@@ -455,6 +471,11 @@ class TestConditionalState:
 
 
 class TestRandomSeparable:
+    @pytest.mark.parametrize("dim", [2.5, 3.0, True])
+    def test_random_pure_refuses_a_non_integer_dim_by_name(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be an integer, got {dim!r}$"):
+            states.random_pure(dim, np.random.default_rng(0))
+
     def test_single_member_is_product(self):
         rho, ensemble = random_separable(2, 2, 1, seed=3)
         assert len(ensemble) == 1
