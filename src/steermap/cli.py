@@ -305,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``: an argv that starts with a subcommand's name is
-    parsed by that subcommand's parser alone, as the full parser would hand it on; any other
-    argv, or one it leaves arguments of, by the full parser, for its namespace and messages."""
+    """``build_parser().parse_args(argv)``, in one pass when argv starts with a subcommand's
+    name: that subcommand's parser alone, as the full parser would hand it on.  Any other argv,
+    or arguments that parser leaves over, go to the full parser for its namespace and messages."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     sub = _SUBPARSERS.get(argv[0]) if argv else None
