@@ -240,7 +240,19 @@ def cmd_demo_werner(args) -> int:
     return EXIT_OK
 
 
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}  # by name; build_parser fills it
+def _plain_table(p: argparse.ArgumentParser):
+    """What :func:`_plain_parse` needs of subcommand parser ``p``, or None unless its every
+    namespace action is a one-value ``store`` or a ``store_true``: its options by exact option
+    string, its positionals in order, all its actions in declaration order and its ``func``."""
+    actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]
+    if not all(type(a) is argparse._StoreAction and a.nargs is None
+               or type(a) is argparse._StoreTrueAction for a in actions):
+        return None
+    options = {s: a for a in actions for s in a.option_strings}
+    return options, [a for a in actions if not a.option_strings], actions, p.get_default("func")
+
+
+_PLAIN_TABLES: dict[str, tuple | None] = {}  # by subcommand name; build_parser fills it
 
 
 @functools.cache
@@ -249,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ``parse_args`` leaves the parser unchanged and returns a fresh
     namespace, so reuse carries no state from one request to the next.
-    Callers get the same object each time and must not modify it or :data:`_SUBPARSERS`.
+    Callers get the same object each time and must not modify it or
+    :data:`_PLAIN_TABLES`, where the first call records each subcommand's
+    :func:`_plain_table`.
     """
     parser = argparse.ArgumentParser(
         prog="steermap",
@@ -300,22 +314,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=101, help="number of visibility steps")
     p.add_argument("--out", help="output CSV file (default stdout)")
     p.set_defaults(func=cmd_demo_werner)
-    _SUBPARSERS.update(sub.choices)
+    _PLAIN_TABLES.update((name, _plain_table(p)) for name, p in sub.choices.items())
     return parser
 
 
+def _plain_parse(argv, options, positionals, actions, func):
+    """The namespace argparse makes of a plain subcommand argv, built from the table, or None.
+
+    Plain: after the name, only exact option strings, each with one value that does not start
+    with ``-`` (a flag takes none), and positionals in their ``choices``; no dest twice, every
+    ``type`` conversion succeeds and every required action is given.  Items are ``command``,
+    each action's dest in declaration order (a string default through ``type``), then ``func``.
+    """
+    given, tokens, free = {}, iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        action = options.get(token) if token.startswith("-") else next(free, None)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:
+            given[action.dest] = action.const
+            continue
+        if action.option_strings:
+            token = next(tokens, "-")  # a missing value reads as "-"
+            if token.startswith("-"):
+                return None
+        given[action.dest] = token
+    values = {"command": argv[0]}
+    for action in actions:
+        if action.dest in given:
+            value = given[action.dest]
+        elif action.required:
+            return None
+        else:
+            value = action.default
+        if isinstance(value, str) and action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.dest in given and action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    values["func"] = func
+    return argparse.Namespace(**values)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, in one pass when argv starts with a subcommand's
-    name: that subcommand's parser alone, as the full parser would hand it on.  Any other argv,
-    or arguments that parser leaves over, go to the full parser for its namespace and messages."""
+    """``build_parser().parse_args(argv)``: a plain subcommand argv (see :func:`_plain_parse`)
+    gets its namespace straight from the parser's recorded actions, without running argparse;
+    any other argv goes to the full parser, the one source of help, usage and error text."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    sub = _SUBPARSERS.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return parser.parse_args(argv)
+    table = _PLAIN_TABLES.get(argv[0]) if argv else None
+    args = _plain_parse(argv, *table) if table else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -50,6 +50,14 @@ def _check_invariant(invariant: str, deviation: np.ndarray, ok: np.ndarray) -> N
     raise StateValidationError(invariant, float(deviation[idx]), idx[0] if idx else None)
 
 
+def _integer(name: str, value):
+    """``value`` if it is an integer of any size, the one rule for integers: a float
+    or a bool, which numpy would read as its integer part or as 0/1, raises ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product, A the left (slow) factor.
 
@@ -65,7 +73,7 @@ def kron(a, b) -> np.ndarray:
 
 
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> None:
-    n = d_a * d_b
+    n = _integer("d_a", d_a) * _integer("d_b", d_b)
     if m.shape[-2:] != (n, n):
         raise ValueError(
             f"matrix shape {m.shape} does not match dims {d_a}x{d_b} "

@@ -175,9 +175,12 @@ def random_bases(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     Per basis it draws the real parts, then the imaginary parts, of a
     complex Gaussian matrix, as n calls of :func:`random_basis` do; one
     QR orthonormalises all n.  The phases of R's diagonal are moved into
-    Q, which makes the bases Haar distributed.  ``n`` and ``dim`` are integers.
+    Q, which makes the bases Haar distributed.  ``n`` and ``dim`` are integers >= 1.
     """
-    z = rng.standard_normal((_integer("n", n), 2, _integer("dim", dim), dim))
+    for name, size in (("n", n), ("dim", dim)):
+        if _integer(name, size) < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+    z = rng.standard_normal((n, 2, dim, dim))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[..., None, :]

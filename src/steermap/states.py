@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import STATE_TOL, StateValidationError, _check_invariant
+from .linalg import STATE_TOL, StateValidationError, _check_invariant, _integer
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -32,14 +32,6 @@ def _real_array(name: str, value, kinds: str = "biuf") -> np.ndarray:
         what = "complex" if "c" in kinds else "real"
         raise ValueError(f"{name} must be a {what} number or array, got {value!r}")
     return v.astype(np.complex128 if "c" in kinds else np.float64)
-
-
-def _integer(name: str, value):
-    """``value`` if it is an integer of any size, the one rule for integers: a float
-    or a bool, which numpy would read as its integer part or as 0/1, raises ``ValueError``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def check_unit_interval(name: str, value) -> None:
@@ -261,8 +253,10 @@ def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Rank-1 density matrix from normalized complex normal deviates; ``dim`` is an integer."""
-    v = rng.standard_normal(_integer("dim", dim)) + 1j * rng.standard_normal(dim)
+    """Rank-1 density matrix from normalized complex normal deviates; ``dim`` is an integer >= 1."""
+    if _integer("dim", dim) < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return pure_state(v)
 

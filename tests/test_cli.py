@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 import math
 import os
@@ -5,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from steermap import cli, constructions, linalg, mapping, states
 from steermap.mapping import INV_SQRT3
@@ -564,7 +568,49 @@ PARSE_TABLE = [
     ["verify", "lhs", "--"],
     ["verify", "--", "-h"],
     ["verify", "lhs", "--", "--trials"],
+    # The edges of the plain path, which builds its namespace without argparse.
+    ["verify", "lhs", "--mu", "-0.5", "--c", "0.1"],
+    ["verify", "lhs", "--mu", "-.5"],
+    ["verify", "lhs", "--trials=3"],
+    MAP_ARGS + ["--c=0.2"],
+    ["verify", "lhs", "--trials", "2", "--trials", "3"],
+    ["verify", "lhs", "--trials", "3.0", "--trials", "3"],
+    MAP_ARGS + ["--force", "--force"],
+    ["analyze", "--state", ""],
+    ["analyze", "--state", "-"],
+    ["analyze", "--state", "--out"],
+    ["verify", "lhs", "--trials", "3.0"],
+    ["verify", "--seed", "1", "xyz"],
+    ["verify", "lhs", "--seed", "1", "spm"],
+    ["verify", "--trials", "2", "lhs"],
+    MAP_ARGS[:-2],
 ]
+# Each subcommand's required pieces, then its optional ones, each with a value it accepts.
+PIECES = {
+    "analyze": ([("--state", "s.json")], [("--out", "o.json")]),
+    "map": ([("--state", "s.json"), ("--mode", "N"), ("--mu", "0.3"), ("--out", "o.json")],
+            [("--c", "0.2"), ("--force",)]),
+    "region": ([], [("--grid", "7"), ("--tol", "1e-9"), ("--out", "r.csv")]),
+    "verify": ([("lhs",)], [("--trials", "3"), ("--seed", "5"), ("--tol", "1e-9"),
+                            ("--dims", "2x3"), ("--mu", "0.3"), ("--c", "0.2"), ("--out", "v.json")]),
+    "demo-werner": ([], [("--grid", "11"), ("--out", "w.csv")]),
+}
+OPTIONS = sorted({p[0] for r, o in PIECES.values() for p in r + o if p[0].startswith("-")}
+                 | {"-h", "--help"})
+EDGE_VALUES = ["spm", "xyz", "3", "3.0", "-1", "-0.5", "-.5", "", "-", "--"]
+# Every option string and abbreviation, the subcommand names and values at the plain path's edges.
+TOKENS = sorted({o[:n] for o in OPTIONS for n in range(2, len(o) + 1)} | set(PIECES)
+                | set(EDGE_VALUES) | {"--trials=3", "--mu=0.3"})
+
+
+def _near_plain_argvs(name):
+    """``name``, its required pieces, some optional ones and up to two edge pieces, in any order."""
+    required, optional = PIECES[name]
+    edge = st.one_of(st.tuples(st.sampled_from(OPTIONS), st.sampled_from(EDGE_VALUES)),
+                     st.sampled_from(TOKENS).map(lambda t: (t,)))
+    pieces = st.tuples(st.lists(st.sampled_from(optional), unique=True), st.lists(edge, max_size=2))
+    return (pieces.flatmap(lambda p: st.permutations(required + p[0] + p[1]))
+            .map(lambda ps: [name, *(t for p in ps for t in p)]))
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -578,7 +624,8 @@ def _parse_outcome(parse, argv, capsys):
 
 
 class TestOnePassParse:
-    """cli.parse_args is the full parser's parse_args, byte for byte, in one pass."""
+    """cli.parse_args is the full parser's parse_args, byte for byte, in at most one pass:
+    plain subcommand argvs skip argparse."""
 
     @pytest.mark.parametrize("argv", PARSE_TABLE, ids=" ".join)
     def test_matches_the_full_parser(self, argv, capsys):
@@ -589,11 +636,52 @@ class TestOnePassParse:
         monkeypatch.setattr(sys, "argv", ["steermap", "verify", "spm", "--trials", "2"])
         assert cli.parse_args() == cli.build_parser().parse_args()
 
-    def test_a_subcommand_argv_skips_the_full_parser(self, monkeypatch, capsys):
-        full = cli.build_parser()
-        monkeypatch.setattr(full, "parse_args", lambda argv: pytest.fail("full parse"))
-        args = cli.parse_args(["verify", "lhs", "--trials", "2"])
-        assert (args.command, args.target, args.trials) == ("verify", "lhs", 2)
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
+    @hypothesis.given(argv=st.sampled_from(sorted(PIECES)).flatmap(_near_plain_argvs))
+    def test_matches_the_full_parser_on_drawn_argvs(self, argv, capsys):
+        want = _parse_outcome(cli.build_parser().parse_args, list(argv), capsys)
+        assert _parse_outcome(cli.parse_args, list(argv), capsys) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lhs", "--dims", "3x2", "--trials", "3", "--seed", "41"],
+        ["verify", "spm", "--dims", "2x4", "--trials", "2", "--seed", "0"],
+        ["map", "--state", "s.json", "--mode", "M", "--mu", "0.3", "--c", "0.2", "--out", "o"],
+        ["map", "--state", "s.json", "--mode", "N", "--mu", "0.7", "--c", "1e-05", "--out", "o"],
+        ["analyze", "--state", "s.json"],
+        ["region", "--grid", "200"],
+    ], ids=" ".join)
+    def test_a_subcommand_argv_skips_the_full_parser(self, argv, monkeypatch):
+        want = vars(cli.build_parser().parse_args(argv))
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda *a, **k: pytest.fail("argparse parse"))
+        assert vars(cli.parse_args(argv)) == want
+
+    def test_a_parser_with_another_kind_of_action_is_never_plain(self):
+        p = argparse.ArgumentParser()
+        p.add_argument("--grid", type=int)
+        assert cli._plain_table(p) is not None
+        p.add_argument("--verbose", action="count")
+        assert cli._plain_table(p) is None
+
+    def test_every_benchmark_argv_skips_the_full_parser(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        argvs = [
+            req.argv_for(str(tmp_path / "out.json"))
+            for name, w in workloads.WORKLOADS.items()
+            for seed in range(1, 21)
+            for req in w.make(w.rng(seed), tmp_path / f"{name}-{seed}")
+        ]
+        assert {a[0] for a in argvs} == {"verify", "map", "analyze", "region", "demo-werner"}
+        want = [vars(cli.build_parser().parse_args(a)) for a in argvs]
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda *a, **k: pytest.fail("argparse parse"))
+        assert [vars(cli.parse_args(a)) for a in argvs] == want
 
     @pytest.mark.parametrize("argv", [["verify", "lhs", "--bogus"], ["ver", "lhs"], []])
     def test_leftovers_and_other_argvs_go_to_the_full_parser(self, argv, monkeypatch):

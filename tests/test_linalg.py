@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,15 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match dims"):
             linalg.partial_trace(np.eye(5, dtype=complex), 2, 2, "B")
+
+    @pytest.mark.parametrize("d_a, d_b, name", [(2.0, 2, "d_a"), (2.5, 2, "d_a"), (True, 2, "d_a"),
+                                                (2, 2.0, "d_b"), (2, np.True_, "d_b")])
+    def test_non_integer_dims_are_refused_by_name(self, d_a, d_b, name):
+        bad = d_a if name == "d_a" else d_b
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        for function in (linalg.partial_trace, linalg.partial_transpose):
+            with pytest.raises(ValueError, match=message):
+                function(np.eye(4, dtype=complex) / 4, d_a, d_b)
 
     def test_refuses_an_unknown_keep(self):
         with pytest.raises(ValueError) as info:

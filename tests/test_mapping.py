@@ -662,6 +662,7 @@ class TestUnitIntervalCheck:
         assert constructions.check_unit_interval is states.check_unit_interval
 
     def test_one_number_rule_each_in_states(self):
+        assert states._integer is linalg._integer  # linalg, the bottom module, holds it
         assert mapping._real_array is states._real_array
         assert mapping._integer is states._integer
         assert constructions._integer is states._integer

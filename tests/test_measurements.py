@@ -245,6 +245,18 @@ class TestBatchedBuilders:
             with pytest.raises(ValueError, match=message):
                 meas.random_basis(dim, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n, dim, name", [(-1, 2, "n"), (0, 2, "n"), (2, 0, "dim"), (1, -3, "dim")])
+    def test_sizes_below_one_are_refused_by_name_before_any_draw(self, n, dim, name):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        bad = n if name == "n" else dim
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {bad}$"):
+            meas.random_bases(n, dim, rng)
+        if name == "dim":
+            with pytest.raises(ValueError, match=f"^dim must be >= 1, got {bad}$"):
+                meas.random_basis(dim, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestStackedBuilders:
     @pytest.mark.parametrize(

@@ -476,6 +476,14 @@ class TestRandomSeparable:
         with pytest.raises(ValueError, match=f"^dim must be an integer, got {dim!r}$"):
             states.random_pure(dim, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_random_pure_refuses_a_dim_below_one_before_any_draw(self, dim):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
+            states.random_pure(dim, rng)
+        assert rng.bit_generator.state == before
+
     def test_single_member_is_product(self):
         rho, ensemble = random_separable(2, 2, 1, seed=3)
         assert len(ensemble) == 1
