@@ -99,8 +99,7 @@ def hidden_bloch(mu, p0, p0_prime) -> np.ndarray:
     :func:`~steermap.mapping.feasible`, or NaN is refused, naming the
     first such hidden value.
     """
-    check_unit_interval("mu", mu)
-    m = np.asarray(mu, dtype=float)[..., None, None]
+    m = check_unit_interval("mu", mu)[..., None, None]
     bloch = 2.0 * (m * p0 + (1.0 - m) * p0_prime) - 1.0
     norm_sq = np.einsum("...xk,...xk->...x", bloch, bloch)
     over = ~(norm_sq <= 1.0 + mapping.FEAS_TOL)

@@ -58,14 +58,32 @@ def _integer(name: str, value):
     return value
 
 
+def _array(name: str, value) -> np.ndarray:
+    """``value`` as an array of its own dtype; a ragged value raises ``ValueError`` naming it."""
+    try:
+        return np.asarray(value)
+    except ValueError:  # numpy's own text names neither the value nor its caller
+        raise ValueError(f"{name} is ragged: its entries differ in shape") from None
+
+
+def _real_array(name: str, value, kinds: str = "biuf") -> np.ndarray:
+    """``value`` as a float64 array (complex128 if ``kinds`` holds ``c``), the one rule for
+    numbers: a ragged value or a dtype kind not in ``kinds``, which numpy would parse or
+    truncate, raises.  It copies only to convert; a caller that freezes copies."""
+    v = _array(name, value)
+    if v.dtype.kind not in kinds:
+        what = "complex" if "c" in kinds else "real"
+        raise ValueError(f"{name} must be a {what} number or array, got {value!r}")
+    return v.astype(np.complex128 if "c" in kinds else np.float64, copy=False)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product, A the left (slow) factor.
 
     Either factor may be a ``(T, p, q)`` stack; stacks pair up matrix by
     matrix and the result is the stack of the T products.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a, b = _real_array("a", a, "biufc"), _real_array("b", b, "biufc")
     if not (2 <= a.ndim <= 3 and 2 <= b.ndim <= 3):
         raise ValueError(f"expected matrices or (T, p, q) stacks, got ndim={a.ndim}, {b.ndim}")
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -73,7 +91,10 @@ def kron(a, b) -> np.ndarray:
 
 
 def _check_bipartite(m: np.ndarray, d_a: int, d_b: int) -> None:
-    n = _integer("d_a", d_a) * _integer("d_b", d_b)
+    if _integer("d_a", d_a) < 1 or _integer("d_b", d_b) < 1:
+        name, d = ("d_a", d_a) if d_a < 1 else ("d_b", d_b)
+        raise ValueError(f"{name} must be >= 1, got {d}")
+    n = d_a * d_b
     if m.shape[-2:] != (n, n):
         raise ValueError(
             f"matrix shape {m.shape} does not match dims {d_a}x{d_b} "
@@ -88,7 +109,7 @@ def partial_trace(m, d_a: int, d_b: int, keep: str = "B") -> np.ndarray:
     d_a x d_a operator tr_B[m].  The full trace is preserved.  A
     ``(T, n, n)`` stack gives the T reduced operators.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = _real_array("m", m, "biufc")
     if a.ndim not in (2, 3):
         raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={a.ndim}")
     _check_bipartite(a, d_a, d_b)
@@ -102,7 +123,7 @@ def partial_trace(m, d_a: int, d_b: int, keep: str = "B") -> np.ndarray:
 
 def partial_transpose(m, d_a: int, d_b: int) -> np.ndarray:
     """Transpose the B factor; involutive, trace preserving, (..., n, n) stacks too."""
-    a = np.asarray(m, dtype=np.complex128)
+    a = _real_array("m", m, "biufc")
     _check_bipartite(a, d_a, d_b)
     t = a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b)
     return t.swapaxes(-1, -3).reshape(a.shape)
@@ -118,7 +139,7 @@ def hermitian_eigen(m):
     defect above ``STATE_TOL``, raise :class:`StateValidationError`,
     checked per matrix and naming the first offending member of a stack.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = _real_array("m", m, "biufc")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # Whole-stack checks first; per-matrix values only name an offender.

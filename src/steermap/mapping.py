@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import STATE_TOL, _check_invariant
-from .states import SIGMA_Z, BlochVector, DensityMatrix, _integer, _real_array, check_unit_interval
+from .linalg import STATE_TOL, _check_invariant, _real_array
+from .states import SIGMA_Z, BlochVector, DensityMatrix, _integer, check_unit_interval
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 FEAS_TOL = 1e-12
@@ -55,8 +55,7 @@ def mix(state: DensityMatrix, partner: DensityMatrix, mu: float) -> DensityMatri
             f"dimension mismatch: {state.d_a}x{state.d_b} vs "
             f"{partner.d_a}x{partner.d_b}"
         )
-    check_unit_interval("mu", mu)
-    m = np.asarray(mu, dtype=np.float64)[..., None, None]
+    m = check_unit_interval("mu", mu)[..., None, None]
     mat = m * state.mat + (1.0 - m) * partner.mat
     return DensityMatrix(state.d_a, state.d_b, mat)
 
@@ -85,8 +84,7 @@ def biased_partner(state: DensityMatrix, c: float, side: str) -> DensityMatrix:
         raise ValueError(f"partner requires a qubit on Bob's side, got d_b={state.d_b}")
     if side == "A" and state.d_a != 2:
         raise ValueError(f"partner requires a qubit on Alice's side, got d_a={state.d_a}")
-    check_unit_interval("c", c)
-    c = np.asarray(c, dtype=np.float64)
+    c = check_unit_interval("c", c)
     qubit = (np.eye(2, dtype=np.complex128) + c[..., None, None] * SIGMA_Z) / 2.0
     reduced = state.reduced_a() if side == "B" else state.reduced_b()
     least = linalg.hermitian_eigen(reduced)[..., 0] * (1.0 + c) / 2.0
@@ -112,8 +110,7 @@ def biased_probs(c) -> np.ndarray:
     partner models of :func:`steermap.constructions.bob_biased_prime_model`
     and :func:`steermap.constructions.alice_biased_prime_model`.
     """
-    check_unit_interval("c", c)
-    c = np.asarray(c, dtype=float)
+    c = check_unit_interval("c", c)
     probs = np.full((*c.shape, 1, 3), 0.5)
     probs[..., 2] = ((1.0 + c) / 2.0)[..., None]
     return probs
@@ -189,10 +186,10 @@ def c_max_numeric(mu, tol: float = 1e-10):
     the closed form with FEAS_TOL folded in, snapped down to the grid and
     stepped until k w holds and (k+1) w fails; below it the full rule bisects.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
+    t = _real_array("tolerance", tol)
+    if not (t.ndim == 0 and 0.0 < t < np.inf):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    check_unit_interval("mu", mu)
-    mu = np.asarray(mu, dtype=np.float64)
+    mu, tol = check_unit_interval("mu", mu), float(t)
     limit = 1.0 + FEAS_TOL
     feasible_at_0 = _worst_norm_sq(mu, 0.0) <= limit
     feasible_at_1 = _worst_norm_sq(mu, 1.0) <= limit
@@ -238,6 +235,6 @@ REGION_CSV_HEADER = "mu,c_max_numeric,c_max_analytic,abs_err"
 
 def region_to_csv(points) -> str:
     """CSV of region points or (n, 3) rows, 12 significant digits, by one ``%`` format."""
-    rows = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    rows = _real_array("points", points).reshape(-1, 3)
     values = np.column_stack([rows, abs(rows[:, 1] - rows[:, 2])]).ravel().tolist()
     return REGION_CSV_HEADER + "\n" + ("%.12g,%.12g,%.12g,%.12g\n" * len(rows)) % tuple(values)

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .states import _integer, hidden_qubits
+from .states import _integer, _real_array, hidden_qubits
 
 PROJ_TOL = 1e-10
 
@@ -49,17 +49,9 @@ def validate_projectors(projectors) -> np.ndarray:
     entries, each projector Hermitian and idempotent, each measurement
     summing to the identity and its projectors pairwise orthogonal.
     Raises ``ValueError`` naming the first offending measurement and
-    projector, a ragged sequence or a non-numeric entry; returns a
-    read-only complex copy.
+    projector, or a value the number rule refuses; returns a read-only complex copy.
     """
-    try:
-        p = np.asarray(projectors)
-    except ValueError:
-        raise ValueError("projector stack is ragged: its entries differ in shape") from None
-    try:
-        p = np.array(p, dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise ValueError("projector stack has non-numeric entries") from None
+    p = _real_array("projector stack", projectors, "biufc").copy()
     if p.ndim != 4 or p.shape[2] != p.shape[3] or 0 in p.shape:
         raise ValueError(f"projector stack must have shape (n, k, d, d), got {p.shape}")
     _check_finite(p)
@@ -118,7 +110,7 @@ def qubit_projectors(directions) -> np.ndarray:
     outcome projectors (1 +- n_m.sigma)/2, Hermitian by construction and
     checked as in :func:`validate_projectors`.
     """
-    v = np.asarray(directions, dtype=float)
+    v = _real_array("directions", directions)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"directions must have shape (n, 3), got {v.shape}")
     norm = np.linalg.norm(v, axis=1)
@@ -146,7 +138,7 @@ def qudit_projectors(bases) -> np.ndarray:
     b_i b_i^dagger are Hermitian to rounding by construction and checked
     as in :func:`validate_projectors`.
     """
-    b = np.asarray(bases, dtype=np.complex128)
+    b = _real_array("bases", bases, "biufc")
     if b.ndim != 3 or b.shape[1] != b.shape[2] or b.shape[2] == 0:
         raise ValueError(f"bases must have shape (n, d, d), got {b.shape}")
     _check_finite(b)
@@ -161,7 +153,7 @@ def qudit_measurement(basis) -> np.ndarray:
     ``basis`` is a sequence of d vectors of length d; vector i becomes
     the outcome-i projector.
     """
-    vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in basis]
+    vecs = [_real_array(f"basis vector {i}", v, "biufc").reshape(-1) for i, v in enumerate(basis)]
     d = len(vecs)
     for i, v in enumerate(vecs):
         if v.shape != (d,):

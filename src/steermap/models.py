@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _array, _real_array
 from .measurements import pauli_projectors
 from .states import (
     DensityMatrix,
     _Frozen,
-    _real_array,
     check_unit_interval,
     conditional_states,
     validate_states,
@@ -59,8 +59,8 @@ def born_probs(projectors, states, context: str = "born_probs") -> np.ndarray:
     Pauli table, raise ``ValueError``.  Entries are returned as computed:
     validated states give probabilities to rounding.
     """
-    p = np.asarray(projectors)
-    rhos = np.asarray(states)
+    p = _real_array("projectors", projectors, "biufc")
+    rhos = _real_array("states", states, "biufc")
     if p.ndim != 4 or p.shape[-2] != p.shape[-1]:
         raise ValueError(f"{context}: projectors must be (S, A, d, d), got shape {p.shape}")
     n_set, n_out, _, d = p.shape
@@ -123,7 +123,7 @@ def finite_model(weights, alice, bob) -> FiniteModel:
     real Pauli table, with three columns and every entry in [0, 1].  Each
     party needs one row per weight.
     """
-    w = _real_array("weights", weights)
+    w = _real_array("weights", weights).copy()
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D sequence")
     if w.min() < -WEIGHT_TOL:
@@ -141,8 +141,8 @@ def finite_model(weights, alice, bob) -> FiniteModel:
 
 
 def _party(name: str, responses) -> np.ndarray:
-    """One party of a model as a validated read-only array."""
-    r = np.asarray(responses)
+    """One party of a model as a validated read-only array; its rank names its entries' rule."""
+    r = _array(name, responses)
     if r.ndim == 3:
         return validate_states(r)
     if r.ndim != 2 or r.shape[1] != 3:
@@ -150,7 +150,7 @@ def _party(name: str, responses) -> np.ndarray:
             f"{name} must be an (Xi, d, d) state stack or an (Xi, 3) Pauli table, "
             f"got shape {r.shape}"
         )
-    table = _real_array(f"{name} table", responses)
+    table = _real_array(f"{name} table", responses).copy()
     check_unit_interval(f"{name} table entry", table)
     table.setflags(write=False)
     return table

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import STATE_TOL, StateValidationError, _check_invariant, _integer
+from .linalg import STATE_TOL, StateValidationError, _check_invariant, _integer, _real_array
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -24,33 +24,23 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_STACK = np.stack(PAULIS)
 
 
-def _real_array(name: str, value, kinds: str = "biuf") -> np.ndarray:
-    """``value`` as a new float64 array (complex128 if ``kinds`` holds ``c``), the one rule
-    for numbers: a dtype kind not in ``kinds``, which numpy would parse or truncate, raises."""
-    v = np.asarray(value)
-    if v.dtype.kind not in kinds:
-        what = "complex" if "c" in kinds else "real"
-        raise ValueError(f"{name} must be a {what} number or array, got {value!r}")
-    return v.astype(np.complex128 if "c" in kinds else np.float64)
+def check_unit_interval(name: str, value) -> np.float64 | np.ndarray:
+    """``value`` (a float or an array) as float64, if it lies in [0, 1]; NaN does not.
 
-
-def check_unit_interval(name: str, value) -> None:
-    """Raise ValueError unless ``value`` (a float or an array) lies in [0, 1].
-
-    The one range check for mu, c, visibilities and Pauli response
-    tables.  It is written so that NaN fails it; for an array the message
-    names the first offending entry.  Python numbers are compared
-    directly; other values must be real (:func:`_real_array`).
+    The one range check for mu, c, visibilities and Pauli response tables;
+    an array's message names its first offending entry.  A Python number
+    comes back as ``np.float64``, any other value as :func:`_real_array` reads it.
     """
     if isinstance(value, (int, float)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-        return
+        return np.float64(value)
     v = _real_array(name, value)
     outside = ~((v >= 0.0) & (v <= 1.0))
     if outside.any():
         got = value if v.ndim == 0 else v[outside][0]
         raise ValueError(f"{name} must be in [0, 1], got {got}")
+    return v
 
 
 class BlochVector(NamedTuple):
@@ -148,7 +138,7 @@ def validate_states(mat, n: int | None = None) -> np.ndarray:
     names the first failed invariant and, for a stack, the index of the
     first state that failed it.
     """
-    m = _real_array("state", mat, "biufc")
+    m = _real_array("state", mat, "biufc").copy()
     if m.ndim not in (2, 3):
         raise ValueError(f"expected a matrix or a (T, n, n) stack, got ndim={m.ndim}")
     n = m.shape[-1] if n is None else n
@@ -185,7 +175,7 @@ def _dims(d_a, d_b) -> tuple[int, int]:
 
 def pure_state(vec) -> np.ndarray:
     """Projector |v><v| of a normalized state vector."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    v = _real_array("vec", vec, "biufc").reshape(-1)
     return np.outer(v, v.conj())
 
 
@@ -205,8 +195,7 @@ def singlet() -> DensityMatrix:
 
 def werner(p) -> DensityMatrix:
     """p * singlet + (1-p) * I/4 for visibility p in [0, 1]; an array of p gives a stack."""
-    check_unit_interval("visibility", p)
-    p = np.asarray(p, dtype=np.float64)[..., None, None]
+    p = check_unit_interval("visibility", p)[..., None, None]
     mat = p * singlet().mat + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
     return DensityMatrix(2, 2, mat)
 
@@ -217,7 +206,7 @@ def hidden_qubits(bloch) -> np.ndarray:
     Written entry by entry, [[1 + z, x - iy], [x + iy, 1 - z]] / 2: each
     entry of r.sigma has one term, so no contraction is needed.
     """
-    r = np.asarray(bloch, dtype=float)
+    r = _real_array("bloch", bloch)
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
     out = np.zeros((*r.shape[:-1], 2, 2), dtype=np.complex128)
     out.real[..., 0, 0] = (1.0 + z) / 2.0
@@ -241,7 +230,7 @@ def conditional_states(rho: DensityMatrix, projectors) -> np.ndarray:
     """
     if rho.mat.ndim != 2:
         raise ValueError(f"need one state, got a stack of shape {rho.mat.shape[:-2]}")
-    pi = np.asarray(projectors, dtype=np.complex128)
+    pi = _real_array("projectors", projectors, "biufc")
     if pi.ndim < 2 or pi.shape[-2:] != (rho.d_a, rho.d_a):
         raise ValueError(f"projector shape {pi.shape} does not match d_a={rho.d_a}")
     d_a, d_b = rho.d_a, rho.d_b
@@ -262,8 +251,10 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _rng(seed) -> np.random.Generator:
-    """The generator of an integer seed (see :func:`_integer`)."""
-    return np.random.default_rng(_integer("seed", seed))
+    """The generator of an integer seed >= 0 (see :func:`_integer`)."""
+    if _integer("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def random_separables(d_a: int, d_b: int, k: int, seeds):

@@ -86,8 +86,7 @@ def werner_steerable_oracle(v):
     (strict; the boundary point itself is unsteerable).  Not derivable
     from anything in this package.
     """
-    check_unit_interval("visibility", v)
-    return linalg.scalar_or_array(np.asarray(v) > 0.5)
+    return linalg.scalar_or_array(check_unit_interval("visibility", v) > 0.5)
 
 
 def witness_report(rho: DensityMatrix) -> WitnessReport:

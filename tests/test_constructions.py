@@ -822,8 +822,9 @@ class TestSettingsBoundary:
         if kind == "ragged":
             assert expected == "projector stack is ragged: its entries differ in shape"
         if kind == "non-numeric":
-            assert expected == "projector stack has non-numeric entries"
-            assert self.message(lambda: validate_projectors([["a"]])) == expected
+            rule = "projector stack must be a complex number or array, got {!r}"
+            assert expected == rule.format(bad)
+            assert self.message(lambda: validate_projectors([["a"]])) == rule.format([["a"]])
         assert self.message(lambda: cons.lhs_certificate(model, prime, 0.4, bad)) == expected
         assert self.message(lambda: cons.verify_lhs_identity(tau, cert, bad)) == expected
 

@@ -18,6 +18,12 @@ Every top-level function, class and assigned name of ``src/steermap``
 (dunders excepted) must be used: referenced by another top-level
 statement in ``src/``, or named in ``tests/test_acceptance.py``.  A
 name used only inside its own definition counts as unused.
+
+No function of ``src/steermap`` converts numbers itself but the number
+rule, ``linalg._real_array``, and the JSON loader,
+``states.state_from_json``: an ``ast`` walk refuses every
+``np.asarray(..., dtype=...)``, ``np.array(<non-literal>, dtype=...)``
+and ``.astype(...)`` anywhere else, and finds both of those.
 """
 
 import ast
@@ -187,3 +193,69 @@ def test_a_deliberately_orphaned_name_is_caught():
     sources = {**source_texts(), "extra": "def orphan(n):\n    return orphan(n - 1)\n"}
     pinned = acceptance_names() - {"region_scan"}
     assert orphans(sources, pinned) == ["mapping.region_scan", "extra.orphan"]
+
+
+# The one number rule and the JSON loader, whose leaf checks are contract records,
+# are the only functions of src/steermap that convert numbers themselves.
+CONVERTERS = {"linalg._real_array", "states.state_from_json"}
+
+
+def is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def converts(call: ast.Call) -> bool:
+    """Whether ``call`` is ``.astype(...)``, ``np.asarray(..., dtype=...)`` or
+    ``np.array(<non-literal>, dtype=...)``."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "astype":
+        return True
+    if not (isinstance(func.value, ast.Name) and func.value.id == "np"):
+        return False
+    dtype = len(call.args) > 1 or any(k.arg == "dtype" for k in call.keywords)
+    if func.attr == "asarray":
+        return dtype
+    return func.attr == "array" and dtype and not is_literal(call.args[0])
+
+
+def conversions(sources: dict[str, str]) -> list[str]:
+    """``module.function`` (or ``module.Class.method``) of each converting call, in order."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Call) and converts(child):
+                found.append(where)
+            visit(child, inner)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module)
+    return found
+
+
+def test_only_the_number_rule_and_the_json_loader_convert():
+    found = conversions(source_texts())
+    assert [where for where in found if where not in CONVERTERS] == []
+    assert set(found) == CONVERTERS  # neither exception outlives its conversion
+
+
+def test_a_conversion_outside_the_rule_is_caught():
+    extra = (
+        "SIGMA = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)\n"
+        "def f(x, n):\n"
+        "    y = np.asarray(x, dtype=float) + np.asarray(x) + np.array(x)\n"
+        "    return np.array(x, complex), np.array([1, -2], dtype=int), y.astype(n)\n"
+        "class K:\n"
+        "    def g(self, x):\n"
+        "        return np.asarray(x, float)\n"
+    )
+    assert conversions({"extra": extra}) == ["extra.f", "extra.f", "extra.f", "extra.K.g"]

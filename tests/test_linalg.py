@@ -85,6 +85,20 @@ class TestPartialTrace:
             with pytest.raises(ValueError, match=message):
                 function(np.eye(4, dtype=complex) / 4, d_a, d_b)
 
+    @pytest.mark.parametrize("m, d_a, d_b, message", [
+        (np.eye(4) / 4, -2, -2, "d_a must be >= 1, got -2"),
+        (np.eye(4) / 4, -1, -4, "d_a must be >= 1, got -1"),
+        (np.eye(4) / 4, 4, -1, "d_b must be >= 1, got -1"),
+        (np.zeros((0, 0)), 0, 3, "d_a must be >= 1, got 0"),
+        (np.zeros((0, 0)), 3, 0, "d_b must be >= 1, got 0"),
+    ])
+    def test_dims_below_one_are_refused_by_name(self, m, d_a, d_b, message):
+        # numpy would reshape by a negative dim's product, or trace a 0-dim factor to zeros.
+        for function in (linalg.partial_trace, linalg.partial_transpose):
+            with pytest.raises(ValueError) as info:
+                function(m, d_a, d_b)
+            assert str(info.value) == message
+
     def test_refuses_an_unknown_keep(self):
         with pytest.raises(ValueError) as info:
             linalg.partial_trace(np.eye(4, dtype=complex) / 4, 2, 2, "C")

@@ -583,6 +583,22 @@ class TestRegionScan:
         with pytest.raises(ValueError, match="finite and positive"):
             mapping.region_scan(5, tol)
 
+    @pytest.mark.parametrize("tol", ["1e-10", b"1e-8", np.array("1e-8"), None])
+    def test_non_real_tolerance_is_refused_by_name(self, tol):
+        # math.isfinite raised TypeError on these; numpy would parse the strings.
+        message = f"^tolerance must be a real number or array, got {re.escape(repr(tol))}$"
+        with pytest.raises(ValueError, match=message):
+            mapping.c_max_numeric(0.3, tol)
+        with pytest.raises(ValueError, match=message):
+            mapping.region_scan(5, tol)
+
+    @pytest.mark.parametrize("tol, got", [(0.0, "0.0"), (float("nan"), "nan"), (-1e-10, "-1e-10"),
+                                          (np.float64(0.0), "0.0"), (np.array([1e-8]), "[1.e-08]")])
+    def test_tolerance_range_message(self, tol, got):
+        with pytest.raises(ValueError) as info:
+            mapping.c_max_numeric(0.3, tol)
+        assert str(info.value) == f"tolerance must be finite and positive, got {got}"
+
     def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
         # The bracket cannot shrink below float spacing; bisection must stop
         # there (at most ~1075 halvings of [0, 1]) instead of spinning.
@@ -662,8 +678,9 @@ class TestUnitIntervalCheck:
         assert constructions.check_unit_interval is states.check_unit_interval
 
     def test_one_number_rule_each_in_states(self):
-        assert states._integer is linalg._integer  # linalg, the bottom module, holds it
-        assert mapping._real_array is states._real_array
+        assert states._integer is linalg._integer  # linalg, the bottom module, holds both
+        assert states._real_array is linalg._real_array
+        assert mapping._real_array is linalg._real_array
         assert mapping._integer is states._integer
         assert constructions._integer is states._integer
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from steermap import constructions, models, states
+from steermap import constructions, linalg, models, states
 from steermap.measurements import (
     pauli_projectors,
     qubit_projectors,
@@ -316,7 +316,7 @@ class TestResponses:
         assert m.weights.tolist() == [1.0] and m.bob.tolist() == [[1.0, 0.0, 1.0]]
 
     def test_one_real_value_rule_in_states(self):
-        assert models._real_array is states._real_array
+        assert models._real_array is linalg._real_array
         assert not hasattr(models, "_real")
 
     def test_empty_response_matrices_are_refused(self):

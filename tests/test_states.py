@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from steermap import linalg, states
+from steermap import constructions, linalg, models, states
 from steermap.measurements import random_bases
 from steermap.states import (
     PAULI_STACK,
@@ -327,6 +327,18 @@ class TestRandomSeparables:
             states.random_separable(2, 3, 4, seed=seed)
         with pytest.raises(ValueError, match="^seed must be an integer"):
             states.random_separables(2, 3, 4, [5, seed])
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_refuses_negative_seeds_by_name(self, seed):
+        message = f"^seed must be >= 0, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            states.random_separable(2, 2, 2, seed)
+        with pytest.raises(ValueError, match=message):
+            states.random_separables(2, 2, 2, [3, seed])
+        rho, ensemble = random_separable(2, 2, 2, 3)
+        cert = models.model_from_separable(ensemble)
+        with pytest.raises(ValueError, match=message):
+            constructions.verify_spm_identity(rho, cert, 4, seed=seed)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, np.True_, "2", None])
     def test_refuses_non_integer_ensemble_size(self, k):
